@@ -178,14 +178,19 @@ def coverage(
 
     The denominator is the nonvertical facet count; the degenerate facet
     (z bounded by the first uncovered right-hand side) counts as covered by
-    every family.  A tripped hull budget yields an "incomplete" report with
-    no fabricated percentages.
+    every family.  Without a budget the hull comes from `hull.cached_facets`.
+    A tripped hull budget yields an "incomplete" report with no fabricated
+    percentages.
     """
     for name in family_names:
         if name not in families.FAMILIES:
             raise ValidationError(f"unknown family {name!r}")
     try:
-        fs = hull.enumerate_facets(inst, budget_seconds=budget_seconds)
+        # a budgeted run stays uncached, so that its budget can still trip
+        if budget_seconds is None:
+            fs = hull.cached_facets(inst)
+        else:
+            fs = hull.enumerate_facets(inst, budget_seconds=budget_seconds)
     except hull.BudgetExceeded:
         return CoverageReport(
             example=example,

@@ -44,7 +44,12 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _budget(args) -> float | None:
     env = os.environ.get("MIXCUT_BUDGET")
     if env:
-        return float(env)
+        try:
+            return float(env)
+        except ValueError:
+            raise ValidationError(
+                f"MIXCUT_BUDGET must be a number of seconds, got {env!r}"
+            ) from None
     return args.budget
 
 
@@ -248,6 +253,9 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except json.JSONDecodeError as exc:
+        print(f"invalid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

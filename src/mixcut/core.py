@@ -29,17 +29,25 @@ class DimensionError(ValidationError):
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, Fraction or ``"a/b"`` string."""
+    """Parse an exact rational from an int, Fraction or ``"a/b"`` string.
+
+    Floats, booleans, decimal strings and zero denominators are rejected.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        try:
+            if "/" in text:
+                num, den = text.split("/", 1)
+                return Fraction(int(num), int(den))
+            return Fraction(int(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f"not an exact rational: {value!r} (need an integer or a/b, b != 0)"
+            ) from None
     raise ValidationError(f"not an exact rational: {value!r} (floats are rejected)")
 
 

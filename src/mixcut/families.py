@@ -9,9 +9,9 @@ some parameterization of a family, returning the witnessing parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -160,18 +160,27 @@ def gen_strengthened_star(inst: MixingInstance, params: StarParams) -> LinearCut
     return mixing_form(inst.m, t, coefs, (), (), inst.h_at(t[0]))
 
 
-def _lifted_phis_all(inst: MixingInstance, r: int, count: int) -> list[Fraction]:
+def _lifts(
+    inst: MixingInstance,
+    anchor: int,
+    q: Sequence[int],
+    ends: Sequence[int],
+    cutoffs: Sequence[int],
+    shift: Fraction = Fraction(0),
+) -> list[Fraction]:
+    """Lift coefficients of the sequence q by the crossing recursion.
+
+    phi_1 = h_anchor - h_{ends_1} - shift, and for i > 1
+    phi_i = max(phi_{i-1}, h_anchor - h_{ends_i} - shift - sum of phi_k over
+    the earlier k with q_k >= cutoffs_i).  Every lifted family is this one
+    recursion; it differs only in its anchor, ends, cutoffs and shift.
+    """
+    base = inst.h_at(anchor) - shift
     phis: list[Fraction] = []
-    for i in range(count):
-        if i == 0:
-            phis.append(inst.h_at(r + 1) - inst.h_at(r + 2))
-        else:
-            phis.append(
-                max(
-                    phis[-1],
-                    inst.h_at(r + 1) - inst.h_at(r + i + 2) - sum(phis, Fraction(0)),
-                )
-            )
+    for i, end in enumerate(ends):
+        restricted = sum((phis[k] for k in range(i) if q[k] >= cutoffs[i]), Fraction(0))
+        value = base - inst.h_at(end) - restricted
+        phis.append(max(phis[-1], value) if phis else value)
     return phis
 
 
@@ -189,24 +198,10 @@ def gen_luedtke_lifted(inst: MixingInstance, params: LiftedParams) -> LinearCut:
         _check_increasing(q, inst.m, "q_list")
         if q[0] <= p:
             raise FamilyParamError("q_list must lie within p+1..m")
-    phis = _lifted_phis_all(inst, r, len(q))
+    # sorted lifting: every earlier lift counts, so the cutoffs are 0
+    phis = _lifts(inst, r + 1, q, range(r + 2, r + len(q) + 2), [0] * len(q))
     coefs = _telescope(inst, t, r + 1)
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
-
-
-def _kucukyavuz_phis(inst: MixingInstance, r: int, q: Sequence[int]) -> list[Fraction]:
-    phis: list[Fraction] = []
-    for i, _ in enumerate(q):
-        if i == 0:
-            phis.append(inst.h_at(r + 1) - inst.h_at(r + 2))
-        else:
-            restricted = sum(
-                (phis[k] for k in range(i) if q[k] >= r + i + 2), Fraction(0)
-            )
-            phis.append(
-                max(phis[-1], inst.h_at(r + 1) - inst.h_at(r + i + 2) - restricted)
-            )
-    return phis
 
 
 def gen_kucukyavuz(inst: MixingInstance, params: LiftedParams) -> LinearCut:
@@ -221,10 +216,11 @@ def gen_kucukyavuz(inst: MixingInstance, params: LiftedParams) -> LinearCut:
         raise FamilyParamError(f"q_list must have exactly p - r = {p - r} entries")
     if len(set(q)) != len(q):
         raise FamilyParamError("q_list entries must be distinct")
-    for i, qi in enumerate(q, start=1):
-        if not r + i + 1 <= qi <= inst.m:
+    ends = range(r + 2, r + len(q) + 2)  # also the cutoffs and the q_i bounds
+    for i, (qi, lo) in enumerate(zip(q, ends), start=1):
+        if not lo <= qi <= inst.m:
             raise FamilyParamError(f"q_{i} = {qi} violates q_i >= r + i + 1")
-    phis = _kucukyavuz_phis(inst, r, q)
+    phis = _lifts(inst, r + 1, q, ends, ends)
     coefs = _telescope(inst, t, r + 1)
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
 
@@ -281,26 +277,14 @@ def _zhao_check_s(
     return None
 
 
-def _zhao_phis(
-    inst: MixingInstance, r: int, q: Sequence[int], s: Sequence[int], s_top: int
-) -> list[Fraction]:
+def _zhao_ends_cutoffs(
+    r: int, s: Sequence[int], s_top: int
+) -> tuple[list[int], list[int]]:
+    """Ends and cutoffs of the s-shifted lifting; the cutoffs also bound q_i below."""
     sx = list(s) + [s_top]
-    phis: list[Fraction] = []
-    for i, _ in enumerate(q):
-        if i == 0:
-            phis.append(inst.h_at(r + sx[0]) - inst.h_at(r + sx[1]))
-        else:
-            cutoff = r + min(1 + sx[i], sx[i + 1])
-            restricted = sum(
-                (phis[k] for k in range(i) if q[k] >= cutoff), Fraction(0)
-            )
-            phis.append(
-                max(
-                    phis[-1],
-                    inst.h_at(r + sx[0]) - inst.h_at(r + sx[i] + 1) - restricted,
-                )
-            )
-    return phis
+    ends = [r + sx[1]] + [r + sx[i] + 1 for i in range(1, len(s))]
+    cutoffs = [r + min(1 + sx[i], sx[i + 1]) for i in range(len(s))]
+    return ends, cutoffs
 
 
 def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
@@ -335,37 +319,13 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     s_top = p - r + 1
     if any(a > b for a, b in zip(s, list(s[1:]) + [s_top])) or s[0] < 1:
         raise FamilyParamError("s-sequence must be nondecreasing within 1..p-r+1")
-    sx = list(s) + [s_top]
-    for i, qi in enumerate(q, start=1):
-        lo = r + min(1 + sx[i - 1], sx[i])
+    ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
+    for i, (qi, lo) in enumerate(zip(q, cutoffs), start=1):
         if not lo <= qi <= inst.m or qi <= r + s[0]:
             raise FamilyParamError(f"q_{i} = {qi} outside its admissible range")
-    phis = _zhao_phis(inst, r, q, s, s_top)
+    phis = _lifts(inst, r + s[0], q, ends, cutoffs)
     coefs = _telescope(inst, t, r + s[0])
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
-
-
-def _blp_uniform_phis(
-    inst: MixingInstance,
-    r: int,
-    q: Sequence[int],
-    s: Sequence[int],
-    delta_sum: Fraction,
-) -> list[Fraction]:
-    phis: list[Fraction] = []
-    anchor = inst.h_at(r + s[0])
-    for i, _ in enumerate(q):
-        if i == 0:
-            phis.append(anchor - inst.h_at(r + s[1]) - delta_sum)
-        else:
-            cutoff = r + s[i] + 1
-            restricted = sum(
-                (phis[k] for k in range(i) if q[k] >= cutoff), Fraction(0)
-            )
-            phis.append(
-                max(phis[-1], anchor - inst.h_at(r + s[i] + 1) - delta_sum - restricted)
-            )
-    return phis
 
 
 def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut:
@@ -394,10 +354,11 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
     delta = tuple(rat(d) for d in params.delta)
     if len(delta) != len(t):
         raise FamilyParamError("delta must match t_set in length")
-    # s_iota = p - r - v + iota, so the anchor sits at h_{p-v+1}
-    s = [p - r - v + i for i in range(1, v + 2)]
-    anchor_idx = r + s[0]
-    tx = list(t) + [anchor_idx]
+    # s_iota = p - r - v + iota, so the anchor sits at h_{p-v+1} and the
+    # lifting ends, cutoffs and q_i lower bounds are r + s_iota + 1
+    anchor = p - v + 1
+    ends = range(anchor + 1, anchor + v + 1)
+    tx = list(t) + [anchor]
     for i, d in enumerate(delta):
         if d < inst.h_at(tx[i + 1]) - inst.h_at(tx[i]):
             raise FamilyParamError(f"delta_{i + 1} below its telescoping lower bound")
@@ -408,12 +369,12 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
         if sum(delta[: k - 1], Fraction(0)) < 0:
             raise FamilyParamError(f"partial delta sum through {k - 1} is negative")
     delta_sum = sum(delta, Fraction(0))
-    if delta_sum > inst.h_at(r + s[0]) - inst.h_at(r + s[1]):
+    if delta_sum > inst.h_at(anchor) - inst.h_at(anchor + 1):
         raise FamilyParamError("total delta exceeds the first anchor gap")
-    for i, qi in enumerate(q, start=1):
-        if not r + s[i - 1] + 1 <= qi <= inst.m:
+    for i, (qi, lo) in enumerate(zip(q, ends), start=1):
+        if not lo <= qi <= inst.m:
             raise FamilyParamError(f"q_{i} = {qi} outside r+s_{i}+1..m")
-    phis = _blp_uniform_phis(inst, r, q, s, delta_sum)
+    phis = _lifts(inst, anchor, q, ends, ends, delta_sum)
     coefs = [
         inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))
     ]
@@ -424,7 +385,25 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
 # Generic certificate machinery
 
 
-def _beta_bounds_for_j(
+@dataclass(frozen=True)
+class _CertificateRow:
+    """Scenario j's certificate conditions before A_j is chosen.
+
+    ``positions`` are the q positions k with q_k > j, ``bounds`` their ratio
+    bounds phi_k / (m pi_{q_k}) and ``weights`` their probabilities pi_{q_k}.
+    ``coef`` and ``rhs`` are the covering coefficient and right-hand side
+    (divided by m) with A_j empty; each position moved into A_j takes its
+    weight off the coefficient and phi_k / m off the right-hand side.
+    """
+
+    positions: tuple[int, ...]
+    bounds: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
+    coef: Fraction
+    rhs: Fraction
+
+
+def _certificate_row(
     inst: MixingInstance,
     j: int,
     r: int,
@@ -432,51 +411,50 @@ def _beta_bounds_for_j(
     delta: Sequence[Fraction],
     q: Sequence[int],
     phi: Sequence[Fraction],
-    a_pos: frozenset[int],
-) -> Optional[Fraction]:
+) -> _CertificateRow:
+    """Scenario j's certificate row, built once for every A_j tried on it."""
+    m = inst.m
+    positions = tuple(k for k in range(len(q)) if q[k] > j)
+    weights = tuple(inst.pi_at(q[k]) for k in positions)
+    bounds = tuple(phi[k] / (m * w) for k, w in zip(positions, weights))
+    coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon + sum(weights, Fraction(0))
+    a_j = sum(1 for ti in t if ti < j)
+    anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
+    rhs = anchor - inst.h_at(j) - sum(delta[:a_j], Fraction(0))
+    rhs -= sum((phi[k] for k in range(len(q)) if q[k] == j), Fraction(0))
+    return _CertificateRow(positions, bounds, weights, coef, rhs / m)
+
+
+def _split_row(
+    row: _CertificateRow, a_pos: frozenset[int]
+) -> tuple[Fraction, Optional[Fraction], Fraction, Fraction]:
+    """(lo, hi, coef, rhs) of the row with A_j = a_pos (0-based q positions).
+
+    The ratio window is lo <= beta_j <= hi (hi None when unbounded); lo is at
+    least 0.  Positions not above j are inert.
+    """
+    lo, hi, coef, rhs = Fraction(0), None, row.coef, row.rhs
+    for k, bound, weight in zip(row.positions, row.bounds, row.weights):
+        if k in a_pos:
+            lo = max(lo, bound)
+            coef -= weight
+            rhs -= bound * weight  # = phi_k / m
+        elif hi is None or bound < hi:
+            hi = bound
+    return lo, hi, coef, rhs
+
+
+def _beta_bounds_for_j(row: _CertificateRow, a_pos: frozenset[int]) -> Optional[Fraction]:
     """Least feasible multiplier for scenario j, or None when infeasible.
 
     Combines the ratio window from the lifted coefficients with the covering
-    requirement; a_pos holds 0-based positions into q (only those with
-    q > j matter).
+    requirement beta_j * coef >= rhs.
     """
-    m = inst.m
-    relevant = [k for k in range(len(q)) if q[k] > j]
-    lo = Fraction(0)
-    hi: Optional[Fraction] = None
-    for k in relevant:
-        bound = phi[k] / (m * inst.pi_at(q[k]))
-        if k in a_pos:
-            if bound > lo:
-                lo = bound
-        elif hi is None or bound < hi:
-            hi = bound
-    coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon
-    for k in relevant:
-        coef += inst.pi_at(q[k])
-        if k in a_pos:
-            coef -= inst.pi_at(q[k])
-    a_j = sum(1 for ti in t if ti < j)
-    anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
-    rhs = anchor - inst.h_at(j)
-    for i, ti in enumerate(t):
-        if ti < j:
-            rhs -= delta[i]
-    for k in range(len(q)):
-        if q[k] == j:
-            rhs -= phi[k]
-    for k in relevant:
-        if k in a_pos:
-            rhs -= phi[k]
-    rhs /= m
+    lo, hi, coef, rhs = _split_row(row, a_pos)
     if coef > 0:
-        need = rhs / coef
-        if need > lo:
-            lo = need
+        lo = max(lo, rhs / coef)
     elif coef < 0:
-        cap = rhs / coef
-        if hi is None or cap < hi:
-            hi = cap
+        hi = rhs / coef if hi is None else min(hi, rhs / coef)
     elif rhs > 0:
         return None
     if hi is not None and lo > hi:
@@ -484,23 +462,66 @@ def _beta_bounds_for_j(
     return lo
 
 
-def _search_certificate_j(
-    inst: MixingInstance,
-    j: int,
-    r: int,
-    t: Sequence[int],
-    delta: Sequence[Fraction],
-    q: Sequence[int],
-    phi: Sequence[Fraction],
-) -> Optional[tuple[frozenset[int], Fraction]]:
+def _certificate_conditions_hold(
+    row: _CertificateRow, a_pos: frozenset[int], beta_j: Fraction
+) -> bool:
+    lo, hi, coef, rhs = _split_row(row, a_pos)
+    return lo <= beta_j and (hi is None or beta_j <= hi) and beta_j * coef >= rhs
+
+
+def _search_certificate_j(row: _CertificateRow) -> Optional[tuple[frozenset[int], Fraction]]:
     """First feasible (A_j, beta_j) in deterministic subset order."""
-    relevant = [k for k in range(len(q)) if q[k] > j]
+    relevant = row.positions
     for mask in range(1 << len(relevant)):
         a_pos = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
-        beta = _beta_bounds_for_j(inst, j, r, t, delta, q, phi, a_pos)
+        beta = _beta_bounds_for_j(row, a_pos)
         if beta is not None:
             return a_pos, beta
     return None
+
+
+def _certify(
+    inst: MixingInstance,
+    r: int,
+    t: tuple[int, ...],
+    delta: tuple[Fraction, ...],
+    q: tuple[int, ...],
+    phi: tuple[Fraction, ...],
+    a_posed: Optional[Sequence[frozenset[int]]] = None,
+    beta: Optional[Sequence[Fraction]] = None,
+) -> tuple[Optional[BlpGenericParams], Optional[int]]:
+    """The certificate, or None and the first infeasible scenario.
+
+    Without ``a_posed`` each scenario's (A_j, beta_j) is searched; with it,
+    the given beta_j is verified, or the least feasible one is taken.
+    """
+    chosen = []
+    for j in range(1, inst.m + 1):
+        row = _certificate_row(inst, j, r, t, delta, q, phi)
+        if a_posed is None:
+            found = _search_certificate_j(row)
+        else:
+            a_pos = a_posed[j - 1]
+            if beta is None:
+                beta_j = _beta_bounds_for_j(row, a_pos)
+            elif _certificate_conditions_hold(row, a_pos, beta[j - 1]):
+                beta_j = beta[j - 1]
+            else:
+                beta_j = None
+            found = None if beta_j is None else (a_pos, beta_j)
+        if found is None:
+            return None, j
+        chosen.append(found)
+    cert = BlpGenericParams(
+        r=r,
+        t_set=t,
+        delta=delta,
+        q_list=q,
+        phi=phi,
+        a_sets=tuple(frozenset(q[k] for k in a_pos) for a_pos, _ in chosen),
+        beta=tuple(b for _, b in chosen),
+    )
+    return cert, None
 
 
 def _generic_structure_check(
@@ -560,6 +581,7 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     """
     t, delta, q, phi = _generic_structure_check(inst, params)
     m = inst.m
+    a_posed = beta = None
     if params.a_sets is not None:
         if len(params.a_sets) != m:
             raise FamilyParamError("a_sets must have one entry per scenario")
@@ -568,83 +590,13 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
             beta = tuple(rat(b) for b in params.beta)
             if len(beta) != m or any(b < 0 for b in beta):
                 raise FamilyParamError("beta must be m non-negative rationals")
-            for j in range(1, m + 1):
-                if not _certificate_conditions_hold(
-                    inst, j, params.r, t, delta, q, phi, a_posed[j - 1], beta[j - 1]
-                ):
-                    return GenericCutResult(False, None, None, infeasible_j=j)
-            chosen = list(zip(a_posed, beta))
-        else:
-            chosen = []
-            for j in range(1, m + 1):
-                beta_j = _beta_bounds_for_j(
-                    inst, j, params.r, t, delta, q, phi, a_posed[j - 1]
-                )
-                if beta_j is None:
-                    return GenericCutResult(False, None, None, infeasible_j=j)
-                chosen.append((a_posed[j - 1], beta_j))
-    else:
-        chosen = []
-        for j in range(1, m + 1):
-            found = _search_certificate_j(inst, j, params.r, t, delta, q, phi)
-            if found is None:
-                return GenericCutResult(False, None, None, infeasible_j=j)
-            chosen.append(found)
-
+    cert, infeasible_j = _certify(inst, params.r, t, delta, q, phi, a_posed, beta)
+    if cert is None:
+        return GenericCutResult(False, None, None, infeasible_j=infeasible_j)
     tx = list(t) + [params.r + 1]
     coefs = [inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))]
     cut = mixing_form(m, t, coefs, q, phi, inst.h_at(t[0]))
-    cert = BlpGenericParams(
-        r=params.r,
-        t_set=t,
-        delta=delta,
-        q_list=q,
-        phi=phi,
-        a_sets=tuple(frozenset(q[k] for k in a_pos) for a_pos, _ in chosen),
-        beta=tuple(b for _, b in chosen),
-    )
     return GenericCutResult(True, cut, cert)
-
-
-def _certificate_conditions_hold(
-    inst: MixingInstance,
-    j: int,
-    r: int,
-    t: Sequence[int],
-    delta: Sequence[Fraction],
-    q: Sequence[int],
-    phi: Sequence[Fraction],
-    a_pos: frozenset[int],
-    beta_j: Fraction,
-) -> bool:
-    if beta_j < 0:
-        return False
-    m = inst.m
-    relevant = [k for k in range(len(q)) if q[k] > j]
-    for k in relevant:
-        bound = phi[k] / (m * inst.pi_at(q[k]))
-        if k in a_pos:
-            if beta_j < bound:
-                return False
-        elif beta_j > bound:
-            return False
-    coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon
-    for k in relevant:
-        if k not in a_pos:
-            coef += inst.pi_at(q[k])
-    a_j = sum(1 for ti in t if ti < j)
-    anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
-    rhs = anchor - inst.h_at(j)
-    for i, ti in enumerate(t):
-        if ti < j:
-            rhs -= delta[i]
-    for k in range(len(q)):
-        if q[k] == j:
-            rhs -= phi[k]
-    for k in relevant:
-        if k in a_pos:
-            rhs -= phi[k]
-    return beta_j * coef >= rhs / m
 
 
 def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int:
@@ -663,31 +615,14 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     pq = set(t) | set(q)
     count = 0
     for j in range(1, m + 1):
+        row = _certificate_row(inst, j, params.r, t, delta, q, phi)
         a_pos = a_posed[j - 1]
         b = beta[j - 1]
-        if not _certificate_conditions_hold(inst, j, params.r, t, delta, q, phi, a_pos, b):
+        if not _certificate_conditions_hold(row, a_pos, b):
             raise FamilyParamError(f"certificate conditions fail at scenario {j}")
-        relevant = [k for k in range(len(q)) if q[k] > j]
-        for k in relevant:
-            if b == phi[k] / (m * inst.pi_at(q[k])):
-                count += 1
-        coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon
-        for k in relevant:
-            if k not in a_pos:
-                coef += inst.pi_at(q[k])
-        a_j = sum(1 for ti in t if ti < j)
-        anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(params.r + 1)
-        rhs = anchor - inst.h_at(j)
-        for i, ti in enumerate(t):
-            if ti < j:
-                rhs -= delta[i]
-        for k in range(len(q)):
-            if q[k] == j:
-                rhs -= phi[k]
-        for k in relevant:
-            if k in a_pos:
-                rhs -= phi[k]
-        if b * coef == rhs / m:
+        count += sum(1 for bound in row.bounds if b == bound)
+        _, _, coef, rhs = _split_row(row, a_pos)
+        if b * coef == rhs:
             count += 1
         if b == 0:
             count += sum(1 for i in range(j + 1, m + 1) if i not in pq)
@@ -793,7 +728,8 @@ def _proper_lifted(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership
         return Membership(False)
     if list(parsed.coefs) != _telescope(inst, t, r + 1):
         return Membership(False)
-    if _lifted_phis_all(inst, r, len(q)) != list(parsed.phis):
+    ends = range(r + 2, r + len(q) + 2)
+    if _lifts(inst, r + 1, q, ends, [0] * len(q)) != list(parsed.phis):
         return Membership(False)
     return Membership(True, "lifted", LiftedParams(r, t, q))
 
@@ -811,10 +747,11 @@ def _proper_kucukyavuz(inst: MixingInstance, parsed: ParsedMixingForm) -> Member
     if list(parsed.coefs) != _telescope(inst, t, r + 1):
         return Membership(False)
     phi_of = _parsed_phi_map(parsed)
+    ends = range(r + 2, r + len(parsed.q_list) + 2)
     for perm in permutations(parsed.q_list):
-        if any(qi < r + i + 2 for i, qi in enumerate(perm)):
+        if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
-        if _kucukyavuz_phis(inst, r, perm) == [phi_of[qi] for qi in perm]:
+        if _lifts(inst, r + 1, perm, ends, ends) == [phi_of[qi] for qi in perm]:
             return Membership(True, "kucukyavuz", LiftedParams(r, t, perm))
     return Membership(False)
 
@@ -836,16 +773,11 @@ def _proper_zhao(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
             continue
         if list(parsed.coefs) != _telescope(inst, t, r + s[0]):
             continue
-        sx = list(s) + [s_top]
+        ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
         for perm in permutations(parsed.q_list):
-            ok = True
-            for i, qi in enumerate(perm, start=1):
-                if qi <= r + s[0] or qi < r + min(1 + sx[i - 1], sx[i]):
-                    ok = False
-                    break
-            if not ok:
+            if any(qi <= r + s[0] or qi < lo for qi, lo in zip(perm, cutoffs)):
                 continue
-            if _zhao_phis(inst, r, perm, s, s_top) == [phi_of[qi] for qi in perm]:
+            if _lifts(inst, r + s[0], perm, ends, cutoffs) == [phi_of[qi] for qi in perm]:
                 return Membership(
                     True, "zhao", LiftedParams(r, t, perm, s_list=s)
                 )
@@ -853,105 +785,43 @@ def _proper_zhao(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
 
 
 def _proper_blp_uniform(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    """Search for generating parameters, allowing zero-lift phantom entries.
+    """Search for generating parameters with r = p - |q| and every q entry visible.
 
-    A generating q-sequence may start with entries whose lift coefficient
-    works out to zero; they are invisible in the cut but enlarge v, which
-    moves the anchor.  The lift recursion is non-decreasing, so such entries
-    always occupy a prefix of the sequence, and their scenario values only
-    need to exist (they contribute nothing to the sums).
+    A smaller r gives the same cut.  A generating q-sequence could also lead
+    with entries whose lift works out to zero: invisible in the cut, they
+    enlarge v and move the anchor A down.  Such a candidate never certifies a
+    cut that the visible-only one misses.  A zero first lift needs the shift
+    total h_A - h_{A+1}, and each further zero lift needs h_{A+1} = ... =
+    h_{A+extra}.  Drop the zero entries instead, so that r grows by extra:
+    the shift total becomes h_{A+extra} - h_{A+1} = 0, while the visible
+    lifts, their cutoffs and their q bounds stay as they were.
     """
     if not parsed.q_phis or not parsed.p_coefs:
         return Membership(False)
-    p, m = inst.p, inst.m
     t = parsed.t_list
-    v_vis = len(parsed.q_phis)
-    if parsed.rhs_base != inst.h_at(t[0]):
+    v = len(parsed.q_phis)
+    r = inst.p - v
+    if r < 1 or t[-1] > r or parsed.rhs_base != inst.h_at(t[0]):
+        return Membership(False)
+    anchor = r + 1
+    tx = list(t) + [anchor]
+    delta = [
+        parsed.coefs[i] - inst.h_at(tx[i]) + inst.h_at(tx[i + 1])
+        for i in range(len(t))
+    ]
+    if any(sum(delta[: k - 1], Fraction(0)) < 0 for k in range(2, len(t) + 2)):
+        return Membership(False)
+    delta_sum = sum(delta, Fraction(0))
+    if delta_sum > inst.h_at(anchor) - inst.h_at(anchor + 1):
         return Membership(False)
     phi_of = _parsed_phi_map(parsed)
-    used = set(t) | set(parsed.q_list)
-    for extra in range(0, p - v_vis - t[-1] + 1):
-        v = v_vis + extra
-        r = p - v  # the largest admissible r; smaller ones give the same cut
-        if r < 1 or t[-1] > r:
-            break
-        anchor = p - v + 1
-        tx = list(t) + [anchor]
-        delta = [
-            parsed.coefs[i] - inst.h_at(tx[i]) + inst.h_at(tx[i + 1])
-            for i in range(len(t))
-        ]
-        if any(sum(delta[: k - 1], Fraction(0)) < 0 for k in range(2, len(t) + 2)):
+    ends = range(anchor + 1, anchor + v + 1)
+    for perm in permutations(parsed.q_list):
+        if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
-        delta_sum = sum(delta, Fraction(0))
-        if delta_sum > inst.h_at(anchor) - inst.h_at(anchor + 1):
-            continue
-        s = [p - r - v + i for i in range(1, v + 2)]
-        pool = sorted(i for i in range(anchor + 1, m + 1) if i not in used)
-        if not _phantoms_available(pool, [anchor + i for i in range(1, extra + 1)]):
-            continue
-        for perm in permutations(parsed.q_list):
-            seq_phis = _blp_uniform_phis_with_phantoms(inst, r, perm, s, delta_sum, extra)
-            if seq_phis is None:
-                continue
-            if any(qi < r + s[extra + i] + 1 for i, qi in enumerate(perm)):
-                continue
-            if seq_phis == [phi_of[qi] for qi in perm]:
-                return Membership(
-                    True,
-                    "blp_uniform",
-                    BlpUniformParams(r, t, perm, tuple(delta)),
-                )
+        if _lifts(inst, anchor, perm, ends, ends, delta_sum) == [phi_of[qi] for qi in perm]:
+            return Membership(True, "blp_uniform", BlpUniformParams(r, t, perm, tuple(delta)))
     return Membership(False)
-
-
-def _phantoms_available(pool: Sequence[int], thresholds: Sequence[int]) -> bool:
-    """Can distinct pool values be matched to the given lower thresholds?"""
-    remaining = list(pool)
-    for bound in sorted(thresholds, reverse=True):
-        for idx in range(len(remaining) - 1, -1, -1):
-            if remaining[idx] >= bound:
-                del remaining[idx]
-                break
-        else:
-            return False
-    return True
-
-
-def _blp_uniform_phis_with_phantoms(
-    inst: MixingInstance,
-    r: int,
-    visible: Sequence[int],
-    s: Sequence[int],
-    delta_sum: Fraction,
-    extra: int,
-) -> Optional[list[Fraction]]:
-    """Lift values of the visible entries when `extra` zero lifts lead the sequence.
-
-    Returns None when the recursion cannot keep the leading lifts at zero.
-    Zero entries contribute nothing to the restricted sums, so only their
-    count matters.
-    """
-    anchor = inst.h_at(r + s[0])
-    prev = Fraction(0)
-    for i in range(extra):
-        value = anchor - inst.h_at(r + s[i] + 1) - delta_sum if i else \
-            anchor - inst.h_at(r + s[1]) - delta_sum
-        if max(prev, value) != 0:
-            return None
-    phis: list[Fraction] = []
-    for i, _ in enumerate(visible):
-        pos = extra + i  # 0-based position in the full sequence
-        if pos == 0:
-            phis.append(anchor - inst.h_at(r + s[1]) - delta_sum)
-        else:
-            cutoff = r + s[pos] + 1
-            restricted = sum(
-                (phis[k] for k in range(i) if visible[k] >= cutoff), Fraction(0)
-            )
-            base = anchor - inst.h_at(r + s[pos] + 1) - delta_sum - restricted
-            phis.append(max(phis[-1] if phis else Fraction(0), base))
-    return phis
 
 
 def _proper_blp_generic(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
@@ -964,11 +834,9 @@ def _proper_blp_generic(inst: MixingInstance, parsed: ParsedMixingForm) -> Membe
     """
     if not parsed.p_coefs:
         return Membership(False)
-    from itertools import combinations
-
     t_vis = parsed.t_list
     q = parsed.q_list
-    phi = list(parsed.phis)
+    phi = tuple(parsed.phis)
     v = len(q)
     l_vis = len(t_vis)
     hi = inst.p
@@ -984,33 +852,13 @@ def _proper_blp_generic(inst: MixingInstance, parsed: ParsedMixingForm) -> Membe
                 if parsed.rhs_base != inst.h_at(t[0]):
                     continue
                 tx = list(t) + [r + 1]
-                delta = [
-                    coef_of.get(t[i], Fraction(0))
-                    - inst.h_at(tx[i])
-                    + inst.h_at(tx[i + 1])
+                delta = tuple(
+                    coef_of.get(t[i], Fraction(0)) - inst.h_at(tx[i]) + inst.h_at(tx[i + 1])
                     for i in range(len(t))
-                ]
+                )
                 if sum(delta, Fraction(0)) > inst.h_at(r + 1):
                     continue
-                chosen = []
-                feasible = True
-                for j in range(1, inst.m + 1):
-                    found = _search_certificate_j(inst, j, r, t, delta, q, phi)
-                    if found is None:
-                        feasible = False
-                        break
-                    chosen.append(found)
-                if feasible:
-                    cert = BlpGenericParams(
-                        r=r,
-                        t_set=t,
-                        delta=tuple(delta),
-                        q_list=q,
-                        phi=tuple(phi),
-                        a_sets=tuple(
-                            frozenset(q[k] for k in a_pos) for a_pos, _ in chosen
-                        ),
-                        beta=tuple(b for _, b in chosen),
-                    )
+                cert, _ = _certify(inst, r, t, delta, q, phi)
+                if cert is not None:
                     return Membership(True, "blp_generic", cert)
     return Membership(False)

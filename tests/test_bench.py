@@ -172,6 +172,27 @@ class TestCli:
         bad.write_text(json.dumps({"m": 2, "h": ["1", "2"], "epsilon": "1"}))
         assert cli.main(["hull", "--instance", str(bad)]) == cli.EXIT_VALIDATION
 
+    # each malformed input: (instance document for `hull`, MIXCUT_BUDGET for `coverage`)
+    MALFORMED = {
+        "decimal_string": ('{"m": 2, "h": ["2", "1.5"], "epsilon": "1/2"}', None),
+        "zero_denominator": ('{"m": 2, "h": ["2", "1/0"], "epsilon": "1/2"}', None),
+        "truncated_json": ('{"m": 2, "h": ["2", "1"', None),
+        "boolean": ('{"m": 2, "h": [2, true], "epsilon": "1/2"}', None),
+        "budget_variable": (None, "abc"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        text, budget = self.MALFORMED[case]
+        if budget is None:
+            inst_file = tmp_path / "inst.json"
+            inst_file.write_text(text)
+            argv = ["hull", "--instance", str(inst_file)]
+        else:
+            monkeypatch.setenv("MIXCUT_BUDGET", budget)
+            argv = ["coverage", "--example", "L", "--m", "4", "--p", "2"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+
     def test_budget_exit_code(self, tmp_path, monkeypatch, capsys):
         inst_file = tmp_path / "inst.json"
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 8, 4)))

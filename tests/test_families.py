@@ -1,5 +1,6 @@
 """Generators and membership certifiers for the inequality families."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -189,6 +190,22 @@ class TestBlpUniform:
         assert cut_is_valid(ex21, cut)
         assert hull.is_facet(ex21, cut)
 
+    def test_zero_lift_leading_entry_certified_without_it(self):
+        # the shift total equals h_2 - h_3, so the lift of q_1 = 3 is zero and
+        # the cut shows only q = 4; dropping the zero entry raises r to 2 and
+        # brings the shift total to 0, which is what the certifier finds
+        inst = build_instance(7, [20, 18, 14, 11, 11, 6, 4], None, Fraction(3, 7))
+        assert inst.p == 3
+        cut = fam.gen_blp_uniform(
+            inst, fam.BlpUniformParams(1, (1,), (3, 4), (Fraction(4),))
+        )
+        assert cut == make_cut(1, [6, 0, 0, -3, 0, 0, 0], 17)
+        assert hull.is_facet(inst, cut)
+        result = fam.member_of(inst, cut, "blp_uniform")
+        assert result.via == "blp_uniform"
+        assert result.certificate == fam.BlpUniformParams(2, (1,), (4,), (Fraction(0),))
+        assert fam.gen_blp_uniform(inst, result.certificate) == cut
+
 
 class TestUniformClosureOracle:
     """The brute-force oracle of acceptance criteria 1-3 is not vacuous."""
@@ -304,6 +321,26 @@ class TestNecessityCount:
             assert result.accepted
             counts.add(fam.facet_necessity_count(ex21, result.certificate))
         assert len(counts) == 1
+
+    def test_searched_certificates_verify_on_partial_cell(self):
+        # K(7,5) has facets outside the generic family, so the search both
+        # succeeds and fails on this cell
+        inst = benchmark_instance("K", 7, 5)
+        facets = hull.cached_facets(inst).nonvertical
+        certified = 0
+        for facet in facets:
+            result = fam.member_of(inst, facet, "blp_generic")
+            if result.via != "blp_generic":
+                continue
+            cert = result.certificate
+            full = fam.gen_blp_generic(inst, cert)
+            assert full.accepted and full.cut == facet
+            given_a = fam.gen_blp_generic(inst, replace(cert, beta=None))
+            assert given_a.accepted and given_a.certificate.beta == cert.beta
+            fam.facet_necessity_count(inst, cert)
+            certified += 1
+        assert certified > 0
+        assert sum(bool(fam.member_of(inst, f, "blp_generic")) for f in facets) < len(facets)
 
     def test_uncertified_params_rejected(self, ex21):
         params = fam.BlpGenericParams(r=4, t_set=(1, 4), delta=(Fraction(-3), Fraction(-3)))

@@ -20,8 +20,8 @@ parameter checks decide what is admissible, and its cut is compared with
 the facet exactly.
 
 The search shares no code with the membership certifier
-(`families._proper_blp_uniform`): it makes no choice of r, no phantom
-bookkeeping and no pruning of q orders, so it checks all three.
+(`families._proper_blp_uniform`): it makes no choice of r, keeps every
+zero-lift q entry and prunes no q order, so it checks all three.
 """
 
 from __future__ import annotations
