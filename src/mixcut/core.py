@@ -372,14 +372,23 @@ def instance_to_json(inst: MixingInstance) -> str:
 
 
 def instance_from_json(text: str) -> MixingInstance:
+    """Parse :func:`instance_to_json` output; a missing or null ``pi`` is uniform.
+
+    ``m`` must be a JSON integer and ``h`` and ``pi`` arrays; any other
+    malformation raises :class:`ValidationError`.
+    """
     payload = json.loads(text)
     try:
-        m = int(payload["m"])
+        m = payload["m"]
         h = payload["h"]
         eps = payload["epsilon"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
     pi = payload.get("pi")
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValidationError(f"malformed instance document: m must be an integer, got {m!r}")
+    if not isinstance(h, list) or not (pi is None or isinstance(pi, list)):
+        raise ValidationError("malformed instance document: h and pi must be arrays")
     return build_instance(m, h, pi, eps)
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
+from .linalg import _reduce
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,15 +46,6 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _reduce(vec: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g > 1:
-        return tuple(v // g for v in vec)
-    return tuple(vec)
-
-
 def dual_rays(
     generators: Sequence[Sequence[int]],
     budget: Optional[Budget] = None,
@@ -79,14 +70,14 @@ def dual_rays(
     seed_set = set(seed)
     order = seed + [i for i in range(len(gens)) if i not in seed_set]
 
-    inv = linalg.inverse([gens[i] for i in seed])
+    seed_rows = [gens[i] for i in seed]
     rays: list[tuple[int, ...]] = []
     incidence: list[int] = []
     all_seed_bits = (1 << d) - 1
     for j in range(d):
-        col = linalg.primitive([inv[i][j] for i in range(d)])
-        # orient so the ray satisfies its defining constraint strictly
-        if _dot(col, gens[seed[j]]) < 0:
+        # the ray tight on every seed halfspace but j, oriented into halfspace j
+        (col,) = linalg.nullspace(seed_rows[:j] + seed_rows[j + 1:], d)
+        if _dot(col, seed_rows[j]) < 0:
             col = tuple(-v for v in col)
         rays.append(col)
         incidence.append(all_seed_bits & ~(1 << j))
@@ -214,23 +205,6 @@ def facet_normals_by_wrapping(
 
     memo: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
 
-    def chart_columns(indices: Sequence[int]) -> list[int]:
-        rows = [gens[i] for i in indices]
-        # transpose-rank trick: pick a lex-min independent column subset
-        cols: list[int] = []
-        basis: list[list[Fraction]] = []
-        for c in range(d):
-            vec = [Fraction(gens[i][c]) for i in indices]
-            for b in basis:
-                lead = next((j for j, v in enumerate(b) if v != 0), None)
-                if lead is not None and vec[lead] != 0:
-                    f = vec[lead] / b[lead]
-                    vec = [x - f * y for x, y in zip(vec, b)]
-            if any(v != 0 for v in vec):
-                basis.append(vec)
-                cols.append(c)
-        return cols
-
     def wrap(face: frozenset[int]) -> tuple[frozenset[int], ...]:
         """Facets of cone(gens[face]), as tight index subsets of `face`."""
         cached = memo.get(face)
@@ -239,7 +213,8 @@ def facet_normals_by_wrapping(
         if budget is not None:
             budget.charge()
         indices = sorted(face)
-        cols = chart_columns(indices)
+        # chart: the lex-min independent subset of the columns of gens[face]
+        cols = linalg.independent_prefix(list(zip(*(gens[i] for i in indices))), d)
         k = len(cols)
         proj = {i: tuple(gens[i][c] for c in cols) for i in indices}
         if k == 1:
@@ -247,12 +222,13 @@ def facet_normals_by_wrapping(
             return memo[face]
         # interior functional in chart coordinates, agreeing with a0 on the span
         bas_idx = linalg.independent_prefix([proj[i] for i in indices], k)
-        bmat = [proj[indices[i]] for i in bas_idx]
-        rhs = [Fraction(_dot(a0, gens[indices[i]])) for i in bas_idx]
-        inv = linalg.inverse(bmat)
-        c0 = linalg.primitive(
-            [sum(inv[row][col] * rhs[col] for col in range(k)) for row in range(k)]
+        # c0 solves B c = rhs, for B the bas_idx rows and rhs their a0 values:
+        # [B | -rhs] has one free column, the last, so its kernel vector is
+        # (c, 1) times a positive scalar
+        (sol,) = linalg.nullspace(
+            [proj[indices[i]] + (-_dot(a0, gens[indices[i]]),) for i in bas_idx], k + 1
         )
+        c0 = _reduce(sol[:k])
         face_gens = [proj[i] for i in indices]
         start = _initial_facet(face_gens, c0)
         normals = {_tight_of(indices, proj, start): start}

@@ -1,57 +1,74 @@
-"""Small exact linear-algebra kit: ranks, inverses, nullspaces over Q.
+"""Small exact linear-algebra kit: ranks, independent rows, nullspaces over Q.
 
-Vectors destined for the cone engine are scaled to primitive integer tuples
-(coordinates coprime) so the hot loops run on plain integers rather than
-Fraction objects.
+Ranks, independent rows and nullspaces all read one fraction-free
+elimination, `_echelon`. It scales its input rows to primitive integer
+tuples (coordinates coprime) and keeps a reduced echelon basis in plain
+integers, so the hot loops never build Fraction objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
+
+
+def _reduce(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries."""
+    g = gcd(*vec)
+    if g > 1:
+        return tuple(v // g for v in vec)
+    return tuple(vec)
 
 
 def primitive(vec: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, preserving direction."""
-    fracs = [Fraction(v) for v in vec]
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    """Scale a vector of ints and Fractions to coprime integers, preserving direction."""
+    denom = lcm(*(v.denominator for v in vec))
+    return _reduce([v.numerator * (denom // v.denominator) for v in vec])
+
+
+def _echelon(
+    rows: Iterable[Sequence], need: Optional[int] = None
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Reduced echelon basis of the span of `rows`, inserting one row at a time.
+
+    Returns (basis, pivots, raised).  Each basis row is primitive, zero before
+    its pivot column, positive at it, and zero at every other pivot column;
+    such a basis depends only on the row space.  `raised` holds the indices
+    of the input rows that raised the rank, in input order.  Stops once
+    `need` rows have raised it, or once the rank reaches the row length.
+    """
+    basis: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    raised: list[int] = []
+    for idx, row in enumerate(rows):
+        vec = primitive(row)
+        for b, c in zip(basis, pivots):
+            f = vec[c]
+            if f:
+                pv = b[c]
+                vec = _reduce([pv * x - f * y for x, y in zip(vec, b)])
+        lead = next((c for c, v in enumerate(vec) if v), None)
+        if lead is None:
+            continue
+        if vec[lead] < 0:
+            vec = tuple(-v for v in vec)
+        pv = vec[lead]
+        for i, b in enumerate(basis):
+            f = b[lead]
+            if f:
+                basis[i] = _reduce([pv * x - f * y for x, y in zip(b, vec)])
+        basis.append(vec)
+        pivots.append(lead)
+        raised.append(idx)
+        if len(raised) == need or len(raised) == len(vec):
+            break
+    return basis, pivots, raised
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    """Rank of a list of rational vectors (Gaussian elimination over Q)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c]
-            if f:
-                ratio = f / pv
-                row_i, row_r = mat[i], mat[r]
-                for j in range(c, ncols):
-                    row_i[j] -= ratio * row_r[j]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    """Rank of a list of rational vectors."""
+    return len(_echelon(rows)[0])
 
 
 def independent_prefix(rows: Sequence[Sequence[int]], need: int) -> list[int]:
@@ -59,72 +76,29 @@ def independent_prefix(rows: Sequence[Sequence[int]], need: int) -> list[int]:
 
     Returns fewer indices if the rows do not reach the requested rank.
     """
-    basis: list[list[Fraction]] = []
-    chosen: list[int] = []
-    for idx, row in enumerate(rows):
-        vec = [Fraction(v) for v in row]
-        for b in basis:
-            lead = next((j for j, v in enumerate(b) if v != 0), None)
-            if lead is not None and vec[lead] != 0:
-                f = vec[lead] / b[lead]
-                for j in range(len(vec)):
-                    vec[j] -= f * b[j]
-        if any(v != 0 for v in vec):
-            basis.append(vec)
-            chosen.append(idx)
-            if len(chosen) == need:
-                break
-    return chosen
-
-
-def inverse(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        aug[c] = [v / pv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    return _echelon(rows, need)[2]
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {v : row . v = 0 for all rows} in R^dim."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
+    """Primitive integer basis of {v : row . v = 0 for all rows} in R^dim.
+
+    One vector per free (non-pivot) column, in increasing column order: it is
+    positive at its own free column, zero at the others, and read off the
+    reduced echelon basis at the pivot columns.
+    """
+    basis, pivots, _ = _echelon(rows)
+    scale = lcm(*(b[c] for b, c in zip(basis, pivots)))
+    taken = set(pivots)
+    kernel = []
+    for fc in range(dim):
+        if fc in taken:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -mat[row_idx][fc]
-        basis.append(primitive(vec))
-    return basis
+        vec = [0] * dim
+        vec[fc] = scale
+        for b, c in zip(basis, pivots):
+            vec[c] = -b[fc] * (scale // b[c])
+        kernel.append(_reduce(vec))
+    return kernel
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]], directions: Sequence[Sequence[Fraction]] = ()) -> int:

@@ -178,6 +178,10 @@ class TestCli:
         "zero_denominator": ('{"m": 2, "h": ["2", "1/0"], "epsilon": "1/2"}', None),
         "truncated_json": ('{"m": 2, "h": ["2", "1"', None),
         "boolean": ('{"m": 2, "h": [2, true], "epsilon": "1/2"}', None),
+        "float_m": ('{"m": 2.9, "h": ["2", "1"], "epsilon": "1/2"}', None),
+        "boolean_m": ('{"m": true, "h": ["2"], "epsilon": "1"}', None),
+        "scalar_h": ('{"m": 2, "h": 5, "epsilon": "1/2"}', None),
+        "scalar_pi": ('{"m": 2, "h": ["2", "1"], "pi": 5, "epsilon": "1/2"}', None),
         "budget_variable": (None, "abc"),
     }
 

@@ -1,5 +1,6 @@
 """Instance model, canonicalization, validity oracle, mixing-form round trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mixcut.core import (
     DimensionError,
     LinearCut,
+    MixingInstance,
     ValidationError,
     build_instance,
     canonicalize,
@@ -107,6 +109,38 @@ class TestRationalIO:
 
     def test_cut_json_round_trip(self):
         assert cut_from_json(cut_to_json(EQ12)) == EQ12
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instance_reader_fuzz(self, data):
+        """Every instance document is read or refused with ValidationError.
+
+        Each field is valid, an arbitrary JSON value, or absent, so most
+        documents get past the other fields' checks.
+        """
+        m = data.draw(st.integers(1, 4))
+        h = sorted(data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)), reverse=True)
+        valid = {"m": m, "h": [str(v) for v in h], "pi": [f"1/{m}"] * m, "epsilon": "1"}
+        doc = {}
+        for key, value in valid.items():
+            choice = data.draw(st.sampled_from(["valid", "arbitrary", "valid", "absent"]))
+            if choice == "valid":
+                doc[key] = value
+            elif choice == "arbitrary":
+                doc[key] = data.draw(self.JSON_VALUES)
+        try:
+            inst = instance_from_json(json.dumps(doc))
+        except ValidationError:
+            return
+        assert isinstance(inst, MixingInstance)
+        assert type(doc["m"]) is int and inst.m == doc["m"]
+        assert isinstance(doc["h"], list)
 
 
 class TestCanonicalize:
