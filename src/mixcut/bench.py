@@ -178,7 +178,9 @@ def coverage(
 
     The denominator is the nonvertical facet count; the degenerate facet
     (z bounded by the first uncovered right-hand side) counts as covered by
-    every family.  Without a budget the hull comes from `hull.cached_facets`.
+    every family.  Only the families in `family_names` are evaluated, each
+    chain up to its first member.  Without a budget the hull comes from
+    `hull.cached_facets`.
     A tripped hull budget yields an "incomplete" report with no fabricated
     percentages.
     """
@@ -204,7 +206,7 @@ def coverage(
         )
     counts = {name: 0 for name in family_names}
     for facet in fs.nonvertical:
-        memberships = families._memberships(inst, facet)
+        memberships = families._memberships(inst, facet, family_names)
         for name in family_names:
             if memberships[name]:
                 counts[name] += 1

@@ -925,26 +925,85 @@ def bilinear_set_to_json(S: BilinearSet) -> str:
     return json.dumps(payload)
 
 
+def _malformed(what: str, value) -> ValidationError:
+    return ValidationError(f"malformed bilinear document: {what}, got {value!r}")
+
+
+def _json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """A JSON integer within lo..hi (hi exclusive); booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _malformed(f"{what} must be an integer", value)
+    if value < lo or (hi is not None and value >= hi):
+        raise _malformed(f"{what} must lie within {lo}..{'' if hi is None else hi - 1}", value)
+    return value
+
+
+def _json_array(value, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length} entries"
+        raise _malformed(f"{what} must be an array{size}", value)
+    return value
+
+
+def _json_rats(value, what: str, length: int) -> tuple[Fraction, ...]:
+    return tuple(rat(v) for v in _json_array(value, what, length))
+
+
 def bilinear_set_from_json(text: str) -> BilinearSet:
+    """Parse :func:`bilinear_set_to_json` output.
+
+    ``n`` and ``m`` must be JSON integers, every vector and matrix an array
+    of the right length, and every index in range; any other malformation
+    raises :class:`ValidationError`.
+    """
     import json
 
     payload = json.loads(text)
-    n, m = int(payload["n"]), int(payload["m"])
-    constraints = tuple(
-        BilinearConstraint(
-            A=tuple(tuple(rat(v) for v in row) for row in con["A"]),
-            b=tuple(rat(v) for v in con["b"]),
-            c=tuple(rat(v) for v in con["c"]),
-            d=rat(con["d"]),
-            label=con.get("label", ""),
+    if not isinstance(payload, dict):
+        raise _malformed("the document must be an object", payload)
+    for key in ("n", "m", "constraints", "E", "f"):
+        if key not in payload:
+            raise _malformed(f"missing field {key!r}", payload)
+    n = _json_int(payload["n"], "n")
+    m = _json_int(payload["m"], "m")
+    constraints = []
+    for k, con in enumerate(_json_array(payload["constraints"], "constraints")):
+        if not isinstance(con, dict) or any(key not in con for key in "Abcd"):
+            raise _malformed(f"constraint {k} must be an object with A, b, c and d", con)
+        label = con.get("label", "")
+        if not isinstance(label, str):
+            raise _malformed(f"constraint {k} label must be a string", label)
+        constraints.append(
+            BilinearConstraint(
+                A=tuple(_json_rats(row, f"constraint {k} A row", n)
+                        for row in _json_array(con["A"], f"constraint {k} A", m)),
+                b=_json_rats(con["b"], f"constraint {k} b", n),
+                c=_json_rats(con["c"], f"constraint {k} c", m),
+                d=rat(con["d"]),
+                label=label,
+            )
         )
-        for con in payload["constraints"]
+    constraints = tuple(constraints)
+    e_rows = tuple(_json_rats(row, "E row", n) for row in _json_array(payload["E"], "E"))
+    f = _json_rats(payload["f"], "f", len(e_rows))
+
+    def pairs(key: str) -> frozenset[tuple[int, int]]:
+        """(x index, scenario) pairs: 0 <= i < n and 1 <= j <= m."""
+        out = set()
+        for pair in _json_array(payload.get(key, []), key):
+            i, j = _json_array(pair, f"{key} entry", 2)
+            out.add((_json_int(i, f"{key} x index", 0, n), _json_int(j, f"{key} scenario", 1, m + 1)))
+        return frozenset(out)
+
+    compl = pairs("compl_pairs")
+    complc = pairs("compl_complement_pairs")
+    upper = frozenset(
+        _json_int(i, "upper_bounded entry", 0, n)
+        for i in _json_array(payload.get("upper_bounded", []), "upper_bounded")
     )
-    e_rows = tuple(tuple(rat(v) for v in row) for row in payload["E"])
-    f = tuple(rat(v) for v in payload["f"])
-    compl = frozenset(tuple(p) for p in payload.get("compl_pairs", []))
-    complc = frozenset(tuple(p) for p in payload.get("compl_complement_pairs", []))
-    upper = frozenset(payload.get("upper_bounded", []))
+    z_slot = payload.get("z_slot")
+    if z_slot is not None:
+        z_slot = _json_int(z_slot, "z_slot", 0, n)
     bound_row = tuple(
         (i, t)
         for i in sorted(upper)
@@ -975,7 +1034,7 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
         upper_bound_row=bound_row,
         compl_index=compl_index,
         compl_complement_index=complc_index,
-        z_slot=payload.get("z_slot"),
+        z_slot=z_slot,
     )
 
 
@@ -1020,13 +1079,23 @@ def assignment_to_json(a: BlpAssignment) -> str:
 
 
 def assignment_from_json(text: str) -> BlpAssignment:
+    """Parse :func:`assignment_to_json` output.
+
+    ``base`` must be an array of two integers and each weight an array
+    [j, index, weight]; any other malformation raises :class:`ValidationError`.
+    """
     import json
 
     payload = json.loads(text)
-    base_k, base_j = payload["base"]
-    return BlpAssignment.build(
-        base_k,
-        base_j,
-        [(j, k, w) for j, k, w in payload.get("k_weights", [])],
-        [(j, t, w) for j, t, w in payload.get("t_weights", [])],
-    )
+    if not isinstance(payload, dict) or "base" not in payload:
+        raise _malformed("the assignment must be an object with a base", payload)
+    base_k, base_j = (_json_int(v, "base entry") for v in _json_array(payload["base"], "base", 2))
+
+    def weights(key: str) -> list[tuple[int, int, Fraction]]:
+        out = []
+        for entry in _json_array(payload.get(key, []), key):
+            j, index, w = _json_array(entry, f"{key} entry", 3)
+            out.append((_json_int(j, f"{key} scenario"), _json_int(index, f"{key} index"), rat(w)))
+        return out
+
+    return BlpAssignment.build(base_k, base_j, weights("k_weights"), weights("t_weights"))

@@ -402,11 +402,18 @@ def cut_to_json(cut: LinearCut) -> str:
 
 
 def cut_from_json(text: str) -> LinearCut:
+    """Parse :func:`cut_to_json` output; ``x`` must be an array.
+
+    Any other malformation raises :class:`ValidationError`.
+    """
     payload = json.loads(text)
     try:
-        return make_cut(payload["z"], payload["x"], payload["rhs"])
+        z, x, rhs = payload["z"], payload["x"], payload["rhs"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cut document: {exc}") from exc
+    if not isinstance(x, list):
+        raise ValidationError(f"malformed cut document: x must be an array, got {x!r}")
+    return make_cut(z, x, rhs)
 
 
 def vertex_to_dict(v: Vertex) -> dict:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from itertools import chain, combinations, permutations, product
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     LinearCut,
@@ -403,26 +403,38 @@ class _CertificateRow:
     rhs: Fraction
 
 
-def _certificate_row(
+def _certificate_rows(
     inst: MixingInstance,
-    j: int,
     r: int,
     t: Sequence[int],
     delta: Sequence[Fraction],
     q: Sequence[int],
     phi: Sequence[Fraction],
-) -> _CertificateRow:
-    """Scenario j's certificate row, built once for every A_j tried on it."""
+) -> Iterator[_CertificateRow]:
+    """The certificate rows of scenarios j = 1..m, in order.
+
+    Each q position's weight and ratio bound is computed once for all j; the
+    shift sums come from prefix sums of delta, and phi_j by q index.
+    """
     m = inst.m
-    positions = tuple(k for k in range(len(q)) if q[k] > j)
-    weights = tuple(inst.pi_at(q[k]) for k in positions)
-    bounds = tuple(phi[k] / (m * w) for k, w in zip(positions, weights))
-    coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon + sum(weights, Fraction(0))
-    a_j = sum(1 for ti in t if ti < j)
-    anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
-    rhs = anchor - inst.h_at(j) - sum(delta[:a_j], Fraction(0))
-    rhs -= sum((phi[k] for k in range(len(q)) if q[k] == j), Fraction(0))
-    return _CertificateRow(positions, bounds, weights, coef, rhs / m)
+    weights = [inst.pi_at(qk) for qk in q]
+    bounds = [f / (m * w) for f, w in zip(phi, weights)]
+    phi_at = dict(zip(q, phi))
+    delta_sums = [Fraction(0)]
+    for d in delta:
+        delta_sums.append(delta_sums[-1] + d)
+    a_j = 0  # number of t entries below j
+    for j in range(1, m + 1):
+        while a_j < len(t) and t[a_j] < j:
+            a_j += 1
+        positions = tuple(k for k in range(len(q)) if q[k] > j)
+        row_weights = tuple(weights[k] for k in positions)
+        coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon + sum(row_weights, Fraction(0))
+        anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
+        rhs = anchor - inst.h_at(j) - delta_sums[a_j] - phi_at.get(j, Fraction(0))
+        yield _CertificateRow(
+            positions, tuple(bounds[k] for k in positions), row_weights, coef, rhs / m
+        )
 
 
 def _split_row(
@@ -496,8 +508,7 @@ def _certify(
     the given beta_j is verified, or the least feasible one is taken.
     """
     chosen = []
-    for j in range(1, inst.m + 1):
-        row = _certificate_row(inst, j, r, t, delta, q, phi)
+    for j, row in enumerate(_certificate_rows(inst, r, t, delta, q, phi), start=1):
         if a_posed is None:
             found = _search_certificate_j(row)
         else:
@@ -614,8 +625,7 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     m = inst.m
     pq = set(t) | set(q)
     count = 0
-    for j in range(1, m + 1):
-        row = _certificate_row(inst, j, params.r, t, delta, q, phi)
+    for j, row in enumerate(_certificate_rows(inst, params.r, t, delta, q, phi), start=1):
         a_pos = a_posed[j - 1]
         b = beta[j - 1]
         if not _certificate_conditions_hold(row, a_pos, b):
@@ -639,54 +649,93 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
     The facet must be canonical with z coefficient 1 (vertical facets have
     no family membership).  Memberships are inclusive along the family
     hierarchy; on non-uniform instances the cardinality-only families are
-    simply empty.
+    simply empty.  The witness is the highest family on the chain from
+    `family` down whose own check holds.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
     facet = canonicalize(facet)
     if facet.z_coef != 1:
         raise ValidationError("family membership is defined for z_coef = 1 cuts only")
-    return _memberships(inst, facet)[family]
-
-
-def _memberships(inst: MixingInstance, facet: LinearCut) -> dict[str, Membership]:
     parsed = parse_mixing_form(inst, facet)
-    out: dict[str, Membership] = {}
-    if not parsed.p_coefs and not parsed.q_phis:
-        degenerate = facet.rhs == inst.h_at(inst.p + 1)
-        base = Membership(degenerate, "degenerate" if degenerate else None)
-        return {f: base for f in FAMILIES}
+    degenerate = _degenerate(inst, facet, parsed)
+    if degenerate is not None:
+        return Membership(degenerate, "degenerate" if degenerate else None)
+    table = _family_table(inst)
+    name: Optional[str] = family
+    while name is not None:
+        check, name = table[name]
+        found = check(inst, parsed) if check is not None else None
+        if found:
+            return found
+    return Membership(False)
 
-    star = _proper_star(inst, parsed)
-    out["star"] = star
 
-    sstar = _proper_strengthened_star(inst, parsed) or star
-    out["strengthened_star"] = sstar
+def _memberships(
+    inst: MixingInstance, facet: LinearCut, names: Sequence[str] = FAMILIES
+) -> dict[str, bool]:
+    """Whether `member_of` holds for each of `names`, without its witnesses.
 
-    vacuous = inst.epsilon == 1
+    Each chain is walked up from its bottom and stops at the first family
+    whose own check holds; the verdicts are shared across `names`, so a
+    costly check runs only when no family below it holds.
+    """
+    parsed = parse_mixing_form(inst, facet)
+    degenerate = _degenerate(inst, facet, parsed)
+    if degenerate is not None:
+        return {name: degenerate for name in names}
+    table = _family_table(inst)
+    held: dict[str, bool] = {}
+
+    def holds(name: str) -> bool:
+        if name not in held:
+            check, parent = table[name]
+            held[name] = (parent is not None and holds(parent)) or (
+                check is not None and bool(check(inst, parsed))
+            )
+        return held[name]
+
+    return {name: holds(name) for name in names}
+
+
+def _degenerate(
+    inst: MixingInstance, facet: LinearCut, parsed: ParsedMixingForm
+) -> Optional[bool]:
+    """For a cut with no x terms, whether it is the degenerate facet; else None."""
+    if parsed.p_coefs or parsed.q_phis:
+        return None
+    return facet.rhs == inst.h_at(inst.p + 1)
+
+
+_Check = Callable[[MixingInstance, ParsedMixingForm], Membership]
+
+
+def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Optional[str]]]:
+    """Each family's own check and its parent in the inclusion chain.
+
+    A family holds when its own check or its parent holds.  A None check
+    never holds: with a vacuous knapsack (epsilon = 1) the shifted families'
+    multiplier construction is undefined, so they collapse onto the chain
+    below them.  On non-uniform instances the cardinality-only families are
+    empty, and zhao and blp_generic both hang off strengthened_star.
+    """
+    shifted = inst.epsilon != 1
+    generic = _proper_blp_generic if shifted else None
+    table: dict[str, tuple[Optional[_Check], Optional[str]]] = {
+        "star": (_proper_star, None),
+        "strengthened_star": (_proper_strengthened_star, "star"),
+    }
     if inst.uniform:
-        lifted = _proper_lifted(inst, parsed) or sstar
-        kucu = _proper_kucukyavuz(inst, parsed) or lifted
-        out["lifted"] = lifted
-        out["kucukyavuz"] = kucu
-        zhao = _proper_zhao(inst, parsed) or kucu
-        out["zhao"] = zhao
-        # with a vacuous knapsack the shifted families' multiplier
-        # construction is undefined; they collapse onto the chain below them
-        blpu = (_proper_blp_uniform(inst, parsed) if not vacuous else Membership(False)) or zhao
-        out["blp_uniform"] = blpu
-        out["blp_generic"] = (
-            _proper_blp_generic(inst, parsed) if not vacuous else Membership(False)
-        ) or blpu
+        table["lifted"] = (_proper_lifted, "strengthened_star")
+        table["kucukyavuz"] = (_proper_kucukyavuz, "lifted")
+        table["zhao"] = (_proper_zhao, "kucukyavuz")
+        table["blp_uniform"] = (_proper_blp_uniform if shifted else None, "zhao")
+        table["blp_generic"] = (generic, "blp_uniform")
     else:
-        out["lifted"] = Membership(False)
-        out["kucukyavuz"] = Membership(False)
-        out["zhao"] = _proper_zhao(inst, parsed) or sstar
-        out["blp_uniform"] = Membership(False)
-        out["blp_generic"] = (
-            _proper_blp_generic(inst, parsed) if not vacuous else Membership(False)
-        ) or sstar
-    return out
+        table["lifted"] = table["kucukyavuz"] = table["blp_uniform"] = (None, None)
+        table["zhao"] = (_proper_zhao, "strengthened_star")
+        table["blp_generic"] = (generic, "strengthened_star")
+    return table
 
 
 def _proper_star(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
@@ -713,6 +762,21 @@ def _proper_strengthened_star(inst: MixingInstance, parsed: ParsedMixingForm) ->
 
 def _parsed_phi_map(parsed: ParsedMixingForm) -> dict[int, Fraction]:
     return dict(parsed.q_phis)
+
+
+def _lift_orders(parsed: ParsedMixingForm) -> Iterator[tuple[int, ...]]:
+    """The orders of q_list whose parsed lifts never decrease.
+
+    `_lifts` is a running max, so no other order can match.  The orders are
+    the product of the permutations inside each block of equal lift, blocks
+    in increasing lift order: exactly those of ``permutations(q_list)`` that
+    survive, in the same order, so the first match does not change.
+    """
+    blocks: dict[Fraction, list[int]] = {}
+    for qi, phi in parsed.q_phis:
+        blocks.setdefault(phi, []).append(qi)
+    for parts in product(*(permutations(blocks[phi]) for phi in sorted(blocks))):
+        yield tuple(chain.from_iterable(parts))
 
 
 def _proper_lifted(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
@@ -748,7 +812,7 @@ def _proper_kucukyavuz(inst: MixingInstance, parsed: ParsedMixingForm) -> Member
         return Membership(False)
     phi_of = _parsed_phi_map(parsed)
     ends = range(r + 2, r + len(parsed.q_list) + 2)
-    for perm in permutations(parsed.q_list):
+    for perm in _lift_orders(parsed):
         if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
         if _lifts(inst, r + 1, perm, ends, ends) == [phi_of[qi] for qi in perm]:
@@ -774,7 +838,7 @@ def _proper_zhao(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
         if list(parsed.coefs) != _telescope(inst, t, r + s[0]):
             continue
         ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
-        for perm in permutations(parsed.q_list):
+        for perm in _lift_orders(parsed):
             if any(qi <= r + s[0] or qi < lo for qi, lo in zip(perm, cutoffs)):
                 continue
             if _lifts(inst, r + s[0], perm, ends, cutoffs) == [phi_of[qi] for qi in perm]:
@@ -816,7 +880,7 @@ def _proper_blp_uniform(inst: MixingInstance, parsed: ParsedMixingForm) -> Membe
         return Membership(False)
     phi_of = _parsed_phi_map(parsed)
     ends = range(anchor + 1, anchor + v + 1)
-    for perm in permutations(parsed.q_list):
+    for perm in _lift_orders(parsed):
         if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
         if _lifts(inst, anchor, perm, ends, ends, delta_sum) == [phi_of[qi] for qi in perm]:

@@ -83,15 +83,15 @@ def _cut_str(cut) -> str:
     return f"x=({','.join(str(c) for c in cut.x_coefs)}) rhs={cut.rhs}"
 
 
-def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[str]]:
-    """Problems and uniform-column deviations of one cell.
+def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[str], int]:
+    """Problems, uniform-column deviations and regenerated certificates of one cell.
 
     `zhao` and `blp_generic` must match the reference at +-0.01.
     `blp_uniform` must agree, facet by facet, with the generator-closure
-    oracle, and each certificate it returns must regenerate its facet.  A
-    cell where the reference differs from the oracle is a problem outside
-    4 <= p <= m-2, and a deviation inside it: reported with both
-    numerators, not failed.
+    oracle, and each certificate `member_of` returns for it must regenerate
+    its facet.  A cell where the reference differs from the oracle is a
+    problem outside 4 <= p <= m-2, and a deviation inside it: reported with
+    both numerators, not failed.
     """
     cell = f"({example},{m},{p})"
     want_row = paper_table(example)[(m, p)]
@@ -106,21 +106,26 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
     if len(facets) != total:
         problems.append(f"{cell}: report counts {total} facets, the hull has {len(facets)}")
     oracle = 0
+    regenerated = 0
     for facet in facets:
-        verdicts = fam._memberships(inst, facet)
-        uniform = verdicts["blp_uniform"]
+        verdicts = fam._memberships(inst, facet, ("zhao", "blp_uniform"))
+        uniform = fam.member_of(inst, facet, "blp_uniform")
         # the family column is inclusive of the chain below it
-        expected = bool(verdicts["zhao"]) or uniform_closure(inst, facet) is not None
+        expected = verdicts["zhao"] or uniform_closure(inst, facet) is not None
         oracle += expected
-        if bool(uniform) != expected:
+        if bool(uniform) != expected or verdicts["blp_uniform"] != expected:
             problems.append(
-                f"{cell} blp_uniform: member_of says {bool(uniform)}, "
-                f"the closure oracle {expected}, on {_cut_str(facet)}"
+                f"{cell} blp_uniform: member_of says {bool(uniform)}, the coverage"
+                f" walk {verdicts['blp_uniform']}, the closure oracle {expected},"
+                f" on {_cut_str(facet)}"
             )
-        elif uniform.via == "blp_uniform" and fam.gen_blp_uniform(inst, uniform.certificate) != facet:
-            problems.append(
-                f"{cell} blp_uniform: certificate does not regenerate {_cut_str(facet)}"
-            )
+        elif uniform.via == "blp_uniform":
+            if fam.gen_blp_uniform(inst, uniform.certificate) != facet:
+                problems.append(
+                    f"{cell} blp_uniform: certificate does not regenerate {_cut_str(facet)}"
+                )
+            else:
+                regenerated += 1
     got = report.count("blp_uniform")
     if got != oracle:
         problems.append(f"{cell} blp_uniform: covered count {got}/{total} vs oracle {oracle}/{total}")
@@ -137,20 +142,22 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
             deviations.append(line)
         else:
             problems.append(line + ", outside 4 <= p <= m-2")
-    return problems, deviations
+    return problems, deviations, regenerated
 
 
 def _table_check(example: str, max_m: int) -> tuple[bool, str]:
     checked = 0
+    regenerated = 0
     problems: list[str] = []
     deviations: list[str] = []
     for m, p in sorted(paper_table(example)):
         if m > max_m or p in (1, m):
             continue
-        cell_problems, cell_deviations = _check_cell(
+        cell_problems, cell_deviations, cell_regenerated = _check_cell(
             example, m, p, benchmark_coverage(example, m, p)
         )
         checked += len(DEFAULT_FAMILIES)
+        regenerated += cell_regenerated
         problems += cell_problems
         deviations += cell_deviations
     return not problems, _detail(
@@ -159,11 +166,12 @@ def _table_check(example: str, max_m: int) -> tuple[bool, str]:
         " 4 <= p <= m-2, the reference",
         problems,
         deviations,
+        regenerated,
     )
 
 
-def _detail(summary: str, problems: list[str], deviations: list[str]) -> str:
-    detail = summary
+def _detail(summary: str, problems: list[str], deviations: list[str], regenerated: int) -> str:
+    detail = summary + f"; {regenerated} blp_uniform certificates regenerated their facets"
     if problems:
         detail += "; problems: " + "; ".join(problems)
     detail += f"; uniform-column deviations from the reference ({len(deviations)})"
@@ -185,6 +193,7 @@ def test_criterion_02_table2_reproduction():
 def test_criterion_03_stretch_cells():
     problems = []
     deviations: list[str] = []
+    regenerated = 0
     r97 = benchmark_coverage("L", 9, 7, budget_seconds=3600)
     if r97.incomplete:
         problems.append("(L,9,7) did not finish inside the 1h budget")
@@ -194,7 +203,7 @@ def test_criterion_03_stretch_cells():
     if r104.incomplete:
         problems.append("(L,10,4) did not finish inside the 4h budget")
     else:
-        problems_104, deviations = _check_cell("L", 10, 4, r104)
+        problems_104, deviations, regenerated = _check_cell("L", 10, 4, r104)
         problems += problems_104
     _report(
         "3: stretch cells",
@@ -204,6 +213,7 @@ def test_criterion_03_stretch_cells():
             " (L,10,4) as in criteria 1-2",
             problems,
             deviations,
+            regenerated,
         ),
     )
 

@@ -197,6 +197,55 @@ class TestCli:
             argv = ["coverage", "--example", "L", "--m", "4", "--p", "2"]
         assert cli.main(argv) == cli.EXIT_VALIDATION
 
+    def test_check_cut_string_coefficients_exit_code(self, tmp_path, capsys):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 2, 1)))
+        cut_file = tmp_path / "cut.json"
+        cut_file.write_text('{"z": "1", "x": "12", "rhs": "0"}')
+        argv = ["check", "--instance", str(inst_file), "--cut", str(cut_file)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        cut_file.write_text('{"z": "1", "x": ["1", "2"], "rhs": "0"}')
+        assert cli.main(argv) == cli.EXIT_OK
+
+    # each malformed input: (field of the set document or None, field of the
+    # assignment document or None, replacement value; ... deletes the field)
+    MALFORMED_BLP = {
+        "float_n": ("n", None, 2.5),
+        "boolean_m": ("m", None, True),
+        "missing_E": ("E", None, ...),
+        "scalar_f": ("f", None, "12"),
+        "short_b": ("constraints", None, [{"A": [], "b": [], "c": [], "d": "0"}]),
+        "z_slot_out_of_range": ("z_slot", None, 99),
+        "pair_out_of_range": ("compl_pairs", None, [[1, 9]]),
+        "scalar_base": (None, "base", 3),
+        "missing_base": (None, "base", ...),
+        "float_weight_index": (None, "k_weights", [[1, 2.5, "1"]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BLP))
+    def test_blp_aggregate_malformed_exit_code(self, case, tmp_path, capsys):
+        from mixcut import blp
+
+        S = blp.build_sc(bench.benchmark_instance("L", 3, 2))
+        docs = {
+            "set": json.loads(blp.bilinear_set_to_json(S)),
+            "assignment": json.loads(
+                blp.assignment_to_json(blp.BlpAssignment.build(blp.sc_constraint_index(S, 3, 1), 1))
+            ),
+        }
+        set_key, assignment_key, value = self.MALFORMED_BLP[case]
+        doc, key = (docs["set"], set_key) if set_key else (docs["assignment"], assignment_key)
+        if value is ...:
+            del doc[key]
+        else:
+            doc[key] = value
+        argv = ["blp-aggregate"]
+        for name, doc in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            argv += [f"--{name}", str(path)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+
     def test_budget_exit_code(self, tmp_path, monkeypatch, capsys):
         inst_file = tmp_path / "inst.json"
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 8, 4)))

@@ -127,13 +127,7 @@ class TestRationalIO:
         m = data.draw(st.integers(1, 4))
         h = sorted(data.draw(st.lists(st.integers(0, 9), min_size=m, max_size=m)), reverse=True)
         valid = {"m": m, "h": [str(v) for v in h], "pi": [f"1/{m}"] * m, "epsilon": "1"}
-        doc = {}
-        for key, value in valid.items():
-            choice = data.draw(st.sampled_from(["valid", "arbitrary", "valid", "absent"]))
-            if choice == "valid":
-                doc[key] = value
-            elif choice == "arbitrary":
-                doc[key] = data.draw(self.JSON_VALUES)
+        doc = self._fuzzed(data, valid)
         try:
             inst = instance_from_json(json.dumps(doc))
         except ValidationError:
@@ -141,6 +135,53 @@ class TestRationalIO:
         assert isinstance(inst, MixingInstance)
         assert type(doc["m"]) is int and inst.m == doc["m"]
         assert isinstance(doc["h"], list)
+
+    def _fuzzed(self, data, valid: dict) -> dict:
+        """`valid` with each field kept, replaced by an arbitrary JSON value, or dropped."""
+        doc = {}
+        for key, value in valid.items():
+            choice = data.draw(st.sampled_from(["valid", "arbitrary", "valid", "absent"]))
+            if choice == "valid":
+                doc[key] = value
+            elif choice == "arbitrary":
+                doc[key] = data.draw(self.JSON_VALUES)
+        return doc
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cut_reader_fuzz(self, data):
+        """Every cut document is read or refused with ValidationError."""
+        x = data.draw(st.lists(st.integers(-9, 9), max_size=4))
+        doc = self._fuzzed(data, {"z": "1", "x": [str(v) for v in x], "rhs": "3/2"})
+        try:
+            cut = cut_from_json(json.dumps(doc))
+        except ValidationError:
+            return
+        assert isinstance(doc["x"], list) and len(cut.x_coefs) == len(doc["x"])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bilinear_readers_fuzz(self, data):
+        """Every bilinear-set and assignment document is read or refused with ValidationError."""
+        from mixcut import blp
+
+        S = blp.build_sc(build_instance(2, [2, 1], None, Fraction(1, 2)))
+        a = blp.BlpAssignment.build(0, 1, [(0, 1, "1/2")], [(1, 0, 2)])
+        docs = (
+            (blp.bilinear_set_from_json, json.loads(blp.bilinear_set_to_json(S))),
+            (blp.assignment_from_json, json.loads(blp.assignment_to_json(a))),
+        )
+        for reader, valid in docs:
+            doc = self._fuzzed(data, valid)
+            try:
+                read = reader(json.dumps(doc))
+            except ValidationError:
+                continue
+            if isinstance(read, blp.BilinearSet):
+                assert type(doc["n"]) is int and type(doc["m"]) is int
+                assert len(read.f) == len(read.e_rows) == len(doc["E"])
+            else:
+                assert isinstance(doc["base"], list) and len(doc["base"]) == 2
 
 
 class TestCanonicalize:

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from mixcut import families as fam
 from mixcut import hull
 from mixcut.bench import benchmark_instance
-from mixcut.core import build_instance, cut_is_valid, make_cut, parse_mixing_form
+from mixcut.core import (
+    ParsedMixingForm,
+    build_instance,
+    cut_is_valid,
+    make_cut,
+    parse_mixing_form,
+)
 from uniform_closure import uniform_closure
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
@@ -408,6 +414,60 @@ class TestMembership:
             for facet in hull.cached_facets(inst).nonvertical:
                 flags = [bool(fam.member_of(inst, facet, f)) for f in order]
                 assert flags == sorted(flags), (example, m, p, facet)
+
+
+class TestLazyMembership:
+    @given(
+        phis=st.lists(st.integers(1, 3), min_size=0, max_size=6),
+        gaps=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lift_orders_are_the_nondecreasing_permutations(self, phis, gaps):
+        q = [sum(gaps[: k + 1]) for k in range(len(phis))]
+        parsed = ParsedMixingForm(
+            (), tuple(zip(q, (Fraction(v, 2) for v in phis))), Fraction(0), True
+        )
+        phi_of = dict(parsed.q_phis)
+        want = [
+            perm for perm in permutations(parsed.q_list)
+            if all(phi_of[a] <= phi_of[b] for a, b in zip(perm, perm[1:]))
+        ]
+        assert list(fam._lift_orders(parsed)) == want
+
+    # (benchmark cell or h, None or (weights, epsilon numerator)): two uniform
+    # cells, a vacuous-knapsack cell, and two general-probability instances
+    # (on the second, zhao and blp_generic cover different facets, so both
+    # branches of that tree are exercised)
+    INSTANCES = [
+        (("L", 6, 4), None),
+        (("K", 7, 5), None),
+        (("K", 6, 6), None),
+        ((30, 24, 17, 11, 6, 2), ((1, 3, 2, 1, 4, 1), 7)),
+        ((28, 21, 15, 10, 4, 2), ((1, 2, 1, 3, 2, 1), 5)),
+    ]
+
+    @pytest.mark.parametrize("data,weights", INSTANCES)
+    def test_walk_up_matches_walk_down(self, data, weights):
+        """`_memberships` gives `member_of`'s verdicts for every subset of names.
+
+        Each subset is asked for in chain order and reversed, so the shared
+        verdicts are filled from the bottom and from the top of each chain.
+        """
+        if weights is None:
+            inst = benchmark_instance(*data)
+        else:
+            w, eps = weights
+            inst = build_instance(
+                len(data), data, [Fraction(x, sum(w)) for x in w], Fraction(eps, sum(w))
+            )
+        for facet in hull.cached_facets(inst).nonvertical:
+            truth = {name: bool(fam.member_of(inst, facet, name)) for name in fam.FAMILIES}
+            for size in range(len(fam.FAMILIES) + 1):
+                for names in combinations(fam.FAMILIES, size):
+                    for order in (names, names[::-1]):
+                        got = fam._memberships(inst, facet, order)
+                        assert list(got) == list(order)
+                        assert got == {name: truth[name] for name in order}, (facet, order)
 
 
 class TestValiditySweep:
