@@ -179,14 +179,17 @@ def coverage(
     The denominator is the nonvertical facet count; the degenerate facet
     (z bounded by the first uncovered right-hand side) counts as covered by
     every family.  Only the families in `family_names` are evaluated, each
-    chain up to its first member.  Without a budget the hull comes from
+    chain up to its first member; an unknown or repeated family name raises
+    `ValidationError`.  Without a budget the hull comes from
     `hull.cached_facets`.
     A tripped hull budget yields an "incomplete" report with no fabricated
     percentages.
     """
-    for name in family_names:
+    for k, name in enumerate(family_names):
         if name not in families.FAMILIES:
             raise ValidationError(f"unknown family {name!r}")
+        if name in family_names[:k]:
+            raise ValidationError(f"family {name!r} is listed more than once")
     try:
         # a budgeted run stays uncached, so that its budget can still trip
         if budget_seconds is None:
@@ -278,7 +281,9 @@ def _report_row(r: CoverageReport) -> list[str]:
 def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str:
     """Render coverage rows as markdown, csv, or a json document.
 
-    The json form round-trips through :func:`parse_report`.
+    Markdown and csv render the source tables' three family columns, so
+    every report must cover `DEFAULT_FAMILIES`; any other family list needs
+    the json form, which round-trips through :func:`parse_report`.
     """
     reports = sorted(reports, key=lambda r: (r.example or "", r.m, r.p))
     if fmt == "json":
@@ -297,17 +302,23 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
                 }
             )
         return json.dumps(payload, indent=2)
-    table_reports = [r for r in reports if all(k in dict(r.covered) for k in DEFAULT_FAMILIES)]
-    rows = [list(_COLUMNS)] + [_report_row(r) for r in table_reports]
+    if fmt not in ("csv", "markdown", "md"):
+        raise ValidationError(f"unknown report format {fmt!r}")
+    for r in reports:
+        missing = [k for k in DEFAULT_FAMILIES if k not in dict(r.covered)]
+        if missing:
+            raise ValidationError(
+                f"the {fmt} table has the columns {', '.join(DEFAULT_FAMILIES)}; "
+                f"a report lacks {', '.join(missing)} (use --format json for other families)"
+            )
+    rows = [list(_COLUMNS)] + [_report_row(r) for r in reports]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in rows)
-    if fmt in ("markdown", "md"):
-        out = ["| " + " | ".join(rows[0]) + " |"]
-        out.append("|" + "|".join(["---"] * len(rows[0])) + "|")
-        for row in rows[1:]:
-            out.append("| " + " | ".join(row) + " |")
-        return "\n".join(out)
-    raise ValidationError(f"unknown report format {fmt!r}")
+    out = ["| " + " | ".join(rows[0]) + " |"]
+    out.append("|" + "|".join(["---"] * len(rows[0])) + "|")
+    for row in rows[1:]:
+        out.append("| " + " | ".join(row) + " |")
+    return "\n".join(out)
 
 
 def parse_report(text: str) -> list[CoverageReport]:

@@ -835,6 +835,13 @@ def cone_membership(
 
     Layout: alpha blocks j = 0..m (each kappa long), beta blocks j = 0..m
     (each tau long), gamma blocks j = 0..m (each n long), then theta_0..m.
+    Only nonzero weights, and nonzero ``b``, ``A + b`` and ``E`` entries, are
+    evaluated.  Scenario 0 projects to the cut ``base . x >= base_rhs``, with
+    ``base = gamma_0 + sum b alpha_0 + sum E beta_0`` and ``base_rhs =
+    -theta_0 + sum d alpha_0 + sum f beta_0``; the vector is in the cone iff
+    every scenario j >= 1 gives ``gamma_j + sum (A_j + b) alpha_j + sum E
+    beta_j = base`` and ``theta_j + sum (c_j - d) alpha_j - sum f beta_j =
+    -base_rhs``.
     """
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
     expected = (m + 1) * (kappa + tau + n + 1)
@@ -843,55 +850,49 @@ def cone_membership(
         raise ValidationError(f"dual vector must have length {expected}")
     if any(v < 0 for v in vec):
         return False, None
-    pos = 0
-    alpha = [vec[pos + j * kappa : pos + (j + 1) * kappa] for j in range(m + 1)]
-    pos += (m + 1) * kappa
-    beta = [vec[pos + j * tau : pos + (j + 1) * tau] for j in range(m + 1)]
-    pos += (m + 1) * tau
-    gamma = [vec[pos + j * n : pos + (j + 1) * n] for j in range(m + 1)]
-    pos += (m + 1) * n
-    theta = vec[pos : pos + m + 1]
+    beta_at = (m + 1) * kappa
+    gamma_at = beta_at + (m + 1) * tau
+    theta_at = gamma_at + (m + 1) * n
+
+    def nonzero(at: int, size: int, j: int) -> list[tuple[int, Fraction]]:
+        return [(k, w) for k, w in enumerate(vec[at + j * size : at + (j + 1) * size]) if w]
+
+    def add(row: list[Fraction], coefs: Iterable[Fraction], w: Fraction) -> None:
+        for i, c in enumerate(coefs):
+            if c:
+                row[i] += c * w
+
+    base = vec[gamma_at : gamma_at + n]
+    base_rhs = -vec[theta_at]
+    for k, w in nonzero(0, kappa, 0):
+        con = S.constraints[k]
+        add(base, con.b, w)
+        base_rhs += con.d * w
+    for t, w in nonzero(beta_at, tau, 0):
+        add(base, S.e_rows[t], w)
+        base_rhs += S.f[t] * w
 
     for j in range(1, m + 1):
-        for i in range(n):
-            total = gamma[j][i] - gamma[0][i]
-            for k, con in enumerate(S.constraints):
-                total += (con.A[j - 1][i] + con.b[i]) * alpha[j][k]
-                total -= con.b[i] * alpha[0][k]
-            for t in range(tau):
-                total += S.e_rows[t][i] * (beta[j][t] - beta[0][t])
-            if total != 0:
-                return False, None
-        total = theta[j] - theta[0]
-        for k, con in enumerate(S.constraints):
-            total += (con.c[j - 1] - con.d) * alpha[j][k]
-            total += con.d * alpha[0][k]
-        for t in range(tau):
-            total += S.f[t] * (beta[0][t] - beta[j][t])
-        if total != 0:
+        row = vec[gamma_at + j * n : gamma_at + (j + 1) * n]
+        rhs = vec[theta_at + j]
+        for k, w in nonzero(0, kappa, j):
+            con = S.constraints[k]
+            add(row, (a + b for a, b in zip(con.A[j - 1], con.b)), w)
+            rhs += (con.c[j - 1] - con.d) * w
+        for t, w in nonzero(beta_at, tau, j):
+            add(row, S.e_rows[t], w)
+            rhs -= S.f[t] * w
+        if row != base or rhs != -base_rhs:
             return False, None
 
-    coefs = []
-    for i in range(n):
-        c = gamma[0][i]
-        for k, con in enumerate(S.constraints):
-            c += con.b[i] * alpha[0][k]
-        for t in range(tau):
-            c += S.e_rows[t][i] * beta[0][t]
-        coefs.append(c)
-    rhs = -theta[0]
-    for k, con in enumerate(S.constraints):
-        rhs += con.d * alpha[0][k]
-    for t in range(tau):
-        rhs += S.f[t] * beta[0][t]
     if S.z_slot is not None:
         cut = LinearCut(
-            coefs[S.z_slot],
-            tuple(c for i, c in enumerate(coefs) if i != S.z_slot),
-            rhs,
+            base[S.z_slot],
+            tuple(c for i, c in enumerate(base) if i != S.z_slot),
+            base_rhs,
         )
     else:
-        cut = LinearCut(Fraction(0), tuple(coefs), rhs)
+        cut = LinearCut(Fraction(0), tuple(base), base_rhs)
     return True, cut
 
 

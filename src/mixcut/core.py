@@ -8,9 +8,11 @@ aggregation engine) works over the types defined here.  All scalars are
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 #: Exact scalar type used throughout the package.  ``Fraction`` already
@@ -259,17 +261,44 @@ def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _vertex_z_scaled(inst: MixingInstance) -> tuple[int, tuple[int, ...]]:
+    """(D, D * z of each vertex): the vertex z values over their common denominator D."""
+    zs = [v.z for v in _vertices_cached(inst)]
+    D = math.lcm(*(z.denominator for z in zs))
+    return D, tuple(z.numerator * (D // z.denominator) for z in zs)
+
+
+def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
+    """Each vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D, as ints.
+
+    L is the lcm of the cut's denominators and D that of the vertex z values,
+    so the signs, and which slacks are zero, are exactly those of the rational
+    slacks.  The list follows :func:`enumerate_vertices`.
+    """
+    if cut.m != inst.m:
+        raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
+    vertices = enumerate_vertices(inst)
+    D, zs = _vertex_z_scaled(inst)
+    L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
+                 *(c.denominator for c in cut.x_coefs))
+    az = cut.z_coef.numerator * (L // cut.z_coef.denominator)
+    ax = [c.numerator * (L // c.denominator) for c in cut.x_coefs]
+    b = cut.rhs.numerator * (L // cut.rhs.denominator)
+    # vertex x is binary, so its x part is the sum of the coefficients it selects
+    return [az * z + D * (sum(compress(ax, v.x)) - b)
+            for z, v in zip(zs, vertices)]
+
+
 def cut_is_valid(inst: MixingInstance, cut: LinearCut) -> bool:
     """Exact validity oracle: the cut holds at every vertex and along the ray.
 
     The recession ray (1, 0) makes ``z_coef >= 0`` necessary; point-wise
-    validity over the minimal vertices is then sufficient for the whole set.
+    validity over the minimal vertices is then sufficient for the whole set;
+    it is read from the integer slacks of :func:`vertex_slacks`.
     """
-    if cut.m != inst.m:
-        raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
-    if cut.z_coef < 0:
-        return False
-    return all(cut.evaluate(v.z, v.x) >= cut.rhs for v in enumerate_vertices(inst))
+    slacks = vertex_slacks(inst, cut)
+    return cut.z_coef >= 0 and min(slacks) >= 0
 
 
 def mixing_form(

@@ -23,11 +23,11 @@ from .core import (
     ValidationError,
     Vertex,
     canonicalize,
-    cut_is_valid,
     cut_from_json,
     cut_to_json,
     enumerate_vertices,
     vertex_from_dict,
+    vertex_slacks,
     vertex_to_dict,
 )
 
@@ -112,17 +112,19 @@ def cached_facets(inst: MixingInstance) -> FacetSet:
 def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     """Rank test: does the cut's tight set span an m-dimensional face?
 
-    The tight set consists of the vertices where the cut holds with equality,
-    plus the recession ray when the z coefficient is zero.  The hull is full
-    dimensional, so a facet needs affine rank m + 1.
+    One integer slack pass (:func:`core.vertex_slacks`) gives both the
+    validity verdict and the tight set: the vertices where the cut holds
+    with equality, plus the recession ray when the z coefficient is zero.
+    The hull is full dimensional, so a facet needs affine rank m + 1.
     """
     cut = canonicalize(cut)
-    if not cut_is_valid(inst, cut):
+    slacks = vertex_slacks(inst, cut)
+    if cut.z_coef < 0 or min(slacks) < 0:
         raise InvalidCutError("facet test requires a valid cut")
     tight_points = [
         (v.z,) + tuple(Fraction(b) for b in v.x)
-        for v in enumerate_vertices(inst)
-        if cut.evaluate(v.z, v.x) == cut.rhs
+        for v, slack in zip(enumerate_vertices(inst), slacks)
+        if slack == 0
     ]
     directions = []
     if cut.z_coef == 0:

@@ -197,6 +197,22 @@ class TestCli:
             argv = ["coverage", "--example", "L", "--m", "4", "--p", "2"]
         assert cli.main(argv) == cli.EXIT_VALIDATION
 
+    def test_coverage_repeated_family_exit_code(self, capsys):
+        argv = ["coverage", "--example", "L", "--m", "5", "--p", "3", "--format", "json"]
+        assert cli.main(argv + ["--families", "zhao,zhao"]) == cli.EXIT_VALIDATION
+        assert "'zhao' is listed more than once" in capsys.readouterr().err
+        assert cli.main(argv + ["--families", "zhao"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)[0]["covered"] == {"zhao": 11}
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv"])
+    def test_coverage_table_format_needs_table_families(self, fmt, capsys):
+        argv = ["coverage", "--example", "L", "--m", "5", "--p", "3", "--format", fmt,
+                "--families", "zhao,blp_uniform"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lacks blp_generic (use --format json" in captured.err
+
     def test_check_cut_string_coefficients_exit_code(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 2, 1)))

@@ -2,9 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cone_reference import dense_cone_membership
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import ValidationError, build_instance, cut_is_valid, make_cut
@@ -329,6 +333,58 @@ class TestConeMembership:
         S = blp.build_sc(ex21)
         with pytest.raises(ValidationError):
             blp.cone_membership(S, [0, 1, 2])
+
+
+@lru_cache(maxsize=None)
+def _lifted(inst):
+    return blp.build_sc(inst)
+
+
+@st.composite
+def lifted_sets(draw):
+    """build_sc of a table cell or of a general-probability instance, m = 3..8."""
+    m = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        inst = benchmark_instance(draw(st.sampled_from("LK")), m, draw(st.integers(1, m)))
+    else:
+        weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+        total = sum(weights)
+        h = sorted(draw(st.lists(st.integers(0, 40), min_size=m, max_size=m)), reverse=True)
+        inst = build_instance(
+            m, h, [Fraction(w, total) for w in weights],
+            Fraction(draw(st.integers(max(weights), total)), total),
+        )
+    return _lifted(inst)
+
+
+def _outcome(check, S, dual):
+    try:
+        return repr(check(S, dual))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestConeMembershipOracle:
+    """`cone_membership` against the dense loop in tests/cone_reference.py."""
+
+    @given(S=lifted_sets(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_reference(self, S, seed, data):
+        a = _random_assignment(random.Random(seed), S)
+        dual = list(blp.assemble_dual(S, a, blp.substitute(S, blp.aggregate(S, a))))
+        # a nonzero entry half the time; most entries are zero
+        support = [i for i, v in enumerate(dual) if v]
+        pos = data.draw(st.sampled_from(
+            support if support and data.draw(st.booleans()) else range(len(dual))))
+        changed = list(dual)
+        changed[pos] = data.draw(st.sampled_from(
+            [v for v in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3)) if v != dual[pos]]))
+        negative = list(dual)
+        negative[pos] = -data.draw(st.sampled_from((Fraction(1, 2), Fraction(2))))
+        wrong_length = dual[:-1] if data.draw(st.booleans()) else dual + [Fraction(0)]
+        for vector in (dual, changed, negative, wrong_length):
+            assert _outcome(blp.cone_membership, S, vector) == _outcome(
+                dense_cone_membership, S, vector)
 
 
 class TestVerticalImplication:

@@ -3,9 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixcut.bench import benchmark_instance
-from mixcut.core import build_instance, canonicalize, make_cut
+from mixcut.core import (
+    DimensionError,
+    LinearCut,
+    build_instance,
+    canonicalize,
+    cut_is_valid,
+    enumerate_vertices,
+    make_cut,
+)
 from mixcut import hull
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
@@ -77,6 +87,71 @@ def test_dominated_cut_is_not_facet():
     # midpoint of the facet z + 2 x_1 >= 20 and the bound z >= 0
     weaker = make_cut(1, [1, 0, 0, 0, 0], 10)
     assert not hull.is_facet(inst, weaker)
+
+
+@st.composite
+def instances(draw):
+    """A table cell, or general probabilities with rational h; m = 3..7."""
+    m = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        return benchmark_instance(draw(st.sampled_from("LK")), m, draw(st.integers(1, m)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    total = sum(weights)
+    h = draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.integers(1, 4)),
+                      min_size=m, max_size=m))
+    return build_instance(
+        m, sorted(h, reverse=True), [Fraction(w, total) for w in weights],
+        Fraction(draw(st.integers(max(weights), total)), total),
+    )
+
+
+COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
+SHIFTS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-2)])
+
+
+@given(inst=instances(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_slack_verdicts_match_evaluate(inst, data):
+    """cut_is_valid and the is_facet tight set agree with LinearCut.evaluate."""
+    kind = data.draw(st.sampled_from(("facet", "general", "vertical", "negative_z", "mismatch")))
+    if kind == "facet":
+        facet = data.draw(st.sampled_from(hull.cached_facets(inst).facets))
+        z, x = facet.z_coef, list(facet.x_coefs)
+        if data.draw(st.booleans()):
+            z = -z
+    else:
+        z = Fraction(0) if kind == "vertical" else data.draw(POSITIVE)
+        z = -z if kind == "negative_z" else z
+        x = data.draw(st.lists(COEFS, min_size=inst.m, max_size=inst.m))
+    if kind == "mismatch":
+        x = x[:-1] if data.draw(st.booleans()) else x + [data.draw(COEFS)]
+    assume(z != 0 or any(x))
+    vertices = enumerate_vertices(inst)
+    # rhs through the lowest vertex, then shifted: tight, loose or violated
+    lowest = min(z * v.z + sum(c for c, b in zip(x, v.x) if b) for v in vertices)
+    cut = LinearCut(z, tuple(x), lowest + data.draw(SHIFTS))
+    if cut.m != inst.m:
+        for check in (cut_is_valid, hull.is_facet):
+            with pytest.raises(DimensionError):
+                check(inst, cut)
+        return
+    values = [cut.evaluate(v.z, v.x) for v in vertices]
+    valid = cut.z_coef >= 0 and min(values) >= cut.rhs
+    assert cut_is_valid(inst, cut) == valid
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hull.linalg, "affine_rank",
+                      lambda points, directions: seen.append((points, directions)) or 0)
+        if not valid:
+            with pytest.raises(hull.InvalidCutError):
+                hull.is_facet(inst, cut)
+            return
+        hull.is_facet(inst, cut)
+    tight = [(v.z,) + tuple(Fraction(b) for b in v.x)
+             for v, value in zip(vertices, values) if value == cut.rhs]
+    ray = [tuple([Fraction(1)] + [Fraction(0)] * inst.m)] if z == 0 else []
+    assert seen == [(tight, ray)]
 
 
 def test_budget_guard_is_all_or_nothing():
