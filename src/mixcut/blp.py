@@ -10,8 +10,9 @@ mixing instance whose aggregation cuts are valid for the instance's hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import dd, linalg
@@ -22,6 +23,11 @@ from .core import (
     RationalLike,
     ValidationError,
     canonicalize,
+    json_array,
+    json_int,
+    json_malformed,
+    json_object,
+    json_rats,
     rat,
     rat_str,
 )
@@ -36,6 +42,15 @@ class BilinearConstraint:
     c: tuple[Fraction, ...]
     d: Fraction
     label: str = ""
+
+
+#: A row read at one vertex of the simplex, as ``pairs . x >= rhs``: its
+#: nonzero (x index, coefficient) pairs and its right-hand side.
+Restriction = tuple[tuple[tuple[int, Fraction], ...], Fraction]
+
+
+def _nonzero(coefs: Iterable[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((i, v) for i, v in enumerate(coefs) if v)
 
 
 @dataclass(frozen=True)
@@ -60,6 +75,25 @@ class BilinearSet:
     @property
     def tau(self) -> int:
         return len(self.e_rows)
+
+    @cached_property
+    def restrictions(self) -> tuple[tuple[Restriction, ...], ...]:
+        """``restrictions[j][k]``: row k read at y = e_j (e_0 = 0).
+
+        Rows 0..kappa-1 are the constraints: constraint k reads ``b . x >= d``
+        at j = 0 and ``(A_j + b) . x >= d - c_j`` at j >= 1.  Row kappa + t is
+        the polyhedron row ``E_t x >= f_t``, a constraint with zero A and zero
+        c, so it reads the same at every j.  Every caller that weights, lifts
+        or matches a row reads it here.
+        """
+        polyhedron = tuple((_nonzero(row), rhs) for row, rhs in zip(self.e_rows, self.f))
+        table = [tuple((_nonzero(con.b), con.d) for con in self.constraints) + polyhedron]
+        for j in range(self.m):
+            table.append(tuple(
+                (_nonzero(a + b for a, b in zip(con.A[j], con.b)), con.d - con.c[j])
+                for con in self.constraints
+            ) + polyhedron)
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -141,10 +175,14 @@ class SubstitutionResult:
         """Interpret the x-block as (z, x) and emit a mixing-set cut."""
         if self.z_slot is None:
             raise ValidationError("this bilinear set has no designated z slot")
-        xs = tuple(
-            c for i, c in enumerate(self.coefs) if i != self.z_slot
-        )
-        return LinearCut(self.coefs[self.z_slot], xs, self.rhs)
+        return _x_block_cut(self.z_slot, self.coefs, self.rhs)
+
+
+def _x_block_cut(z_slot: Optional[int], coefs: Sequence[Fraction], rhs: Fraction) -> LinearCut:
+    """The cut ``coefs . x >= rhs``, with z read from slot `z_slot` (zero if None)."""
+    if z_slot is None:
+        return LinearCut(Fraction(0), tuple(coefs), rhs)
+    return LinearCut(coefs[z_slot], tuple(c for i, c in enumerate(coefs) if i != z_slot), rhs)
 
 
 def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
@@ -169,7 +207,9 @@ def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
 def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     """Weighted sum of the selected constraints with y-normalization applied.
 
-    Weighting by y_j keeps only that constraint's j-th bilinear row (squares
+    A weight on row k at index j adds that row as read at y = e_j in
+    :attr:`BilinearSet.restrictions` (polyhedron row t is row kappa + t).
+    Weighting by y_j puts the reading into the j-th bilinear row (squares
     fold to y_j, crosses vanish); weighting by the simplex complement keeps
     the linear part and mirrors it negatively into every bilinear row.
     """
@@ -182,62 +222,28 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     touched_q = [[False] * n for _ in range(m)]
     touched_y = [False] * m
 
-    def add_constraint(k: int, j: int, w: Fraction) -> None:
-        nonlocal rhs
-        con = S.constraints[k]
+    weighted = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
+    weighted.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
+    for j, k, w in weighted:
+        pairs, row_rhs = S.restrictions[j][k]
         if j == 0:
-            for i in range(n):
-                if con.b[i]:
-                    lin_x[i] += w * con.b[i]
-                    for jj in range(m):
-                        quad[jj][i] -= w * con.b[i]
-                        touched_q[jj][i] = True
-            if con.d:
+            for i, v in pairs:
+                lin_x[i] += w * v
                 for jj in range(m):
-                    lin_y[jj] += w * con.d
-                    touched_y[jj] = True
-                rhs += w * con.d
-        else:
-            row = con.A[j - 1]
-            for i in range(n):
-                coef = row[i] + con.b[i]
-                if coef:
-                    quad[j - 1][i] += w * coef
-                    touched_q[j - 1][i] = True
-            delta = con.c[j - 1] - con.d
-            if delta:
-                lin_y[j - 1] += w * delta
-                touched_y[j - 1] = True
-
-    def add_polyhedron_row(t: int, j: int, w: Fraction) -> None:
-        nonlocal rhs
-        row = S.e_rows[t]
-        if j == 0:
-            for i in range(n):
-                if row[i]:
-                    lin_x[i] += w * row[i]
-                    for jj in range(m):
-                        quad[jj][i] -= w * row[i]
-                        touched_q[jj][i] = True
-            if S.f[t]:
+                    quad[jj][i] -= w * v
+                    touched_q[jj][i] = True
+            if row_rhs:
                 for jj in range(m):
-                    lin_y[jj] += w * S.f[t]
+                    lin_y[jj] += w * row_rhs
                     touched_y[jj] = True
-                rhs += w * S.f[t]
+                rhs += w * row_rhs
         else:
-            for i in range(n):
-                if row[i]:
-                    quad[j - 1][i] += w * row[i]
-                    touched_q[j - 1][i] = True
-            if S.f[t]:
-                lin_y[j - 1] -= w * S.f[t]
+            for i, v in pairs:
+                quad[j - 1][i] += w * v
+                touched_q[j - 1][i] = True
+            if row_rhs:
+                lin_y[j - 1] -= w * row_rhs
                 touched_y[j - 1] = True
-
-    add_constraint(a.base_k, a.base_j, Fraction(1))
-    for j, k, w in a.k_weights:
-        add_constraint(k, j, w)
-    for j, t, w in a.t_weights:
-        add_polyhedron_row(t, j, w)
 
     zeroed = sum(
         1
@@ -543,15 +549,12 @@ def restriction_rows(S: BilinearSet, j: int) -> tuple[list[tuple[Fraction, ...]]
     """H-representation of the x-space restriction at y = e_j (j = 0: y = 0)."""
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
-    for con in S.constraints:
-        if j == 0:
-            rows.append(con.b)
-            rhs.append(con.d)
-        else:
-            rows.append(tuple(a + b for a, b in zip(con.A[j - 1], con.b)))
-            rhs.append(con.d - con.c[j - 1])
-    rows.extend(S.e_rows)
-    rhs.extend(S.f)
+    for pairs, row_rhs in S.restrictions[j]:
+        row = [Fraction(0)] * S.n
+        for i, v in pairs:
+            row[i] = v
+        rows.append(tuple(row))
+        rhs.append(row_rhs)
     for i in range(S.n):
         rows.append(tuple(Fraction(1) if k == i else Fraction(0) for k in range(S.n)))
         rhs.append(Fraction(0))
@@ -638,42 +641,24 @@ def build_disjunctive(S: BilinearSet) -> DisjunctiveSystem:
         rows.append(row)
         return row
 
-    for con in S.constraints:
-        # b . (x - sum_j u^j) - d (1 - sum y) >= 0
+    for k in range(S.kappa + S.tau):
+        # row k under the simplex complement: b . (x - sum_j u^j) - d (1 - sum y) >= 0
+        pairs, row_rhs = S.restrictions[0][k]
         row = new_row()
-        for i in range(n):
-            if con.b[i]:
-                row[var_x(i)] += con.b[i]
-                for j in range(1, m + 1):
-                    row[var_u(j, i)] -= con.b[i]
+        for i, v in pairs:
+            row[var_x(i)] += v
+            for j in range(1, m + 1):
+                row[var_u(j, i)] -= v
         for j in range(1, m + 1):
-            row[var_y(j)] += con.d
-        rhs.append(con.d)
-        # (A_j + b) . u^j >= (d - c_j) y_j
+            row[var_y(j)] += row_rhs
+        rhs.append(row_rhs)
+        # row k at y = e_j: (A_j + b) . u^j >= (d - c_j) y_j
         for j in range(1, m + 1):
+            pairs, row_rhs = S.restrictions[j][k]
             row = new_row()
-            for i in range(n):
-                coef = con.A[j - 1][i] + con.b[i]
-                if coef:
-                    row[var_u(j, i)] += coef
-            row[var_y(j)] -= con.d - con.c[j - 1]
-            rhs.append(Fraction(0))
-    for t in range(S.tau):
-        row = new_row()
-        for i in range(n):
-            if S.e_rows[t][i]:
-                row[var_x(i)] += S.e_rows[t][i]
-                for j in range(1, m + 1):
-                    row[var_u(j, i)] -= S.e_rows[t][i]
-        for j in range(1, m + 1):
-            row[var_y(j)] += S.f[t]
-        rhs.append(S.f[t])
-        for j in range(1, m + 1):
-            row = new_row()
-            for i in range(n):
-                if S.e_rows[t][i]:
-                    row[var_u(j, i)] += S.e_rows[t][i]
-            row[var_y(j)] -= S.f[t]
+            for i, v in pairs:
+                row[var_u(j, i)] += v
+            row[var_y(j)] -= row_rhs
             rhs.append(Fraction(0))
     for i in range(n):
         row = new_row()
@@ -736,14 +721,7 @@ def projected_hull_facets(S: BilinearSet) -> list[LinearCut]:
         body, a0 = a[:-1], a[-1]
         if all(v == 0 for v in body):
             continue
-        if S.z_slot is not None:
-            cut = LinearCut(
-                Fraction(body[S.z_slot]),
-                tuple(Fraction(v) for k, v in enumerate(body) if k != S.z_slot),
-                Fraction(-a0),
-            )
-        else:
-            cut = LinearCut(Fraction(0), tuple(Fraction(v) for v in body), Fraction(-a0))
+        cut = _x_block_cut(S.z_slot, tuple(map(Fraction, body)), Fraction(-a0))
         facets.append(canonicalize(cut))
     return sorted(facets, key=LinearCut.sort_key)
 
@@ -754,33 +732,33 @@ def projected_hull_facets(S: BilinearSet) -> list[LinearCut]:
 
 def _extended_weights(
     S: BilinearSet, a: BlpAssignment, moves: Sequence[Move]
-) -> tuple[dict[tuple[int, int], Fraction], dict[tuple[int, int], Fraction]]:
-    """Aggregation weights augmented with the weights implied by substitutions."""
-    alphas: dict[tuple[int, int], Fraction] = {(a.base_j, a.base_k): Fraction(1)}
-    betas: dict[tuple[int, int], Fraction] = {}
+) -> dict[tuple[int, int], Fraction]:
+    """Aggregation weights, keyed (j, table row), plus those implied by substitutions."""
+    weights: dict[tuple[int, int], Fraction] = {}
+
+    def add(j: int, k: int, w: Fraction) -> None:
+        weights[(j, k)] = weights.get((j, k), Fraction(0)) + w
+
+    add(a.base_j, a.base_k, Fraction(1))
     for j, k, w in a.k_weights:
-        alphas[(j, k)] = alphas.get((j, k), Fraction(0)) + w
+        add(j, k, w)
     for j, t, w in a.t_weights:
-        betas[(j, t)] = betas.get((j, t), Fraction(0)) + w
+        add(j, S.kappa + t, w)
     bound_row = dict(S.upper_bound_row)
     compl_idx = dict(S.compl_index)
     compl_comp_idx = dict(S.compl_complement_index)
     for mv in moves:
         if mv.kind == "r0":
-            t = bound_row[mv.i]
-            betas[(mv.j, t)] = betas.get((mv.j, t), Fraction(0)) + mv.amount
+            add(mv.j, S.kappa + bound_row[mv.i], mv.amount)
         elif mv.kind == "compl_zero":
             if mv.amount > 0:
-                k = compl_idx[(mv.i, mv.j)]
-                alphas[(mv.j, k)] = alphas.get((mv.j, k), Fraction(0)) + mv.amount
+                add(mv.j, compl_idx[(mv.i, mv.j)], mv.amount)
             # negative coefficients are absorbed by the completion multipliers
         elif mv.kind == "compl_to_y":
-            k = compl_comp_idx[(mv.i, mv.j)]
-            alphas[(mv.j, k)] = alphas.get((mv.j, k), Fraction(0)) - mv.amount
+            add(mv.j, compl_comp_idx[(mv.i, mv.j)], -mv.amount)
         elif mv.kind == "y_to_x":
-            k = compl_comp_idx[(mv.i, mv.j)]
-            alphas[(mv.j, k)] = alphas.get((mv.j, k), Fraction(0)) + mv.amount
-    return alphas, betas
+            add(mv.j, compl_comp_idx[(mv.i, mv.j)], mv.amount)
+    return weights
 
 
 def assemble_dual(
@@ -792,16 +770,16 @@ def assemble_dual(
     the last two are the canonical completion (columnwise positive part of
     the residual bilinear matrix, and its per-scenario slack).
     """
-    alphas, betas = _extended_weights(S, a, result.moves)
+    weights = _extended_weights(S, a, result.moves)
+    kappa = S.kappa
+    nonzero = [(j, k, w) for (j, k), w in sorted(weights.items()) if w != 0]
     extended = BlpAssignment(
         base_k=a.base_k,
         base_j=a.base_j,
         k_weights=tuple(
-            (j, k, w)
-            for (j, k), w in sorted(alphas.items())
-            if w != 0 and (j, k) != (a.base_j, a.base_k)
+            (j, k, w) for j, k, w in nonzero if k < kappa and (j, k) != (a.base_j, a.base_k)
         ),
-        t_weights=tuple((j, t, w) for (j, t), w in sorted(betas.items()) if w != 0),
+        t_weights=tuple((j, k - kappa, w) for j, k, w in nonzero if k >= kappa),
     )
     expr = aggregate(S, extended)
     n, m = S.n, S.m
@@ -813,13 +791,13 @@ def assemble_dual(
     theta0 = max(expr.lin_y, default=Fraction(0))
     theta0 = theta0 if theta0 > 0 else Fraction(0)
 
-    dual: list[Fraction] = []
-    for j in range(m + 1):
-        for k in range(S.kappa):
-            dual.append(alphas.get((j, k), Fraction(0)))
-    for j in range(m + 1):
-        for t in range(S.tau):
-            dual.append(betas.get((j, t), Fraction(0)))
+    blocks = ((0, kappa), (kappa, kappa + S.tau))  # alpha rows, then beta rows
+    dual = [
+        weights.get((j, k), Fraction(0))
+        for lo, hi in blocks
+        for j in range(m + 1)
+        for k in range(lo, hi)
+    ]
     dual.extend(gamma0)
     for j in range(m):
         dual.extend(gamma0[i] - expr.quad[j][i] for i in range(n))
@@ -835,13 +813,13 @@ def cone_membership(
 
     Layout: alpha blocks j = 0..m (each kappa long), beta blocks j = 0..m
     (each tau long), gamma blocks j = 0..m (each n long), then theta_0..m.
-    Only nonzero weights, and nonzero ``b``, ``A + b`` and ``E`` entries, are
-    evaluated.  Scenario 0 projects to the cut ``base . x >= base_rhs``, with
-    ``base = gamma_0 + sum b alpha_0 + sum E beta_0`` and ``base_rhs =
-    -theta_0 + sum d alpha_0 + sum f beta_0``; the vector is in the cone iff
-    every scenario j >= 1 gives ``gamma_j + sum (A_j + b) alpha_j + sum E
-    beta_j = base`` and ``theta_j + sum (c_j - d) alpha_j - sum f beta_j =
-    -base_rhs``.
+    Scenario j weights row k of :attr:`BilinearSet.restrictions` at j by
+    alpha_j[k], and polyhedron row t (table row kappa + t) by beta_j[t]; only
+    nonzero weights and nonzero row entries are evaluated.  Writing ``R_j . x
+    >= r_j`` for the weighted sum of the rows at j, scenario 0 projects to the
+    cut ``base . x >= base_rhs`` with ``base = gamma_0 + R_0`` and ``base_rhs
+    = r_0 - theta_0``; the vector is in the cone iff every scenario j >= 1
+    gives ``gamma_j + R_j = base`` and ``theta_j - r_j = -base_rhs``.
     """
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
     expected = (m + 1) * (kappa + tau + n + 1)
@@ -854,46 +832,27 @@ def cone_membership(
     gamma_at = beta_at + (m + 1) * tau
     theta_at = gamma_at + (m + 1) * n
 
-    def nonzero(at: int, size: int, j: int) -> list[tuple[int, Fraction]]:
-        return [(k, w) for k, w in enumerate(vec[at + j * size : at + (j + 1) * size]) if w]
-
-    def add(row: list[Fraction], coefs: Iterable[Fraction], w: Fraction) -> None:
-        for i, c in enumerate(coefs):
-            if c:
-                row[i] += c * w
-
-    base = vec[gamma_at : gamma_at + n]
-    base_rhs = -vec[theta_at]
-    for k, w in nonzero(0, kappa, 0):
-        con = S.constraints[k]
-        add(base, con.b, w)
-        base_rhs += con.d * w
-    for t, w in nonzero(beta_at, tau, 0):
-        add(base, S.e_rows[t], w)
-        base_rhs += S.f[t] * w
-
-    for j in range(1, m + 1):
+    def side(j: int) -> tuple[list[Fraction], Fraction]:
+        """(gamma_j + R_j, r_j)."""
         row = vec[gamma_at + j * n : gamma_at + (j + 1) * n]
-        rhs = vec[theta_at + j]
-        for k, w in nonzero(0, kappa, j):
-            con = S.constraints[k]
-            add(row, (a + b for a, b in zip(con.A[j - 1], con.b)), w)
-            rhs += (con.c[j - 1] - con.d) * w
-        for t, w in nonzero(beta_at, tau, j):
-            add(row, S.e_rows[t], w)
-            rhs -= S.f[t] * w
-        if row != base or rhs != -base_rhs:
-            return False, None
+        total = Fraction(0)
+        alpha = vec[j * kappa : (j + 1) * kappa]
+        beta = vec[beta_at + j * tau : beta_at + (j + 1) * tau]
+        for k, w in enumerate(alpha + beta):
+            if w:
+                pairs, row_rhs = S.restrictions[j][k]
+                for i, v in pairs:
+                    row[i] += v * w
+                total += row_rhs * w
+        return row, total
 
-    if S.z_slot is not None:
-        cut = LinearCut(
-            base[S.z_slot],
-            tuple(c for i, c in enumerate(base) if i != S.z_slot),
-            base_rhs,
-        )
-    else:
-        cut = LinearCut(Fraction(0), tuple(base), base_rhs)
-    return True, cut
+    base, base_rhs = side(0)
+    base_rhs -= vec[theta_at]
+    for j in range(1, m + 1):
+        row, total = side(j)
+        if row != base or vec[theta_at + j] - total != -base_rhs:
+            return False, None
+    return True, _x_block_cut(S.z_slot, base, base_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -926,28 +885,8 @@ def bilinear_set_to_json(S: BilinearSet) -> str:
     return json.dumps(payload)
 
 
-def _malformed(what: str, value) -> ValidationError:
-    return ValidationError(f"malformed bilinear document: {what}, got {value!r}")
-
-
-def _json_int(value, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
-    """A JSON integer within lo..hi (hi exclusive); booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _malformed(f"{what} must be an integer", value)
-    if value < lo or (hi is not None and value >= hi):
-        raise _malformed(f"{what} must lie within {lo}..{'' if hi is None else hi - 1}", value)
-    return value
-
-
-def _json_array(value, what: str, length: Optional[int] = None) -> list:
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        size = "" if length is None else f" of {length} entries"
-        raise _malformed(f"{what} must be an array{size}", value)
-    return value
-
-
-def _json_rats(value, what: str, length: int) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in _json_array(value, what, length))
+#: The document name in the messages of malformed bilinear sets and assignments.
+_DOC = "bilinear"
 
 
 def bilinear_set_from_json(text: str) -> BilinearSet:
@@ -955,117 +894,93 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
 
     ``n`` and ``m`` must be JSON integers, every vector and matrix an array
     of the right length, and every index in range; any other malformation
-    raises :class:`ValidationError`.
+    raises :class:`ValidationError`.  The rows behind the upper bounds and
+    the two complementarity relations are found by their columns in the
+    restriction table; each upper bound takes its first matching row.
     """
     import json
 
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise _malformed("the document must be an object", payload)
-    for key in ("n", "m", "constraints", "E", "f"):
-        if key not in payload:
-            raise _malformed(f"missing field {key!r}", payload)
-    n = _json_int(payload["n"], "n")
-    m = _json_int(payload["m"], "m")
+    payload = json_object(json.loads(text), _DOC, ("n", "m", "constraints", "E", "f"))
+    n = json_int(payload["n"], _DOC, "n")
+    m = json_int(payload["m"], _DOC, "m")
     constraints = []
-    for k, con in enumerate(_json_array(payload["constraints"], "constraints")):
+    for k, con in enumerate(json_array(payload["constraints"], _DOC, "constraints")):
         if not isinstance(con, dict) or any(key not in con for key in "Abcd"):
-            raise _malformed(f"constraint {k} must be an object with A, b, c and d", con)
+            raise json_malformed(_DOC, f"constraint {k} must be an object with A, b, c and d", con)
         label = con.get("label", "")
         if not isinstance(label, str):
-            raise _malformed(f"constraint {k} label must be a string", label)
+            raise json_malformed(_DOC, f"constraint {k} label must be a string", label)
         constraints.append(
             BilinearConstraint(
-                A=tuple(_json_rats(row, f"constraint {k} A row", n)
-                        for row in _json_array(con["A"], f"constraint {k} A", m)),
-                b=_json_rats(con["b"], f"constraint {k} b", n),
-                c=_json_rats(con["c"], f"constraint {k} c", m),
+                A=tuple(json_rats(row, _DOC, f"constraint {k} A row", n)
+                        for row in json_array(con["A"], _DOC, f"constraint {k} A", m)),
+                b=json_rats(con["b"], _DOC, f"constraint {k} b", n),
+                c=json_rats(con["c"], _DOC, f"constraint {k} c", m),
                 d=rat(con["d"]),
                 label=label,
             )
         )
-    constraints = tuple(constraints)
-    e_rows = tuple(_json_rats(row, "E row", n) for row in _json_array(payload["E"], "E"))
-    f = _json_rats(payload["f"], "f", len(e_rows))
+    e_rows = tuple(json_rats(row, _DOC, "E row", n) for row in json_array(payload["E"], _DOC, "E"))
+    f = json_rats(payload["f"], _DOC, "f", len(e_rows))
 
     def pairs(key: str) -> frozenset[tuple[int, int]]:
         """(x index, scenario) pairs: 0 <= i < n and 1 <= j <= m."""
         out = set()
-        for pair in _json_array(payload.get(key, []), key):
-            i, j = _json_array(pair, f"{key} entry", 2)
-            out.add((_json_int(i, f"{key} x index", 0, n), _json_int(j, f"{key} scenario", 1, m + 1)))
+        for pair in json_array(payload.get(key, []), _DOC, key):
+            i, j = json_array(pair, _DOC, f"{key} entry", 2)
+            out.add((json_int(i, _DOC, f"{key} x index", 0, n),
+                     json_int(j, _DOC, f"{key} scenario", 1, m + 1)))
         return frozenset(out)
 
     compl = pairs("compl_pairs")
     complc = pairs("compl_complement_pairs")
     upper = frozenset(
-        _json_int(i, "upper_bounded entry", 0, n)
-        for i in _json_array(payload.get("upper_bounded", []), "upper_bounded")
+        json_int(i, _DOC, "upper_bounded entry", 0, n)
+        for i in json_array(payload.get("upper_bounded", []), _DOC, "upper_bounded")
     )
     z_slot = payload.get("z_slot")
     if z_slot is not None:
-        z_slot = _json_int(z_slot, "z_slot", 0, n)
-    bound_row = tuple(
-        (i, t)
-        for i in sorted(upper)
-        for t, row in enumerate(e_rows)
-        if row[i] == -1 and f[t] == -1 and all(v == 0 for k, v in enumerate(row) if k != i)
-    )
-    compl_index = tuple(
-        (pair, k)
-        for pair in sorted(compl)
-        for k, con in enumerate(constraints)
-        if _is_compl_constraint(con, pair, n, m)
-    )
-    complc_index = tuple(
-        (pair, k)
-        for pair in sorted(complc)
-        for k, con in enumerate(constraints)
-        if _is_compl_complement_constraint(con, pair, n, m)
-    )
-    return BilinearSet(
+        z_slot = json_int(z_slot, _DOC, "z_slot", 0, n)
+    S = BilinearSet(
         n=n,
         m=m,
-        constraints=constraints,
+        constraints=tuple(constraints),
         e_rows=e_rows,
         f=f,
         upper_bounded=upper,
         compl_pairs=compl,
         compl_complement_pairs=complc,
-        upper_bound_row=bound_row,
-        compl_index=compl_index,
-        compl_complement_index=complc_index,
         z_slot=z_slot,
     )
+    columns = list(zip(*S.restrictions))  # columns[k]: row k read at j = 0..m
 
+    def column(i: int, j: Optional[int], coef: int, rhs: int) -> tuple[Restriction, ...]:
+        """Reads coef x_i >= rhs at y = e_j (j None: at every j), 0 >= 0 elsewhere."""
+        return tuple(
+            (((i, coef),), rhs) if j in (None, jj) else ((), 0) for jj in range(m + 1)
+        )
 
-def _is_compl_constraint(con: BilinearConstraint, pair: tuple[int, int], n: int, m: int) -> bool:
-    i, j = pair
-    if con.d != 0 or any(v != 0 for v in con.b) or any(v != 0 for v in con.c):
-        return False
-    for jj in range(m):
-        for ii in range(n):
-            want = Fraction(-1) if (ii, jj) == (i, j - 1) else Fraction(0)
-            if con.A[jj][ii] != want:
-                return False
-    return True
+    def matching(relation: frozenset[tuple[int, int]], coef: int, rhs: int):
+        """(pair, k) for each pair of `relation` and each constraint k reading its column."""
+        out = []
+        for i, j in sorted(relation):
+            want = column(i, j, coef, rhs)
+            out.extend(((i, j), k) for k in range(S.kappa) if columns[k] == want)
+        return tuple(out)
 
-
-def _is_compl_complement_constraint(
-    con: BilinearConstraint, pair: tuple[int, int], n: int, m: int
-) -> bool:
-    i, j = pair
-    if con.d != 0 or any(v != 0 for v in con.b):
-        return False
-    for jj in range(m):
-        want_c = Fraction(-1) if jj == j - 1 else Fraction(0)
-        if con.c[jj] != want_c:
-            return False
-        for ii in range(n):
-            want = Fraction(1) if (ii, jj) == (i, j - 1) else Fraction(0)
-            if con.A[jj][ii] != want:
-                return False
-    return True
+    bound_row = []
+    for i in sorted(upper):
+        want = column(i, None, -1, -1)
+        t = next((t for t in range(S.tau) if columns[S.kappa + t] == want), None)
+        if t is not None:
+            bound_row.append((i, t))
+    return replace(
+        S,
+        upper_bound_row=tuple(bound_row),
+        # self-complementarity -x_i y_j >= 0 and prefix -(1 - x_i) y_j >= 0
+        compl_index=matching(compl, -1, 0),
+        compl_complement_index=matching(complc, 1, 1),
+    )
 
 
 def assignment_to_json(a: BlpAssignment) -> str:
@@ -1089,14 +1004,17 @@ def assignment_from_json(text: str) -> BlpAssignment:
 
     payload = json.loads(text)
     if not isinstance(payload, dict) or "base" not in payload:
-        raise _malformed("the assignment must be an object with a base", payload)
-    base_k, base_j = (_json_int(v, "base entry") for v in _json_array(payload["base"], "base", 2))
+        raise json_malformed(_DOC, "the assignment must be an object with a base", payload)
+    base_k, base_j = (
+        json_int(v, _DOC, "base entry") for v in json_array(payload["base"], _DOC, "base", 2)
+    )
 
     def weights(key: str) -> list[tuple[int, int, Fraction]]:
         out = []
-        for entry in _json_array(payload.get(key, []), key):
-            j, index, w = _json_array(entry, f"{key} entry", 3)
-            out.append((_json_int(j, f"{key} scenario"), _json_int(index, f"{key} index"), rat(w)))
+        for entry in json_array(payload.get(key, []), _DOC, key):
+            j, index, w = json_array(entry, _DOC, f"{key} entry", 3)
+            out.append((json_int(j, _DOC, f"{key} scenario"),
+                        json_int(index, _DOC, f"{key} index"), rat(w)))
         return out
 
     return BlpAssignment.build(base_k, base_j, weights("k_weights"), weights("t_weights"))

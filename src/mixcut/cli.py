@@ -18,7 +18,11 @@ from .core import (
     cut_from_json,
     cut_to_json,
     instance_from_json,
-    rat,
+    json_array,
+    json_int,
+    json_ints,
+    json_object,
+    json_rats,
     rat_str,
 )
 
@@ -86,33 +90,39 @@ def cmd_coverage(args) -> int:
 
 
 def _params_from_payload(payload: dict, family: str):
+    """Family parameters; a missing field reads as `default` (None: required)."""
+
+    def ints(key: str, default=None) -> tuple[int, ...]:
+        return json_ints(payload.get(key, default), "parameter", key)
+
+    def rats(key: str, default=None) -> tuple[Fraction, ...]:
+        return json_rats(payload.get(key, default), "parameter", key)
+
     if family in ("star", "strengthened_star"):
-        return families.StarParams(tuple(payload["t_set"]))
+        return families.StarParams(ints("t_set"))
+    r = json_int(payload.get("r"), "parameter", "r")
     if family in ("lifted", "kucukyavuz", "zhao"):
         return families.LiftedParams(
-            r=int(payload["r"]),
-            t_set=tuple(payload["t_set"]),
-            q_list=tuple(payload.get("q_list", ())),
-            s_list=tuple(payload["s_list"]) if payload.get("s_list") else None,
+            r=r, t_set=ints("t_set"), q_list=ints("q_list", []),
+            s_list=ints("s_list", []) or None,
         )
     if family == "blp_uniform":
         return families.BlpUniformParams(
-            r=int(payload["r"]),
-            t_set=tuple(payload["t_set"]),
-            q_list=tuple(payload["q_list"]),
-            delta=tuple(rat(d) for d in payload["delta"]),
+            r=r, t_set=ints("t_set"), q_list=ints("q_list"), delta=rats("delta")
         )
     if family == "blp_generic":
         a_sets = payload.get("A_sets")
-        beta = payload.get("beta")
         return families.BlpGenericParams(
-            r=int(payload["r"]),
-            t_set=tuple(payload["t_set"]),
-            delta=tuple(rat(d) for d in payload["delta"]),
-            q_list=tuple(payload.get("q_list", ())),
-            phi=tuple(rat(v) for v in payload.get("phi", ())),
-            a_sets=tuple(frozenset(a) for a in a_sets) if a_sets is not None else None,
-            beta=tuple(rat(b) for b in beta) if beta is not None else None,
+            r=r,
+            t_set=ints("t_set"),
+            delta=rats("delta"),
+            q_list=ints("q_list", []),
+            phi=rats("phi", []),
+            a_sets=None if a_sets is None else tuple(
+                frozenset(json_ints(a, "parameter", "A_sets entry"))
+                for a in json_array(a_sets, "parameter", "A_sets")
+            ),
+            beta=None if payload.get("beta") is None else rats("beta"),
         )
     raise ValidationError(f"unknown family {family!r}")
 
@@ -128,7 +138,7 @@ GENERATORS = {
 
 
 def cmd_generate(args) -> int:
-    payload = json.loads(_read(args.params))
+    payload = json_object(json.loads(_read(args.params)), "parameter", ("instance",))
     inst = instance_from_json(json.dumps(payload["instance"]))
     params = _params_from_payload(payload, args.family)
     if args.family == "blp_generic":

@@ -390,6 +390,45 @@ def parse_mixing_form(inst: MixingInstance, cut: LinearCut) -> ParsedMixingForm:
 # JSON interchange
 
 
+def json_malformed(doc: str, what: str, value) -> ValidationError:
+    return ValidationError(f"malformed {doc} document: {what}, got {value!r}")
+
+
+def json_object(value, doc: str, required: Iterable[str] = ()) -> dict:
+    """A JSON object holding every key in `required`."""
+    if not isinstance(value, dict):
+        raise json_malformed(doc, "the document must be an object", value)
+    for key in required:
+        if key not in value:
+            raise json_malformed(doc, f"missing field {key!r}", value)
+    return value
+
+
+def json_int(value, doc: str, what: str, lo: int = 0, hi: Optional[int] = None) -> int:
+    """A JSON integer within lo..hi (hi exclusive); booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise json_malformed(doc, f"{what} must be an integer", value)
+    if value < lo or (hi is not None and value >= hi):
+        top = "" if hi is None else hi - 1
+        raise json_malformed(doc, f"{what} must lie within {lo}..{top}", value)
+    return value
+
+
+def json_array(value, doc: str, what: str, length: Optional[int] = None) -> list:
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        size = "" if length is None else f" of {length} entries"
+        raise json_malformed(doc, f"{what} must be an array{size}", value)
+    return value
+
+
+def json_ints(value, doc: str, what: str, lo: int = 0) -> tuple[int, ...]:
+    return tuple(json_int(v, doc, f"{what} entry", lo) for v in json_array(value, doc, what))
+
+
+def json_rats(value, doc: str, what: str, length: Optional[int] = None) -> tuple[Fraction, ...]:
+    return tuple(rat(v) for v in json_array(value, doc, what, length))
+
+
 def instance_to_json(inst: MixingInstance) -> str:
     payload = {
         "m": inst.m,

@@ -122,13 +122,11 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     if cut.z_coef < 0 or min(slacks) < 0:
         raise InvalidCutError("facet test requires a valid cut")
     tight_points = [
-        (v.z,) + tuple(Fraction(b) for b in v.x)
-        for v, slack in zip(enumerate_vertices(inst), slacks)
-        if slack == 0
+        (v.z,) + v.x for v, slack in zip(enumerate_vertices(inst), slacks) if slack == 0
     ]
     directions = []
     if cut.z_coef == 0:
-        directions.append(tuple([Fraction(1)] + [Fraction(0)] * inst.m))
+        directions.append(tuple([1] + [0] * inst.m))
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 
 

@@ -106,12 +106,11 @@ def affine_rank(points: Sequence[Sequence[Fraction]], directions: Sequence[Seque
 
     A set with affine rank k spans a (k-1)-dimensional affine subspace; rays
     count as additional difference vectors anchored anywhere on the set.
+    Entries may be ints or Fractions.
     """
-    pts = [tuple(map(Fraction, p)) for p in points]
-    dirs = [tuple(map(Fraction, d)) for d in directions]
-    if not pts:
-        return rank(dirs)
-    base = pts[0]
-    rows = [tuple(a - b for a, b in zip(p, base)) for p in pts[1:]]
-    rows.extend(dirs)
+    if not points:
+        return rank(directions)
+    base = points[0]
+    rows = [tuple(a - b for a, b in zip(p, base)) for p in points[1:]]
+    rows.extend(directions)
     return rank(rows) + 1

@@ -167,6 +167,32 @@ class TestCli:
         assert doc["accepted"]
         assert doc["certificate"]["beta"][3] == "3"
 
+    # each malformed parameter file: (family, document; None stands for the instance)
+    MALFORMED_PARAMS = {
+        "string_t_set": ("star", {"instance": None, "t_set": "12"}),
+        "float_r": ("zhao", {"instance": None, "r": 1.9, "t_set": [1], "q_list": [3]}),
+        "missing_t_set": ("zhao", {"instance": None, "r": 1, "q_list": [3]}),
+        "array_document": ("star", [None]),
+        "missing_instance": ("star", {"t_set": [1]}),
+        "string_q_list": ("lifted", {"instance": None, "r": 1, "t_set": [1], "q_list": "3"}),
+        "string_A_sets": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
+                                          "delta": ["0"], "A_sets": "1234"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+    def test_generate_malformed_params_exit_code(self, case, tmp_path, capsys):
+        family, doc = self.MALFORMED_PARAMS[case]
+        inst = json.loads(instance_to_json(bench.benchmark_instance("L", 4, 2)))
+        if isinstance(doc, list):
+            doc = [inst]
+        elif "instance" in doc:
+            doc = dict(doc, instance=inst)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        argv = ["generate", "--family", family, "--params", str(params)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "invalid input" in capsys.readouterr().err
+
     def test_validation_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "inst.json"
         bad.write_text(json.dumps({"m": 2, "h": ["1", "2"], "epsilon": "1"}))

@@ -1,5 +1,6 @@
 """Bilinear reformulation, aggregation engine, and projection-cone certificates."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +64,23 @@ EX41_BETA = (
 )
 
 
+#: Every L/K table cell with m <= 8, and instances off the tables.
+ROUND_TRIP_INSTANCES = {
+    f"{example}-{m}-{p}": benchmark_instance(example, m, p)
+    for example in "LK"
+    for m in range(1, 9)
+    for p in range(1, m + 1)
+}
+ROUND_TRIP_INSTANCES.update({
+    "uniform-m3": build_instance(3, [20, 18, 14], None, Fraction(2, 3)),
+    "general-m3": build_instance(
+        3, [20, 18, 14], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)], Fraction(3, 4)),
+    "general-m6": build_instance(
+        6, [9, 7, 7, 4, 2, 0], [Fraction(w, 12) for w in (3, 1, 2, 2, 1, 3)], Fraction(1, 2)),
+    "vacuous-m4": build_instance(4, [8, 6, 3, 1], None, 1),
+})
+
+
 class TestBuildSc:
     def test_constraint_count_m2(self):
         inst = build_instance(2, [5, 3], None, Fraction(1, 2))
@@ -99,9 +117,9 @@ class TestBuildSc:
         report = blp.check_restrictions(blp.build_sc(inst))
         assert all(report.nonempty)
 
-    def test_json_round_trip(self):
-        inst = build_instance(3, [20, 18, 14], None, Fraction(2, 3))
-        S = blp.build_sc(inst)
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_INSTANCES))
+    def test_json_round_trip(self, name):
+        S = blp.build_sc(ROUND_TRIP_INSTANCES[name])
         back = blp.bilinear_set_from_json(blp.bilinear_set_to_json(S))
         assert back == S
 
@@ -385,6 +403,57 @@ class TestConeMembershipOracle:
         for vector in (dual, changed, negative, wrong_length):
             assert _outcome(blp.cone_membership, S, vector) == _outcome(
                 dense_cone_membership, S, vector)
+
+
+def _any_index_assignment(rng, S):
+    """Random selection whose weight indices j ignore the constraint groups."""
+    base = (rng.randrange(S.kappa), rng.randint(0, S.m))
+    weights = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 3)]
+    k_weights = [
+        (j, k, rng.choice(weights))
+        for k in rng.sample(range(S.kappa), rng.randrange(0, min(S.kappa, 6)))
+        for j in rng.sample(range(S.m + 1), rng.randint(1, 2))
+        if (k, j) != base
+    ]
+    t_weights = [
+        (j, t, rng.choice(weights))
+        for t in range(S.tau)
+        for j in rng.sample(range(S.m + 1), rng.randrange(0, 3))
+    ]
+    return blp.BlpAssignment.build(*base, k_weights, t_weights)
+
+
+class TestPolyhedronRowsAsConstraints:
+    """A polyhedron row E_t x >= f_t is the constraint with A = 0, b = E_t, c = 0, d = f_t."""
+
+    @given(S=lifted_sets(), seed=st.integers(0, 2**32 - 1), any_index=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_aggregate_substitute_restrictions_agree(self, S, seed, any_index):
+        zero_A = tuple(tuple(Fraction(0) for _ in range(S.n)) for _ in range(S.m))
+        zero_c = tuple(Fraction(0) for _ in range(S.m))
+        folded = dataclasses.replace(
+            S,
+            constraints=S.constraints + tuple(
+                blp.BilinearConstraint(zero_A, row, zero_c, rhs) for row, rhs in zip(S.e_rows, S.f)
+            ),
+            e_rows=(),
+            f=(),
+            upper_bound_row=(),
+        )
+        rng = random.Random(seed)
+        a = (_any_index_assignment if any_index else _random_assignment)(rng, S)
+        moved = blp.BlpAssignment(
+            a.base_k, a.base_j,
+            a.k_weights + tuple((j, S.kappa + t, w) for j, t, w in a.t_weights),
+        )
+        expr = blp.aggregate(S, a)
+        # t_sets_disjoint reads the t weights only, and the folded set has none
+        folded_expr = dataclasses.replace(
+            blp.aggregate(folded, moved), t_sets_disjoint=expr.t_sets_disjoint)
+        assert folded_expr == expr
+        assert blp.substitute(folded, folded_expr) == blp.substitute(S, expr)
+        for j in range(S.m + 1):
+            assert blp.restriction_rows(folded, j) == blp.restriction_rows(S, j)
 
 
 class TestVerticalImplication:
