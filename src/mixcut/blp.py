@@ -896,7 +896,8 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
     of the right length, and every index in range; any other malformation
     raises :class:`ValidationError`.  The rows behind the upper bounds and
     the two complementarity relations are found by their columns in the
-    restriction table; each upper bound takes its first matching row.
+    restriction table; each upper bound takes its first matching row, and an
+    upper bound with no such row is a :class:`ValidationError`.
     """
     import json
 
@@ -972,8 +973,9 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
     for i in sorted(upper):
         want = column(i, None, -1, -1)
         t = next((t for t in range(S.tau) if columns[S.kappa + t] == want), None)
-        if t is not None:
-            bound_row.append((i, t))
+        if t is None:
+            raise ValidationError(f"upper_bounded x_{i} has no row -x_{i} >= -1 in E, f")
+        bound_row.append((i, t))
     return replace(
         S,
         upper_bound_row=tuple(bound_row),

@@ -144,10 +144,11 @@ def cmd_generate(args) -> int:
     if args.family == "blp_generic":
         result = families.gen_blp_generic(inst, params)
         if not result.accepted:
-            print(
-                json.dumps({"accepted": False, "infeasible_j": result.infeasible_j})
+            # a refusal is an answer, like `check`'s {"valid": false}
+            _write_or_print(
+                json.dumps({"accepted": False, "infeasible_j": result.infeasible_j}), args.out
             )
-            return EXIT_VALIDATION
+            return EXIT_OK
         cert = result.certificate
         document = {
             "accepted": True,

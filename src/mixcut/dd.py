@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -22,28 +23,27 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Wall-clock / step guard shared by the enumeration loops."""
+    """Wall-clock / step guard shared by the enumeration loops.
+
+    Callers charge coarse units (DD one insertion's candidate pairs at once,
+    the wrapping oracle one face), so the deadline is read on every call.
+    """
 
     def __init__(self, seconds: Optional[float] = None, steps: Optional[int] = None):
         self.deadline = time.monotonic() + seconds if seconds else None
         self.steps_left = steps
-        self._tick = 0
 
     def charge(self, amount: int = 1) -> None:
         if self.steps_left is not None:
             self.steps_left -= amount
             if self.steps_left < 0:
                 raise BudgetExceeded("step limit exhausted")
-        if self.deadline is not None:
-            self._tick += 1
-            if self._tick >= 64:
-                self._tick = 0
-                if time.monotonic() > self.deadline:
-                    raise BudgetExceeded("time budget exhausted")
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded("time budget exhausted")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def dual_rays(
@@ -56,9 +56,18 @@ def dual_rays(
     double description: seed with d linearly independent generators (their
     halfspaces form a simplicial cone) and insert the remaining halfspaces
     one at a time, combining adjacent rays across each new hyperplane.
-    Adjacency uses the combinatorial zero-set test with bitmask incidence.
     The insertion order is the given generator order, which makes the run
     fully deterministic.
+
+    Adjacency is the combinatorial zero-set test on bitmask incidence: a
+    positive ray and a negative ray are combined iff their common zero set w
+    has at least d - 2 bits and no third ray's zero set contains w.  The
+    third-ray scan runs in C: the pair's own entries of a copy of the
+    incidence list are zeroed while it is tested and restored after, so
+    ``w in map(w.__and__, others)`` is true exactly when a third ray blocks
+    the pair, and it stops at the first one.  A budget is charged once per
+    insertion with that insertion's candidate-pair count, so a completed run
+    charges one step per candidate pair.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
@@ -107,30 +116,32 @@ def dual_rays(
         for idx, s in enumerate(dots):
             if s < 0:
                 neg.append(idx)
+        if budget is not None:
+            budget.charge(len(pos) * len(neg))
         min_bits = d - 2
-        inc_all = incidence
+        others = list(incidence)
         for ip in pos:
             zp = incidence[ip]
             sp = dots[ip]
             rp = rays[ip]
+            others[ip] = 0
             for i_neg in neg:
-                if budget is not None:
-                    budget.charge()
-                w = zp & incidence[i_neg]
+                zn = incidence[i_neg]
+                w = zp & zn
                 if w.bit_count() < min_bits:
                     continue
-                adjacent = True
-                for k, zk in enumerate(inc_all):
-                    if w & ~zk == 0 and k != ip and k != i_neg:
-                        adjacent = False
-                        break
-                if not adjacent:
+                others[i_neg] = 0
+                # w is 0 only when d = 2, where no third ray exists
+                blocked = w and w in map(w.__and__, others)
+                others[i_neg] = zn
+                if blocked:
                     continue
                 sn = dots[i_neg]
                 rn = rays[i_neg]
                 new = _reduce([sp * b - sn * a for a, b in zip(rp, rn)])
                 keep_rays.append(new)
                 keep_inc.append(w | bit)
+            others[ip] = zp
         rays = keep_rays
         incidence = keep_inc
     return sorted(rays)

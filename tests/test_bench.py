@@ -167,6 +167,16 @@ class TestCli:
         assert doc["accepted"]
         assert doc["certificate"]["beta"][3] == "3"
 
+    def test_generate_generic_refusal_exit_code(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({
+            "instance": json.loads(instance_to_json(bench.benchmark_instance("L", 4, 2))),
+            "r": 1, "t_set": [1], "delta": ["0"],
+        }))
+        assert cli.main(["generate", "--family", "blp_generic", "--params", str(params)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"accepted": False, "infeasible_j": 3}
+
     # each malformed parameter file: (family, document; None stands for the instance)
     MALFORMED_PARAMS = {
         "string_t_set": ("star", {"instance": None, "t_set": "12"}),
@@ -259,6 +269,8 @@ class TestCli:
         "short_b": ("constraints", None, [{"A": [], "b": [], "c": [], "d": "0"}]),
         "z_slot_out_of_range": ("z_slot", None, 99),
         "pair_out_of_range": ("compl_pairs", None, [[1, 9]]),
+        # x_0 (the z slot) has no row -x_0 >= -1 behind it
+        "unbacked_upper_bound": ("upper_bounded", None, [0, 1, 2, 3]),
         "scalar_base": (None, "base", 3),
         "missing_base": (None, "base", ...),
         "float_weight_index": (None, "k_weights", [[1, 2.5, "1"]]),

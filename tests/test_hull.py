@@ -160,6 +160,14 @@ def test_budget_guard_is_all_or_nothing():
         hull.enumerate_facets(inst, step_limit=50)
 
 
+def test_budget_steps_are_candidate_pairs():
+    # DD on L(7,4) examines 1 489 candidate pairs over all its insertions
+    inst = benchmark_instance("L", 7, 4)
+    assert hull.enumerate_facets(inst, step_limit=1489).facets == hull.enumerate_facets(inst).facets
+    with pytest.raises(hull.BudgetExceeded):
+        hull.enumerate_facets(inst, step_limit=1488)
+
+
 def test_facetset_json_round_trip():
     inst = benchmark_instance("L", 4, 2)
     fs = hull.enumerate_facets(inst)
