@@ -16,6 +16,7 @@ from . import bench, blp, families, hull
 from .core import (
     ValidationError,
     cut_from_json,
+    cut_to_dict,
     cut_to_json,
     instance_from_json,
     json_array,
@@ -45,16 +46,25 @@ def _write_or_print(text: str, out: str | None) -> None:
         print(text)
 
 
-def _budget(args) -> float | None:
+def _budget(args) -> float:
+    """The wall-clock budget in seconds: MIXCUT_BUDGET, else --budget.
+
+    Any value that is not > 0 (0, negative, nan) is refused: 0 and nan would
+    switch the guard off, a negative value would trip it before any work.
+    """
     env = os.environ.get("MIXCUT_BUDGET")
+    what, value = "--budget", args.budget
     if env:
+        what = "MIXCUT_BUDGET"
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise ValidationError(
                 f"MIXCUT_BUDGET must be a number of seconds, got {env!r}"
             ) from None
-    return args.budget
+    if not value > 0:
+        raise ValidationError(f"{what} must be a positive number of seconds, got {value}")
+    return value
 
 
 def cmd_hull(args) -> int:
@@ -152,7 +162,7 @@ def cmd_generate(args) -> int:
         cert = result.certificate
         document = {
             "accepted": True,
-            "cut": json.loads(cut_to_json(result.cut)),
+            "cut": cut_to_dict(result.cut),
             "certificate": {
                 "family": "blp_generic",
                 "params": {
@@ -203,7 +213,7 @@ def cmd_blp_aggregate(args) -> int:
         "t_sets_disjoint": result.t_sets_disjoint,
     }
     if S.z_slot is not None:
-        document["cut"] = json.loads(cut_to_json(result.mixing_cut()))
+        document["cut"] = cut_to_dict(result.mixing_cut())
     _write_or_print(json.dumps(document), args.out)
     return EXIT_OK
 

@@ -1,8 +1,12 @@
 """Exact-rational model of the mixing set with a knapsack constraint.
 
 Everything downstream (hull enumeration, inequality families, the bilinear
-aggregation engine) works over the types defined here.  All scalars are
-`fractions.Fraction`; no floating point is used anywhere in a decision path.
+aggregation engine) works over the types defined here.  Every scalar in these
+types is a `fractions.Fraction`; no floating point is used anywhere in a
+decision path.  Some decisions run on those rationals scaled to Python ints
+over a common denominator: vertex slacks here (`vertex_slacks`), and every
+family membership check (`families`, one integer view per instance and one
+scale per facet).
 """
 
 from __future__ import annotations
@@ -53,11 +57,17 @@ def rat(value: RationalLike) -> Fraction:
     raise ValidationError(f"not an exact rational: {value!r} (floats are rejected)")
 
 
+#: One shared string per digit: a facet list is mostly small coefficients, and
+#: its JSON payload would otherwise hold one string object per entry.
+_DIGITS = tuple(str(d) for d in range(10))
+
+
 def rat_str(q: Fraction) -> str:
     """Render a rational as ``"a"`` or ``"a/b"`` (inverse of :func:`rat`)."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
+        n = q.numerator
+        return _DIGITS[n] if 0 <= n < 10 else str(n)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -82,6 +92,15 @@ class MixingInstance:
     order: tuple[int, ...]
     uniform: bool
     pi_prefix: tuple[Fraction, ...]  # pi_prefix[k] = sum of the first k probabilities
+
+    def __post_init__(self) -> None:
+        # Instances key the per-instance caches, which are looked up once per
+        # facet or cut; hashing every Fraction field on each lookup would cost
+        # more than some membership checks.  The other fields follow from these.
+        object.__setattr__(self, "_hash", hash((self.m, self.h, self.pi, self.epsilon)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def h_at(self, i: int) -> Fraction:
         """1-indexed access to h with the convention ``h_{m+1} = 0``."""
@@ -460,21 +479,24 @@ def instance_from_json(text: str) -> MixingInstance:
     return build_instance(m, h, pi, eps)
 
 
-def cut_to_json(cut: LinearCut) -> str:
-    payload = {
+def cut_to_dict(cut: LinearCut) -> dict:
+    """The JSON object of a cut: ``z``, ``x`` and ``rhs`` as rational strings."""
+    return {
         "z": rat_str(cut.z_coef),
         "x": [rat_str(c) for c in cut.x_coefs],
         "rhs": rat_str(cut.rhs),
     }
-    return json.dumps(payload)
 
 
-def cut_from_json(text: str) -> LinearCut:
-    """Parse :func:`cut_to_json` output; ``x`` must be an array.
+def cut_to_json(cut: LinearCut) -> str:
+    return json.dumps(cut_to_dict(cut))
+
+
+def cut_from_dict(payload) -> LinearCut:
+    """Read a :func:`cut_to_dict` object (parsed JSON); ``x`` must be an array.
 
     Any other malformation raises :class:`ValidationError`.
     """
-    payload = json.loads(text)
     try:
         z, x, rhs = payload["z"], payload["x"], payload["rhs"]
     except (KeyError, TypeError) as exc:
@@ -482,6 +504,11 @@ def cut_from_json(text: str) -> LinearCut:
     if not isinstance(x, list):
         raise ValidationError(f"malformed cut document: x must be an array, got {x!r}")
     return make_cut(z, x, rhs)
+
+
+def cut_from_json(text: str) -> LinearCut:
+    """Parse :func:`cut_to_json` output (see :func:`cut_from_dict`)."""
+    return cut_from_dict(json.loads(text))
 
 
 def vertex_to_dict(v: Vertex) -> dict:

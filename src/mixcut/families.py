@@ -5,24 +5,31 @@ to the generic aggregation family with its per-scenario certificate search.
 Generators validate their parameter preconditions exactly and emit canonical
 cuts; `member_of` answers whether a given hull facet can be reproduced by
 some parameterization of a family, returning the witnessing parameters.
+
+Every membership decision and every certificate condition compares Python
+ints: each instance has one integer view (`_int_view`: pi and epsilon over
+their common denominator D, h over its own, H), and each facet is scaled by
+one F, a multiple of H and of the facet's denominators (`_Form`).  Fractions
+are built only for the parameters a witness returns.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, permutations, product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from itertools import accumulate, chain, combinations, permutations, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
+    DimensionError,
     LinearCut,
     MixingInstance,
-    ParsedMixingForm,
-    Rational,
     ValidationError,
     canonicalize,
     mixing_form,
-    parse_mixing_form,
     rat,
 )
 
@@ -128,15 +135,122 @@ def _check_increasing(t_set: Sequence[int], upper: int, what: str) -> tuple[int,
     return t
 
 
-def _telescope(inst: MixingInstance, t: Sequence[int], anchor: int) -> list[Fraction]:
-    """Coefficients h_{t_i} - h_{t_{i+1}} with the final index replaced by `anchor`."""
+def _telescope(h: Sequence, t: Sequence[int], anchor: int) -> tuple:
+    """Coefficients h_{t_i} - h_{t_{i+1}} with the final index replaced by `anchor`.
+
+    ``h`` is indexed by scenario with h[m + 1] = 0: `_fraction_h` for the
+    generators, a scaled int tuple for the membership checks.
+    """
     idx = list(t) + [anchor]
-    return [inst.h_at(idx[i]) - inst.h_at(idx[i + 1]) for i in range(len(t))]
+    return tuple(h[idx[i]] - h[idx[i + 1]] for i in range(len(t)))
+
+
+def _fraction_h(inst: MixingInstance) -> tuple[Fraction, ...]:
+    """h indexed by scenario, with h[0] unused and h[m + 1] = 0."""
+    return (Fraction(0),) + inst.h + (Fraction(0),)
 
 
 def _require_uniform(inst: MixingInstance, family: str) -> None:
     if not inst.uniform:
         raise FamilyParamError(f"the {family} family requires a uniform instance")
+
+
+# ---------------------------------------------------------------------------
+# Integer views
+
+
+@dataclass(frozen=True)
+class _IntView:
+    """An instance over common denominators, built once per instance.
+
+    D is the lcm of the denominators of pi and epsilon, H that of h.  ``pi``
+    and ``h`` are indexed by scenario (index 0 unused): pi[j] = D pi_j and
+    h[i] = H h_i, with h[m + 1] = 0.  ``prefix[k]`` is D times the mass of
+    scenarios 1..k and ``eps`` is D epsilon.
+    """
+
+    m: int
+    D: int
+    pi: tuple[int, ...]
+    prefix: tuple[int, ...]
+    eps: int
+    H: int
+    h: tuple[int, ...]
+
+    def h_times(self, F: int) -> tuple[int, ...]:
+        """F h, indexed as ``h``, for a multiple F of H."""
+        if F == self.H:
+            return self.h
+        k = F // self.H
+        return tuple(v * k for v in self.h)
+
+
+def _scale(x: Fraction, L: int) -> int:
+    """L x, for a multiple L of the denominator of x."""
+    return x.numerator * (L // x.denominator)
+
+
+@lru_cache(maxsize=256)
+def _int_view(inst: MixingInstance) -> _IntView:
+    D = math.lcm(inst.epsilon.denominator, *(x.denominator for x in inst.pi))
+    H = math.lcm(*(x.denominator for x in inst.h))
+    return _IntView(
+        m=inst.m,
+        D=D,
+        pi=(0,) + tuple(_scale(x, D) for x in inst.pi),
+        prefix=tuple(_scale(x, D) for x in inst.pi_prefix),
+        eps=_scale(inst.epsilon, D),
+        H=H,
+        h=(0,) + tuple(_scale(x, H) for x in inst.h) + (0,),
+    )
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A mixing-form cut z + sum coef_t x_t + sum phi_q (1 - x_q) >= rhs_base, times F.
+
+    F is a multiple of the view's H and of every denominator of the cut, so
+    ``h`` (F h, indexed as in `_IntView`), ``coefs`` (on ``t``), ``phis``
+    (on ``q``) and ``rhs_base`` are ints.  A form read from a facet
+    (`_facet_form`) lists only its nonzero coefficients; one built from
+    generator parameters (`_params_form`) lists t and q as given.
+    """
+
+    view: _IntView
+    F: int
+    h: tuple[int, ...]
+    t: tuple[int, ...]
+    coefs: tuple[int, ...]
+    q: tuple[int, ...]
+    phis: tuple[int, ...]
+    rhs_base: int
+
+    @property
+    def q_phis(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.q, self.phis))
+
+    def fractions(self, values: Iterable[int]) -> tuple[Fraction, ...]:
+        """The rationals that `values` stand for (each divided by F)."""
+        return tuple(Fraction(v, self.F) for v in values)
+
+
+def _facet_form(inst: MixingInstance, cut: LinearCut) -> _Form:
+    """The mixing form of a canonical cut with z_coef = 1, over ints."""
+    if cut.m != inst.m:
+        raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
+    if cut.z_coef != 1:
+        raise ValidationError("mixing-form parsing requires a canonical cut with z_coef = 1")
+    view = _int_view(inst)
+    ratios = [c.as_integer_ratio() for c in cut.x_coefs]
+    F = math.lcm(view.H, cut.rhs.denominator, *(d for _, d in ratios))
+    x = [n * (F // d) for n, d in ratios]
+    t = tuple(i for i, c in enumerate(x, start=1) if c > 0)
+    q = tuple(i for i, c in enumerate(x, start=1) if c < 0)
+    phis = tuple(-x[i - 1] for i in q)
+    return _Form(
+        view, F, view.h_times(F), t, tuple(x[i - 1] for i in t), q, phis,
+        _scale(cut.rhs, F) + sum(phis),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,37 +263,39 @@ def gen_star(inst: MixingInstance, params: StarParams) -> LinearCut:
     Valid for the knapsack-free mixing relaxation, hence for the instance.
     """
     t = _check_increasing(params.t_set, inst.m, "t_set")
-    coefs = _telescope(inst, t, inst.m + 1)  # h_{m+1} = 0 anchor
+    coefs = _telescope(_fraction_h(inst), t, inst.m + 1)  # h_{m+1} = 0 anchor
     return mixing_form(inst.m, t, coefs, (), (), inst.h_at(t[0]))
 
 
 def gen_strengthened_star(inst: MixingInstance, params: StarParams) -> LinearCut:
     """Telescoping inequality over indices within 1..p, anchored at h_{p+1}."""
     t = _check_increasing(params.t_set, inst.p, "t_set")
-    coefs = _telescope(inst, t, inst.p + 1)
+    coefs = _telescope(_fraction_h(inst), t, inst.p + 1)
     return mixing_form(inst.m, t, coefs, (), (), inst.h_at(t[0]))
 
 
 def _lifts(
-    inst: MixingInstance,
+    h: Sequence,
     anchor: int,
     q: Sequence[int],
     ends: Sequence[int],
     cutoffs: Sequence[int],
-    shift: Fraction = Fraction(0),
-) -> list[Fraction]:
+    shift=0,
+) -> list:
     """Lift coefficients of the sequence q by the crossing recursion.
 
     phi_1 = h_anchor - h_{ends_1} - shift, and for i > 1
     phi_i = max(phi_{i-1}, h_anchor - h_{ends_i} - shift - sum of phi_k over
     the earlier k with q_k >= cutoffs_i).  Every lifted family is this one
-    recursion; it differs only in its anchor, ends, cutoffs and shift.
+    recursion; it differs only in its anchor, ends, cutoffs and shift.  It is
+    linear up to a running max, so h and the shift scaled by F (ints, see
+    `_Form`) give F times the lifts.
     """
-    base = inst.h_at(anchor) - shift
-    phis: list[Fraction] = []
+    base = h[anchor] - shift
+    phis: list = []
     for i, end in enumerate(ends):
-        restricted = sum((phis[k] for k in range(i) if q[k] >= cutoffs[i]), Fraction(0))
-        value = base - inst.h_at(end) - restricted
+        cutoff = cutoffs[i]
+        value = base - h[end] - sum(phis[k] for k in range(i) if q[k] >= cutoff)
         phis.append(max(phis[-1], value) if phis else value)
     return phis
 
@@ -199,8 +315,9 @@ def gen_luedtke_lifted(inst: MixingInstance, params: LiftedParams) -> LinearCut:
         if q[0] <= p:
             raise FamilyParamError("q_list must lie within p+1..m")
     # sorted lifting: every earlier lift counts, so the cutoffs are 0
-    phis = _lifts(inst, r + 1, q, range(r + 2, r + len(q) + 2), [0] * len(q))
-    coefs = _telescope(inst, t, r + 1)
+    h = _fraction_h(inst)
+    phis = _lifts(h, r + 1, q, range(r + 2, r + len(q) + 2), [0] * len(q))
+    coefs = _telescope(h, t, r + 1)
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
 
 
@@ -220,59 +337,53 @@ def gen_kucukyavuz(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     for i, (qi, lo) in enumerate(zip(q, ends), start=1):
         if not lo <= qi <= inst.m:
             raise FamilyParamError(f"q_{i} = {qi} violates q_i >= r + i + 1")
-    phis = _lifts(inst, r + 1, q, ends, ends)
-    coefs = _telescope(inst, t, r + 1)
+    h = _fraction_h(inst)
+    phis = _lifts(h, r + 1, q, ends, ends)
+    coefs = _telescope(h, t, r + 1)
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
 
 
-def _zhao_w_tails(inst: MixingInstance, q: Sequence[int]) -> list[Fraction]:
-    """Suffix sums of the lifting probabilities in descending-probability order."""
-    w = sorted(q, key=lambda i: (-inst.pi_at(i), i))
-    tails = [Fraction(0)] * (len(q) + 1)
+def _zhao_w_tails(view: _IntView, q: Sequence[int]) -> list[int]:
+    """Suffix sums of the lifting probabilities in descending-probability order, times D."""
+    w = sorted(q, key=lambda i: (-view.pi[i], i))
+    tails = [0] * (len(q) + 1)
     for i in range(len(q) - 1, -1, -1):
-        tails[i] = tails[i + 1] + inst.pi_at(w[i])
+        tails[i] = tails[i + 1] + view.pi[w[i]]
     return tails
 
 
 def _zhao_derive_s(
-    inst: MixingInstance, r: int, q: Sequence[int]
+    view: _IntView, r: int, tails: Sequence[int]
 ) -> tuple[Optional[tuple[int, ...]], Optional[int]]:
     """The unique s-sequence satisfying the knapsack crossing conditions.
 
     For each position i the prefix mass of scenarios 1..r+s_i-1 plus the
-    suffix mass of the lifting set must not exceed epsilon, while including
-    scenario r+s_i pushes it strictly over.  Returns (None, i) when no such
-    integer exists for position i (1-based).
+    suffix mass ``tails[i]`` of the lifting set must not exceed epsilon, while
+    including scenario r+s_i pushes it strictly over (all in D units; the
+    prefix masses increase strictly, so s_i is found by bisection).  Returns
+    (None, i) when no such integer exists for position i (1-based).
     """
-    tails = _zhao_w_tails(inst, q)
     s: list[int] = []
-    for i in range(len(q)):
-        room = inst.epsilon - tails[i]
-        if inst.prefix(r) > room:
+    for i in range(len(tails) - 1):
+        room = view.eps - tails[i]
+        if view.prefix[r] > room:
             return None, i + 1
-        si = None
-        for cand in range(1, inst.m - r + 1):
-            if inst.prefix(r + cand - 1) <= room < inst.prefix(r + cand):
-                si = cand
-                break
-        if si is None:
+        k = bisect_right(view.prefix, room)  # first k with prefix[k] > room
+        if k > view.m:
             return None, i + 1
-        s.append(si)
+        s.append(k - r)
     return tuple(s), None
 
 
 def _zhao_check_s(
-    inst: MixingInstance, r: int, q: Sequence[int], s: Sequence[int]
+    view: _IntView, r: int, tails: Sequence[int], s: Sequence[int]
 ) -> Optional[int]:
     """Failing position (1-based) of the crossing conditions, or None."""
-    tails = _zhao_w_tails(inst, q)
+    prefix, eps = view.prefix, view.eps
     for i, si in enumerate(s):
-        if r + si > inst.m:
+        if r + si > view.m:
             return i + 1
-        if not (
-            inst.prefix(r + si) + tails[i] > inst.epsilon
-            and inst.prefix(r + si - 1) + tails[i] <= inst.epsilon
-        ):
+        if not (prefix[r + si] + tails[i] > eps and prefix[r + si - 1] + tails[i] <= eps):
             return i + 1
     return None
 
@@ -305,15 +416,20 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
         raise FamilyParamError("q_list entries must be distinct")
     if v > theta - r:
         raise FamilyParamError(f"need |q_list| <= theta - r = {theta - r}")
+    for i, qi in enumerate(q, start=1):
+        if not 1 <= qi <= inst.m:  # before any pi_{q_i} is read
+            raise FamilyParamError(f"q_{i} = {qi} outside its admissible range")
+    view = _int_view(inst)
+    tails = _zhao_w_tails(view, q)
     if params.s_list is not None:
         s = tuple(int(x) for x in params.s_list)
         if len(s) != v:
             raise FamilyParamError("s_list must match q_list in length")
-        bad = _zhao_check_s(inst, r, q, s)
+        bad = _zhao_check_s(view, r, tails, s)
         if bad is not None:
             raise FamilyParamError(f"knapsack crossing condition fails at iota={bad}")
     else:
-        s, bad = _zhao_derive_s(inst, r, q)
+        s, bad = _zhao_derive_s(view, r, tails)
         if s is None:
             raise FamilyParamError(f"knapsack crossing condition fails at iota={bad}")
     s_top = p - r + 1
@@ -323,8 +439,9 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     for i, (qi, lo) in enumerate(zip(q, cutoffs), start=1):
         if not lo <= qi <= inst.m or qi <= r + s[0]:
             raise FamilyParamError(f"q_{i} = {qi} outside its admissible range")
-    phis = _lifts(inst, r + s[0], q, ends, cutoffs)
-    coefs = _telescope(inst, t, r + s[0])
+    h = _fraction_h(inst)
+    phis = _lifts(h, r + s[0], q, ends, cutoffs)
+    coefs = _telescope(h, t, r + s[0])
     return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
 
 
@@ -374,7 +491,7 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
     for i, (qi, lo) in enumerate(zip(q, ends), start=1):
         if not lo <= qi <= inst.m:
             raise FamilyParamError(f"q_{i} = {qi} outside r+s_{i}+1..m")
-    phis = _lifts(inst, anchor, q, ends, ends, delta_sum)
+    phis = _lifts(_fraction_h(inst), anchor, q, ends, ends, delta_sum)
     coefs = [
         inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))
     ]
@@ -385,154 +502,151 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
 # Generic certificate machinery
 
 
-@dataclass(frozen=True)
-class _CertificateRow:
-    """Scenario j's certificate conditions before A_j is chosen.
+class _Row(NamedTuple):
+    """Scenario j's certificate conditions before A_j is chosen, over ints.
 
-    ``positions`` are the q positions k with q_k > j, ``bounds`` their ratio
-    bounds phi_k / (m pi_{q_k}) and ``weights`` their probabilities pi_{q_k}.
-    ``coef`` and ``rhs`` are the covering coefficient and right-hand side
-    (divided by m) with A_j empty; each position moved into A_j takes its
-    weight off the coefficient and phi_k / m off the right-hand side.
+    ``positions`` are the q positions k with q_k > j; ``P`` holds their
+    F phi_k and ``W`` their D pi_{q_k}.  ``C`` is D times the covering
+    coefficient and ``R`` is m F times its right-hand side, both with A_j
+    empty; each position moved into A_j takes W_k off C and P_k off R.
+    The ratio bound phi_k / (m pi_{q_k}) is u P_k / W_k and the covering
+    ratio is u R / C, with one unit u = D / (m F): a ratio is held as
+    (numerator, denominator) in units of u, with a positive denominator,
+    and ratios are compared by cross-multiplication.
     """
 
     positions: tuple[int, ...]
-    bounds: tuple[Fraction, ...]
-    weights: tuple[Fraction, ...]
-    coef: Fraction
-    rhs: Fraction
+    P: tuple[int, ...]
+    W: tuple[int, ...]
+    C: int
+    R: int
 
 
-def _certificate_rows(
-    inst: MixingInstance,
-    r: int,
-    t: Sequence[int],
-    delta: Sequence[Fraction],
-    q: Sequence[int],
-    phi: Sequence[Fraction],
-) -> Iterator[_CertificateRow]:
+def _certificate_rows(form: _Form) -> Iterator[_Row]:
     """The certificate rows of scenarios j = 1..m, in order.
 
-    Each q position's weight and ratio bound is computed once for all j; the
-    shift sums come from prefix sums of delta, and phi_j by q index.
+    Scenario j's covering right-hand side is h_{a} - h_j - (delta_1 + ... +
+    delta_{a-1}) - phi_j, where a is the first t entry not below j (r + 1
+    when there is none).  The delta telescope against h_{t_1} = rhs_base, so
+    this is rhs_base minus the coefficients on the t entries below j, minus
+    h_j and phi_j: it reads the cut alone, whatever r and any zero-coefficient
+    t entries are.  q is increasing, so the positions above j are a suffix.
     """
-    m = inst.m
-    weights = [inst.pi_at(qk) for qk in q]
-    bounds = [f / (m * w) for f, w in zip(phi, weights)]
-    phi_at = dict(zip(q, phi))
-    delta_sums = [Fraction(0)]
-    for d in delta:
-        delta_sums.append(delta_sums[-1] + d)
-    a_j = 0  # number of t entries below j
-    for j in range(1, m + 1):
-        while a_j < len(t) and t[a_j] < j:
-            a_j += 1
-        positions = tuple(k for k in range(len(q)) if q[k] > j)
-        row_weights = tuple(weights[k] for k in positions)
-        coef = inst.prefix(j) - inst.pi_at(j) - inst.epsilon + sum(row_weights, Fraction(0))
-        anchor = inst.h_at(t[a_j]) if a_j < len(t) else inst.h_at(r + 1)
-        rhs = anchor - inst.h_at(j) - delta_sums[a_j] - phi_at.get(j, Fraction(0))
-        yield _CertificateRow(
-            positions, tuple(bounds[k] for k in positions), row_weights, coef, rhs / m
+    view, h, q, P = form.view, form.h, form.q, form.phis
+    W = tuple(view.pi[qk] for qk in q)
+    P_at = dict(zip(q, P))
+    w_tails = list(accumulate(reversed(W), initial=0))[::-1]
+    covered, i = form.rhs_base, 0
+    for j in range(1, view.m + 1):
+        while i < len(form.t) and form.t[i] < j:
+            covered -= form.coefs[i]
+            i += 1
+        k = bisect_right(q, j)
+        yield _Row(
+            tuple(range(k, len(q))),
+            P[k:],
+            W[k:],
+            view.prefix[j] - view.pi[j] - view.eps + w_tails[k],
+            covered - h[j] - P_at.get(j, 0),
         )
 
 
 def _split_row(
-    row: _CertificateRow, a_pos: frozenset[int]
-) -> tuple[Fraction, Optional[Fraction], Fraction, Fraction]:
-    """(lo, hi, coef, rhs) of the row with A_j = a_pos (0-based q positions).
+    row: _Row, a_pos: frozenset[int]
+) -> tuple[tuple[int, int], Optional[tuple[int, int]], int, int]:
+    """(lo, hi, C, R) of the row with A_j = a_pos (0-based q positions).
 
     The ratio window is lo <= beta_j <= hi (hi None when unbounded); lo is at
     least 0.  Positions not above j are inert.
     """
-    lo, hi, coef, rhs = Fraction(0), None, row.coef, row.rhs
-    for k, bound, weight in zip(row.positions, row.bounds, row.weights):
+    lo, hi, C, R = (0, 1), None, row.C, row.R
+    for k, P, W in zip(row.positions, row.P, row.W):
         if k in a_pos:
-            lo = max(lo, bound)
-            coef -= weight
-            rhs -= bound * weight  # = phi_k / m
-        elif hi is None or bound < hi:
-            hi = bound
-    return lo, hi, coef, rhs
+            if P * lo[1] > lo[0] * W:
+                lo = (P, W)
+            C -= W
+            R -= P
+        elif hi is None or P * hi[1] < hi[0] * W:
+            hi = (P, W)
+    return lo, hi, C, R
 
 
-def _beta_bounds_for_j(row: _CertificateRow, a_pos: frozenset[int]) -> Optional[Fraction]:
-    """Least feasible multiplier for scenario j, or None when infeasible.
+def _least_beta(row: _Row, a_pos: frozenset[int]) -> Optional[tuple[int, int]]:
+    """Least feasible multiplier for scenario j (in units of u), or None when infeasible.
 
     Combines the ratio window from the lifted coefficients with the covering
-    requirement beta_j * coef >= rhs.
+    requirement beta_j C >= R.
     """
-    lo, hi, coef, rhs = _split_row(row, a_pos)
-    if coef > 0:
-        lo = max(lo, rhs / coef)
-    elif coef < 0:
-        hi = rhs / coef if hi is None else min(hi, rhs / coef)
-    elif rhs > 0:
+    lo, hi, C, R = _split_row(row, a_pos)
+    if C > 0:
+        if R * lo[1] > lo[0] * C:
+            lo = (R, C)
+    elif C < 0:
+        if hi is None or -R * hi[1] < hi[0] * -C:
+            hi = (-R, -C)
+    elif R > 0:
         return None
-    if hi is not None and lo > hi:
+    if hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return lo
 
 
-def _certificate_conditions_hold(
-    row: _CertificateRow, a_pos: frozenset[int], beta_j: Fraction
-) -> bool:
-    lo, hi, coef, rhs = _split_row(row, a_pos)
-    return lo <= beta_j and (hi is None or beta_j <= hi) and beta_j * coef >= rhs
+def _conditions_hold(row: _Row, a_pos: frozenset[int], beta_j: tuple[int, int]) -> bool:
+    lo, hi, C, R = _split_row(row, a_pos)
+    b, d = beta_j
+    return (
+        lo[0] * d <= b * lo[1]
+        and (hi is None or b * hi[1] <= hi[0] * d)
+        and b * C >= R * d
+    )
 
 
-def _search_certificate_j(row: _CertificateRow) -> Optional[tuple[frozenset[int], Fraction]]:
+def _search_row(row: _Row) -> Optional[tuple[frozenset[int], tuple[int, int]]]:
     """First feasible (A_j, beta_j) in deterministic subset order."""
     relevant = row.positions
     for mask in range(1 << len(relevant)):
         a_pos = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
-        beta = _beta_bounds_for_j(row, a_pos)
+        beta = _least_beta(row, a_pos)
         if beta is not None:
             return a_pos, beta
     return None
 
 
+def _in_units(form: _Form, beta: Fraction) -> tuple[int, int]:
+    """beta as a ratio in units of u = D / (m F)."""
+    return beta.numerator * form.view.m * form.F, beta.denominator * form.view.D
+
+
 def _certify(
-    inst: MixingInstance,
-    r: int,
-    t: tuple[int, ...],
-    delta: tuple[Fraction, ...],
-    q: tuple[int, ...],
-    phi: tuple[Fraction, ...],
+    form: _Form,
     a_posed: Optional[Sequence[frozenset[int]]] = None,
     beta: Optional[Sequence[Fraction]] = None,
-) -> tuple[Optional[BlpGenericParams], Optional[int]]:
-    """The certificate, or None and the first infeasible scenario.
+) -> tuple[Optional[tuple[tuple[frozenset[int], ...], tuple[Fraction, ...]]], Optional[int]]:
+    """((A_j as q values), beta) for j = 1..m, or None and the first infeasible scenario.
 
     Without ``a_posed`` each scenario's (A_j, beta_j) is searched; with it,
     the given beta_j is verified, or the least feasible one is taken.
     """
-    chosen = []
-    for j, row in enumerate(_certificate_rows(inst, r, t, delta, q, phi), start=1):
+    D, mF = form.view.D, form.view.m * form.F
+    a_sets, betas = [], []
+    for j, row in enumerate(_certificate_rows(form), start=1):
         if a_posed is None:
-            found = _search_certificate_j(row)
+            found = _search_row(row)
         else:
             a_pos = a_posed[j - 1]
             if beta is None:
-                beta_j = _beta_bounds_for_j(row, a_pos)
-            elif _certificate_conditions_hold(row, a_pos, beta[j - 1]):
-                beta_j = beta[j - 1]
+                beta_j = _least_beta(row, a_pos)
             else:
-                beta_j = None
+                beta_j = _in_units(form, beta[j - 1])
+                if not _conditions_hold(row, a_pos, beta_j):
+                    beta_j = None
             found = None if beta_j is None else (a_pos, beta_j)
         if found is None:
             return None, j
-        chosen.append(found)
-    cert = BlpGenericParams(
-        r=r,
-        t_set=t,
-        delta=delta,
-        q_list=q,
-        phi=phi,
-        a_sets=tuple(frozenset(q[k] for k in a_pos) for a_pos, _ in chosen),
-        beta=tuple(b for _, b in chosen),
-    )
-    return cert, None
+        a_pos, (b, d) = found
+        a_sets.append(frozenset(form.q[k] for k in a_pos))
+        betas.append(Fraction(b * D, d * mF))
+    return (tuple(a_sets), tuple(betas)), None
 
 
 def _generic_structure_check(
@@ -582,13 +696,32 @@ def _a_values_to_positions(
     return out
 
 
+def _params_form(
+    inst: MixingInstance,
+    r: int,
+    t: tuple[int, ...],
+    delta: tuple[Fraction, ...],
+    q: tuple[int, ...],
+    phi: tuple[Fraction, ...],
+) -> _Form:
+    """The generic cut of checked parameters as a `_Form`, t and q as given."""
+    view = _int_view(inst)
+    F = math.lcm(view.H, *(x.denominator for x in chain(delta, phi)))
+    h = view.h_times(F)
+    coefs = tuple(
+        c + _scale(d, F) for c, d in zip(_telescope(h, t, r + 1), delta)
+    )
+    return _Form(view, F, h, t, coefs, q, tuple(_scale(v, F) for v in phi), h[t[0]])
+
+
 def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCutResult:
     """Emit the generic aggregation cut when a multiplier certificate exists.
 
     With ``a_sets``/``beta`` supplied they are verified; otherwise each
     scenario is searched independently (subsets of the lifting positions
-    above the scenario, smallest feasible multiplier).  On failure the first
-    infeasible scenario is reported and no cut is emitted.
+    above the scenario, smallest feasible multiplier).  A ``beta`` without
+    ``a_sets`` is refused, since each beta_j is checked against its A_j.  On
+    failure the first infeasible scenario is reported and no cut is emitted.
     """
     t, delta, q, phi = _generic_structure_check(inst, params)
     m = inst.m
@@ -601,12 +734,15 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
             beta = tuple(rat(b) for b in params.beta)
             if len(beta) != m or any(b < 0 for b in beta):
                 raise FamilyParamError("beta must be m non-negative rationals")
-    cert, infeasible_j = _certify(inst, params.r, t, delta, q, phi, a_posed, beta)
-    if cert is None:
+    elif params.beta is not None:
+        raise FamilyParamError("beta needs a_sets: a multiplier is checked against its A_j")
+    form = _params_form(inst, params.r, t, delta, q, phi)
+    found, infeasible_j = _certify(form, a_posed, beta)
+    if found is None:
         return GenericCutResult(False, None, None, infeasible_j=infeasible_j)
-    tx = list(t) + [params.r + 1]
-    coefs = [inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))]
-    cut = mixing_form(m, t, coefs, q, phi, inst.h_at(t[0]))
+    a_sets, betas = found
+    cert = BlpGenericParams(params.r, t, delta, q, phi, a_sets, betas)
+    cut = mixing_form(m, t, form.fractions(form.coefs), q, phi, inst.h_at(t[0]))
     return GenericCutResult(True, cut, cert)
 
 
@@ -622,17 +758,18 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     t, delta, q, phi = _generic_structure_check(inst, params)
     a_posed = _a_values_to_positions(q, params.a_sets)
     beta = tuple(rat(b) for b in params.beta)
+    form = _params_form(inst, params.r, t, delta, q, phi)
     m = inst.m
     pq = set(t) | set(q)
     count = 0
-    for j, row in enumerate(_certificate_rows(inst, params.r, t, delta, q, phi), start=1):
+    for j, row in enumerate(_certificate_rows(form), start=1):
         a_pos = a_posed[j - 1]
-        b = beta[j - 1]
-        if not _certificate_conditions_hold(row, a_pos, b):
+        b, d = _in_units(form, beta[j - 1])
+        if not _conditions_hold(row, a_pos, (b, d)):
             raise FamilyParamError(f"certificate conditions fail at scenario {j}")
-        count += sum(1 for bound in row.bounds if b == bound)
-        _, _, coef, rhs = _split_row(row, a_pos)
-        if b * coef == rhs:
+        count += sum(1 for P, W in zip(row.P, row.W) if b * W == P * d)
+        _, _, C, R = _split_row(row, a_pos)
+        if b * C == R * d:
             count += 1
         if b == 0:
             count += sum(1 for i in range(j + 1, m + 1) if i not in pq)
@@ -657,15 +794,15 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
     facet = canonicalize(facet)
     if facet.z_coef != 1:
         raise ValidationError("family membership is defined for z_coef = 1 cuts only")
-    parsed = parse_mixing_form(inst, facet)
-    degenerate = _degenerate(inst, facet, parsed)
+    form = _facet_form(inst, facet)
+    degenerate = _degenerate(inst, form)
     if degenerate is not None:
         return Membership(degenerate, "degenerate" if degenerate else None)
     table = _family_table(inst)
     name: Optional[str] = family
     while name is not None:
         check, name = table[name]
-        found = check(inst, parsed) if check is not None else None
+        found = check(inst, form) if check is not None else None
         if found:
             return found
     return Membership(False)
@@ -680,8 +817,8 @@ def _memberships(
     whose own check holds; the verdicts are shared across `names`, so a
     costly check runs only when no family below it holds.
     """
-    parsed = parse_mixing_form(inst, facet)
-    degenerate = _degenerate(inst, facet, parsed)
+    form = _facet_form(inst, facet)
+    degenerate = _degenerate(inst, form)
     if degenerate is not None:
         return {name: degenerate for name in names}
     table = _family_table(inst)
@@ -691,23 +828,21 @@ def _memberships(
         if name not in held:
             check, parent = table[name]
             held[name] = (parent is not None and holds(parent)) or (
-                check is not None and bool(check(inst, parsed))
+                check is not None and bool(check(inst, form))
             )
         return held[name]
 
     return {name: holds(name) for name in names}
 
 
-def _degenerate(
-    inst: MixingInstance, facet: LinearCut, parsed: ParsedMixingForm
-) -> Optional[bool]:
+def _degenerate(inst: MixingInstance, form: _Form) -> Optional[bool]:
     """For a cut with no x terms, whether it is the degenerate facet; else None."""
-    if parsed.p_coefs or parsed.q_phis:
+    if form.t or form.q:
         return None
-    return facet.rhs == inst.h_at(inst.p + 1)
+    return form.rhs_base == form.h[inst.p + 1]
 
 
-_Check = Callable[[MixingInstance, ParsedMixingForm], Membership]
+_Check = Callable[[MixingInstance, _Form], Membership]
 
 
 def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Optional[str]]]:
@@ -738,117 +873,114 @@ def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Opt
     return table
 
 
-def _proper_star(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    if parsed.q_phis or not parsed.p_coefs:
+def _proper_star(inst: MixingInstance, form: _Form) -> Membership:
+    if form.q or not form.t:
         return Membership(False)
-    t = parsed.t_list
-    if parsed.rhs_base != inst.h_at(t[0]):
+    t = form.t
+    if form.rhs_base != form.h[t[0]]:
         return Membership(False)
-    if list(parsed.coefs) != _telescope(inst, t, inst.m + 1):
+    if form.coefs != _telescope(form.h, t, inst.m + 1):
         return Membership(False)
     return Membership(True, "star", StarParams(t))
 
 
-def _proper_strengthened_star(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    if parsed.q_phis or not parsed.p_coefs:
+def _proper_strengthened_star(inst: MixingInstance, form: _Form) -> Membership:
+    if form.q or not form.t:
         return Membership(False)
-    t = parsed.t_list
-    if t[-1] > inst.p or parsed.rhs_base != inst.h_at(t[0]):
+    t = form.t
+    if t[-1] > inst.p or form.rhs_base != form.h[t[0]]:
         return Membership(False)
-    if list(parsed.coefs) != _telescope(inst, t, inst.p + 1):
+    if form.coefs != _telescope(form.h, t, inst.p + 1):
         return Membership(False)
     return Membership(True, "strengthened_star", StarParams(t))
 
 
-def _parsed_phi_map(parsed: ParsedMixingForm) -> dict[int, Fraction]:
-    return dict(parsed.q_phis)
-
-
-def _lift_orders(parsed: ParsedMixingForm) -> Iterator[tuple[int, ...]]:
-    """The orders of q_list whose parsed lifts never decrease.
+def _lift_orders(form: _Form) -> Iterator[tuple[int, ...]]:
+    """The orders of q_list whose lifts never decrease.
 
     `_lifts` is a running max, so no other order can match.  The orders are
     the product of the permutations inside each block of equal lift, blocks
     in increasing lift order: exactly those of ``permutations(q_list)`` that
     survive, in the same order, so the first match does not change.
     """
-    blocks: dict[Fraction, list[int]] = {}
-    for qi, phi in parsed.q_phis:
+    blocks: dict[int, list[int]] = {}
+    for qi, phi in form.q_phis:
         blocks.setdefault(phi, []).append(qi)
     for parts in product(*(permutations(blocks[phi]) for phi in sorted(blocks))):
         yield tuple(chain.from_iterable(parts))
 
 
-def _proper_lifted(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    if not parsed.q_phis or not parsed.p_coefs:
+def _proper_lifted(inst: MixingInstance, form: _Form) -> Membership:
+    if not form.q or not form.t:
         return Membership(False)
     p = inst.p
-    q = parsed.q_list  # sorted ascending by construction
+    q = form.q  # sorted ascending by construction
     r = p - len(q)
-    t = parsed.t_list
+    t = form.t
     if r < 1 or t[-1] > r or q[0] <= p:
         return Membership(False)
-    if parsed.rhs_base != inst.h_at(t[0]):
+    if form.rhs_base != form.h[t[0]]:
         return Membership(False)
-    if list(parsed.coefs) != _telescope(inst, t, r + 1):
+    if form.coefs != _telescope(form.h, t, r + 1):
         return Membership(False)
     ends = range(r + 2, r + len(q) + 2)
-    if _lifts(inst, r + 1, q, ends, [0] * len(q)) != list(parsed.phis):
+    if _lifts(form.h, r + 1, q, ends, [0] * len(q)) != list(form.phis):
         return Membership(False)
     return Membership(True, "lifted", LiftedParams(r, t, q))
 
 
-def _proper_kucukyavuz(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    if not parsed.q_phis or not parsed.p_coefs:
+def _proper_kucukyavuz(inst: MixingInstance, form: _Form) -> Membership:
+    if not form.q or not form.t:
         return Membership(False)
     p = inst.p
-    r = p - len(parsed.q_phis)
-    t = parsed.t_list
+    r = p - len(form.q)
+    t = form.t
     if r < 1 or t[-1] > r:
         return Membership(False)
-    if parsed.rhs_base != inst.h_at(t[0]):
+    if form.rhs_base != form.h[t[0]]:
         return Membership(False)
-    if list(parsed.coefs) != _telescope(inst, t, r + 1):
+    if form.coefs != _telescope(form.h, t, r + 1):
         return Membership(False)
-    phi_of = _parsed_phi_map(parsed)
-    ends = range(r + 2, r + len(parsed.q_list) + 2)
-    for perm in _lift_orders(parsed):
+    phi_of = dict(form.q_phis)
+    ends = range(r + 2, r + len(form.q) + 2)
+    for perm in _lift_orders(form):
         if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
-        if _lifts(inst, r + 1, perm, ends, ends) == [phi_of[qi] for qi in perm]:
+        if _lifts(form.h, r + 1, perm, ends, ends) == [phi_of[qi] for qi in perm]:
             return Membership(True, "kucukyavuz", LiftedParams(r, t, perm))
     return Membership(False)
 
 
-def _proper_zhao(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
-    if not parsed.q_phis or not parsed.p_coefs:
+def _proper_zhao(inst: MixingInstance, form: _Form) -> Membership:
+    if not form.q or not form.t:
         return Membership(False)
-    t = parsed.t_list
-    v = len(parsed.q_phis)
-    phi_of = _parsed_phi_map(parsed)
-    if parsed.rhs_base != inst.h_at(t[0]):
+    t = form.t
+    v = len(form.q)
+    phi_of = dict(form.q_phis)
+    if form.rhs_base != form.h[t[0]]:
         return Membership(False)
+    tails = _zhao_w_tails(form.view, form.q)
     for r in range(t[-1], min(inst.p, inst.theta - v) + 1):
-        s, _bad = _zhao_derive_s(inst, r, parsed.q_list)
+        s, _bad = _zhao_derive_s(form.view, r, tails)
         if s is None:
             continue
         s_top = inst.p - r + 1
         if s[0] < 1 or any(a > b for a, b in zip(s, list(s[1:]) + [s_top])):
             continue
-        if list(parsed.coefs) != _telescope(inst, t, r + s[0]):
+        if form.coefs != _telescope(form.h, t, r + s[0]):
             continue
         ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
-        for perm in _lift_orders(parsed):
+        for perm in _lift_orders(form):
             if any(qi <= r + s[0] or qi < lo for qi, lo in zip(perm, cutoffs)):
                 continue
-            if _lifts(inst, r + s[0], perm, ends, cutoffs) == [phi_of[qi] for qi in perm]:
+            if _lifts(form.h, r + s[0], perm, ends, cutoffs) == [phi_of[qi] for qi in perm]:
                 return Membership(
                     True, "zhao", LiftedParams(r, t, perm, s_list=s)
                 )
     return Membership(False)
 
 
-def _proper_blp_uniform(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
+def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Membership:
     """Search for generating parameters with r = p - |q| and every q entry visible.
 
     A smaller r gives the same cut.  A generating q-sequence could also lead
@@ -860,69 +992,77 @@ def _proper_blp_uniform(inst: MixingInstance, parsed: ParsedMixingForm) -> Membe
     the shift total becomes h_{A+extra} - h_{A+1} = 0, while the visible
     lifts, their cutoffs and their q bounds stay as they were.
     """
-    if not parsed.q_phis or not parsed.p_coefs:
+    if not form.q or not form.t:
         return Membership(False)
-    t = parsed.t_list
-    v = len(parsed.q_phis)
+    h, t = form.h, form.t
+    v = len(form.q)
     r = inst.p - v
-    if r < 1 or t[-1] > r or parsed.rhs_base != inst.h_at(t[0]):
+    if r < 1 or t[-1] > r or form.rhs_base != h[t[0]]:
         return Membership(False)
     anchor = r + 1
-    tx = list(t) + [anchor]
-    delta = [
-        parsed.coefs[i] - inst.h_at(tx[i]) + inst.h_at(tx[i + 1])
-        for i in range(len(t))
-    ]
-    if any(sum(delta[: k - 1], Fraction(0)) < 0 for k in range(2, len(t) + 2)):
+    tx = t + (anchor,)
+    delta = [form.coefs[i] - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
+    if any(total < 0 for total in accumulate(delta)):
         return Membership(False)
-    delta_sum = sum(delta, Fraction(0))
-    if delta_sum > inst.h_at(anchor) - inst.h_at(anchor + 1):
+    delta_sum = sum(delta)
+    if delta_sum > h[anchor] - h[anchor + 1]:
         return Membership(False)
-    phi_of = _parsed_phi_map(parsed)
+    phi_of = dict(form.q_phis)
     ends = range(anchor + 1, anchor + v + 1)
-    for perm in _lift_orders(parsed):
+    for perm in _lift_orders(form):
         if any(qi < lo for qi, lo in zip(perm, ends)):
             continue
-        if _lifts(inst, anchor, perm, ends, ends, delta_sum) == [phi_of[qi] for qi in perm]:
-            return Membership(True, "blp_uniform", BlpUniformParams(r, t, perm, tuple(delta)))
+        if _lifts(h, anchor, perm, ends, ends, delta_sum) == [phi_of[qi] for qi in perm]:
+            return Membership(
+                True, "blp_uniform", BlpUniformParams(r, t, perm, form.fractions(delta))
+            )
     return Membership(False)
 
 
-def _proper_blp_generic(inst: MixingInstance, parsed: ParsedMixingForm) -> Membership:
+def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Membership:
     """Certificate search over r and phantom zero-coefficient index choices.
 
     A generating index set may include positions whose shifted coefficient is
     zero; they drop out of the cut but count toward |t_set|, which is what
-    bounds the number of lifted terms, and they shift the per-scenario
-    covering sums.  The search tries the fewest phantoms first.
+    bounds the number of lifted terms.  The search tries r upward and the
+    fewest phantoms first, and takes the first choice with h_{t_1} equal to
+    the base right-hand side.  Nothing else depends on the choice: the total
+    shift is the coefficient sum minus h_{t_1}, plus h_{r+1}, so it stays
+    within h_{r+1} for every choice or for none, and the certificate rows
+    read the cut alone (`_certificate_rows`).  So the rows are certified
+    once, for the first choice.
     """
-    if not parsed.p_coefs:
+    if not form.t or sum(form.coefs) > form.rhs_base:
         return Membership(False)
-    t_vis = parsed.t_list
-    q = parsed.q_list
-    phi = tuple(parsed.phis)
-    v = len(q)
-    l_vis = len(t_vis)
-    hi = inst.p
-    if q:
-        hi = min(hi, q[0] - 1)
-    coef_of = dict(parsed.p_coefs)
+    choice = _first_generic_choice(inst, form)
+    if choice is None:
+        return Membership(False)
+    found, _ = _certify(form)
+    if found is None:
+        return Membership(False)
+    r, t = choice
+    h, tx = form.h, t + (r + 1,)
+    coef_of = dict(zip(form.t, form.coefs))
+    delta = [coef_of.get(t[i], 0) - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
+    a_sets, betas = found
+    cert = BlpGenericParams(
+        r, t, form.fractions(delta), form.q, form.fractions(form.phis), a_sets, betas
+    )
+    return Membership(True, "blp_generic", cert)
+
+
+def _first_generic_choice(
+    inst: MixingInstance, form: _Form
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first (r, t_set with phantoms) in search order with h_{t_1} = rhs_base."""
+    t_vis, q = form.t, form.q
+    hi = inst.p if not q else min(inst.p, q[0] - 1)
     for r in range(t_vis[-1], hi + 1):
-        pool = [i for i in range(1, r + 1) if i not in coef_of]
-        need = max(0, v - (inst.p - r) - l_vis)
+        pool = [i for i in range(1, r + 1) if i not in t_vis]
+        need = max(0, len(q) - (inst.p - r) - len(t_vis))
         for extra in range(need, len(pool) + 1):
             for phantom in combinations(pool, extra):
                 t = tuple(sorted(t_vis + phantom))
-                if parsed.rhs_base != inst.h_at(t[0]):
-                    continue
-                tx = list(t) + [r + 1]
-                delta = tuple(
-                    coef_of.get(t[i], Fraction(0)) - inst.h_at(tx[i]) + inst.h_at(tx[i + 1])
-                    for i in range(len(t))
-                )
-                if sum(delta, Fraction(0)) > inst.h_at(r + 1):
-                    continue
-                cert, _ = _certify(inst, r, t, delta, q, phi)
-                if cert is not None:
-                    return Membership(True, "blp_generic", cert)
-    return Membership(False)
+                if form.h[t[0]] == form.rhs_base:
+                    return r, t
+    return None

@@ -9,6 +9,7 @@ corrupt the coverage counts, so everything here stays rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,8 +24,8 @@ from .core import (
     ValidationError,
     Vertex,
     canonicalize,
-    cut_from_json,
-    cut_to_json,
+    cut_from_dict,
+    cut_to_dict,
     enumerate_vertices,
     vertex_from_dict,
     vertex_slacks,
@@ -81,19 +82,31 @@ def enumerate_facets(
 
 
 def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
-    nonvertical = []
-    vertical = []
-    for a in normals:
-        z, xs, a0 = a[0], a[1:-1], a[-1]
-        if z == 0 and all(c == 0 for c in xs):
-            continue  # constant inequality, not a facet of a full-dimensional hull
-        cut = canonicalize(LinearCut(Fraction(z), tuple(Fraction(c) for c in xs), Fraction(-a0)))
-        if cut.z_coef == 0:
-            vertical.append(cut)
-        else:
-            nonvertical.append(cut)
-    nonvertical.sort(key=LinearCut.sort_key)
-    vertical.sort(key=LinearCut.sort_key)
+    """Canonical cuts of the primitive normals (z, x, a0) of z z + x.x + a0 >= 0.
+
+    A nonvertical normal (z > 0) gives its canonical cut directly, x / z and
+    -a0 / z.  Those cuts all have z coefficient 1, so `LinearCut.sort_key`
+    orders them as their x and rhs scaled by L, the lcm of the z values:
+    ints, c (L // z).  The normals are sorted before any cut is built.
+    """
+    lifted = [a for a in normals if a[0] > 0]
+    L = math.lcm(*(a[0] for a in lifted))
+
+    def key(a):
+        k = L // a[0]
+        return tuple(c * k for c in a[1:-1]) + (-a[-1] * k,)
+
+    nonvertical = [
+        LinearCut(Fraction(1), tuple(Fraction(c, a[0]) for c in a[1:-1]), Fraction(-a[-1], a[0]))
+        for a in sorted(lifted, key=key)
+    ]
+    # z = 0 and x = 0 is a constant inequality, not a facet of a
+    # full-dimensional hull
+    vertical = sorted(
+        (canonicalize(LinearCut(Fraction(0), tuple(Fraction(c) for c in a[1:-1]), Fraction(-a[-1])))
+         for a in normals if a[0] == 0 and any(a[1:-1])),
+        key=LinearCut.sort_key,
+    )
     return FacetSet(
         instance=inst,
         facets=tuple(nonvertical + vertical),
@@ -163,7 +176,7 @@ def facets_by_hyperplane_search(
 def facetset_to_json(fs: FacetSet) -> str:
     payload = {
         "vertices": [vertex_to_dict(v) for v in fs.vertices],
-        "facets": [json.loads(cut_to_json(c)) for c in fs.facets],
+        "facets": [cut_to_dict(c) for c in fs.facets],
         "vertical_count": len(fs.vertical),
     }
     return json.dumps(payload)
@@ -171,7 +184,7 @@ def facetset_to_json(fs: FacetSet) -> str:
 
 def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     payload = json.loads(text)
-    facets = tuple(cut_from_json(json.dumps(c)) for c in payload["facets"])
+    facets = tuple(cut_from_dict(c) for c in payload["facets"])
     vertices = tuple(vertex_from_dict(v) for v in payload["vertices"])
     nonvertical = tuple(c for c in facets if c.z_coef != 0)
     vertical = tuple(c for c in facets if c.z_coef == 0)

@@ -187,6 +187,10 @@ class TestCli:
         "string_q_list": ("lifted", {"instance": None, "r": 1, "t_set": [1], "q_list": "3"}),
         "string_A_sets": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
                                           "delta": ["0"], "A_sets": "1234"}),
+        # a multiplier is checked against its A_j, so beta alone is refused
+        # rather than replaced by a searched one
+        "beta_without_A_sets": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
+                                                "delta": ["0"], "beta": ["1", "1", "1", "1"]}),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
@@ -219,6 +223,9 @@ class TestCli:
         "scalar_h": ('{"m": 2, "h": 5, "epsilon": "1/2"}', None),
         "scalar_pi": ('{"m": 2, "h": ["2", "1"], "pi": 5, "epsilon": "1/2"}', None),
         "budget_variable": (None, "abc"),
+        # 0 and nan would switch the guard off
+        "budget_variable_zero": (None, "0"),
+        "budget_variable_nan": (None, "nan"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -232,6 +239,37 @@ class TestCli:
             monkeypatch.setenv("MIXCUT_BUDGET", budget)
             argv = ["coverage", "--example", "L", "--m", "4", "--p", "2"]
         assert cli.main(argv) == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("budget", ["0", "nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("command", ["hull", "coverage"])
+    def test_nonpositive_budget_exit_code(self, command, budget, tmp_path, capsys):
+        if command == "hull":
+            inst_file = tmp_path / "inst.json"
+            inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 4, 2)))
+            argv = ["hull", "--instance", str(inst_file)]
+        else:
+            argv = ["coverage", "--example", "L", "--m", "4", "--p", "2"]
+        assert cli.main(argv + [f"--budget={budget}"]) == cli.EXIT_VALIDATION
+        assert "--budget must be a positive number of seconds" in capsys.readouterr().err
+
+    def test_generic_given_beta_is_checked_not_replaced(self, tmp_path, capsys):
+        # the search certifies this L(5,3) facet with beta = (0, 0, 0, 0, 12)
+        params = tmp_path / "params.json"
+        doc = {
+            "instance": json.loads(instance_to_json(bench.benchmark_instance("L", 5, 3))),
+            "r": 1, "t_set": [1], "delta": ["0"], "q_list": [3, 4], "phi": ["4", "7"],
+        }
+        argv = ["generate", "--family", "blp_generic", "--params", str(params)]
+        params.write_text(json.dumps(dict(doc, beta=["7", "7", "7", "7", "19"])))
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "beta needs a_sets" in capsys.readouterr().err
+        empty = [[]] * 5
+        params.write_text(json.dumps(dict(doc, beta=["7", "7", "7", "7", "19"], A_sets=empty)))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"accepted": False, "infeasible_j": 1}
+        params.write_text(json.dumps(dict(doc, beta=["0", "0", "0", "0", "13"], A_sets=empty)))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["certificate"]["beta"] == ["0"] * 4 + ["13"]
 
     def test_coverage_repeated_family_exit_code(self, capsys):
         argv = ["coverage", "--example", "L", "--m", "5", "--p", "3", "--format", "json"]

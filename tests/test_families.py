@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -18,6 +19,7 @@ from mixcut.core import (
     make_cut,
     parse_mixing_form,
 )
+import certificate_reference as ref
 from uniform_closure import uniform_closure
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
@@ -484,3 +486,141 @@ class TestValiditySweep:
             for q in combinations(range(inst.p + 1, inst.m + 1), inst.p - r):
                 cut = fam.gen_luedtke_lifted(inst, fam.LiftedParams(r, (r,), q))
                 assert cut_is_valid(inst, cut)
+
+
+def _kernel_instances():
+    """Uniform cells (D = m, H = 1) and general-probability instances with
+    rational h (D != m, H > 1), one with a vacuous knapsack."""
+    out = [benchmark_instance(*cell) for cell in [("L", 6, 4), ("K", 7, 5), ("L", 8, 5)]]
+    for h, w, eps in [
+        ((30, Fraction(49, 2), 17, Fraction(35, 3), 6, 2), (1, 3, 2, 1, 4, 1), 7),
+        ((28, 21, Fraction(31, 2), 10, 4, Fraction(3, 2)), (1, 2, 1, 3, 2, 1), 5),
+        ((40, 32, Fraction(59, 6), Fraction(14, 3), Fraction(9, 2), 3, 1), (3, 6, 4, 2, 5, 3, 4), 12),
+        ((74, 36, Fraction(80, 3), 26, Fraction(33, 2), Fraction(49, 3), 11, Fraction(25, 3)),
+         (3, 3, 1, 1, 2, 1, 1, 1), 8),
+        ((9, 7, Fraction(5, 2), 1), (1, 2, 3, 4), 10),
+    ]:
+        total = sum(w)
+        out.append(build_instance(
+            len(h), h, [Fraction(x, total) for x in w], Fraction(eps, total)
+        ))
+    return out
+
+
+KERNEL_INSTANCES = _kernel_instances()
+
+
+@lru_cache(maxsize=None)
+def _kernel_certificates():
+    """(instance, blp_generic witness) for every such facet of KERNEL_INSTANCES."""
+    out = []
+    for inst in KERNEL_INSTANCES:
+        for facet in hull.cached_facets(inst).nonvertical:
+            cert = fam.member_of(inst, facet, "blp_generic").certificate
+            if isinstance(cert, fam.BlpGenericParams):
+                out.append((inst, cert))
+    return out
+
+
+_SMALL = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 6]))
+
+
+class TestIntKernel:
+    """The scaled-int certificate kernel against the Fraction rows of
+    `certificate_reference`: same certificate repr, same infeasible j, same
+    error text."""
+
+    @staticmethod
+    def outcome(fn, inst, params):
+        try:
+            result = fn(inst, params)
+        except fam.FamilyParamError as exc:
+            return f"error: {exc}", None
+        return repr(result), result
+
+    def agree(self, inst, params):
+        """`gen_blp_generic` (and, given a certificate, `facet_necessity_count`)
+        of both kernels agree; returns the int kernel's result."""
+        got, result = self.outcome(fam.gen_blp_generic, inst, params)
+        assert got == self.outcome(ref.gen_blp_generic, inst, params)[0], params
+        if params.a_sets is not None and params.beta is not None:
+            assert self.outcome(fam.facet_necessity_count, inst, params)[0] == self.outcome(
+                ref.facet_necessity_count, inst, params
+            )[0], params
+        return result
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_random_parameters(self, data):
+        inst = data.draw(st.sampled_from(KERNEL_INSTANCES))
+        m, p = inst.m, inst.p
+        r = data.draw(st.integers(1, p))
+        t = tuple(sorted(data.draw(st.sets(st.integers(1, r), min_size=1))))
+        tx = t + (r + 1,)
+        # each delta at or a little above its telescoping lower bound, now
+        # and then below it
+        offset = st.one_of(
+            st.just(Fraction(0)), st.just(Fraction(0)), _SMALL, _SMALL.map(lambda v: -v - 1)
+        )
+        delta = tuple(
+            inst.h_at(tx[i + 1]) - inst.h_at(tx[i]) + data.draw(offset) for i in range(len(t))
+        )
+        q = ()
+        if r < m:
+            q = tuple(sorted(data.draw(
+                st.sets(st.integers(r + 1, m), max_size=p - r + len(t))
+            )))
+        # lifts as gaps of h, which certify more often, or small rationals
+        gaps = st.sampled_from([inst.h_at(a) - inst.h_at(b) for a in range(1, m + 1)
+                                for b in range(a + 1, m + 2)])
+        phi = tuple(data.draw(gaps | _SMALL) for _ in q)
+        params = fam.BlpGenericParams(r, t, delta, q, phi)
+        a_sets = tuple(
+            frozenset(data.draw(st.sets(st.sampled_from(q)))) if q else frozenset()
+            for _ in range(m)
+        )
+        beta = tuple(data.draw(_SMALL) for _ in range(m))
+        self.agree(inst, replace(params, a_sets=a_sets, beta=beta))
+        for result in (self.agree(inst, params), self.agree(inst, replace(params, a_sets=a_sets))):
+            if result is None or not result.accepted:
+                continue
+            cert = result.certificate
+            self.agree(inst, cert)
+            # one multiplier moved off its value by 1/6 either way
+            j = data.draw(st.integers(0, m - 1))
+            moved = abs(cert.beta[j] + data.draw(st.sampled_from([Fraction(-1, 6), Fraction(1, 6)])))
+            self.agree(inst, replace(cert, beta=cert.beta[:j] + (moved,) + cert.beta[j + 1:]))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_moved_facet_certificates(self, data):
+        """Facet witnesses with one delta, phi or beta entry moved by 1/6 or 1/2:
+        parameter sets on both sides of the acceptance boundary."""
+        inst, cert = data.draw(st.sampled_from(_kernel_certificates()))
+        step = data.draw(st.sampled_from([Fraction(1, 6), Fraction(-1, 6), Fraction(1, 2)]))
+
+        def moved(values):
+            if not values:
+                return values
+            j = data.draw(st.integers(0, len(values) - 1))
+            return values[:j] + (max(Fraction(0), values[j] + step),) + values[j + 1:]
+
+        field = data.draw(st.sampled_from(["delta", "phi", "beta", None]))
+        if field is not None:
+            cert = replace(cert, **{field: moved(getattr(cert, field))})
+        self.agree(inst, cert)
+        self.agree(inst, replace(cert, beta=None))
+        self.agree(inst, replace(cert, a_sets=None, beta=None))
+
+    @pytest.mark.parametrize("k", range(len(KERNEL_INSTANCES)))
+    def test_facet_certificates(self, k):
+        """Each blp_generic witness on the hull is what the Fraction rows find,
+        and they accept it with its A_j and beta."""
+        inst = KERNEL_INSTANCES[k]
+        for facet in hull.cached_facets(inst).nonvertical:
+            cert = fam.member_of(inst, facet, "blp_generic").certificate
+            if not isinstance(cert, fam.BlpGenericParams):
+                continue
+            searched = ref.gen_blp_generic(inst, replace(cert, a_sets=None, beta=None))
+            assert searched.certificate == cert and searched.cut == facet
+            assert repr(self.agree(inst, cert)) == repr(searched)

@@ -1,5 +1,6 @@
 """Facet enumeration: worked examples, cross-oracles, facet rank test."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,14 @@ from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
+    ValidationError,
     build_instance,
     canonicalize,
     cut_is_valid,
     enumerate_vertices,
     make_cut,
 )
-from mixcut import hull
+from mixcut import hull, linalg
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 
@@ -186,3 +188,48 @@ def test_hyperplane_search_oracle_small(example, m, p):
 def test_wrapping_oracle_small(example, m, p):
     inst = benchmark_instance(example, m, p)
     assert hull.facets_by_wrapping(inst).facets == hull.enumerate_facets(inst).facets
+
+
+@st.composite
+def _cuts_sharing_prefixes(draw):
+    """Distinct z = 1 cuts whose x share prefixes, with small denominators."""
+    m = draw(st.integers(1, 4))
+    small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    base = draw(st.lists(small, min_size=m, max_size=m))
+    cuts = set()
+    for _ in range(draw(st.integers(1, 10))):
+        keep = draw(st.integers(0, m))
+        x = base[:keep] + draw(st.lists(small, min_size=m - keep, max_size=m - keep))
+        cuts.add(LinearCut(Fraction(1), tuple(x), draw(small)))
+    return m, sorted(cuts, key=repr)
+
+
+@given(drawn=_cuts_sharing_prefixes(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_nonvertical_cuts_from_normals_keep_sort_key_order(drawn, data):
+    """Cuts built from primitive normals (z > 0) come out canonical and in sort_key order.
+
+    Cuts sharing an x prefix get normals with different z, so the int key
+    c (L // z) must order them as the rationals do.
+    """
+    m, cuts = drawn
+    normals = [linalg.primitive((c.z_coef,) + c.x_coefs + (-c.rhs,)) for c in cuts]
+    normals = data.draw(st.permutations(normals))
+    fs = hull._facetset_from_normals(build_instance(m, [1] * m, None, 1), normals)
+    assert fs.vertical == ()
+    assert list(fs.nonvertical) == sorted(cuts, key=LinearCut.sort_key)
+    assert all(canonicalize(c) == c for c in fs.nonvertical)
+
+
+@pytest.mark.parametrize("facet", [
+    {"z": "1", "x": "12", "rhs": "0"},
+    {"z": "1", "x": ["1", "2"]},
+    ["1", ["1", "2"], "0"],
+    {"z": "1", "x": ["1", "0.5"], "rhs": "0"},
+])
+def test_facetset_json_reader_checks_each_cut(facet):
+    inst = benchmark_instance("L", 2, 1)
+    doc = json.loads(hull.facetset_to_json(hull.enumerate_facets(inst)))
+    doc["facets"][0] = facet
+    with pytest.raises(ValidationError):
+        hull.facetset_from_json(inst, json.dumps(doc))
