@@ -64,7 +64,8 @@ _DIGITS = tuple(str(d) for d in range(10))
 
 def rat_str(q: Fraction) -> str:
     """Render a rational as ``"a"`` or ``"a/b"`` (inverse of :func:`rat`)."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         n = q.numerator
         return _DIGITS[n] if 0 <= n < 10 else str(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from operator import mul
+from operator import indexOf, mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -62,12 +62,18 @@ def dual_rays(
     Adjacency is the combinatorial zero-set test on bitmask incidence: a
     positive ray and a negative ray are combined iff their common zero set w
     has at least d - 2 bits and no third ray's zero set contains w.  The
-    third-ray scan runs in C: the pair's own entries of a copy of the
-    incidence list are zeroed while it is tested and restored after, so
-    ``w in map(w.__and__, others)`` is true exactly when a third ray blocks
-    the pair, and it stops at the first one.  A budget is charged once per
-    insertion with that insertion's candidate-pair count, so a completed run
-    charges one step per candidate pair.
+    smaller of the positive and negative sides is the outer loop.  Each outer
+    ray keeps ``found``, the zero sets of the third rays that blocked its
+    earlier pairs (neighbouring pairs tend to share a blocker), and a pair is
+    tested against ``found`` first; the inner ray's own entry, when it is
+    there, is zeroed for the test, since its zero set contains w.  Only a
+    pair that passes goes on to the scan over every ray, which runs in C:
+    the pair's own entries of a copy of the incidence list are zeroed and a
+    last slot holds w as a sentinel, so ``indexOf(map(w.__and__, others),
+    w)`` is the position of the first blocking ray, or of the sentinel when
+    there is none.  A blocker it finds joins ``found``.  A budget is charged
+    once per insertion with that insertion's candidate-pair count, so a
+    completed run charges one step per candidate pair.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
@@ -119,29 +125,53 @@ def dual_rays(
         if budget is not None:
             budget.charge(len(pos) * len(neg))
         min_bits = d - 2
-        others = list(incidence)
-        for ip in pos:
-            zp = incidence[ip]
-            sp = dots[ip]
-            rp = rays[ip]
-            others[ip] = 0
-            for i_neg in neg:
-                zn = incidence[i_neg]
-                w = zp & zn
+        if len(neg) < len(pos):
+            outer, inner = neg, pos
+        else:
+            outer, inner = pos, neg
+        # the sentinel slot holds w during a scan, so the scan always ends
+        last = len(incidence)
+        others = incidence + [0]
+        for io in outer:
+            zo = incidence[io]
+            others[io] = 0
+            found: list[int] = []
+            slot: dict[int, int] = {}  # ray index -> its position in found
+            for ii in inner:
+                zi = incidence[ii]
+                w = zo & zi
                 if w.bit_count() < min_bits:
                     continue
-                others[i_neg] = 0
                 # w is 0 only when d = 2, where no third ray exists
-                blocked = w and w in map(w.__and__, others)
-                others[i_neg] = zn
-                if blocked:
-                    continue
+                if w:
+                    if w in map(w.__and__, found):
+                        # the hit may be the inner ray itself, whose zero
+                        # set contains w: if it is in found, test without it
+                        s = slot.get(ii)
+                        if s is None:
+                            continue
+                        found[s] = 0
+                        blocked = w in map(w.__and__, found)
+                        found[s] = zi
+                        if blocked:
+                            continue
+                    others[ii] = 0
+                    others[last] = w
+                    k = indexOf(map(w.__and__, others), w)
+                    others[ii] = zi
+                    if k != last:
+                        slot[k] = len(found)
+                        found.append(incidence[k])
+                        continue
+                ip, i_neg = (io, ii) if outer is pos else (ii, io)
+                sp = dots[ip]
                 sn = dots[i_neg]
+                rp = rays[ip]
                 rn = rays[i_neg]
                 new = _reduce([sp * b - sn * a for a, b in zip(rp, rn)])
                 keep_rays.append(new)
                 keep_inc.append(w | bit)
-            others[ip] = zp
+            others[io] = zo
         rays = keep_rays
         incidence = keep_inc
     return sorted(rays)

@@ -688,12 +688,35 @@ def _generic_structure_check(
 def _a_values_to_positions(
     q: Sequence[int], a_sets: Sequence[Iterable[int]]
 ) -> list[frozenset[int]]:
+    """Each A_j as q positions; a value outside ``q_list`` is refused."""
     pos = {qi: k for k, qi in enumerate(q)}
     out = []
-    for a in a_sets:
-        ids = frozenset(pos[x] for x in a if x in pos)
-        out.append(ids)
+    for j, a in enumerate(a_sets, start=1):
+        a = frozenset(a)
+        if not a <= pos.keys():
+            raise FamilyParamError(f"A_{j} holds values outside q_list: {sorted(a - pos.keys())}")
+        out.append(frozenset(pos[x] for x in a))
     return out
+
+
+def _given_certificate(
+    m: int,
+    q: Sequence[int],
+    a_sets: Sequence[Iterable[int]],
+    beta: Optional[Sequence],
+) -> tuple[list[frozenset[int]], Optional[tuple[Fraction, ...]]]:
+    """A supplied certificate, checked: m A_j sets within ``q_list`` and m betas >= 0.
+
+    Returns the A_j as q positions and beta as rationals (None when not given).
+    """
+    if len(a_sets) != m:
+        raise FamilyParamError("a_sets must have one entry per scenario")
+    a_posed = _a_values_to_positions(q, a_sets)
+    if beta is not None:
+        beta = tuple(rat(b) for b in beta)
+        if len(beta) != m or any(b < 0 for b in beta):
+            raise FamilyParamError("beta must be m non-negative rationals")
+    return a_posed, beta
 
 
 def _params_form(
@@ -727,13 +750,7 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     m = inst.m
     a_posed = beta = None
     if params.a_sets is not None:
-        if len(params.a_sets) != m:
-            raise FamilyParamError("a_sets must have one entry per scenario")
-        a_posed = _a_values_to_positions(q, params.a_sets)
-        if params.beta is not None:
-            beta = tuple(rat(b) for b in params.beta)
-            if len(beta) != m or any(b < 0 for b in beta):
-                raise FamilyParamError("beta must be m non-negative rationals")
+        a_posed, beta = _given_certificate(m, q, params.a_sets, params.beta)
     elif params.beta is not None:
         raise FamilyParamError("beta needs a_sets: a multiplier is checked against its A_j")
     form = _params_form(inst, params.r, t, delta, q, phi)
@@ -756,8 +773,7 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     if params.a_sets is None or params.beta is None:
         raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")
     t, delta, q, phi = _generic_structure_check(inst, params)
-    a_posed = _a_values_to_positions(q, params.a_sets)
-    beta = tuple(rat(b) for b in params.beta)
+    a_posed, beta = _given_certificate(inst.m, q, params.a_sets, params.beta)
     form = _params_form(inst, params.r, t, delta, q, phi)
     m = inst.m
     pq = set(t) | set(q)

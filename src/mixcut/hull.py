@@ -56,10 +56,15 @@ class FacetSet:
 
 
 def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
-    """Homogenized generators: the ray first, then vertices in lex order."""
+    """Homogenized primitive generators: the ray first, then vertices in lex order.
+
+    A vertex with z = a/D (in lowest terms) lifts to (a, D x, D), which is
+    already primitive because gcd(a, D) = 1.
+    """
     gens: list[tuple[int, ...]] = [tuple([1] + [0] * (inst.m + 1))]
     for v in enumerate_vertices(inst):
-        gens.append(linalg.primitive((v.z,) + tuple(Fraction(b) for b in v.x) + (Fraction(1),)))
+        D = v.z.denominator
+        gens.append((v.z.numerator, *(D * b for b in v.x), D))
     return gens
 
 
@@ -87,7 +92,8 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
     A nonvertical normal (z > 0) gives its canonical cut directly, x / z and
     -a0 / z.  Those cuts all have z coefficient 1, so `LinearCut.sort_key`
     orders them as their x and rhs scaled by L, the lcm of the z values:
-    ints, c (L // z).  The normals are sorted before any cut is built.
+    ints, c (L // z).  The normals are sorted before any cut is built, and
+    each distinct (numerator, z) pair is built as a Fraction once.
     """
     lifted = [a for a in normals if a[0] > 0]
     L = math.lcm(*(a[0] for a in lifted))
@@ -96,8 +102,9 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
         k = L // a[0]
         return tuple(c * k for c in a[1:-1]) + (-a[-1] * k,)
 
+    frac = lru_cache(maxsize=None)(Fraction)
     nonvertical = [
-        LinearCut(Fraction(1), tuple(Fraction(c, a[0]) for c in a[1:-1]), Fraction(-a[-1], a[0]))
+        LinearCut(Fraction(1), tuple(frac(c, a[0]) for c in a[1:-1]), frac(-a[-1], a[0]))
         for a in sorted(lifted, key=key)
     ]
     # z = 0 and x = 0 is a constant inequality, not a facet of a

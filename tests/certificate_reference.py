@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from mixcut.core import MixingInstance, mixing_form, rat
+from mixcut.core import MixingInstance, mixing_form
 from mixcut.families import (
     BlpGenericParams,
     FamilyParamError,
     GenericCutResult,
-    _a_values_to_positions,
     _generic_structure_check,
+    _given_certificate,
 )
 
 
@@ -162,13 +162,7 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     m = inst.m
     a_posed = beta = None
     if params.a_sets is not None:
-        if len(params.a_sets) != m:
-            raise FamilyParamError("a_sets must have one entry per scenario")
-        a_posed = _a_values_to_positions(q, params.a_sets)
-        if params.beta is not None:
-            beta = tuple(rat(b) for b in params.beta)
-            if len(beta) != m or any(b < 0 for b in beta):
-                raise FamilyParamError("beta must be m non-negative rationals")
+        a_posed, beta = _given_certificate(m, q, params.a_sets, params.beta)
     elif params.beta is not None:
         raise FamilyParamError("beta needs a_sets: a multiplier is checked against its A_j")
     cert, infeasible_j = certify(inst, params.r, t, delta, q, phi, a_posed, beta)
@@ -185,8 +179,7 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     if params.a_sets is None or params.beta is None:
         raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")
     t, delta, q, phi = _generic_structure_check(inst, params)
-    a_posed = _a_values_to_positions(q, params.a_sets)
-    beta = tuple(rat(b) for b in params.beta)
+    a_posed, beta = _given_certificate(inst.m, q, params.a_sets, params.beta)
     m = inst.m
     pq = set(t) | set(q)
     count = 0

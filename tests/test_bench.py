@@ -191,6 +191,10 @@ class TestCli:
         # rather than replaced by a searched one
         "beta_without_A_sets": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
                                                 "delta": ["0"], "beta": ["1", "1", "1", "1"]}),
+        # an A_j value outside q_list is refused, not dropped
+        "A_sets_outside_q_list": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
+                                                  "delta": ["0"], "q_list": [3], "phi": ["0"],
+                                                  "A_sets": [[], [9], [], []]}),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))

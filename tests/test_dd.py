@@ -1,12 +1,14 @@
-"""Double description against the literal hyperplane-search oracle, and the DD budget."""
+"""Double description against the hyperplane-search and wrapping oracles, and the DD budget."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcut import dd, linalg
+from mixcut import dd, hull, linalg
+from mixcut.core import build_instance
 
 COORDS = st.integers(-3, 3)
 
@@ -51,6 +53,60 @@ def generator_sets(draw):
 @settings(max_examples=400, deadline=None)
 def test_dual_rays_match_hyperplane_search(gens):
     assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+
+
+def _general_instance(weights, h, eps):
+    total = sum(weights)
+    return build_instance(len(weights), sorted(h, reverse=True),
+                          [Fraction(w, total) for w in weights], Fraction(eps, total))
+
+
+def _wrapping(inst):
+    # (1, 0, ..., 0, 1) is positive on the ray and on every lifted vertex
+    interior = (1,) + (0,) * inst.m + (1,)
+    return dd.facet_normals_by_wrapping(hull.lifted_generators(inst), interior)
+
+
+@st.composite
+def general_instances(draw):
+    """General-probability instances, m = 4..6, with a small epsilon.
+
+    Integer weights 1..6 and h with repeated values and small denominators
+    put many generators on each facet, so the adjacency scan meets the
+    degenerate pairs that otherwise only the uniform table cells give it;
+    the small epsilon keeps the wrapping oracle quick.
+    """
+    m = draw(st.integers(4, 6))
+    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    h = draw(st.lists(st.builds(Fraction, st.integers(0, 12), st.integers(1, 3)),
+                      min_size=m, max_size=m))
+    eps = draw(st.integers(max(weights), max(max(weights), 2 * sum(weights) // 5)))
+    return _general_instance(weights, h, eps)
+
+
+@given(general_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_dual_rays_match_wrapping_on_general_instances(inst, rng):
+    gens = hull.lifted_generators(inst)
+    rng.shuffle(gens)
+    assert dd.dual_rays(gens) == _wrapping(inst)
+
+
+#: m = 7 with h ties; its wrapping takes a few seconds, so it runs once
+GENERAL_M7 = _general_instance([2, 3, 1, 6, 4, 4, 2], [12, 4, 4, 4, 1, 1, 0], 6)
+
+
+@pytest.fixture(scope="module")
+def general_m7_facets():
+    return _wrapping(GENERAL_M7)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_dual_rays_match_wrapping_on_permuted_m7(general_m7_facets, rng):
+    gens = hull.lifted_generators(GENERAL_M7)
+    rng.shuffle(gens)
+    assert dd.dual_rays(gens) == general_m7_facets
 
 
 def test_dual_rays_two_dimensional():

@@ -355,6 +355,36 @@ class TestNecessityCount:
         with pytest.raises(fam.FamilyParamError):
             fam.facet_necessity_count(ex21, params)
 
+    @staticmethod
+    def _l53_certificate():
+        """A searched certificate of an L(5,3) facet with a nonempty q_list."""
+        inst = benchmark_instance("L", 5, 3)
+        for facet in hull.cached_facets(inst).nonvertical:
+            result = fam.member_of(inst, facet, "blp_generic")
+            if result.via == "blp_generic" and result.certificate.q_list:
+                return inst, result.certificate
+        raise AssertionError("no L(5,3) certificate with a q_list")
+
+    @pytest.mark.parametrize("field,length", [("a_sets", 2), ("a_sets", 6), ("beta", 2), ("beta", 6)])
+    def test_certificate_lengths_checked(self, field, length):
+        """Both kernels and `gen_blp_generic` refuse a certificate without m entries."""
+        inst, cert = self._l53_certificate()
+        assert fam.facet_necessity_count(inst, cert) == ref.facet_necessity_count(inst, cert)
+        entries = getattr(cert, field)
+        bad = replace(cert, **{field: (entries * 2)[:length]})
+        for check in (fam.facet_necessity_count, ref.facet_necessity_count,
+                      fam.gen_blp_generic, ref.gen_blp_generic):
+            with pytest.raises(fam.FamilyParamError, match="one entry per scenario|m non-negative"):
+                check(inst, bad)
+
+    def test_a_values_outside_q_list_refused(self):
+        inst, cert = self._l53_certificate()
+        bad = replace(cert, a_sets=cert.a_sets[:1] + (frozenset({9}),) + cert.a_sets[2:])
+        for check in (fam.facet_necessity_count, ref.facet_necessity_count,
+                      fam.gen_blp_generic, ref.gen_blp_generic):
+            with pytest.raises(fam.FamilyParamError, match=r"A_2 holds values outside q_list: \[9\]"):
+                check(inst, bad)
+
 
 class TestMembership:
     def test_worked_example_memberships(self, ex21):

@@ -107,6 +107,17 @@ def instances(draw):
     )
 
 
+@given(instances())
+@settings(max_examples=100, deadline=None)
+def test_lifted_generators_are_primitive_fraction_lifts(inst):
+    """Each vertex lifts to the primitive integer multiple of (z, x, 1)."""
+    expected = [linalg.primitive((Fraction(1),) + (Fraction(0),) * (inst.m + 1))] + [
+        linalg.primitive((v.z,) + tuple(Fraction(b) for b in v.x) + (Fraction(1),))
+        for v in enumerate_vertices(inst)
+    ]
+    assert hull.lifted_generators(inst) == expected
+
+
 COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
 SHIFTS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-2)])
