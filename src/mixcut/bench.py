@@ -109,28 +109,26 @@ def benchmark_instance(example: str, m: int, p: int) -> MixingInstance:
     return build_instance(m, seq[:m], None, Fraction(p, m))
 
 
+def _hundredths_of_pct(value: Fraction) -> int:
+    """The percentage in hundredths, rounded half-up."""
+    scaled = value * 10000
+    q, rem = divmod(scaled.numerator, scaled.denominator)
+    return q + (2 * rem >= scaled.denominator)
+
+
 def render_pct(value: Fraction) -> str:
     """Percentage string, round-half-up to 2 decimals, one trailing zero trimmed.
 
     Matches the source tables' rendering ("100.0", "84.62", "60.4").
     """
-    scaled = value * 10000  # percent with 2 decimals, as an integer count
-    q, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
-        q += 1
+    q = _hundredths_of_pct(value)
     text = f"{q // 100}.{q % 100:02d}"
-    if text.endswith("0"):
-        text = text[:-1]
-    return text
+    return text[:-1] if text.endswith("0") else text
 
 
 def pct_value(value: Fraction) -> float:
     """Percentage rounded half-up to 2 decimals as a float (for tolerances)."""
-    scaled = value * 10000
-    q, rem = divmod(scaled.numerator, scaled.denominator)
-    if 2 * rem >= scaled.denominator:
-        q += 1
-    return q / 100.0
+    return _hundredths_of_pct(value) / 100.0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import dd, linalg
 from .core import (
@@ -150,7 +150,7 @@ class BlpAssignment:
 class Move:
     """One substitution step, kept so the dual certificate can be assembled."""
 
-    kind: str  # "r0", "compl_zero", "compl_to_y", "y_to_x"
+    kind: str  # "r0", "compl_zero", "compl_to_y"
     i: int
     j: int  # scenario, 1-based
     amount: Fraction
@@ -204,16 +204,17 @@ def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
             raise ValidationError("aggregation weights must be non-negative")
 
 
-def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
-    """Weighted sum of the selected constraints with y-normalization applied.
+def _weighted_sum(
+    S: BilinearSet, weighted: Iterable[tuple[int, int, Fraction]]
+) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], Fraction, int]:
+    """(quad, lin_x, lin_y, rhs, zeroed) of the weighted rows, y-normalized.
 
-    A weight on row k at index j adds that row as read at y = e_j in
-    :attr:`BilinearSet.restrictions` (polyhedron row t is row kappa + t).
-    Weighting by y_j puts the reading into the j-th bilinear row (squares
-    fold to y_j, crosses vanish); weighting by the simplex complement keeps
-    the linear part and mirrors it negatively into every bilinear row.
+    Each (j, k, w) adds row k as read at y = e_j in
+    :attr:`BilinearSet.restrictions`, times w.  Weighting by y_j puts the
+    reading into the j-th bilinear row (squares fold to y_j, crosses vanish);
+    weighting by the simplex complement (j = 0) keeps the linear part and
+    mirrors it negatively into every bilinear row.
     """
-    _validate_assignment(S, a)
     m, n = S.m, S.n
     quad = [[Fraction(0)] * n for _ in range(m)]
     lin_x = [Fraction(0)] * n
@@ -221,9 +222,6 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     rhs = Fraction(0)
     touched_q = [[False] * n for _ in range(m)]
     touched_y = [False] * m
-
-    weighted = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
-    weighted.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
     for j, k, w in weighted:
         pairs, row_rhs = S.restrictions[j][k]
         if j == 0:
@@ -252,17 +250,24 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
         if touched_q[j][i] and quad[j][i] == 0
     )
     zeroed += sum(1 for j in range(m) if touched_y[j] and lin_y[j] == 0)
+    return quad, lin_x, lin_y, rhs, zeroed
 
-    t_nonempty = {}
+
+def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
+    """Weighted sum of the selected constraints with y-normalization applied.
+
+    The base pair carries weight 1; polyhedron row t is table row kappa + t.
+    """
+    _validate_assignment(S, a)
+    weighted = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
+    weighted.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
+    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, weighted)
+
+    t_sets: dict[int, set[int]] = {}
     for j, t, _ in a.t_weights:
-        t_nonempty.setdefault(j, set()).add(t)
-    if len(t_nonempty) == S.m + 1:
-        common = None
-        for s in t_nonempty.values():
-            common = s if common is None else common & s
-        disjoint = not common
-    else:
-        disjoint = True
+        t_sets.setdefault(j, set()).add(t)
+    # the t sets can only share an index when every scenario 0..m has one
+    disjoint = len(t_sets) <= S.m or not set.intersection(*t_sets.values())
 
     return BilinearExpr(
         quad=tuple(tuple(r) for r in quad),
@@ -275,22 +280,13 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     )
 
 
-MoveSpec = Union[str, Iterable[tuple[int, int]]]
-
-
-def substitute(
-    S: BilinearSet,
-    expr: BilinearExpr,
-    r0: MoveSpec = "auto",
-    r34: MoveSpec = "auto",
-) -> SubstitutionResult:
+def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     """Reduce an aggregated inequality to a linear cut in the x variables.
 
     Order: bound substitutions for upper-bounded variables, then the two
     complementarity eliminations, then the positive-coefficient collapse of
-    the remaining bilinear terms, then of the remaining y terms.  ``r0`` and
-    ``r34`` accept "auto" (move every eligible coefficient, mirroring the
-    closed-form derivations) or explicit (i, j) pair lists.
+    the remaining bilinear terms, then of the remaining y terms.  Every
+    eligible coefficient is moved, mirroring the closed-form derivations.
 
     The returned audit compares the coefficients cancelled during
     aggregation against the count the facet-necessity condition demands;
@@ -302,63 +298,29 @@ def substitute(
     lin_x = list(expr.lin_x)
     moves: list[Move] = []
 
-    if r0 == "auto":
-        r0_pairs = [
-            (i, j)
-            for i in sorted(S.upper_bounded)
-            for j in range(1, m + 1)
-            if quad[j - 1][i] > 0
-        ]
-    else:
-        r0_pairs = [(int(i), int(j)) for i, j in r0]
-    for i, j in r0_pairs:
-        if i not in S.upper_bounded:
-            raise ValidationError(f"x_{i} carries no scaled upper bound")
-        u = quad[j - 1][i]
-        if u <= 0:
-            continue
-        quad[j - 1][i] = Fraction(0)
-        lin_y[j - 1] += u
-        moves.append(Move("r0", i, j, u))
+    # x_i <= 1 moves a positive x_i y_j coefficient onto y_j
+    for i in sorted(S.upper_bounded):
+        for j in range(1, m + 1):
+            u = quad[j - 1][i]
+            if u > 0:
+                quad[j - 1][i] = Fraction(0)
+                lin_y[j - 1] += u
+                moves.append(Move("r0", i, j, u))
 
+    # x_i y_j = 0 drops the coefficient
     for i, j in sorted(S.compl_pairs):
         u = quad[j - 1][i]
         if u != 0:
             quad[j - 1][i] = Fraction(0)
             moves.append(Move("compl_zero", i, j, u))
 
-    if r34 == "auto":
-        r34_pairs = [
-            (i, j)
-            for i, j in sorted(S.compl_complement_pairs)
-            if quad[j - 1][i] < 0
-        ]
-        y_to_x: list[tuple[int, int]] = []
-    else:
-        r34_pairs = []
-        y_to_x = []
-        for i, j in r34:
-            if quad[j - 1][i] < 0:
-                r34_pairs.append((i, j))
-            else:
-                y_to_x.append((i, j))
-    for i, j in r34_pairs:
-        if (i, j) not in S.compl_complement_pairs:
-            raise ValidationError(f"pair ({i},{j}) carries no complement relation")
+    # (1 - x_i) y_j = 0 moves a negative x_i y_j coefficient onto y_j
+    for i, j in sorted(S.compl_complement_pairs):
         u = quad[j - 1][i]
-        if u >= 0:
-            continue
-        quad[j - 1][i] = Fraction(0)
-        lin_y[j - 1] += u
-        moves.append(Move("compl_to_y", i, j, u))
-    for i, j in y_to_x:
-        if (i, j) not in S.compl_complement_pairs:
-            raise ValidationError(f"pair ({i},{j}) carries no complement relation")
-        u = lin_y[j - 1]
-        if u > 0:
-            lin_y[j - 1] = Fraction(0)
-            quad[j - 1][i] += u
-            moves.append(Move("y_to_x", i, j, u))
+        if u < 0:
+            quad[j - 1][i] = Fraction(0)
+            lin_y[j - 1] += u
+            moves.append(Move("compl_to_y", i, j, u))
 
     p_values: list[Fraction] = []
     q_counts: list[int] = []
@@ -756,8 +718,6 @@ def _extended_weights(
             # negative coefficients are absorbed by the completion multipliers
         elif mv.kind == "compl_to_y":
             add(mv.j, compl_comp_idx[(mv.i, mv.j)], -mv.amount)
-        elif mv.kind == "y_to_x":
-            add(mv.j, compl_comp_idx[(mv.i, mv.j)], mv.amount)
     return weights
 
 
@@ -768,28 +728,17 @@ def assemble_dual(
 
     The aggregation and substitution weights determine the first two blocks;
     the last two are the canonical completion (columnwise positive part of
-    the residual bilinear matrix, and its per-scenario slack).
+    the residual bilinear matrix, and its per-scenario slack), read from the
+    weighted sum of those same weights, so a substitution that reweights the
+    base pair counts in both.
     """
+    _validate_assignment(S, a)
     weights = _extended_weights(S, a, result.moves)
-    kappa = S.kappa
-    nonzero = [(j, k, w) for (j, k), w in sorted(weights.items()) if w != 0]
-    extended = BlpAssignment(
-        base_k=a.base_k,
-        base_j=a.base_j,
-        k_weights=tuple(
-            (j, k, w) for j, k, w in nonzero if k < kappa and (j, k) != (a.base_j, a.base_k)
-        ),
-        t_weights=tuple((j, k - kappa, w) for j, k, w in nonzero if k >= kappa),
-    )
-    expr = aggregate(S, extended)
-    n, m = S.n, S.m
-    gamma0 = [
-        max((expr.quad[j][i] for j in range(m)), default=Fraction(0))
-        for i in range(n)
-    ]
-    gamma0 = [g if g > 0 else Fraction(0) for g in gamma0]
-    theta0 = max(expr.lin_y, default=Fraction(0))
-    theta0 = theta0 if theta0 > 0 else Fraction(0)
+    quad, _, lin_y, _, _ = _weighted_sum(S, ((j, k, w) for (j, k), w in weights.items() if w))
+    n, m, kappa = S.n, S.m, S.kappa
+    zero = Fraction(0)
+    gamma0 = [max(zero, *(quad[j][i] for j in range(m))) for i in range(n)]
+    theta0 = max(zero, *lin_y)
 
     blocks = ((0, kappa), (kappa, kappa + S.tau))  # alpha rows, then beta rows
     dual = [
@@ -800,9 +749,9 @@ def assemble_dual(
     ]
     dual.extend(gamma0)
     for j in range(m):
-        dual.extend(gamma0[i] - expr.quad[j][i] for i in range(n))
+        dual.extend(gamma0[i] - quad[j][i] for i in range(n))
     dual.append(theta0)
-    dual.extend(theta0 - expr.lin_y[j] for j in range(m))
+    dual.extend(theta0 - lin_y[j] for j in range(m))
     return tuple(dual)
 
 

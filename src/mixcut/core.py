@@ -465,19 +465,14 @@ def instance_from_json(text: str) -> MixingInstance:
     ``m`` must be a JSON integer and ``h`` and ``pi`` arrays; any other
     malformation raises :class:`ValidationError`.
     """
-    payload = json.loads(text)
-    try:
-        m = payload["m"]
-        h = payload["h"]
-        eps = payload["epsilon"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed instance document: {exc}") from exc
+    payload = json_object(json.loads(text), "instance", ("m", "h", "epsilon"))
     pi = payload.get("pi")
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise ValidationError(f"malformed instance document: m must be an integer, got {m!r}")
-    if not isinstance(h, list) or not (pi is None or isinstance(pi, list)):
-        raise ValidationError("malformed instance document: h and pi must be arrays")
-    return build_instance(m, h, pi, eps)
+    return build_instance(
+        json_int(payload["m"], "instance", "m", 1),
+        json_array(payload["h"], "instance", "h"),
+        None if pi is None else json_array(pi, "instance", "pi"),
+        payload["epsilon"],
+    )
 
 
 def cut_to_dict(cut: LinearCut) -> dict:
@@ -498,13 +493,8 @@ def cut_from_dict(payload) -> LinearCut:
 
     Any other malformation raises :class:`ValidationError`.
     """
-    try:
-        z, x, rhs = payload["z"], payload["x"], payload["rhs"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed cut document: {exc}") from exc
-    if not isinstance(x, list):
-        raise ValidationError(f"malformed cut document: x must be an array, got {x!r}")
-    return make_cut(z, x, rhs)
+    payload = json_object(payload, "cut", ("z", "x", "rhs"))
+    return make_cut(payload["z"], json_array(payload["x"], "cut", "x"), payload["rhs"])
 
 
 def cut_from_json(text: str) -> LinearCut:

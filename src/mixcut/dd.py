@@ -23,10 +23,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Wall-clock / step guard shared by the enumeration loops.
+    """Wall-clock / step guard for double description.
 
-    Callers charge coarse units (DD one insertion's candidate pairs at once,
-    the wrapping oracle one face), so the deadline is read on every call.
+    DD charges one insertion's candidate pairs at once, so the deadline is
+    read on every call.
     """
 
     def __init__(self, seconds: Optional[float] = None, steps: Optional[int] = None):
@@ -223,7 +223,6 @@ def _initial_facet(
 def facet_normals_by_wrapping(
     generators: Sequence[Sequence[int]],
     interior_dual: Sequence[int],
-    budget: Optional[Budget] = None,
 ) -> list[tuple[int, ...]]:
     """Facet normals of cone(generators) by breadth-first ridge pivoting.
 
@@ -251,8 +250,6 @@ def facet_normals_by_wrapping(
         cached = memo.get(face)
         if cached is not None:
             return cached
-        if budget is not None:
-            budget.charge()
         indices = sorted(face)
         # chart: the lex-min independent subset of the columns of gens[face]
         cols = linalg.independent_prefix(list(zip(*(gens[i] for i in indices))), d)
@@ -343,7 +340,6 @@ def _pivot(
 
 def facet_normals_by_hyperplane_search(
     generators: Sequence[Sequence[int]],
-    max_subsets: Optional[int] = None,
 ) -> list[tuple[int, ...]]:
     """Literal facet oracle: every valid hyperplane spanned by d-1 generators.
 
@@ -355,12 +351,8 @@ def facet_normals_by_hyperplane_search(
 
     gens = [tuple(int(v) for v in g) for g in generators]
     d = len(gens[0])
-    total = 0
     normals: dict[tuple[int, ...], None] = {}
     for subset in combinations(gens, d - 1):
-        total += 1
-        if max_subsets is not None and total > max_subsets:
-            raise BudgetExceeded(f"hyperplane search beyond {max_subsets} subsets")
         kernel = linalg.nullspace(subset, d)
         if len(kernel) != 1:
             continue

@@ -154,7 +154,7 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
 # Independent oracles (tests / acceptance only)
 
 
-def facets_by_wrapping(inst: MixingInstance, budget_steps: Optional[int] = None) -> FacetSet:
+def facets_by_wrapping(inst: MixingInstance) -> FacetSet:
     """Cross-oracle facet list via ridge-pivot wrapping (no double description).
 
     (1, 0, ..., 0, 1) is strictly positive on every lifted generator, which
@@ -162,17 +162,14 @@ def facets_by_wrapping(inst: MixingInstance, budget_steps: Optional[int] = None)
     """
     gens = lifted_generators(inst)
     interior = tuple([1] + [0] * inst.m + [1])
-    budget = dd.Budget(steps=budget_steps) if budget_steps else None
-    normals = dd.facet_normals_by_wrapping(gens, interior, budget)
+    normals = dd.facet_normals_by_wrapping(gens, interior)
     return _facetset_from_normals(inst, normals)
 
 
-def facets_by_hyperplane_search(
-    inst: MixingInstance, max_subsets: Optional[int] = None
-) -> FacetSet:
+def facets_by_hyperplane_search(inst: MixingInstance) -> FacetSet:
     """Brute-force oracle: all valid hyperplanes through m+1 independent generators."""
     gens = lifted_generators(inst)
-    normals = dd.facet_normals_by_hyperplane_search(gens, max_subsets)
+    normals = dd.facet_normals_by_hyperplane_search(gens)
     return _facetset_from_normals(inst, normals)
 
 

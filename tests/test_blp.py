@@ -327,15 +327,28 @@ class TestConeMembership:
         assert member
         assert cut == make_cut(1, [6, 0, 0, 2, -3, -3, 0, 0, 0, 0], 14)
 
+    def test_substitution_onto_base_pair_is_kept(self):
+        # compl_to_y at (1, 2) puts weight 1 on prefix:1<2 at j = 2, the base
+        # pair itself, so the dual weights that pair 2 in alpha and in the sum
+        S = blp.build_sc(benchmark_instance("L", 3, 2))
+        labels = [con.label for con in S.constraints]
+        a = blp.BlpAssignment.build(
+            labels.index("prefix:1<2"), 2, [(0, labels.index("complement-:1"), 2)])
+        result = blp.substitute(S, blp.aggregate(S, a))
+        member, cut = blp.cone_membership(S, blp.assemble_dual(S, a, result))
+        assert member
+        assert cut == result.mixing_cut() == make_cut(0, [2, 0, 0], 0)
+
     def test_completion_identities_random(self, ex21):
         rng = random.Random(11)
         S = blp.build_sc(ex21)
-        for _ in range(25):
+        for _ in range(100):
             a = _random_assignment(rng, S)
             result = blp.substitute(S, blp.aggregate(S, a))
             dual = blp.assemble_dual(S, a, result)
             member, cut = blp.cone_membership(S, dual)
             assert member
+            assert cut == result.mixing_cut()
             assert cut_is_valid(ex21, cut)
 
     def test_perturbed_dual_rejected(self, ex21):
@@ -389,7 +402,9 @@ class TestConeMembershipOracle:
     @settings(max_examples=80, deadline=None)
     def test_matches_dense_reference(self, S, seed, data):
         a = _random_assignment(random.Random(seed), S)
-        dual = list(blp.assemble_dual(S, a, blp.substitute(S, blp.aggregate(S, a))))
+        result = blp.substitute(S, blp.aggregate(S, a))
+        dual = list(blp.assemble_dual(S, a, result))
+        assert blp.cone_membership(S, dual) == (True, result.mixing_cut())
         # a nonzero entry half the time; most entries are zero
         support = [i for i, v in enumerate(dual) if v]
         pos = data.draw(st.sampled_from(
