@@ -1,17 +1,22 @@
-"""Exact cone computations: double description and a wrapping cross-oracle.
+"""Exact cone computations: double description and two cross-oracles.
 
-Both algorithms work on a pointed, full-dimensional cone given by integer
-generator vectors and return the primitive integer normals of its facets
-(equivalently, the extreme rays of the dual cone).  `dual_rays` is the
-production path; `facet_normals_by_wrapping` is an algorithmically unrelated
-ridge-pivoting enumeration used to cross-check it.
+Every algorithm here works on a pointed, full-dimensional cone given by
+integer generator vectors and returns the primitive integer normals of its
+facets (equivalently, the extreme rays of the dual cone).  `dual_rays` is
+the production path: double description that schedules each edge ahead of
+time, so that an insertion tests adjacency only among the rays tight on the
+new generator.  `facet_normals_by_wrapping` (ridge pivoting) and
+`facet_normals_by_hyperplane_search` (every hyperplane through d - 1
+generators) share none of its machinery and cross-check it.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import indexOf, mul
+from itertools import compress, islice
+from operator import itemgetter, mul, not_
 from typing import Optional, Sequence
 
 from . import linalg
@@ -26,11 +31,12 @@ class Budget:
     """Wall-clock / step guard for double description.
 
     DD charges one insertion's candidate pairs at once, so the deadline is
-    read on every call.
+    read on every call.  Zero seconds or zero steps is a budget like any
+    other, not "no budget".
     """
 
     def __init__(self, seconds: Optional[float] = None, steps: Optional[int] = None):
-        self.deadline = time.monotonic() + seconds if seconds else None
+        self.deadline = time.monotonic() + seconds if seconds is not None else None
         self.steps_left = steps
 
     def charge(self, amount: int = 1) -> None:
@@ -38,12 +44,52 @@ class Budget:
             self.steps_left -= amount
             if self.steps_left < 0:
                 raise BudgetExceeded("step limit exhausted")
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceeded("time budget exhausted")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
+
+
+def _simplicial_seed(
+    gens: Sequence[tuple[int, ...]], d: int
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first d linearly independent generators and their cone's dual rays.
+
+    Returns (seed, rays): the indices of the first generators that raise the
+    rank, in order, and for each of them the primitive ray that is zero on
+    the other seed generators and positive on it.  A generator raises the
+    rank iff it is nonzero on some vector of ``free``, a basis of the common
+    kernel of the seed so far, so a generator that does not costs only those
+    dot products.  One that does takes its first such vector as its ray, and
+    every other ray and free vector is moved into its kernel.
+    """
+    free = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    seed: list[int] = []
+    rays: list[tuple[int, ...]] = []
+    for idx, g in enumerate(gens):
+        dots = [_dot(v, g) for v in free]
+        piv = next((i for i, s in enumerate(dots) if s), None)
+        if piv is None:
+            continue
+        v = free.pop(piv)
+        s = dots.pop(piv)
+        if s < 0:
+            v = tuple(-x for x in v)
+            s = -s
+
+        def into_kernel(u: tuple[int, ...], su: int) -> tuple[int, ...]:
+            # s u - su v is zero on g and keeps u's sign on the seed so far
+            return _reduce([s * a - su * b for a, b in zip(u, v)]) if su else u
+
+        rays = [into_kernel(u, _dot(u, g)) for u in rays]
+        free = [into_kernel(u, su) for u, su in zip(free, dots)]
+        rays.append(v)
+        seed.append(idx)
+        if not free:
+            break
+    return seed, rays
 
 
 def dual_rays(
@@ -52,129 +98,150 @@ def dual_rays(
 ) -> list[tuple[int, ...]]:
     """Extreme rays of {a : a . g >= 0 for every generator g}.
 
-    The generators must span R^d so that the dual cone is pointed.  Classic
-    double description: seed with d linearly independent generators (their
-    halfspaces form a simplicial cone) and insert the remaining halfspaces
-    one at a time, combining adjacent rays across each new hyperplane.
-    The insertion order is the given generator order, which makes the run
-    fully deterministic.
+    The generators must span R^d so that the dual cone is pointed.  Double
+    description with pre-ordered edges (Fukuda & Prodon 1996): seed with the
+    first d linearly independent generators, whose halfspaces form a
+    simplicial cone, then insert the remaining halfspaces in the given
+    order, which makes the run fully deterministic.
 
-    Adjacency is the combinatorial zero-set test on bitmask incidence: a
-    positive ray and a negative ray are combined iff their common zero set w
-    has at least d - 2 bits and no third ray's zero set contains w.  The
-    smaller of the positive and negative sides is the outer loop.  Each outer
-    ray keeps ``found``, the zero sets of the third rays that blocked its
-    earlier pairs (neighbouring pairs tend to share a blocker), and a pair is
-    tested against ``found`` first; the inner ray's own entry, when it is
-    there, is zeroed for the test, since its zero set contains w.  Only a
-    pair that passes goes on to the scan over every ray, which runs in C:
-    the pair's own entries of a copy of the incidence list are zeroed and a
-    last slot holds w as a sentinel, so ``indexOf(map(w.__and__, others),
-    w)`` is the position of the first blocking ray, or of the sentinel when
-    there is none.  A blocker it finds joins ``found``.  A budget is charged
-    once per insertion with that insertion's candidate-pair count, so a
-    completed run charges one step per candidate pair.
+    A ray is evaluated forward against the later generators when it is
+    made, up to the first one it violates: the iteration of that generator
+    is its ``fii`` (where it dies) and the zero bits before it are its zero
+    set.  So every iteration knows in advance which rays die there and which
+    are tight there.  Two rays that are adjacent stay adjacent while both
+    live, and two rays can only become adjacent at an iteration where both
+    are tight, or when one is made from the other.  An adjacent pair whose
+    earlier-dying ray dies at ``fmin`` while the other is strictly positive
+    there makes a new ray at ``fmin``, so it is stored in ``edges[fmin]``
+    once, at the last iteration before ``fmin`` where both rays are tight.
+
+    Iteration t makes one ray per stored edge, each adjacent to its positive
+    parent, then tests the pairs among the rays tight on generator t (the
+    old tight rays and the new ones).  A pair's common zero set w holds bit
+    t, so only those rays can contain it: the pair is adjacent iff w has at
+    least d - 2 bits and no third tight ray's zero set contains w.  The
+    tight rays are sorted by ``fii``, so each ray meets only the rays that
+    die later, and by zero count for the containment scan, which stops at
+    the third ray containing w (the pair's own two always do) or at the
+    first ray with fewer zeros than w.
+
+    A budget is charged once per insertion with the number of pairs of a
+    positive and a violating ray, so a completed run charges the candidate
+    pairs of classic double description.
     """
     gens = [tuple(int(v) for v in g) for g in generators]
     if not gens:
         raise ValueError("no generators")
     d = len(gens[0])
-    seed = linalg.independent_prefix(gens, d)
+    seed, seed_rays = _simplicial_seed(gens, d)
     if len(seed) < d:
         raise ValueError("generators do not span the space; dual cone has lineality")
     seed_set = set(seed)
-    order = seed + [i for i in range(len(gens)) if i not in seed_set]
+    order = [gens[i] for i in seed] + [g for i, g in enumerate(gens) if i not in seed_set]
+    n = len(order)
+    # per iteration: the rays that die there, the rays tight there, and the
+    # (positive, dying) pairs that make a new ray there, stored flat; a ray
+    # is the tuple (fii, zero set, vector) and is dropped with the lists of
+    # its fii
+    dying: list[list] = [[] for _ in range(n + 1)]
+    tight: list[list] = [[] for _ in range(n)]
+    edges: list[list] = [[] for _ in range(n)]
 
-    seed_rows = [gens[i] for i in seed]
-    rays: list[tuple[int, ...]] = []
-    incidence: list[int] = []
-    all_seed_bits = (1 << d) - 1
-    for j in range(d):
-        # the ray tight on every seed halfspace but j, oriented into halfspace j
-        (col,) = linalg.nullspace(seed_rows[:j] + seed_rows[j + 1:], d)
-        if _dot(col, seed_rows[j]) < 0:
-            col = tuple(-v for v in col)
-        rays.append(col)
-        incidence.append(all_seed_bits & ~(1 << j))
-
-    for t in range(d, len(order)):
-        g = gens[order[t]]
-        bit = 1 << t
-        dots = [_dot(r, g) for r in rays]
-        if all(s >= 0 for s in dots):
-            incidence = [
-                inc | bit if s == 0 else inc
-                for inc, s in zip(incidence, dots)
-            ]
-            continue
-        keep_rays: list[tuple[int, ...]] = []
-        keep_inc: list[int] = []
-        pos: list[int] = []
-        neg: list[int] = []
-        for idx, s in enumerate(dots):
-            if s > 0:
-                pos.append(idx)
-                keep_rays.append(rays[idx])
-                keep_inc.append(incidence[idx])
-            elif s == 0:
-                keep_rays.append(rays[idx])
-                keep_inc.append(incidence[idx] | bit)
-        for idx, s in enumerate(dots):
+    def make(vec: tuple[int, ...], zeros: int, t: int) -> tuple:
+        """The ray of `vec`, made at iteration t, evaluated forward to its fii."""
+        zero_at = []
+        k = t + 1
+        while k < n:
+            s = sum(map(mul, vec, order[k]))
             if s < 0:
-                neg.append(idx)
-        if budget is not None:
-            budget.charge(len(pos) * len(neg))
-        min_bits = d - 2
-        if len(neg) < len(pos):
-            outer, inner = neg, pos
+                break
+            if not s:
+                zeros |= 1 << k
+                zero_at.append(k)
+            k += 1
         else:
-            outer, inner = pos, neg
-        # the sentinel slot holds w during a scan, so the scan always ends
-        last = len(incidence)
-        others = incidence + [0]
-        for io in outer:
-            zo = incidence[io]
-            others[io] = 0
-            found: list[int] = []
-            slot: dict[int, int] = {}  # ray index -> its position in found
-            for ii in inner:
-                zi = incidence[ii]
-                w = zo & zi
-                if w.bit_count() < min_bits:
-                    continue
-                # w is 0 only when d = 2, where no third ray exists
-                if w:
-                    if w in map(w.__and__, found):
-                        # the hit may be the inner ray itself, whose zero
-                        # set contains w: if it is in found, test without it
-                        s = slot.get(ii)
-                        if s is None:
+            # every ray that never dies shares the int n
+            k = n
+        ray = (k, zeros, vec)
+        dying[k].append(ray)
+        for k in zero_at:
+            tight[k].append(ray)
+        return ray
+
+    def schedule(a: tuple, b: tuple, below: int) -> None:
+        """Store the adjacent pair {a, b} if no later shared zero retests it."""
+        if b[0] < a[0]:
+            a, b = b, a
+        fa = a[0]
+        # b must be positive at fa, and the pair tight together only below
+        if fa < b[0] and (a[1] | 1 << fa) & b[1] < below:
+            edges[fa] += b, a
+
+    seeds = [make(r, ((1 << d) - 1) & ~(1 << j), d - 1) for j, r in enumerate(seed_rays)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            schedule(seeds[i], seeds[j], 1 << d)
+
+    alive = d
+    min_bits = d - 2
+    for t in range(d, n):
+        g = order[t]
+        bit = 1 << t
+        below = bit << 1
+        dead = dying[t]
+        dying[t] = None
+        tight_t = tight[t]
+        tight[t] = None
+        if dead:
+            if budget is not None:
+                budget.charge((alive - len(dead) - len(tight_t)) * len(dead))
+            alive -= len(dead)
+            pairs = iter(edges[t])
+            for p, q in zip(pairs, pairs):
+                rp, rq = p[2], q[2]
+                sp = _dot(rp, g)
+                sq = _dot(rq, g)
+                r = make(_reduce([sp * b - sq * a for a, b in zip(rp, rq)]),
+                         p[1] & q[1] | bit, t)
+                tight_t.append(r)
+                schedule(r, p, below)
+                alive += 1
+        edges[t] = None
+        if len(tight_t) < 2:
+            continue
+        tight_t.sort(key=itemgetter(0))
+        # n closes the fii list, so the group loop stops at the rays that
+        # never die
+        fiis = list(map(itemgetter(0), tight_t))
+        fiis.append(n)
+        zs = list(map(itemgetter(1), tight_t))
+        # the containment scan reads the zero sets in reverse, the most zeros
+        # up to bit t first, and stops before the ones with fewer than w
+        low = below - 1
+        scan = sorted(zs, key=lambda z: (z & low).bit_count())
+        counts = [(z & low).bit_count() for z in scan]
+        i = 0
+        while fiis[i] < n:
+            fa = fiis[i]
+            j = bisect_right(fiis, fa, i)
+            fbit = 1 << fa
+            # the rays that die later and are positive at fa
+            later = list(compress(tight_t[j:], map(not_, map(fbit.__and__, zs[j:]))))
+            if later:
+                for a in tight_t[i:j]:
+                    za = a[1] | fbit
+                    for b in later:
+                        w = za & b[1]
+                        # w above bit t: a later shared zero, or b tight at fa
+                        if w >= below or (size := w.bit_count()) < min_bits:
                             continue
-                        found[s] = 0
-                        blocked = w in map(w.__and__, found)
-                        found[s] = zi
-                        if blocked:
-                            continue
-                    others[ii] = 0
-                    others[last] = w
-                    k = indexOf(map(w.__and__, others), w)
-                    others[ii] = zi
-                    if k != last:
-                        slot[k] = len(found)
-                        found.append(incidence[k])
-                        continue
-                ip, i_neg = (io, ii) if outer is pos else (ii, io)
-                sp = dots[ip]
-                sn = dots[i_neg]
-                rp = rays[ip]
-                rn = rays[i_neg]
-                new = _reduce([sp * b - sn * a for a, b in zip(rp, rn)])
-                keep_rays.append(new)
-                keep_inc.append(w | bit)
-            others[io] = zo
-        rays = keep_rays
-        incidence = keep_inc
-    return sorted(rays)
+                        # a and b hold w; a third holder blocks the pair
+                        holders = map(w.__and__, islice(
+                            reversed(scan), len(scan) - bisect_left(counts, size)))
+                        if not (w in holders and w in holders and w in holders):
+                            edges[fa] += b, a
+            i = j
+    return sorted(r[2] for r in dying[n])
 
 
 # ---------------------------------------------------------------------------

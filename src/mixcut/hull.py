@@ -79,7 +79,7 @@ def enumerate_facets(
     list is never returned.
     """
     budget = None
-    if budget_seconds or step_limit:
+    if budget_seconds is not None or step_limit is not None:
         budget = dd.Budget(seconds=budget_seconds, steps=step_limit)
     gens = lifted_generators(inst)
     normals = dd.dual_rays(gens, budget)

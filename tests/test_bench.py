@@ -83,6 +83,10 @@ class TestCoverage:
         assert report.incomplete
         assert all(v == 0 for _, v in report.covered)
 
+    def test_zero_budget_marks_incomplete(self):
+        report = bench.coverage(bench.benchmark_instance("L", 6, 3), budget_seconds=0)
+        assert report.incomplete
+
     def test_monotone_coverage(self):
         r = bench.benchmark_coverage("K", 7, 5)
         assert (

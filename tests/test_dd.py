@@ -1,14 +1,16 @@
 """Double description against the hyperplane-search and wrapping oracles, and the DD budget."""
 
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcut import dd, hull, linalg
-from mixcut.core import build_instance
+from mixcut.core import build_instance, instance_from_json
 
 COORDS = st.integers(-3, 3)
 
@@ -113,6 +115,51 @@ def test_dual_rays_two_dimensional():
     # d = 2: the only candidate pair has an empty common zero set and no third ray
     assert dd.dual_rays([(1, 0), (1, 2), (1, -1)]) == [(1, 1), (2, -1)]
     assert dd.polyhedron_generators([[1], [-1]], [0, -1]) == ([(0,), (1,)], [])
+    # zero, repeated and opposite generators in the plane
+    gens = [(0, 0), (1, 2), (1, 2), (1, 0), (0, 0), (1, -1), (3, -3), (1, 1)]
+    assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+
+
+#: Deterministic inputs for the paths of the insertion loop, each checked
+#: against the hyperplane search.
+EDGE_CASES = {
+    # (1, 1, 0) is inserted right after the seed; no ray violates it and
+    # the seed ray (0, 0, 1) is tight on it
+    "every_ray_satisfies": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 1), (0, 1, -1)],
+    # the zero generator is skipped by the seed and inserted after it, so
+    # every ray is tight there
+    "zero_generator": [(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (1, -1, 1), (-1, 2, 1)],
+    "repeated_after_seed": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 1), (1, -1, 1),
+                            (2, -2, 2), (-1, 2, 1)],
+    # the first three generators are the seed, so iteration k inserts
+    # generator k; the seed ray (1, 0, -1) and the ray (-1, 1, 1) made at
+    # iteration 3 share their last zero at iteration 4, strictly between
+    # the younger one's creation and iteration 5, where (1, 0, -1) dies:
+    # the pair is tested there, though iteration 4 made neither ray
+    "last_shared_zero_between": [(1, 2, 1), (-1, 2, -1), (-1, 1, -2), (2, 1, 1), (-1, 0, -1),
+                                 (0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_dual_rays_edge_cases(name):
+    gens = EDGE_CASES[name]
+    assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+
+
+#: hull_m11 pool instances, read from the benchmark's stored results
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("key", ["uniform1", "general1"])
+def test_charged_steps_match_reference_pairs(key):
+    """A completed run charges the candidate pairs the stored pool admitted it with."""
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
+    inst = instance_from_json(json.dumps(entry["instance"]))
+    limit = 10 * entry["dd_pairs"]
+    budget = dd.Budget(steps=limit)
+    dd.dual_rays(hull.lifted_generators(inst), budget)
+    assert limit - budget.steps_left == entry["dd_pairs"]
 
 
 def test_budget_deadline_checked_on_every_charge():

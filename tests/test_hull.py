@@ -173,6 +173,13 @@ def test_budget_guard_is_all_or_nothing():
         hull.enumerate_facets(inst, step_limit=50)
 
 
+@pytest.mark.parametrize("budget", [{"step_limit": 0}, {"budget_seconds": 0}])
+def test_zero_budget_trips(budget):
+    # a zero budget is a budget, not "no budget"
+    with pytest.raises(hull.BudgetExceeded):
+        hull.enumerate_facets(benchmark_instance("L", 6, 3), **budget)
+
+
 def test_budget_steps_are_candidate_pairs():
     # DD on L(7,4) examines 1 489 candidate pairs over all its insertions
     inst = benchmark_instance("L", 7, 4)
