@@ -18,7 +18,6 @@ from .core import (
     cut_is_valid,
     enumerate_vertices,
     mixing_form,
-    parse_mixing_form,
 )
 from .hull import FacetSet, enumerate_facets, is_facet
 from .families import member_of
@@ -43,5 +42,4 @@ __all__ = [
     "is_facet",
     "member_of",
     "mixing_form",
-    "parse_mixing_form",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import families, hull
@@ -159,11 +158,6 @@ class CoverageReport:
         mid = self.fraction("blp_uniform")
         top = self.fraction("blp_generic")
         return (mid - base, top - mid, top - base)
-
-
-@lru_cache(maxsize=128)
-def _benchmark_facets(example: str, m: int, p: int) -> hull.FacetSet:
-    return hull.cached_facets(benchmark_instance(example, m, p))
 
 
 def coverage(

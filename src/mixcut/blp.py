@@ -845,8 +845,10 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
     of the right length, and every index in range; any other malformation
     raises :class:`ValidationError`.  The rows behind the upper bounds and
     the two complementarity relations are found by their columns in the
-    restriction table; each upper bound takes its first matching row, and an
-    upper bound with no such row is a :class:`ValidationError`.
+    restriction table; each upper bound takes its first matching row.  An
+    upper bound or a complementarity pair with no row behind it is a
+    :class:`ValidationError`: the substitution would use a relation the set
+    does not imply.
     """
     import json
 
@@ -910,12 +912,15 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
             (((i, coef),), rhs) if j in (None, jj) else ((), 0) for jj in range(m + 1)
         )
 
-    def matching(relation: frozenset[tuple[int, int]], coef: int, rhs: int):
+    def matching(relation: frozenset[tuple[int, int]], key: str, coef: int, rhs: int):
         """(pair, k) for each pair of `relation` and each constraint k reading its column."""
         out = []
         for i, j in sorted(relation):
             want = column(i, j, coef, rhs)
-            out.extend(((i, j), k) for k in range(S.kappa) if columns[k] == want)
+            backing = [((i, j), k) for k in range(S.kappa) if columns[k] == want]
+            if not backing:
+                raise ValidationError(f"{key} entry ({i}, {j}) has no constraint behind it")
+            out.extend(backing)
         return tuple(out)
 
     bound_row = []
@@ -929,8 +934,8 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
         S,
         upper_bound_row=tuple(bound_row),
         # self-complementarity -x_i y_j >= 0 and prefix -(1 - x_i) y_j >= 0
-        compl_index=matching(compl, -1, 0),
-        compl_complement_index=matching(complc, 1, 1),
+        compl_index=matching(compl, "compl_pairs", -1, 0),
+        compl_complement_index=matching(complc, "compl_complement_pairs", 1, 1),
     )
 
 

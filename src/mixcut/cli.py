@@ -278,8 +278,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"invalid JSON: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"input file is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"cannot open file: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -356,56 +356,6 @@ def mixing_form(
     return LinearCut(Fraction(1), tuple(x), rat(rhs_base) - sum(phv, Fraction(0)))
 
 
-@dataclass(frozen=True)
-class ParsedMixingForm:
-    """Decomposition of a canonical cut into mixing-form components.
-
-    ``p_coefs`` maps indices with positive coefficient to that coefficient,
-    ``q_phis`` maps indices with negative coefficient to its negation, and
-    ``rhs_base`` restores the pre-expansion right hand side.  ``consistent``
-    flags whether ``rhs_base`` equals ``h`` at the smallest positive index;
-    family membership checkers decide what to do with inconsistent parses.
-    """
-
-    p_coefs: tuple[tuple[int, Fraction], ...]
-    q_phis: tuple[tuple[int, Fraction], ...]
-    rhs_base: Fraction
-    consistent: bool
-
-    @property
-    def t_list(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.p_coefs)
-
-    @property
-    def q_list(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.q_phis)
-
-    @property
-    def coefs(self) -> tuple[Fraction, ...]:
-        return tuple(c for _, c in self.p_coefs)
-
-    @property
-    def phis(self) -> tuple[Fraction, ...]:
-        return tuple(c for _, c in self.q_phis)
-
-
-def parse_mixing_form(inst: MixingInstance, cut: LinearCut) -> ParsedMixingForm:
-    """Inverse of :func:`mixing_form` for canonical cuts with z_coef = 1."""
-    if cut.m != inst.m:
-        raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
-    if cut.z_coef != 1:
-        raise ValidationError("mixing-form parsing requires a canonical cut with z_coef = 1")
-    p_coefs = tuple(
-        (i + 1, c) for i, c in enumerate(cut.x_coefs) if c > 0
-    )
-    q_phis = tuple(
-        (i + 1, -c) for i, c in enumerate(cut.x_coefs) if c < 0
-    )
-    rhs_base = cut.rhs + sum((phi for _, phi in q_phis), Fraction(0))
-    consistent = (not p_coefs) or rhs_base == inst.h_at(p_coefs[0][0])
-    return ParsedMixingForm(p_coefs, q_phis, rhs_base, consistent)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 

@@ -1,13 +1,13 @@
-"""Exact cone computations: double description and two cross-oracles.
+"""Exact cone computations by double description.
 
-Every algorithm here works on a pointed, full-dimensional cone given by
-integer generator vectors and returns the primitive integer normals of its
-facets (equivalently, the extreme rays of the dual cone).  `dual_rays` is
-the production path: double description that schedules each edge ahead of
-time, so that an insertion tests adjacency only among the rays tight on the
-new generator.  `facet_normals_by_wrapping` (ridge pivoting) and
-`facet_normals_by_hyperplane_search` (every hyperplane through d - 1
-generators) share none of its machinery and cross-check it.
+`dual_rays` takes integer generators of a pointed, full-dimensional cone
+and returns the primitive integer normals of its facets (equivalently, the
+extreme rays of the dual cone).  It schedules each edge ahead of time, so
+that an insertion tests adjacency only among the rays tight on the new
+generator.  `polyhedron_generators` reads the vertices and extreme rays of
+an H-polyhedron off the dual rays of its homogenization.  The two
+independent oracles that cross-check `dual_rays` (ridge pivoting and a
+literal hyperplane search) live with the tests, in `tests/hull_oracles.py`.
 """
 
 from __future__ import annotations
@@ -242,207 +242,6 @@ def dual_rays(
                             edges[fa] += b, a
             i = j
     return sorted(r[2] for r in dying[n])
-
-
-# ---------------------------------------------------------------------------
-# Ridge-pivot wrapping (independent cross-oracle)
-
-
-def _pullback_interior(a: tuple[int, ...], a0: Sequence[int], drop: int) -> tuple[int, ...]:
-    """Interior dual point for the projected facet cone (coordinate `drop` removed).
-
-    If a0 is strictly positive on a cone's generators, this vector is strictly
-    positive on the projections (drop one coordinate where the facet normal a
-    is nonzero) of the generators tight on a.
-    """
-    ak = a[drop]
-    vec = [a0[i] * ak - a0[drop] * a[i] for i in range(len(a)) if i != drop]
-    if ak < 0:
-        vec = [-v for v in vec]
-    return linalg.primitive(vec)
-
-
-def _initial_facet(
-    gens: Sequence[tuple[int, ...]],
-    interior: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Rotate a strictly valid functional until its tight set spans a hyperplane."""
-    d = len(gens[0])
-    a = tuple(interior)
-    while True:
-        tight = [g for g in gens if _dot(a, g) == 0]
-        if linalg.rank(tight) == d - 1:
-            return linalg.primitive(a)
-        kernel = linalg.nullspace(tight, d)
-        u = next(v for v in kernel if linalg.rank([v, a]) == 2)
-        withneg = [g for g in gens if _dot(u, g) < 0]
-        if not withneg:
-            u = tuple(-v for v in u)
-            withneg = [g for g in gens if _dot(u, g) < 0]
-        # smallest rotation that picks up a new tight generator
-        t_star = min(Fraction(_dot(a, g), -_dot(u, g)) for g in withneg)
-        a = tuple(
-            t_star.denominator * av + t_star.numerator * uv
-            for av, uv in zip(a, u)
-        )
-
-
-def facet_normals_by_wrapping(
-    generators: Sequence[Sequence[int]],
-    interior_dual: Sequence[int],
-) -> list[tuple[int, ...]]:
-    """Facet normals of cone(generators) by breadth-first ridge pivoting.
-
-    `interior_dual` must satisfy interior_dual . g > 0 for every generator.
-    Each facet's ridges are the facets of its tight-generator cone, found by
-    the same wrapping one dimension down (inside a coordinate chart of the
-    face's span); pivoting across a ridge yields the neighbouring facet.
-    Faces are memoized by their tight generator index set, so the total work
-    is proportional to the face-lattice incidences rather than its flags.
-    Shares no machinery with `dual_rays`, so the two enumerations check one
-    another.
-    """
-    gens = [tuple(int(v) for v in g) for g in generators]
-    d = len(gens[0])
-    a0 = tuple(int(v) for v in interior_dual)
-    if any(_dot(a0, g) <= 0 for g in gens):
-        raise ValueError("interior_dual is not strictly positive on the generators")
-    if linalg.rank(gens) < d:
-        raise ValueError("generators do not span the space")
-
-    memo: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-
-    def wrap(face: frozenset[int]) -> tuple[frozenset[int], ...]:
-        """Facets of cone(gens[face]), as tight index subsets of `face`."""
-        cached = memo.get(face)
-        if cached is not None:
-            return cached
-        indices = sorted(face)
-        # chart: the lex-min independent subset of the columns of gens[face]
-        cols = linalg.independent_prefix(list(zip(*(gens[i] for i in indices))), d)
-        k = len(cols)
-        proj = {i: tuple(gens[i][c] for c in cols) for i in indices}
-        if k == 1:
-            memo[face] = (frozenset(),)
-            return memo[face]
-        # interior functional in chart coordinates, agreeing with a0 on the span
-        bas_idx = linalg.independent_prefix([proj[i] for i in indices], k)
-        # c0 solves B c = rhs, for B the bas_idx rows and rhs their a0 values:
-        # [B | -rhs] has one free column, the last, so its kernel vector is
-        # (c, 1) times a positive scalar
-        (sol,) = linalg.nullspace(
-            [proj[indices[i]] + (-_dot(a0, gens[indices[i]]),) for i in bas_idx], k + 1
-        )
-        c0 = _reduce(sol[:k])
-        face_gens = [proj[i] for i in indices]
-        start = _initial_facet(face_gens, c0)
-        normals = {_tight_of(indices, proj, start): start}
-        queue = [start]
-        while queue:
-            a = queue.pop()
-            tight = _tight_of(indices, proj, a)
-            for ridge in wrap(tight):
-                w = _ridge_direction(a, [proj[i] for i in sorted(ridge)],
-                                     [proj[i] for i in sorted(tight - ridge)], k)
-                neighbour = _pivot(face_gens, a, w)
-                key = _tight_of(indices, proj, neighbour)
-                if key not in normals:
-                    normals[key] = neighbour
-                    queue.append(neighbour)
-        if face == top:
-            top_normals.update(normals)
-        result = tuple(sorted(normals, key=sorted))
-        memo[face] = result
-        return result
-
-    top = frozenset(range(len(gens)))
-    top_normals: dict[frozenset[int], tuple[int, ...]] = {}
-    wrap(top)
-    return sorted(top_normals.values())
-
-
-def _tight_of(indices, proj, normal) -> frozenset[int]:
-    return frozenset(i for i in indices if _dot(normal, proj[i]) == 0)
-
-
-def _ridge_direction(a, ridge_gens, rest_gens, dim) -> tuple[int, ...]:
-    """Rotation vector vanishing on the ridge and valid on the facet's tight set."""
-    kernel = linalg.nullspace(ridge_gens, dim)
-    w = next(v for v in kernel if linalg.rank([v, a]) == 2)
-    for g in rest_gens:
-        s = _dot(w, g)
-        if s < 0:
-            return tuple(-x for x in w)
-        if s > 0:
-            return tuple(w)
-    raise AssertionError("ridge direction vanishes on the whole tight set")
-
-
-def _pivot(
-    gens: Sequence[tuple[int, ...]],
-    a: tuple[int, ...],
-    c: tuple[int, ...],
-) -> tuple[int, ...]:
-    """The other facet through the ridge {a = 0, c = 0} (c valid on a's tight set).
-
-    Normals through the ridge are c + t*a; starting from the a-side (t large)
-    the first generator hyperplane crossed as t decreases bounds the valid
-    wedge, and t* may be negative when c itself is valid.
-    """
-    t_star: Optional[Fraction] = None
-    for g in gens:
-        ag = _dot(a, g)
-        if ag > 0:
-            t = Fraction(-_dot(c, g), ag)
-            if t_star is None or t > t_star:
-                t_star = t
-    if t_star is None:
-        raise ValueError("every generator is tight; cone is not full-dimensional")
-    vec = [
-        t_star.denominator * cv + t_star.numerator * av
-        for cv, av in zip(c, a)
-    ]
-    return linalg.primitive(vec)
-
-
-def facet_normals_by_hyperplane_search(
-    generators: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """Literal facet oracle: every valid hyperplane spanned by d-1 generators.
-
-    Enumerates all (d-1)-subsets of the generators, keeps the ones spanning a
-    hyperplane whose normal is valid for the whole generator set.  Exponential
-    in the generator count; meant for small cross-checks only.
-    """
-    from itertools import combinations
-
-    gens = [tuple(int(v) for v in g) for g in generators]
-    d = len(gens[0])
-    normals: dict[tuple[int, ...], None] = {}
-    for subset in combinations(gens, d - 1):
-        kernel = linalg.nullspace(subset, d)
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        side = 0
-        ok = True
-        for g in gens:
-            s = _dot(normal, g)
-            if s > 0:
-                if side < 0:
-                    ok = False
-                    break
-                side = 1
-            elif s < 0:
-                if side > 0:
-                    ok = False
-                    break
-                side = -1
-        if ok and side != 0:
-            if side < 0:
-                normal = tuple(-v for v in normal)
-            normals[normal] = None
-    return sorted(normals)
 
 
 def polyhedron_generators(

@@ -151,29 +151,6 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles (tests / acceptance only)
-
-
-def facets_by_wrapping(inst: MixingInstance) -> FacetSet:
-    """Cross-oracle facet list via ridge-pivot wrapping (no double description).
-
-    (1, 0, ..., 0, 1) is strictly positive on every lifted generator, which
-    seeds the wrapping.
-    """
-    gens = lifted_generators(inst)
-    interior = tuple([1] + [0] * inst.m + [1])
-    normals = dd.facet_normals_by_wrapping(gens, interior)
-    return _facetset_from_normals(inst, normals)
-
-
-def facets_by_hyperplane_search(inst: MixingInstance) -> FacetSet:
-    """Brute-force oracle: all valid hyperplanes through m+1 independent generators."""
-    gens = lifted_generators(inst)
-    normals = dd.facet_normals_by_hyperplane_search(gens)
-    return _facetset_from_normals(inst, normals)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 
 

@@ -1,16 +1,16 @@
-"""Small exact linear-algebra kit: ranks, independent rows, nullspaces over Q.
+"""Small exact linear-algebra kit: ranks and affine ranks over Q.
 
-Ranks, independent rows and nullspaces all read one fraction-free
-elimination, `_echelon`. It scales its input rows to primitive integer
-tuples (coordinates coprime) and keeps a reduced echelon basis in plain
-integers, so the hot loops never build Fraction objects.
+Ranks read one fraction-free elimination, `_echelon`. It scales its input
+rows to primitive integer tuples (coordinates coprime) and keeps a reduced
+echelon basis in plain integers, so the hot loops never build Fraction
+objects.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 def _reduce(vec: Sequence[int]) -> tuple[int, ...]:
@@ -27,16 +27,14 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
     return _reduce([v.numerator * (denom // v.denominator) for v in vec])
 
 
-def _echelon(
-    rows: Iterable[Sequence], need: Optional[int] = None
-) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+def _echelon(rows: Iterable[Sequence]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     """Reduced echelon basis of the span of `rows`, inserting one row at a time.
 
     Returns (basis, pivots, raised).  Each basis row is primitive, zero before
     its pivot column, positive at it, and zero at every other pivot column;
     such a basis depends only on the row space.  `raised` holds the indices
-    of the input rows that raised the rank, in input order.  Stops once
-    `need` rows have raised it, or once the rank reaches the row length.
+    of the input rows that raised the rank, in input order.  Stops once the
+    rank reaches the row length.
     """
     basis: list[tuple[int, ...]] = []
     pivots: list[int] = []
@@ -61,7 +59,7 @@ def _echelon(
         basis.append(vec)
         pivots.append(lead)
         raised.append(idx)
-        if len(raised) == need or len(raised) == len(vec):
+        if len(raised) == len(vec):
             break
     return basis, pivots, raised
 
@@ -69,36 +67,6 @@ def _echelon(
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a list of rational vectors."""
     return len(_echelon(rows)[0])
-
-
-def independent_prefix(rows: Sequence[Sequence[int]], need: int) -> list[int]:
-    """Indices of the first `need` linearly independent rows, in input order.
-
-    Returns fewer indices if the rows do not reach the requested rank.
-    """
-    return _echelon(rows, need)[2]
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], dim: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {v : row . v = 0 for all rows} in R^dim.
-
-    One vector per free (non-pivot) column, in increasing column order: it is
-    positive at its own free column, zero at the others, and read off the
-    reduced echelon basis at the pivot columns.
-    """
-    basis, pivots, _ = _echelon(rows)
-    scale = lcm(*(b[c] for b, c in zip(basis, pivots)))
-    taken = set(pivots)
-    kernel = []
-    for fc in range(dim):
-        if fc in taken:
-            continue
-        vec = [0] * dim
-        vec[fc] = scale
-        for b, c in zip(basis, pivots):
-            vec[c] = -b[fc] * (scale // b[c])
-        kernel.append(_reduce(vec))
-    return kernel
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]], directions: Sequence[Sequence[Fraction]] = ()) -> int:

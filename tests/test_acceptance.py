@@ -40,12 +40,11 @@ from typing import Optional
 
 import pytest
 
-from mixcut import blp, dd, families as fam, hull
+from mixcut import blp, families as fam, hull
 from mixcut.bench import (
     DEFAULT_FAMILIES,
     PAPER_TABLE_K,
     PAPER_TABLE_L,
-    _benchmark_facets,
     benchmark_coverage,
     benchmark_instance,
     paper_table,
@@ -58,6 +57,7 @@ from mixcut.core import (
     enumerate_vertices,
     make_cut,
 )
+import hull_oracles
 from uniform_closure import uniform_closure
 
 SEQ_K_PI = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
@@ -101,7 +101,7 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
             problems.append(f"{cell} {name}: {report.pct(name)} vs {want}")
 
     inst = benchmark_instance(example, m, p)
-    facets = _benchmark_facets(example, m, p).nonvertical
+    facets = hull.cached_facets(inst).nonvertical
     total = report.facet_total
     if len(facets) != total:
         problems.append(f"{cell}: report counts {total} facets, the hull has {len(facets)}")
@@ -574,9 +574,9 @@ def test_criterion_09_hull_oracle_equivalence():
                 inst = benchmark_instance(example, m, p)
                 cells += 1
                 exact = hull.cached_facets(inst).facets
-                if hull.facets_by_wrapping(inst).facets != exact:
+                if hull_oracles.facets_by_wrapping(inst).facets != exact:
                     mismatch.append(("wrapping", example, m, p))
-                if m <= 4 and hull.facets_by_hyperplane_search(inst).facets != exact:
+                if m <= 4 and hull_oracles.facets_by_hyperplane_search(inst).facets != exact:
                     mismatch.append(("hyperplane", example, m, p))
     _report(
         "9: cross-oracle hull equivalence",

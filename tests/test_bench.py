@@ -305,6 +305,22 @@ class TestCli:
         cut_file.write_text('{"z": "1", "x": ["1", "2"], "rhs": "0"}')
         assert cli.main(argv) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("argv", [["hull", "--instance", "BAD"],
+                                      ["check", "--instance", "BAD", "--cut", "CUT"],
+                                      ["check", "--instance", "INST", "--cut", "BAD"]],
+                             ids=["hull_instance", "check_instance", "check_cut"])
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_input_exit_code(self, kind, argv, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.json" for name in ("BAD", "CUT", "INST")}
+        paths["INST"].write_text(instance_to_json(bench.benchmark_instance("L", 2, 1)))
+        paths["CUT"].write_text('{"z": "1", "x": ["1", "2"], "rhs": "0"}')
+        if kind == "directory":
+            paths["BAD"].mkdir()
+        else:
+            paths["BAD"].write_bytes(b'{"m": 2, "h": ["2", "1"], "epsilon": "\xbd"}')
+        assert cli.main([str(paths.get(a, a)) for a in argv]) == cli.EXIT_VALIDATION
+        assert "file" in capsys.readouterr().err
+
     # each malformed input: (field of the set document or None, field of the
     # assignment document or None, replacement value; ... deletes the field)
     MALFORMED_BLP = {
@@ -317,6 +333,8 @@ class TestCli:
         "pair_out_of_range": ("compl_pairs", None, [[1, 9]]),
         # x_0 (the z slot) has no row -x_0 >= -1 behind it
         "unbacked_upper_bound": ("upper_bounded", None, [0, 1, 2, 3]),
+        # the prefix rows read x_i (i < j) at y = e_j, so (3, 1) has none
+        "unbacked_compl_pair": ("compl_complement_pairs", None, [[3, 1]]),
         "scalar_base": (None, "base", 3),
         "missing_base": (None, "base", ...),
         "float_weight_index": (None, "k_weights", [[1, 2.5, "1"]]),

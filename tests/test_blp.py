@@ -1,6 +1,7 @@
 """Bilinear reformulation, aggregation engine, and projection-cone certificates."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -122,6 +123,17 @@ class TestBuildSc:
         S = blp.build_sc(ROUND_TRIP_INSTANCES[name])
         back = blp.bilinear_set_from_json(blp.bilinear_set_to_json(S))
         assert back == S
+
+    def test_json_refuses_unbacked_compl_pair(self):
+        # without its self: rows the set still lists the pairs (i, i); taken
+        # as given, substitute would zero x_1 y_1 on no row, and assemble_dual
+        # would find no weight for the pair
+        S = blp.build_sc(build_instance(3, [3, 2, 1], None, Fraction(2, 3)))
+        doc = json.loads(blp.bilinear_set_to_json(S))
+        doc["constraints"] = [c for c in doc["constraints"] if not c["label"].startswith("self:")]
+        doc["upper_bounded"] = []
+        with pytest.raises(ValidationError, match=r"compl_pairs entry \(1, 1\)"):
+            blp.bilinear_set_from_json(json.dumps(doc))
 
 
 class TestAggregate:

@@ -22,10 +22,10 @@ from mixcut.core import (
     instance_to_json,
     make_cut,
     mixing_form,
-    parse_mixing_form,
     rat,
     rat_str,
 )
+from hull_oracles import parse_mixing_form
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 SEQ_K = [40, 38, 34, 31, 26, 16, 8, 4, 2, 1]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mixcut import dd, hull, linalg
 from mixcut.core import build_instance, instance_from_json
+import hull_oracles
 
 COORDS = st.integers(-3, 3)
 
@@ -34,7 +35,7 @@ def generator_sets(draw):
 
     gens = [vector() for _ in range(draw(st.integers(d, d + 4)))]
     normal = tuple(draw(COORDS) for _ in range(d))
-    basis = linalg.nullspace([normal], d)
+    basis = hull_oracles.nullspace([normal], d)
     if basis and len(basis) < d:
         for _ in range(draw(st.integers(2, d + 1))):
             coefs = [draw(COORDS) for _ in basis]
@@ -54,7 +55,7 @@ def generator_sets(draw):
 @given(generator_sets())
 @settings(max_examples=400, deadline=None)
 def test_dual_rays_match_hyperplane_search(gens):
-    assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+    assert dd.dual_rays(gens) == hull_oracles.facet_normals_by_hyperplane_search(gens)
 
 
 def _general_instance(weights, h, eps):
@@ -66,7 +67,7 @@ def _general_instance(weights, h, eps):
 def _wrapping(inst):
     # (1, 0, ..., 0, 1) is positive on the ray and on every lifted vertex
     interior = (1,) + (0,) * inst.m + (1,)
-    return dd.facet_normals_by_wrapping(hull.lifted_generators(inst), interior)
+    return hull_oracles.facet_normals_by_wrapping(hull.lifted_generators(inst), interior)
 
 
 @st.composite
@@ -117,7 +118,7 @@ def test_dual_rays_two_dimensional():
     assert dd.polyhedron_generators([[1], [-1]], [0, -1]) == ([(0,), (1,)], [])
     # zero, repeated and opposite generators in the plane
     gens = [(0, 0), (1, 2), (1, 2), (1, 0), (0, 0), (1, -1), (3, -3), (1, 1)]
-    assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+    assert dd.dual_rays(gens) == hull_oracles.facet_normals_by_hyperplane_search(gens)
 
 
 #: Deterministic inputs for the paths of the insertion loop, each checked
@@ -144,7 +145,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_dual_rays_edge_cases(name):
     gens = EDGE_CASES[name]
-    assert dd.dual_rays(gens) == dd.facet_normals_by_hyperplane_search(gens)
+    assert dd.dual_rays(gens) == hull_oracles.facet_normals_by_hyperplane_search(gens)
 
 
 #: hull_m11 pool instances, read from the benchmark's stored results

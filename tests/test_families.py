@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 from mixcut import families as fam
 from mixcut import hull
 from mixcut.bench import benchmark_instance
-from mixcut.core import (
-    ParsedMixingForm,
-    build_instance,
-    cut_is_valid,
-    make_cut,
-    parse_mixing_form,
-)
+from mixcut.core import build_instance, cut_is_valid, make_cut
 import certificate_reference as ref
+from hull_oracles import ParsedMixingForm
 from uniform_closure import uniform_closure
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
