@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import families, hull
+from . import dd, families, hull
 from .core import MixingInstance, ValidationError, build_instance
 
 SEQ_L = (20, 18, 14, 11, 6, 5, 4, 3, 2, 1)
@@ -187,7 +187,7 @@ def coverage(
         if budget_seconds is None:
             fs = hull.cached_facets(inst)
         else:
-            fs = hull.enumerate_facets(inst, budget_seconds=budget_seconds)
+            fs = hull.enumerate_facets(inst, dd.Budget(seconds=budget_seconds))
     except hull.BudgetExceeded:
         return CoverageReport(
             example=example,

@@ -10,10 +10,10 @@ mixing instance whose aggregation cuts are valid for the instance's hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import dd, linalg
 from .core import (
@@ -53,6 +53,14 @@ def _nonzero(coefs: Iterable[Fraction]) -> tuple[tuple[int, Fraction], ...]:
     return tuple((i, v) for i, v in enumerate(coefs) if v)
 
 
+class RelationRows(NamedTuple):
+    """The table row behind each substitution relation, in sorted relation order."""
+
+    upper: dict[int, int]  # x_i <= 1
+    compl: dict[tuple[int, int], int]  # x_i y_j = 0
+    compl_complement: dict[tuple[int, int], int]  # (1 - x_i) y_j = 0
+
+
 @dataclass(frozen=True)
 class BilinearSet:
     n: int
@@ -63,9 +71,6 @@ class BilinearSet:
     upper_bounded: frozenset[int]
     compl_pairs: frozenset[tuple[int, int]]
     compl_complement_pairs: frozenset[tuple[int, int]]
-    upper_bound_row: tuple[tuple[int, int], ...] = ()  # x index -> row of -x_i >= -1
-    compl_index: tuple[tuple[tuple[int, int], int], ...] = ()
-    compl_complement_index: tuple[tuple[tuple[int, int], int], ...] = ()
     z_slot: Optional[int] = None
 
     @property
@@ -94,6 +99,47 @@ class BilinearSet:
                 for con in self.constraints
             ) + polyhedron)
         return tuple(table)
+
+    @cached_property
+    def relation_rows(self) -> RelationRows:
+        """The first table row whose column, read at j = 0..m, backs each relation.
+
+        ``x_i <= 1`` needs ``-x_i >= -1`` at every j; ``x_i y_j = 0`` needs
+        ``-x_i >= 0`` at y = e_j, and ``(1 - x_i) y_j = 0`` needs ``x_i >= 1``
+        there, each with ``0 >= 0`` at every other j.  Constraints and
+        polyhedron rows are searched alike, in table order.  A relation with
+        no row behind it is a :class:`ValidationError`: the substitution would
+        use a relation the set does not imply.
+        """
+        first: dict[tuple[Restriction, ...], int] = {}
+        for k, column in enumerate(zip(*self.restrictions)):
+            first.setdefault(column, k)
+
+        def row(i: int, j: Optional[int], coef: int, rhs: int) -> Optional[int]:
+            """The row reading coef x_i >= rhs at y = e_j (j None: at every j), 0 >= 0 elsewhere."""
+            return first.get(tuple(
+                (((i, coef),), rhs) if j in (None, jj) else ((), 0) for jj in range(self.m + 1)
+            ))
+
+        upper = {}
+        for i in sorted(self.upper_bounded):
+            upper[i] = row(i, None, -1, -1)
+            if upper[i] is None:
+                raise ValidationError(f"upper_bounded x_{i} has no row -x_{i} >= -1 in E, f")
+
+        def pairs(relation: frozenset[tuple[int, int]], key: str, coef: int, rhs: int):
+            out = {}
+            for i, j in sorted(relation):
+                out[i, j] = row(i, j, coef, rhs)
+                if out[i, j] is None:
+                    raise ValidationError(f"{key} entry ({i}, {j}) has no constraint behind it")
+            return out
+
+        return RelationRows(
+            upper,
+            pairs(self.compl_pairs, "compl_pairs", -1, 0),
+            pairs(self.compl_complement_pairs, "compl_complement_pairs", 1, 1),
+        )
 
 
 @dataclass(frozen=True)
@@ -147,27 +193,13 @@ class BlpAssignment:
 
 
 @dataclass(frozen=True)
-class Move:
-    """One substitution step, kept so the dual certificate can be assembled."""
-
-    kind: str  # "r0", "compl_zero", "compl_to_y"
-    i: int
-    j: int  # scenario, 1-based
-    amount: Fraction
-
-
-@dataclass(frozen=True)
 class SubstitutionResult:
     coefs: tuple[Fraction, ...]
     rhs: Fraction
-    p_values: tuple[Fraction, ...]
-    q_counts: tuple[int, ...]
-    p0: Fraction
-    q0: int
     zeroed: int
     required: int
     c1_satisfied: bool
-    moves: tuple[Move, ...]
+    moves: tuple[tuple[int, int, Fraction], ...]  # (j, table row, weight)
     t_sets_disjoint: bool
     z_slot: Optional[int]
 
@@ -253,15 +285,20 @@ def _weighted_sum(
     return quad, lin_x, lin_y, rhs, zeroed
 
 
-def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
-    """Weighted sum of the selected constraints with y-normalization applied.
+def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, Fraction]]:
+    """The assignment's weighted rows (j, table row, weight), validated.
 
     The base pair carries weight 1; polyhedron row t is table row kappa + t.
     """
     _validate_assignment(S, a)
     weighted = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
     weighted.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
-    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, weighted)
+    return weighted
+
+
+def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
+    """Weighted sum of the selected constraints with y-normalization applied."""
+    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, _assignment_rows(S, a))
 
     t_sets: dict[int, set[int]] = {}
     for j, t, _ in a.t_weights:
@@ -287,72 +324,66 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     complementarity eliminations, then the positive-coefficient collapse of
     the remaining bilinear terms, then of the remaining y terms.  Every
     eligible coefficient is moved, mirroring the closed-form derivations.
+    Each move is one more weighted row of the set, recorded in ``moves`` as
+    (j, table row, weight) with the row from :attr:`BilinearSet.relation_rows`
+    (so an unbacked relation raises :class:`ValidationError`).
 
     The returned audit compares the coefficients cancelled during
     aggregation against the count the facet-necessity condition demands;
     failing it leaves the cut valid but certifies it is not facet-defining.
     """
-    m, n = S.m, S.n
+    m = S.m
+    backing = S.relation_rows
     quad = [list(row) for row in expr.quad]
     lin_y = list(expr.lin_y)
     lin_x = list(expr.lin_x)
-    moves: list[Move] = []
+    moves: list[tuple[int, int, Fraction]] = []
 
-    # x_i <= 1 moves a positive x_i y_j coefficient onto y_j
-    for i in sorted(S.upper_bounded):
+    # x_i <= 1 moves a positive x_i y_j coefficient u onto y_j: row k at j, weight u
+    for i, k in backing.upper.items():
         for j in range(1, m + 1):
             u = quad[j - 1][i]
             if u > 0:
                 quad[j - 1][i] = Fraction(0)
                 lin_y[j - 1] += u
-                moves.append(Move("r0", i, j, u))
+                moves.append((j, k, u))
 
-    # x_i y_j = 0 drops the coefficient
-    for i, j in sorted(S.compl_pairs):
+    # x_i y_j = 0 drops the coefficient u: row k at j, weight u when u > 0 (the
+    # completion absorbs a negative u)
+    for (i, j), k in backing.compl.items():
         u = quad[j - 1][i]
         if u != 0:
             quad[j - 1][i] = Fraction(0)
-            moves.append(Move("compl_zero", i, j, u))
+            if u > 0:
+                moves.append((j, k, u))
 
-    # (1 - x_i) y_j = 0 moves a negative x_i y_j coefficient onto y_j
-    for i, j in sorted(S.compl_complement_pairs):
+    # (1 - x_i) y_j = 0 moves a negative x_i y_j coefficient u onto y_j: row k
+    # at j, weight -u
+    for (i, j), k in backing.compl_complement.items():
         u = quad[j - 1][i]
         if u < 0:
             quad[j - 1][i] = Fraction(0)
             lin_y[j - 1] += u
-            moves.append(Move("compl_to_y", i, j, u))
+            moves.append((j, k, -u))
 
-    p_values: list[Fraction] = []
-    q_counts: list[int] = []
-    for i in range(n):
-        column = [quad[j][i] for j in range(m)]
+    # a positive maximum p over q coefficients collapses onto x_i (or the rhs)
+    # and lowers the demanded count by q - 1
+    required = expr.weight_count
+    for i in range(S.n):
+        column = [row[i] for row in quad]
         best = max(column, default=Fraction(0))
         if best > 0:
-            p_values.append(best)
-            q_counts.append(sum(1 for v in column if v == best))
-        else:
-            p_values.append(Fraction(0))
-            q_counts.append(0)
-        lin_x[i] += p_values[i]
+            lin_x[i] += best
+            required += 1 - column.count(best)
     p0 = max(lin_y, default=Fraction(0))
     if p0 > 0:
-        q0 = sum(1 for v in lin_y if v == p0)
+        required += 1 - lin_y.count(p0)
     else:
         p0 = Fraction(0)
-        q0 = 0
-    rhs = expr.rhs - p0
-
-    required = expr.weight_count
-    required += (1 if q0 else 0) - q0
-    required += sum((1 if q else 0) - q for q in q_counts)
 
     return SubstitutionResult(
         coefs=tuple(lin_x),
-        rhs=rhs,
-        p_values=tuple(p_values),
-        q_counts=tuple(q_counts),
-        p0=p0,
-        q0=q0,
+        rhs=expr.rhs - p0,
         zeroed=expr.zeroed,
         required=required,
         c1_satisfied=expr.zeroed >= required,
@@ -372,7 +403,10 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
     x-block layout: slot 0 is z, slots 1..m are the binary indicators.  Five
     constraint groups (complement link both ways, the conditional bound on z,
     self-complementarity, and the prefix complement chain), then the box and
-    knapsack rows of the deterministic polyhedron.
+    knapsack rows of the deterministic polyhedron.  The relations are
+    declared, not indexed: :attr:`BilinearSet.relation_rows` finds the box row
+    behind each x_i <= 1, the self row behind each x_i y_i = 0 and the prefix
+    row behind each (1 - x_i) y_j = 0 (i < j).
     """
     m = inst.m
     n = m + 1
@@ -411,27 +445,19 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
                                Fraction(0), label=f"self:{i}")
         )
     # -(1 - x_i) y_j >= 0 for i < j
-    compl_complement_index = []
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             A = tuple(unit(i) if jj == j - 1 else zero_row for jj in range(m))
             c = tuple(Fraction(-1) if jj == j - 1 else Fraction(0) for jj in range(m))
-            compl_complement_index.append(((i, j), len(constraints)))
             constraints.append(
                 BilinearConstraint(A, zero_row, c, Fraction(0), label=f"prefix:{i}<{j}")
             )
 
-    e_rows = []
-    f = []
-    upper_bound_row = []
-    for i in range(1, m + 1):
-        upper_bound_row.append((i, len(e_rows)))
-        e_rows.append(unit(i, -1))
-        f.append(Fraction(-1))
+    e_rows = [unit(i, -1) for i in range(1, m + 1)]
+    f = [Fraction(-1)] * m
     e_rows.append(tuple([Fraction(0)] + [-q for q in inst.pi]))
     f.append(-inst.epsilon)
 
-    compl_index = tuple(((i, i), 3 * m + i - 1) for i in range(1, m + 1))
     return BilinearSet(
         n=n,
         m=m,
@@ -443,9 +469,6 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
         compl_complement_pairs=frozenset(
             (i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)
         ),
-        upper_bound_row=tuple(upper_bound_row),
-        compl_index=compl_index,
-        compl_complement_index=tuple(compl_complement_index),
         z_slot=0,
     )
 
@@ -460,8 +483,7 @@ def sc_constraint_index(S: BilinearSet, group: int, i: int, j: Optional[int] = N
     if group == 5:
         if j is None or not 1 <= i < j <= m:
             raise ValidationError("group 5 requires a pair i < j")
-        lookup = dict(S.compl_complement_index)
-        return lookup[(i, j)]
+        return S.relation_rows.compl_complement[i, j]
     raise ValidationError(f"unknown constraint group {group}")
 
 
@@ -504,7 +526,7 @@ def point_in_xi(S: BilinearSet, x: Sequence[Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Restrictions and the disjunctive view
+# Restrictions and their hull
 
 
 def restriction_rows(S: BilinearSet, j: int) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
@@ -549,100 +571,6 @@ def check_restrictions(S: BilinearSet) -> AssumptionReport:
     shared = all(c == cones[0] for c in cones) if cones else False
     recession = cones[0] if cones else ()
     return AssumptionReport(tuple(nonempty), shared, recession)
-
-
-@dataclass(frozen=True)
-class DisjunctiveSystem:
-    """The extended-space relaxation in variables (x, y, u^1..u^m).
-
-    Row layout follows the disjunctive-programming construction: per-piece
-    copies of the bilinear restrictions and the polyhedron, tied together by
-    the simplex weights.  ``rows . vars >= rhs`` with x first, then y, then
-    the u blocks.
-    """
-
-    n: int
-    m: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.n + self.m + self.n * self.m
-
-
-def build_disjunctive(S: BilinearSet) -> DisjunctiveSystem:
-    """Assemble the lifted H-representation whose x-projection convexifies S.
-
-    Requires at least one nonempty restriction with all nonempty restrictions
-    sharing a recession cone; empty restrictions only contribute recession
-    directions already present, so they are reported, not fatal.
-    """
-    report = check_restrictions(S)
-    if not any(report.nonempty):
-        raise ValidationError("every restriction is empty")
-    if not report.recession_shared:
-        raise ValidationError("nonempty restrictions have different recession cones")
-    n, m = S.n, S.m
-    dim = n + m + n * m
-
-    def var_x(i: int) -> int:
-        return i
-
-    def var_y(j: int) -> int:  # j 1-based
-        return n + j - 1
-
-    def var_u(j: int, i: int) -> int:  # j 1-based
-        return n + m + (j - 1) * n + i
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def new_row() -> list[Fraction]:
-        row = [Fraction(0)] * dim
-        rows.append(row)
-        return row
-
-    for k in range(S.kappa + S.tau):
-        # row k under the simplex complement: b . (x - sum_j u^j) - d (1 - sum y) >= 0
-        pairs, row_rhs = S.restrictions[0][k]
-        row = new_row()
-        for i, v in pairs:
-            row[var_x(i)] += v
-            for j in range(1, m + 1):
-                row[var_u(j, i)] -= v
-        for j in range(1, m + 1):
-            row[var_y(j)] += row_rhs
-        rhs.append(row_rhs)
-        # row k at y = e_j: (A_j + b) . u^j >= (d - c_j) y_j
-        for j in range(1, m + 1):
-            pairs, row_rhs = S.restrictions[j][k]
-            row = new_row()
-            for i, v in pairs:
-                row[var_u(j, i)] += v
-            row[var_y(j)] -= row_rhs
-            rhs.append(Fraction(0))
-    for i in range(n):
-        row = new_row()
-        row[var_x(i)] += 1
-        for j in range(1, m + 1):
-            row[var_u(j, i)] -= 1
-        rhs.append(Fraction(0))
-    for j in range(1, m + 1):
-        for i in range(n):
-            row = new_row()
-            row[var_u(j, i)] += 1
-            rhs.append(Fraction(0))
-    row = new_row()
-    for j in range(1, m + 1):
-        row[var_y(j)] -= 1
-    rhs.append(Fraction(-1))
-    for j in range(1, m + 1):
-        row = new_row()
-        row[var_y(j)] += 1
-        rhs.append(Fraction(0))
-
-    return DisjunctiveSystem(n, m, tuple(tuple(r) for r in rows), tuple(rhs))
 
 
 def projected_hull_generators(
@@ -692,48 +620,21 @@ def projected_hull_facets(S: BilinearSet) -> list[LinearCut]:
 # Projection-cone certificates
 
 
-def _extended_weights(
-    S: BilinearSet, a: BlpAssignment, moves: Sequence[Move]
-) -> dict[tuple[int, int], Fraction]:
-    """Aggregation weights, keyed (j, table row), plus those implied by substitutions."""
-    weights: dict[tuple[int, int], Fraction] = {}
-
-    def add(j: int, k: int, w: Fraction) -> None:
-        weights[(j, k)] = weights.get((j, k), Fraction(0)) + w
-
-    add(a.base_j, a.base_k, Fraction(1))
-    for j, k, w in a.k_weights:
-        add(j, k, w)
-    for j, t, w in a.t_weights:
-        add(j, S.kappa + t, w)
-    bound_row = dict(S.upper_bound_row)
-    compl_idx = dict(S.compl_index)
-    compl_comp_idx = dict(S.compl_complement_index)
-    for mv in moves:
-        if mv.kind == "r0":
-            add(mv.j, S.kappa + bound_row[mv.i], mv.amount)
-        elif mv.kind == "compl_zero":
-            if mv.amount > 0:
-                add(mv.j, compl_idx[(mv.i, mv.j)], mv.amount)
-            # negative coefficients are absorbed by the completion multipliers
-        elif mv.kind == "compl_to_y":
-            add(mv.j, compl_comp_idx[(mv.i, mv.j)], -mv.amount)
-    return weights
-
-
 def assemble_dual(
     S: BilinearSet, a: BlpAssignment, result: SubstitutionResult
 ) -> tuple[Fraction, ...]:
     """Dual vector certifying a substitution's cut via the projection cone.
 
-    The aggregation and substitution weights determine the first two blocks;
-    the last two are the canonical completion (columnwise positive part of
+    The alpha and beta blocks are the assignment's weighted rows plus the
+    substitution's ``result.moves``, summed by (j, table row); the gamma and
+    theta blocks are the canonical completion (columnwise positive part of
     the residual bilinear matrix, and its per-scenario slack), read from the
-    weighted sum of those same weights, so a substitution that reweights the
-    base pair counts in both.
+    weighted sum of those same rows, so a move onto the base pair counts in
+    both.
     """
-    _validate_assignment(S, a)
-    weights = _extended_weights(S, a, result.moves)
+    weights: dict[tuple[int, int], Fraction] = {}
+    for j, k, w in (*_assignment_rows(S, a), *result.moves):
+        weights[j, k] = weights.get((j, k), Fraction(0)) + w
     quad, _, lin_y, _, _ = _weighted_sum(S, ((j, k, w) for (j, k), w in weights.items() if w))
     n, m, kappa = S.n, S.m, S.kappa
     zero = Fraction(0)
@@ -843,12 +744,9 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
 
     ``n`` and ``m`` must be JSON integers, every vector and matrix an array
     of the right length, and every index in range; any other malformation
-    raises :class:`ValidationError`.  The rows behind the upper bounds and
-    the two complementarity relations are found by their columns in the
-    restriction table; each upper bound takes its first matching row.  An
-    upper bound or a complementarity pair with no row behind it is a
-    :class:`ValidationError`: the substitution would use a relation the set
-    does not imply.
+    raises :class:`ValidationError`, and so does an upper bound or a
+    complementarity pair with no row behind it
+    (:attr:`BilinearSet.relation_rows`).
     """
     import json
 
@@ -904,39 +802,8 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
         compl_complement_pairs=complc,
         z_slot=z_slot,
     )
-    columns = list(zip(*S.restrictions))  # columns[k]: row k read at j = 0..m
-
-    def column(i: int, j: Optional[int], coef: int, rhs: int) -> tuple[Restriction, ...]:
-        """Reads coef x_i >= rhs at y = e_j (j None: at every j), 0 >= 0 elsewhere."""
-        return tuple(
-            (((i, coef),), rhs) if j in (None, jj) else ((), 0) for jj in range(m + 1)
-        )
-
-    def matching(relation: frozenset[tuple[int, int]], key: str, coef: int, rhs: int):
-        """(pair, k) for each pair of `relation` and each constraint k reading its column."""
-        out = []
-        for i, j in sorted(relation):
-            want = column(i, j, coef, rhs)
-            backing = [((i, j), k) for k in range(S.kappa) if columns[k] == want]
-            if not backing:
-                raise ValidationError(f"{key} entry ({i}, {j}) has no constraint behind it")
-            out.extend(backing)
-        return tuple(out)
-
-    bound_row = []
-    for i in sorted(upper):
-        want = column(i, None, -1, -1)
-        t = next((t for t in range(S.tau) if columns[S.kappa + t] == want), None)
-        if t is None:
-            raise ValidationError(f"upper_bounded x_{i} has no row -x_{i} >= -1 in E, f")
-        bound_row.append((i, t))
-    return replace(
-        S,
-        upper_bound_row=tuple(bound_row),
-        # self-complementarity -x_i y_j >= 0 and prefix -(1 - x_i) y_j >= 0
-        compl_index=matching(compl, "compl_pairs", -1, 0),
-        compl_complement_index=matching(complc, "compl_complement_pairs", 1, 1),
-    )
+    S.relation_rows  # refuse an unbacked relation here, not at its first use
+    return S
 
 
 def assignment_to_json(a: BlpAssignment) -> str:

@@ -12,10 +12,12 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bench, blp, families, hull
+from . import bench, blp, dd, families, hull
 from .core import (
     ValidationError,
+    canonicalize,
     cut_from_json,
+    cut_is_valid,
     cut_to_dict,
     cut_to_json,
     instance_from_json,
@@ -69,11 +71,7 @@ def _budget(args) -> float:
 
 def cmd_hull(args) -> int:
     inst = instance_from_json(_read(args.instance))
-    try:
-        fs = hull.enumerate_facets(inst, budget_seconds=_budget(args))
-    except hull.BudgetExceeded as exc:
-        print(f"incomplete: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    fs = hull.enumerate_facets(inst, dd.Budget(seconds=_budget(args)))
     _write_or_print(hull.facetset_to_json(fs), args.out)
     return EXIT_OK
 
@@ -185,10 +183,7 @@ def cmd_generate(args) -> int:
 
 def cmd_check(args) -> int:
     inst = instance_from_json(_read(args.instance))
-    cut = cut_from_json(_read(args.cut))
-    from .core import canonicalize, cut_is_valid
-
-    cut = canonicalize(cut)
+    cut = canonicalize(cut_from_json(_read(args.cut)))
     valid = cut_is_valid(inst, cut)
     result = {"valid": valid}
     if args.facet:

@@ -68,19 +68,12 @@ def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
     return gens
 
 
-def enumerate_facets(
-    inst: MixingInstance,
-    budget_seconds: Optional[float] = None,
-    step_limit: Optional[int] = None,
-) -> FacetSet:
+def enumerate_facets(inst: MixingInstance, budget: Optional[dd.Budget] = None) -> FacetSet:
     """The complete, irredundant, canonical facet list of the hull.
 
-    Raises :class:`BudgetExceeded` when the configured guard trips; a partial
-    list is never returned.
+    Raises :class:`BudgetExceeded` when `budget` trips; a partial list is
+    never returned.
     """
-    budget = None
-    if budget_seconds is not None or step_limit is not None:
-        budget = dd.Budget(seconds=budget_seconds, steps=step_limit)
     gens = lifted_generators(inst)
     normals = dd.dual_rays(gens, budget)
     return _facetset_from_normals(inst, normals)

@@ -476,7 +476,6 @@ def _random_tiny_set(rng):
         n=n, m=m, constraints=tuple(cons), e_rows=tuple(e_rows), f=tuple(f),
         upper_bounded=frozenset(range(n)),
         compl_pairs=frozenset(), compl_complement_pairs=frozenset(),
-        upper_bound_row=tuple((i, i) for i in range(n)),
     )
 
 

@@ -123,6 +123,14 @@ class TestBuildSc:
         S = blp.build_sc(ROUND_TRIP_INSTANCES[name])
         back = blp.bilinear_set_from_json(blp.bilinear_set_to_json(S))
         assert back == S
+        # the rows behind the relations, and so every dual, match too
+        assert back.relation_rows == S.relation_rows
+        rng = random.Random(name)
+        for _ in range(3):
+            a = _random_assignment(rng, S)
+            duals = [blp.assemble_dual(T, a, blp.substitute(T, blp.aggregate(T, a)))
+                     for T in (S, back)]
+            assert duals[0] == duals[1]
 
     def test_json_refuses_unbacked_compl_pair(self):
         # without its self: rows the set still lists the pairs (i, i); taken
@@ -134,6 +142,28 @@ class TestBuildSc:
         doc["upper_bounded"] = []
         with pytest.raises(ValidationError, match=r"compl_pairs entry \(1, 1\)"):
             blp.bilinear_set_from_json(json.dumps(doc))
+
+    def test_unbacked_upper_bound_refused(self):
+        # x_0 <= 1 is declared, but no row reads -x_0 >= -1: substitute must
+        # not apply a bound the set does not imply
+        S = blp.BilinearSet(
+            n=1,
+            m=1,
+            constraints=(
+                blp.BilinearConstraint(
+                    A=((Fraction(1),),), b=(Fraction(0),), c=(Fraction(0),), d=Fraction(0),
+                ),
+            ),
+            e_rows=(),
+            f=(),
+            upper_bounded=frozenset({0}),
+            compl_pairs=frozenset(),
+            compl_complement_pairs=frozenset(),
+        )
+        expr = blp.aggregate(S, blp.BlpAssignment.build(0, 1))
+        assert expr.quad == ((Fraction(1),),)
+        with pytest.raises(ValidationError, match=r"upper_bounded x_0 has no row"):
+            blp.substitute(S, expr)
 
 
 class TestAggregate:
@@ -282,11 +312,7 @@ class TestDisjunctive:
             upper_bounded=frozenset({0}),
             compl_pairs=frozenset(),
             compl_complement_pairs=frozenset(),
-            upper_bound_row=((0, 0),),
         )
-        system = blp.build_disjunctive(S)
-        assert system.dim == 1 + 1 + 1
-        assert len(system.rows) == len(system.rhs)
         points, rays = blp.projected_hull_generators(S)
         assert rays == []
         # both restrictions reach x in [0,1] jointly: y=0 gives [0,1/2], y=e1 gives [0,1]
@@ -465,7 +491,6 @@ class TestPolyhedronRowsAsConstraints:
             ),
             e_rows=(),
             f=(),
-            upper_bound_row=(),
         )
         rng = random.Random(seed)
         a = (_any_index_assignment if any_index else _random_assignment)(rng, S)

@@ -18,7 +18,7 @@ from mixcut.core import (
     enumerate_vertices,
     make_cut,
 )
-from mixcut import hull, linalg
+from mixcut import dd, hull, linalg
 import hull_oracles
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
@@ -171,22 +171,23 @@ def test_slack_verdicts_match_evaluate(inst, data):
 def test_budget_guard_is_all_or_nothing():
     inst = benchmark_instance("L", 8, 5)
     with pytest.raises(hull.BudgetExceeded):
-        hull.enumerate_facets(inst, step_limit=50)
+        hull.enumerate_facets(inst, dd.Budget(steps=50))
 
 
-@pytest.mark.parametrize("budget", [{"step_limit": 0}, {"budget_seconds": 0}])
+@pytest.mark.parametrize("budget", [{"steps": 0}, {"seconds": 0}])
 def test_zero_budget_trips(budget):
     # a zero budget is a budget, not "no budget"
     with pytest.raises(hull.BudgetExceeded):
-        hull.enumerate_facets(benchmark_instance("L", 6, 3), **budget)
+        hull.enumerate_facets(benchmark_instance("L", 6, 3), dd.Budget(**budget))
 
 
 def test_budget_steps_are_candidate_pairs():
     # DD on L(7,4) examines 1 489 candidate pairs over all its insertions
     inst = benchmark_instance("L", 7, 4)
-    assert hull.enumerate_facets(inst, step_limit=1489).facets == hull.enumerate_facets(inst).facets
+    facets = hull.enumerate_facets(inst, dd.Budget(steps=1489)).facets
+    assert facets == hull.enumerate_facets(inst).facets
     with pytest.raises(hull.BudgetExceeded):
-        hull.enumerate_facets(inst, step_limit=1488)
+        hull.enumerate_facets(inst, dd.Budget(steps=1488))
 
 
 def test_facetset_json_round_trip():
