@@ -10,10 +10,12 @@ mixing instance whose aggregation cuts are valid for the instance's hull.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import chain, compress
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import dd, linalg
 from .core import (
@@ -44,13 +46,39 @@ class BilinearConstraint:
     label: str = ""
 
 
-#: A row read at one vertex of the simplex, as ``pairs . x >= rhs``: its
-#: nonzero (x index, coefficient) pairs and its right-hand side.
-Restriction = tuple[tuple[tuple[int, Fraction], ...], Fraction]
+#: A row read at one vertex of the simplex, as ``pairs . x >= rhs`` times the
+#: set's denominator T: its nonzero (x index, T * coefficient) pairs and T * rhs,
+#: all ints.
+Restriction = tuple[tuple[tuple[int, int], ...], int]
+
+#: The zero every dense Fraction output shares.
+_ZERO = Fraction(0)
 
 
-def _nonzero(coefs: Iterable[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+def _nonzero(coefs: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple((i, v) for i, v in enumerate(coefs) if v)
+
+
+def _over(denominator: int) -> Callable[[int], Fraction]:
+    """``v -> Fraction(v, denominator)``, building each distinct value once; 0 is `_ZERO`."""
+    built = {0: _ZERO}
+
+    def frac(v: int) -> Fraction:
+        q = built.get(v)
+        if q is None:
+            q = built[v] = Fraction(v, denominator)
+        return q
+
+    return frac
+
+
+def _over_lcm(
+    weighted: Iterable[tuple[int, int, Fraction]]
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """(L, the rows with each weight times L): L is the lcm of the weights' denominators."""
+    weighted = list(weighted)
+    L = math.lcm(*(w.denominator for _, _, w in weighted))
+    return L, [(j, k, w.numerator * (L // w.denominator)) for j, k, w in weighted]
 
 
 class RelationRows(NamedTuple):
@@ -82,21 +110,43 @@ class BilinearSet:
         return len(self.e_rows)
 
     @cached_property
+    def denominator(self) -> int:
+        """T: the lcm of every denominator in A, b, c, d, E and f."""
+        entries = chain(
+            chain.from_iterable(chain(chain.from_iterable(con.A), con.b, con.c, (con.d,))
+                                for con in self.constraints),
+            chain.from_iterable(self.e_rows),
+            self.f,
+        )
+        return math.lcm(*{v.denominator for v in entries})
+
+    @cached_property
     def restrictions(self) -> tuple[tuple[Restriction, ...], ...]:
-        """``restrictions[j][k]``: row k read at y = e_j (e_0 = 0).
+        """``restrictions[j][k]``: row k read at y = e_j (e_0 = 0), times T.
 
         Rows 0..kappa-1 are the constraints: constraint k reads ``b . x >= d``
         at j = 0 and ``(A_j + b) . x >= d - c_j`` at j >= 1.  Row kappa + t is
         the polyhedron row ``E_t x >= f_t``, a constraint with zero A and zero
-        c, so it reads the same at every j.  Every caller that weights, lifts
-        or matches a row reads it here.
+        c, so it reads the same at every j.  Every entry is stored as an int,
+        the rational times :attr:`denominator`, so that weighted sums of rows
+        add Python ints; :func:`restriction_rows` divides back.  Every caller
+        that weights, lifts or matches a row reads it here.
         """
-        polyhedron = tuple((_nonzero(row), rhs) for row, rhs in zip(self.e_rows, self.f))
-        table = [tuple((_nonzero(con.b), con.d) for con in self.constraints) + polyhedron]
+        T = self.denominator
+
+        def scaled(v) -> int:
+            return v.numerator * (T // v.denominator)
+
+        polyhedron = tuple((_nonzero(map(scaled, row)), scaled(rhs))
+                           for row, rhs in zip(self.e_rows, self.f))
+        bs = [[scaled(v) for v in con.b] for con in self.constraints]
+        table = [tuple((_nonzero(b), scaled(con.d)) for con, b in zip(self.constraints, bs))
+                 + polyhedron]
         for j in range(self.m):
             table.append(tuple(
-                (_nonzero(a + b for a, b in zip(con.A[j], con.b)), con.d - con.c[j])
-                for con in self.constraints
+                (_nonzero(scaled(a) + v for a, v in zip(con.A[j], b)),
+                 scaled(con.d) - scaled(con.c[j]))
+                for con, b in zip(self.constraints, bs)
             ) + polyhedron)
         return tuple(table)
 
@@ -106,19 +156,23 @@ class BilinearSet:
 
         ``x_i <= 1`` needs ``-x_i >= -1`` at every j; ``x_i y_j = 0`` needs
         ``-x_i >= 0`` at y = e_j, and ``(1 - x_i) y_j = 0`` needs ``x_i >= 1``
-        there, each with ``0 >= 0`` at every other j.  Constraints and
-        polyhedron rows are searched alike, in table order.  A relation with
-        no row behind it is a :class:`ValidationError`: the substitution would
-        use a relation the set does not imply.
+        there, each with ``0 >= 0`` at every other j; the table holds each
+        pattern times T.  Constraints and polyhedron rows are searched alike,
+        in table order.  A relation with no row behind it is a
+        :class:`ValidationError`: the substitution would use a relation the
+        set does not imply.
         """
         first: dict[tuple[Restriction, ...], int] = {}
         for k, column in enumerate(zip(*self.restrictions)):
             first.setdefault(column, k)
 
+        T = self.denominator
+
         def row(i: int, j: Optional[int], coef: int, rhs: int) -> Optional[int]:
             """The row reading coef x_i >= rhs at y = e_j (j None: at every j), 0 >= 0 elsewhere."""
             return first.get(tuple(
-                (((i, coef),), rhs) if j in (None, jj) else ((), 0) for jj in range(self.m + 1)
+                (((i, coef * T),), rhs * T) if j in (None, jj) else ((), 0)
+                for jj in range(self.m + 1)
             ))
 
         upper = {}
@@ -237,36 +291,40 @@ def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
 
 
 def _weighted_sum(
-    S: BilinearSet, weighted: Iterable[tuple[int, int, Fraction]]
-) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], Fraction, int]:
+    S: BilinearSet, weighted: Iterable[tuple[int, int, int]]
+) -> tuple[list[list[int]], list[int], list[int], int, int]:
     """(quad, lin_x, lin_y, rhs, zeroed) of the weighted rows, y-normalized.
 
     Each (j, k, w) adds row k as read at y = e_j in
-    :attr:`BilinearSet.restrictions`, times w.  Weighting by y_j puts the
-    reading into the j-th bilinear row (squares fold to y_j, crosses vanish);
-    weighting by the simplex complement (j = 0) keeps the linear part and
-    mirrors it negatively into every bilinear row.
+    :attr:`BilinearSet.restrictions`, times the int w.  Weighting by y_j puts
+    the reading into the j-th bilinear row (squares fold to y_j, crosses
+    vanish); weighting by the simplex complement (j = 0) keeps the linear part
+    and mirrors it negatively into every bilinear row.  Callers scale their
+    rational weights by one lcm L (:func:`_over_lcm`), so every sum is a
+    Python int, the rational sum times L * T.
     """
     m, n = S.m, S.n
-    quad = [[Fraction(0)] * n for _ in range(m)]
-    lin_x = [Fraction(0)] * n
-    lin_y = [Fraction(0)] * m
-    rhs = Fraction(0)
+    quad = [[0] * n for _ in range(m)]
+    lin_x = [0] * n
+    lin_y = [0] * m
+    rhs = 0
     touched_q = [[False] * n for _ in range(m)]
     touched_y = [False] * m
     for j, k, w in weighted:
         pairs, row_rhs = S.restrictions[j][k]
         if j == 0:
             for i, v in pairs:
-                lin_x[i] += w * v
+                wv = w * v
+                lin_x[i] += wv
                 for jj in range(m):
-                    quad[jj][i] -= w * v
+                    quad[jj][i] -= wv
                     touched_q[jj][i] = True
             if row_rhs:
+                wr = w * row_rhs
                 for jj in range(m):
-                    lin_y[jj] += w * row_rhs
+                    lin_y[jj] += wr
                     touched_y[jj] = True
-                rhs += w * row_rhs
+                rhs += wr
         else:
             for i, v in pairs:
                 quad[j - 1][i] += w * v
@@ -298,7 +356,9 @@ def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, F
 
 def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     """Weighted sum of the selected constraints with y-normalization applied."""
-    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, _assignment_rows(S, a))
+    L, weighted = _over_lcm(_assignment_rows(S, a))
+    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, weighted)
+    frac = _over(L * S.denominator)
 
     t_sets: dict[int, set[int]] = {}
     for j, t, _ in a.t_weights:
@@ -307,10 +367,10 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     disjoint = len(t_sets) <= S.m or not set.intersection(*t_sets.values())
 
     return BilinearExpr(
-        quad=tuple(tuple(r) for r in quad),
-        lin_x=tuple(lin_x),
-        lin_y=tuple(lin_y),
-        rhs=rhs,
+        quad=tuple(tuple(map(frac, r)) for r in quad),
+        lin_x=tuple(map(frac, lin_x)),
+        lin_y=tuple(map(frac, lin_y)),
+        rhs=frac(rhs),
         zeroed=zeroed,
         weight_count=len(a.k_weights) + len(a.t_weights),
         t_sets_disjoint=disjoint,
@@ -531,17 +591,18 @@ def point_in_xi(S: BilinearSet, x: Sequence[Fraction]) -> bool:
 
 def restriction_rows(S: BilinearSet, j: int) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
     """H-representation of the x-space restriction at y = e_j (j = 0: y = 0)."""
+    frac = _over(S.denominator)
     rows: list[tuple[Fraction, ...]] = []
     rhs: list[Fraction] = []
     for pairs, row_rhs in S.restrictions[j]:
-        row = [Fraction(0)] * S.n
+        row = [_ZERO] * S.n
         for i, v in pairs:
-            row[i] = v
+            row[i] = frac(v)
         rows.append(tuple(row))
-        rhs.append(row_rhs)
+        rhs.append(frac(row_rhs))
     for i in range(S.n):
-        rows.append(tuple(Fraction(1) if k == i else Fraction(0) for k in range(S.n)))
-        rhs.append(Fraction(0))
+        rows.append(tuple(Fraction(1) if k == i else _ZERO for k in range(S.n)))
+        rhs.append(_ZERO)
     return rows, rhs
 
 
@@ -630,29 +691,31 @@ def assemble_dual(
     theta blocks are the canonical completion (columnwise positive part of
     the residual bilinear matrix, and its per-scenario slack), read from the
     weighted sum of those same rows, so a move onto the base pair counts in
-    both.
+    both.  Everything is summed on ints over one lcm L of the weights'
+    denominators; the dense tuple holds one shared zero.
     """
-    weights: dict[tuple[int, int], Fraction] = {}
-    for j, k, w in (*_assignment_rows(S, a), *result.moves):
-        weights[j, k] = weights.get((j, k), Fraction(0)) + w
-    quad, _, lin_y, _, _ = _weighted_sum(S, ((j, k, w) for (j, k), w in weights.items() if w))
-    n, m, kappa = S.n, S.m, S.kappa
-    zero = Fraction(0)
-    gamma0 = [max(zero, *(quad[j][i] for j in range(m))) for i in range(n)]
-    theta0 = max(zero, *lin_y)
+    L, weighted = _over_lcm((*_assignment_rows(S, a), *result.moves))
+    quad, _, lin_y, _, _ = _weighted_sum(S, weighted)
+    n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
+    gamma0 = [max(0, *(quad[j][i] for j in range(m))) for i in range(n)]
+    theta0 = max(0, *lin_y)
 
-    blocks = ((0, kappa), (kappa, kappa + S.tau))  # alpha rows, then beta rows
-    dual = [
-        weights.get((j, k), Fraction(0))
-        for lo, hi in blocks
-        for j in range(m + 1)
-        for k in range(lo, hi)
-    ]
-    dual.extend(gamma0)
+    # alpha_j[k] sits at j * kappa + k, and beta_j[t] (table row kappa + t)
+    # after every alpha block, at (m + 1) * kappa + j * tau + t
+    beta_at = (m + 1) * kappa
+    summed: dict[int, int] = {}
+    for j, k, w in weighted:
+        pos = j * kappa + k if k < kappa else beta_at + j * tau + k - kappa
+        summed[pos] = summed.get(pos, 0) + w
+    dual = [_ZERO] * ((m + 1) * (kappa + tau))
+    for pos, w in summed.items():
+        dual[pos] = Fraction(w, L)
+    frac = _over(L * S.denominator)
+    dual.extend(map(frac, gamma0))
     for j in range(m):
-        dual.extend(gamma0[i] - quad[j][i] for i in range(n))
-    dual.append(theta0)
-    dual.extend(theta0 - lin_y[j] for j in range(m))
+        dual.extend(frac(gamma0[i] - quad[j][i]) for i in range(n))
+    dual.append(frac(theta0))
+    dual.extend(frac(theta0 - lin_y[j]) for j in range(m))
     return tuple(dual)
 
 
@@ -670,24 +733,35 @@ def cone_membership(
     cut ``base . x >= base_rhs`` with ``base = gamma_0 + R_0`` and ``base_rhs
     = r_0 - theta_0``; the vector is in the cone iff every scenario j >= 1
     gives ``gamma_j + R_j = base`` and ``theta_j - r_j = -base_rhs``.
+
+    Signs are read from the entries' numerators.  The entries are then scaled
+    by the lcm L of their denominators, and each scenario is summed and
+    compared on ints, times L * T; only the returned cut is built as Fractions.
     """
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
     expected = (m + 1) * (kappa + tau + n + 1)
-    vec = [rat(v) for v in dual]
+    vec = [v if isinstance(v, Fraction) else rat(v) for v in dual]
     if len(vec) != expected:
         raise ValidationError(f"dual vector must have length {expected}")
-    if any(v < 0 for v in vec):
+    nums = [v.numerator for v in vec]
+    if min(nums) < 0:
         return False, None
+    support = list(compress(range(expected), nums))
+    L = math.lcm(*(vec[p].denominator for p in support))
+    T = S.denominator
+    ints = [0] * expected
+    for p in support:
+        ints[p] = nums[p] * (L // vec[p].denominator)
     beta_at = (m + 1) * kappa
     gamma_at = beta_at + (m + 1) * tau
     theta_at = gamma_at + (m + 1) * n
 
-    def side(j: int) -> tuple[list[Fraction], Fraction]:
-        """(gamma_j + R_j, r_j)."""
-        row = vec[gamma_at + j * n : gamma_at + (j + 1) * n]
-        total = Fraction(0)
-        alpha = vec[j * kappa : (j + 1) * kappa]
-        beta = vec[beta_at + j * tau : beta_at + (j + 1) * tau]
+    def side(j: int) -> tuple[list[int], int]:
+        """(gamma_j + R_j, r_j), times L * T."""
+        row = [g * T for g in ints[gamma_at + j * n : gamma_at + (j + 1) * n]]
+        total = 0
+        alpha = ints[j * kappa : (j + 1) * kappa]
+        beta = ints[beta_at + j * tau : beta_at + (j + 1) * tau]
         for k, w in enumerate(alpha + beta):
             if w:
                 pairs, row_rhs = S.restrictions[j][k]
@@ -697,12 +771,13 @@ def cone_membership(
         return row, total
 
     base, base_rhs = side(0)
-    base_rhs -= vec[theta_at]
+    base_rhs -= ints[theta_at] * T
     for j in range(1, m + 1):
         row, total = side(j)
-        if row != base or vec[theta_at + j] - total != -base_rhs:
+        if row != base or ints[theta_at + j] * T - total != -base_rhs:
             return False, None
-    return True, _x_block_cut(S.z_slot, base, base_rhs)
+    frac = _over(L * T)
+    return True, _x_block_cut(S.z_slot, tuple(map(frac, base)), frac(base_rhs))
 
 
 # ---------------------------------------------------------------------------

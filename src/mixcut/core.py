@@ -224,14 +224,15 @@ def canonicalize(cut: LinearCut) -> LinearCut:
     """Scale a cut to canonical form (idempotent, positive scaling only).
 
     If the z coefficient is nonzero the cut is scaled so |z_coef| = 1; for a
-    vertical cut the first nonzero x coefficient gets absolute value 1.
+    vertical cut the first nonzero x coefficient gets absolute value 1.  A
+    cut whose leading coefficient is already +-1 is returned unchanged.
     """
-    if cut.z_coef != 0:
-        return cut.scaled(1 / abs(cut.z_coef))
-    for c in cut.x_coefs:
-        if c != 0:
-            return cut.scaled(1 / abs(c))
-    raise ValidationError("cannot canonicalize the all-zero cut")
+    lead = cut.z_coef or next((c for c in cut.x_coefs if c), None)
+    if lead is None:
+        raise ValidationError("cannot canonicalize the all-zero cut")
+    if abs(lead) == 1:
+        return cut
+    return cut.scaled(1 / abs(lead))
 
 
 @dataclass(frozen=True)

@@ -766,9 +766,12 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
 def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int:
     """Number of certificate conditions that hold with equality.
 
-    Counts ties among the ratio bounds, the covering inequalities and the
-    sign conditions on multiplier products; a cut can only be facet-defining
-    when this count reaches 2m + 1.  Requires a certified parameter set.
+    Counts, over the scenarios j = 1..m, the ratio bounds that hold with
+    equality, the covering inequality when it is tight, and, when beta_j is
+    zero, each later scenario outside t_set and q_list.  The count is not a
+    facet test: the facet z + 2 x_1 >= 20 of L(3,1), certified with r = 1,
+    t_set = (1,) and beta = (0, 0, 4), counts 6 < 2m + 1 = 7.  Requires a
+    certified parameter set.
     """
     if params.a_sets is None or params.beta is None:
         raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")

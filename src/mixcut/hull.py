@@ -23,6 +23,7 @@ from .core import (
     MixingInstance,
     ValidationError,
     Vertex,
+    _vertex_z_scaled,
     canonicalize,
     cut_from_dict,
     cut_to_dict,
@@ -128,14 +129,18 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     One integer slack pass (:func:`core.vertex_slacks`) gives both the
     validity verdict and the tight set: the vertices where the cut holds
     with equality, plus the recession ray when the z coefficient is zero.
-    The hull is full dimensional, so a facet needs affine rank m + 1.
+    The hull is full dimensional, so a facet needs affine rank m + 1.  The
+    tight vertices go to :func:`linalg.affine_rank` as the ints ``(D z,) +
+    x``, with D the common denominator of the vertex z values: scaling one
+    coordinate by D > 0 keeps the affine rank.
     """
     cut = canonicalize(cut)
     slacks = vertex_slacks(inst, cut)
     if cut.z_coef < 0 or min(slacks) < 0:
         raise InvalidCutError("facet test requires a valid cut")
+    _, zs = _vertex_z_scaled(inst)
     tight_points = [
-        (v.z,) + v.x for v, slack in zip(enumerate_vertices(inst), slacks) if slack == 0
+        (z,) + v.x for z, v, slack in zip(zs, enumerate_vertices(inst), slacks) if slack == 0
     ]
     directions = []
     if cut.z_coef == 0:

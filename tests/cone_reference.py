@@ -10,12 +10,16 @@ cut.
 `blp.cone_membership` evaluates only the nonzero weights and compares every
 scenario with the projected cut, so it shares no loop with this one; the
 tests require both to return identical results, or the same error.
+
+`fraction_weighted_sum(S, weighted)` is the weighted row sum behind
+`blp.aggregate`, summed as Fractions over rows read straight from the
+constraints and the polyhedron, not from the set's integer restriction table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from mixcut.blp import BilinearSet
 from mixcut.core import LinearCut, RationalLike, ValidationError, rat
@@ -86,3 +90,63 @@ def dense_cone_membership(
     else:
         cut = LinearCut(Fraction(0), tuple(coefs), rhs)
     return True, cut
+
+
+def _reading(S: BilinearSet, j: int, k: int) -> tuple[list[Fraction], Fraction]:
+    """Row k read at y = e_j: ``b . x >= d`` at j = 0, ``(A_j + b) . x >= d - c_j``
+    at j >= 1, and polyhedron row t = k - kappa as ``E_t x >= f_t`` at every j."""
+    if k >= S.kappa:
+        return list(S.e_rows[k - S.kappa]), S.f[k - S.kappa]
+    con = S.constraints[k]
+    if j == 0:
+        return list(con.b), con.d
+    return [a + b for a, b in zip(con.A[j - 1], con.b)], con.d - con.c[j - 1]
+
+
+def fraction_weighted_sum(
+    S: BilinearSet, weighted: Iterable[tuple[int, int, Fraction]]
+) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], Fraction, int]:
+    """(quad, lin_x, lin_y, rhs, zeroed) of the weighted rows, y-normalized.
+
+    Weighting by y_j puts the reading at e_j into the j-th bilinear row;
+    weighting by the simplex complement (j = 0) keeps the linear part and
+    mirrors it negatively into every bilinear row.  ``zeroed`` counts the
+    touched bilinear and y coefficients that sum to zero.
+    """
+    m, n = S.m, S.n
+    quad = [[Fraction(0)] * n for _ in range(m)]
+    lin_x = [Fraction(0)] * n
+    lin_y = [Fraction(0)] * m
+    rhs = Fraction(0)
+    touched_q = [[False] * n for _ in range(m)]
+    touched_y = [False] * m
+    for j, k, w in weighted:
+        coefs, row_rhs = _reading(S, j, k)
+        pairs = [(i, v) for i, v in enumerate(coefs) if v]
+        if j == 0:
+            for i, v in pairs:
+                lin_x[i] += w * v
+                for jj in range(m):
+                    quad[jj][i] -= w * v
+                    touched_q[jj][i] = True
+            if row_rhs:
+                for jj in range(m):
+                    lin_y[jj] += w * row_rhs
+                    touched_y[jj] = True
+                rhs += w * row_rhs
+        else:
+            for i, v in pairs:
+                quad[j - 1][i] += w * v
+                touched_q[j - 1][i] = True
+            if row_rhs:
+                lin_y[j - 1] -= w * row_rhs
+                touched_y[j - 1] = True
+
+    zeroed = sum(
+        1
+        for j in range(m)
+        for i in range(n)
+        if touched_q[j][i] and quad[j][i] == 0
+    )
+    zeroed += sum(1 for j in range(m) if touched_y[j] and lin_y[j] == 0)
+    return quad, lin_x, lin_y, rhs, zeroed

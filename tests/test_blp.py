@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_reference import dense_cone_membership
+from cone_reference import dense_cone_membership, fraction_weighted_sum
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
-from mixcut.core import ValidationError, build_instance, cut_is_valid, make_cut
+from mixcut.core import ValidationError, build_instance, cut_is_valid, enumerate_vertices, make_cut
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 
@@ -337,12 +337,15 @@ class TestDisjunctive:
         )
         S = blp.build_sc(inst)
         points, rays = blp.projected_hull_generators(S)
-        for v in hull.enumerate_facets(inst).vertices:
-            pt = (v.z,) + tuple(Fraction(b) for b in v.x)
-            assert any(True for _ in [pt])  # instance vertices exist
         proj_facets = blp.projected_hull_facets(S)
-        for vertex in hull.enumerate_facets(inst).vertices:
-            for cut in proj_facets:
+        assert points and proj_facets
+        for cut in proj_facets:
+            # the facets describe the hull of the projection generators
+            for point in points:
+                assert cut.evaluate(point[0], point[1:]) >= cut.rhs
+            for ray in rays:
+                assert cut.evaluate(ray[0], ray[1:]) >= 0
+            for vertex in enumerate_vertices(inst):
                 assert cut.evaluate(vertex.z, vertex.x) >= cut.rhs
 
 
@@ -456,6 +459,82 @@ class TestConeMembershipOracle:
         for vector in (dual, changed, negative, wrong_length):
             assert _outcome(blp.cone_membership, S, vector) == _outcome(
                 dense_cone_membership, S, vector)
+
+    @given(S=lifted_sets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_int_and_string_entries(self, S, seed):
+        """Entries given as ints and "a/b" strings read as the same Fractions."""
+        rng = random.Random(seed)
+        a = _random_assignment(rng, S)
+        result = blp.substitute(S, blp.aggregate(S, a))
+        dual = blp.assemble_dual(S, a, result)
+
+        def given_as(v):
+            kind = rng.choice(("fraction", "int", "str"))
+            if kind == "int" and v.denominator == 1:
+                return int(v)
+            return f"{v.numerator}/{v.denominator}" if kind == "str" else v
+
+        mixed = [given_as(v) for v in dual]
+        assert blp.cone_membership(S, mixed) == (True, result.mixing_cut())
+        pos = rng.randrange(len(dual))
+        changed = list(mixed)
+        changed[pos] = rng.choice((1, "1/3", 3)) if not dual[pos] else 0
+        negative = list(mixed)
+        negative[pos] = rng.choice((-2, "-1/2"))
+        malformed = list(mixed)
+        malformed[pos] = rng.choice(("1.5", True, 0.5, "1/0"))
+        for vector in (mixed, changed, negative, malformed):
+            assert _outcome(blp.cone_membership, S, vector) == _outcome(
+                dense_cone_membership, S, vector)
+
+
+#: An exact rational as JSON reads it: "a/b", often with b > 1.
+FRACTION_TEXT = st.builds(
+    lambda a, b: f"{a}/{b}", st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def fractional_sets(draw):
+    """A `bilinear_set_from_json` set with fractional A, b, c, d, E and f entries."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def vec(size):
+        return draw(st.lists(FRACTION_TEXT, min_size=size, max_size=size))
+
+    tau = draw(st.integers(0, 3))
+    doc = {
+        "n": n,
+        "m": m,
+        "constraints": [
+            {"A": [vec(n) for _ in range(m)], "b": vec(n), "c": vec(m), "d": vec(1)[0]}
+            for _ in range(draw(st.integers(1, 4)))
+        ],
+        "E": [vec(n) for _ in range(tau)],
+        "f": vec(tau),
+    }
+    return blp.bilinear_set_from_json(json.dumps(doc))
+
+
+class TestAggregateOracle:
+    """`aggregate` against the Fraction row sum in tests/cone_reference.py."""
+
+    @given(S=st.one_of(lifted_sets(), fractional_sets()), seed=st.integers(0, 2**32 - 1),
+           any_index=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_sum(self, S, seed, any_index):
+        # `_random_assignment` reads the constraint labels only build_sc sets
+        lifted = S.constraints[0].label != ""
+        pick = _random_assignment if lifted and not any_index else _any_index_assignment
+        a = pick(random.Random(seed), S)
+        expr = blp.aggregate(S, a)
+        rows = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
+        rows.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
+        quad, lin_x, lin_y, rhs, zeroed = fraction_weighted_sum(S, rows)
+        assert (expr.quad, expr.lin_x, expr.lin_y, expr.rhs, expr.zeroed) == (
+            tuple(map(tuple, quad)), tuple(lin_x), tuple(lin_y), rhs, zeroed)
+        assert all(type(v) is Fraction
+                   for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs))
 
 
 def _any_index_assignment(rng, S):

@@ -345,6 +345,17 @@ class TestNecessityCount:
         assert certified > 0
         assert sum(bool(fam.member_of(inst, f, "blp_generic")) for f in facets) < len(facets)
 
+    def test_facet_can_count_below_2m_plus_1(self):
+        """The count is no facet test: an L(3,1) facet with a searched certificate counts 6 < 7."""
+        inst = benchmark_instance("L", 3, 1)
+        facet = make_cut(1, [2, 0, 0], 20)
+        assert hull.is_facet(inst, facet)
+        result = fam.member_of(inst, facet, "blp_generic")
+        assert result.via == "blp_generic"
+        cert = result.certificate
+        assert (cert.r, cert.t_set, cert.beta) == (1, (1,), (0, 0, 4))
+        assert fam.facet_necessity_count(inst, cert) == 6 < 2 * inst.m + 1
+
     def test_uncertified_params_rejected(self, ex21):
         params = fam.BlpGenericParams(r=4, t_set=(1, 4), delta=(Fraction(-3), Fraction(-3)))
         with pytest.raises(fam.FamilyParamError):

@@ -11,6 +11,7 @@ from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
+    _vertex_z_scaled,
     ValidationError,
     build_instance,
     canonicalize,
@@ -162,10 +163,15 @@ def test_slack_verdicts_match_evaluate(inst, data):
                 hull.is_facet(inst, cut)
             return
         hull.is_facet(inst, cut)
-    tight = [(v.z,) + tuple(Fraction(b) for b in v.x)
-             for v, value in zip(vertices, values) if value == cut.rhs]
-    ray = [tuple([Fraction(1)] + [Fraction(0)] * inst.m)] if z == 0 else []
+    # the tight vertices arrive as ints (D z,) + x, D the common z denominator;
+    # scaling z by D keeps the affine rank of the rational points
+    D, _ = _vertex_z_scaled(inst)
+    tight = [(D * v.z,) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
+    ray = [tuple([1] + [0] * inst.m)] if z == 0 else []
     assert seen == [(tight, ray)]
+    assert all(type(c) is int for point in seen[0][0] for c in point)
+    rational = [(v.z,) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
+    assert linalg.affine_rank(tight, ray) == linalg.affine_rank(rational, ray)
 
 
 def test_budget_guard_is_all_or_nothing():
