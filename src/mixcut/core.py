@@ -290,6 +290,20 @@ def _vertex_z_scaled(inst: MixingInstance) -> tuple[int, tuple[int, ...]]:
     return D, tuple(z.numerator * (D // z.denominator) for z in zs)
 
 
+@lru_cache(maxsize=None)
+def _vertex_parity_masks(inst: MixingInstance) -> tuple[int, ...]:
+    """Each vertex's ints ``(D z,) + x`` mod 2 as one bit mask.
+
+    Bit 0 holds the parity of D z (D as in :func:`_vertex_z_scaled`) and bit
+    k the binary x_k, so XOR of two masks is their difference mod 2.
+    """
+    _, zs = _vertex_z_scaled(inst)
+    return tuple(
+        (z & 1) | sum(b << k for k, b in enumerate(v.x, 1))
+        for z, v in zip(zs, _vertices_cached(inst))
+    )
+
+
 def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
     """Each vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D, as ints.
 
@@ -457,5 +471,7 @@ def vertex_to_dict(v: Vertex) -> dict:
     return {"z": rat_str(v.z), "x": list(v.x)}
 
 
-def vertex_from_dict(payload: dict) -> Vertex:
-    return Vertex(rat(payload["z"]), tuple(int(b) for b in payload["x"]))
+def vertex_from_dict(payload) -> Vertex:
+    """Read a :func:`vertex_to_dict` object; any malformation raises :class:`ValidationError`."""
+    payload = json_object(payload, "vertex", ("z", "x"))
+    return Vertex(rat(payload["z"]), json_ints(payload["x"], "vertex", "x"))

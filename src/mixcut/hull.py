@@ -19,15 +19,20 @@ import json
 
 from . import dd, linalg
 from .core import (
+    DimensionError,
     LinearCut,
     MixingInstance,
     ValidationError,
     Vertex,
+    _vertex_parity_masks,
     _vertex_z_scaled,
     canonicalize,
     cut_from_dict,
     cut_to_dict,
     enumerate_vertices,
+    json_array,
+    json_int,
+    json_object,
     vertex_from_dict,
     vertex_slacks,
     vertex_to_dict,
@@ -129,22 +134,39 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     One integer slack pass (:func:`core.vertex_slacks`) gives both the
     validity verdict and the tight set: the vertices where the cut holds
     with equality, plus the recession ray when the z coefficient is zero.
-    The hull is full dimensional, so a facet needs affine rank m + 1.  The
-    tight vertices go to :func:`linalg.affine_rank` as the ints ``(D z,) +
-    x``, with D the common denominator of the vertex z values: scaling one
-    coordinate by D > 0 keeps the affine rank.
+    The hull is full dimensional, so a facet needs affine rank m + 1: the
+    differences of the tight points from the first one, with the ray, must
+    have rank m.  The tight points are the ints ``(D z,) + x``, with D the
+    common denominator of the vertex z values: scaling one coordinate by
+    D > 0 keeps the affine rank.
+
+    Those differences are checked mod 2 first (:func:`linalg.rank_mod2` on
+    the vertices' parity masks, the ray's mask being 1).  Rank over GF(2)
+    never exceeds rank over Q, and a valid canonical cut is nonzero, so its
+    tight differences and the ray lie in its hyperplane and have rank at
+    most m over Q: a mod-2 rank of m proves a facet.  A shortfall, or an
+    empty tight set, proves nothing, and :func:`linalg.affine_rank` decides
+    exactly; it is the only path that answers False.
     """
     cut = canonicalize(cut)
     slacks = vertex_slacks(inst, cut)
     if cut.z_coef < 0 or min(slacks) < 0:
         raise InvalidCutError("facet test requires a valid cut")
+    directions = []
+    if cut.z_coef == 0:
+        directions.append(tuple([1] + [0] * inst.m))
+    masks = [mask for mask, slack in zip(_vertex_parity_masks(inst), slacks) if not slack]
+    if masks:
+        base = masks[0]
+        rows = [mask ^ base for mask in masks[1:]]
+        if directions:
+            rows.append(1)
+        if linalg.rank_mod2(rows) == inst.m:
+            return True
     _, zs = _vertex_z_scaled(inst)
     tight_points = [
         (z,) + v.x for z, v, slack in zip(zs, enumerate_vertices(inst), slacks) if slack == 0
     ]
-    directions = []
-    if cut.z_coef == 0:
-        directions.append(tuple([1] + [0] * inst.m))
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 
 
@@ -162,11 +184,25 @@ def facetset_to_json(fs: FacetSet) -> str:
 
 
 def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
-    payload = json.loads(text)
-    facets = tuple(cut_from_dict(c) for c in payload["facets"])
-    vertices = tuple(vertex_from_dict(v) for v in payload["vertices"])
+    """Read :func:`facetset_to_json` output back as the facet set of `inst`.
+
+    Any malformation raises :class:`ValidationError`: a missing field or one
+    of the wrong JSON type, a vertex list other than
+    ``enumerate_vertices(inst)``, a ``vertical_count`` that does not match the
+    facet list, and (as :class:`DimensionError`) a cut whose number of x
+    coefficients is not ``inst.m``.
+    """
+    doc = "facet set"
+    payload = json_object(json.loads(text), doc, ("vertices", "facets", "vertical_count"))
+    facets = tuple(cut_from_dict(c) for c in json_array(payload["facets"], doc, "facets"))
+    for c in facets:
+        if c.m != inst.m:
+            raise DimensionError(f"cut has {c.m} x coefficients, instance has m={inst.m}")
+    vertices = tuple(vertex_from_dict(v) for v in json_array(payload["vertices"], doc, "vertices"))
+    if vertices != enumerate_vertices(inst):
+        raise ValidationError("the vertex list is not the instance's vertex list")
     nonvertical = tuple(c for c in facets if c.z_coef != 0)
     vertical = tuple(c for c in facets if c.z_coef == 0)
-    if len(vertical) != payload["vertical_count"]:
+    if len(vertical) != json_int(payload["vertical_count"], doc, "vertical_count"):
         raise ValidationError("vertical_count does not match the facet list")
     return FacetSet(inst, facets, nonvertical, vertical, vertices)

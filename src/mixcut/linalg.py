@@ -1,9 +1,14 @@
-"""Small exact linear-algebra kit: ranks and affine ranks over Q.
+"""Small exact linear-algebra kit: ranks and affine ranks over Q, rank over GF(2).
 
-Ranks read one fraction-free elimination, `_echelon`. It scales its input
-rows to primitive integer tuples (coordinates coprime) and keeps a reduced
-echelon basis in plain integers, so the hot loops never build Fraction
-objects.
+Ranks over Q read one fraction-free elimination, `_echelon`. It scales its
+input rows to primitive integer tuples (coordinates coprime) and keeps a
+reduced echelon basis in plain integers, so the hot loops never build
+Fraction objects.
+
+`rank_mod2` is a lower bound for the rank of an integer matrix over Q: a
+minor that is nonzero mod 2 is an odd integer, so nonzero over Z.  When that
+bound already equals an upper bound known from elsewhere, it settles the
+rank without the exact elimination; when it falls short it proves nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +72,24 @@ def _echelon(rows: Iterable[Sequence]) -> tuple[list[tuple[int, ...]], list[int]
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a list of rational vectors."""
     return len(_echelon(rows)[0])
+
+
+def rank_mod2(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of rows given as bit masks (bit k holds column k).
+
+    Each basis row is keyed by its lowest set bit; a new row is XORed with
+    the basis row sharing its lowest bit until that bit is new or the row
+    vanishes.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    return len(basis)
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]], directions: Sequence[Sequence[Fraction]] = ()) -> int:

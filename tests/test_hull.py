@@ -11,6 +11,7 @@ from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
+    _vertex_parity_masks,
     _vertex_z_scaled,
     ValidationError,
     build_instance,
@@ -18,6 +19,7 @@ from mixcut.core import (
     cut_is_valid,
     enumerate_vertices,
     make_cut,
+    vertex_slacks,
 )
 from mixcut import dd, hull, linalg
 import hull_oracles
@@ -91,6 +93,9 @@ def test_dominated_cut_is_not_facet():
     # midpoint of the facet z + 2 x_1 >= 20 and the bound z >= 0
     weaker = make_cut(1, [1, 0, 0, 0, 0], 10)
     assert not hull.is_facet(inst, weaker)
+    # a loose vertical cut has no tight vertex: the ray alone has rank 1 = m
+    # mod 2, yet the face is empty
+    assert not hull.is_facet(build_instance(1, [5], None, 1), make_cut(0, [1], -1))
 
 
 @st.composite
@@ -154,24 +159,88 @@ def test_slack_verdicts_match_evaluate(inst, data):
     values = [cut.evaluate(v.z, v.x) for v in vertices]
     valid = cut.z_coef >= 0 and min(values) >= cut.rhs
     assert cut_is_valid(inst, cut) == valid
-    seen = []
+    rank_mod2, affine_rank = linalg.rank_mod2, linalg.affine_rank
+    seen_mod2, seen_exact = [], []
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hull.linalg, "rank_mod2",
+                      lambda rows: seen_mod2.append(rows) or rank_mod2(rows))
         patch.setattr(hull.linalg, "affine_rank",
-                      lambda points, directions: seen.append((points, directions)) or 0)
+                      lambda points, directions: seen_exact.append((points, directions))
+                      or affine_rank(points, directions))
         if not valid:
             with pytest.raises(hull.InvalidCutError):
                 hull.is_facet(inst, cut)
             return
-        hull.is_facet(inst, cut)
-    # the tight vertices arrive as ints (D z,) + x, D the common z denominator;
+        verdict = hull.is_facet(inst, cut)
+    # the tight vertices as ints (D z,) + x, D the common z denominator;
     # scaling z by D keeps the affine rank of the rational points
     D, _ = _vertex_z_scaled(inst)
-    tight = [(D * v.z,) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
+    tight = [(int(D * v.z),) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
     ray = [tuple([1] + [0] * inst.m)] if z == 0 else []
-    assert seen == [(tight, ray)]
-    assert all(type(c) is int for point in seen[0][0] for c in point)
+    # the mod-2 check gets each tight point's difference from the first, and
+    # the ray, as parity masks (bit k = coordinate k mod 2); it needs a point
+    expected_mod2 = ([[_parity(p) ^ _parity(tight[0]) for p in tight[1:]]
+                      + [_parity(r) for r in ray]] if tight else [])
+    assert seen_mod2 == expected_mod2
+    # the exact path gets the same tight set, unless mod 2 already proved rank m
+    proved = bool(tight) and rank_mod2(expected_mod2[0]) == inst.m
+    assert seen_exact == ([] if proved else [(tight, ray)])
+    assert all(type(c) is int for points, _ in seen_exact for point in points for c in point)
     rational = [(v.z,) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
-    assert linalg.affine_rank(tight, ray) == linalg.affine_rank(rational, ray)
+    assert affine_rank(tight, ray) == affine_rank(rational, ray)
+    assert verdict == (affine_rank(rational, ray) == inst.m + 1)
+
+
+def _parity(point):
+    return sum((c & 1) << k for k, c in enumerate(point))
+
+
+def _exact_is_facet(inst, cut):
+    """The rank oracle on rationals: tight set from LinearCut.evaluate, affine rank m + 1."""
+    cut = canonicalize(cut)
+    tight = [(v.z,) + v.x for v in enumerate_vertices(inst) if cut.evaluate(v.z, v.x) == cut.rhs]
+    ray = [tuple([1] + [0] * inst.m)] if cut.z_coef == 0 else []
+    return linalg.affine_rank(tight, ray) == inst.m + 1
+
+
+@pytest.mark.parametrize("example,m,p", [("L", 8, 5), ("K", 8, 6)])
+def test_is_facet_matches_exact_rank_oracle(example, m, p):
+    """Every facet, and sums of two facets (mostly lower-dimensional faces).
+
+    Some of these facets have a mod-2 rank below m, so both the mod-2 proof
+    and the exact fallback decide cases here.
+    """
+    inst = benchmark_instance(example, m, p)
+    facets = hull.cached_facets(inst).facets
+    sums = [LinearCut(a.z_coef + b.z_coef, tuple(map(sum, zip(a.x_coefs, b.x_coefs))), a.rhs + b.rhs)
+            for a, b in zip(facets, facets[1:] + facets[:1])]
+    # x_i >= 0 plus x_i <= 1 is the all-zero cut
+    sums = [cut for cut in sums if cut.z_coef or any(cut.x_coefs)]
+    affine_rank, exact_calls = linalg.affine_rank, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hull.linalg, "affine_rank",
+                      lambda *args: exact_calls.append(args) or affine_rank(*args))
+        facet_verdicts = [hull.is_facet(inst, cut) for cut in facets]
+        fallbacks = len(exact_calls)
+        sum_verdicts = [hull.is_facet(inst, cut) for cut in sums]
+    assert facet_verdicts == [True] * len(facets)
+    assert sum_verdicts == [_exact_is_facet(inst, cut) for cut in sums]
+    assert False in sum_verdicts
+    assert 0 < fallbacks < len(facets)
+
+
+def test_is_facet_falls_back_on_mod2_shortfall():
+    """A facet of L(8,5) whose tight differences have rank m over Q but not mod 2."""
+    inst = build_instance(8, SEQ_L[:8], None, Fraction(5, 8))
+    facet = make_cut(1, [2, 0, 0, -4, 0, -6, -6, -6], -2)
+    assert facet in hull.cached_facets(inst).facets
+    slacks = vertex_slacks(inst, facet)
+    tight = [mask for mask, slack in zip(_vertex_parity_masks(inst), slacks) if slack == 0]
+    assert linalg.rank_mod2([mask ^ tight[0] for mask in tight[1:]]) < inst.m
+    assert hull.is_facet(inst, facet)
+    assert _exact_is_facet(inst, facet)
+    weaker = LinearCut(facet.z_coef, facet.x_coefs, facet.rhs - 1)
+    assert not hull.is_facet(inst, weaker)
 
 
 def test_budget_guard_is_all_or_nothing():
@@ -259,3 +328,31 @@ def test_facetset_json_reader_checks_each_cut(facet):
     doc["facets"][0] = facet
     with pytest.raises(ValidationError):
         hull.facetset_from_json(inst, json.dumps(doc))
+
+
+def _without_vertical_count(doc):
+    del doc["vertical_count"]
+    return doc
+
+
+def _short_cut(doc):
+    doc["facets"][0]["x"].pop()
+    return doc
+
+
+def _vertex_dropped(doc):
+    doc["vertices"].pop(1)
+    return doc
+
+
+@pytest.mark.parametrize("mutate,error", [
+    (_without_vertical_count, ValidationError),
+    (lambda doc: [doc], ValidationError),
+    (_short_cut, DimensionError),
+    (_vertex_dropped, ValidationError),
+])
+def test_facetset_json_reader_checks_the_document(mutate, error):
+    inst = benchmark_instance("L", 4, 2)
+    doc = json.loads(hull.facetset_to_json(hull.enumerate_facets(inst)))
+    with pytest.raises(error):
+        hull.facetset_from_json(inst, json.dumps(mutate(doc)))

@@ -117,3 +117,34 @@ class TestKernel:
         assert linalg.rank(gens[:6]) == 3
         assert hull_oracles.nullspace(gens[:6], 4) == [(-1, -1, -1, 1)]
         assert hull_oracles.nullspace(gens, 4) == []
+
+
+@given(st.lists(st.integers(0, 255), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_rank_mod2_is_log2_of_the_xor_span(rows):
+    span = {0}
+    for row in rows:
+        span |= {s ^ row for s in span}
+    assert 1 << linalg.rank_mod2(rows) == len(span)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows, some drawn as integer combinations of earlier rows."""
+    dim = draw(st.integers(1, 6))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            coefs = [draw(INTEGERS) for _ in rows]
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(dim)))
+        else:
+            rows.append(tuple(draw(INTEGERS) for _ in range(dim)))
+    return rows
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_mod2_of_parity_rows_bounds_rank_over_q(rows):
+    """A minor that is nonzero mod 2 is nonzero over Z."""
+    masks = [sum((v & 1) << k for k, v in enumerate(row)) for row in rows]
+    assert linalg.rank_mod2(masks) <= linalg.rank(rows)
