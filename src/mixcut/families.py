@@ -6,6 +6,14 @@ Generators validate their parameter preconditions exactly and emit canonical
 cuts; `member_of` answers whether a given hull facet can be reproduced by
 some parameterization of a family, returning the witnessing parameters.
 
+Each lifted family's closed form has one home: a `_Lifting` (anchor, ends,
+cutoffs and the lower bound on each q_i), built by `_consecutive` for the
+cardinality families and by `_zhao_lifting` for the s-shifted one, is read
+both by the family's generator (`_lifted_cut`) and by its membership check,
+whose search over q orders is `_match_lifts`.  Zhao's knapsack crossing
+rule is coded once, in `_zhao_derive_s`: the conditions fix each s_i, so a
+given s_list is checked by comparison with the derived one.
+
 Every membership decision and every certificate condition compares Python
 ints: each instance has one integer view (`_int_view`: pi and epsilon over
 their common denominator D, h over its own, H), and each facet is scaled by
@@ -19,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, permutations, product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -124,8 +132,19 @@ class Membership:
 # Shared validation helpers
 
 
-def _check_increasing(t_set: Sequence[int], upper: int, what: str) -> tuple[int, ...]:
-    t = tuple(int(i) for i in t_set)
+def _int(x: object, what: str) -> int:
+    """An index parameter; a float, a bool or any other non-int is refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise FamilyParamError(f"{what} must be an int, got {x!r}")
+    return x
+
+
+def _indices(values: Iterable, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, f"each {what} entry") for x in values)
+
+
+def _check_increasing(t_set: Iterable, upper: int, what: str) -> tuple[int, ...]:
+    t = _indices(t_set, what)
     if not t:
         raise FamilyParamError(f"{what} must be nonempty")
     if any(a >= b for a, b in zip(t, t[1:])):
@@ -133,6 +152,42 @@ def _check_increasing(t_set: Sequence[int], upper: int, what: str) -> tuple[int,
     if t[0] < 1 or t[-1] > upper:
         raise FamilyParamError(f"{what} must lie within 1..{upper}")
     return t
+
+
+def _lifted_indices(
+    inst: MixingInstance, params: LiftedParams | BlpUniformParams | BlpGenericParams
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(r, t_set, q_list) of the lifted and aggregation families, checked.
+
+    r lies within 1..p, t_set increases within 1..r, and the q_list entries
+    are distinct within 1..m (zhao reads pi_{q_i} before its own q bounds).
+    """
+    r = _int(params.r, "r")
+    if not 1 <= r <= inst.p:
+        raise FamilyParamError("r must lie within 1..p")
+    t = _check_increasing(params.t_set, r, "t_set")
+    q = _indices(params.q_list, "q_list")
+    if len(set(q)) != len(q) or not all(1 <= qi <= inst.m for qi in q):
+        raise FamilyParamError("q_list entries must be distinct within 1..m")
+    return r, t, q
+
+
+def _check_delta(
+    inst: MixingInstance, t: tuple[int, ...], delta: Iterable, anchor: int
+) -> tuple[Fraction, ...]:
+    """The shifts as rationals, one per t entry, each at least its telescoping lower bound.
+
+    delta_i >= h_{t_{i+1}} - h_{t_i}, with the index after t's last entry
+    taken as ``anchor``.
+    """
+    delta = tuple(rat(d) for d in delta)
+    if len(delta) != len(t):
+        raise FamilyParamError("delta must match t_set in length")
+    tx = t + (anchor,)
+    for i, d in enumerate(delta):
+        if d < inst.h_at(tx[i + 1]) - inst.h_at(tx[i]):
+            raise FamilyParamError(f"delta_{i + 1} below its telescoping lower bound")
+    return delta
 
 
 def _telescope(h: Sequence, t: Sequence[int], anchor: int) -> tuple:
@@ -257,90 +312,114 @@ def _facet_form(inst: MixingInstance, cut: LinearCut) -> _Form:
 # Generators
 
 
-def gen_star(inst: MixingInstance, params: StarParams) -> LinearCut:
-    """Telescoping inequality over an increasing index set, anchored at 0.
+class _Lifting(NamedTuple):
+    """A lifted family's closed form for one parameter choice.
 
-    Valid for the knapsack-free mixing relaxation, hence for the instance.
+    The t_set coefficients telescope to h_anchor, lift i follows `_lifts`
+    with ``ends[i]`` and ``cutoffs[i]``, and q_i must lie within
+    ``lower[i]``..m.  Each family's generator and membership check read the
+    same record.
     """
-    t = _check_increasing(params.t_set, inst.m, "t_set")
-    coefs = _telescope(_fraction_h(inst), t, inst.m + 1)  # h_{m+1} = 0 anchor
-    return mixing_form(inst.m, t, coefs, (), (), inst.h_at(t[0]))
+
+    anchor: int
+    ends: Sequence[int]
+    cutoffs: Sequence[int]
+    lower: Sequence[int]
 
 
-def gen_strengthened_star(inst: MixingInstance, params: StarParams) -> LinearCut:
-    """Telescoping inequality over indices within 1..p, anchored at h_{p+1}."""
-    t = _check_increasing(params.t_set, inst.p, "t_set")
-    coefs = _telescope(_fraction_h(inst), t, inst.p + 1)
-    return mixing_form(inst.m, t, coefs, (), (), inst.h_at(t[0]))
+def _consecutive(anchor: int, v: int) -> _Lifting:
+    """Ends, cutoffs and q_i lower bounds anchor + i, for i = 1..v.
+
+    This is the lifting of the permuted cardinality family at anchor r + 1
+    (v = p - r), and of the shifted one at anchor p - v + 1: its s_iota =
+    p - r - v + iota make every r + s_iota + 1 equal to p - v + 1 + iota.
+    """
+    ends = range(anchor + 1, anchor + v + 1)
+    return _Lifting(anchor, ends, ends, ends)
 
 
-def _lifts(
-    h: Sequence,
-    anchor: int,
-    q: Sequence[int],
-    ends: Sequence[int],
-    cutoffs: Sequence[int],
-    shift=0,
-) -> list:
+def _lifts(h: Sequence, lift: _Lifting, q: Sequence[int], shift=0) -> list:
     """Lift coefficients of the sequence q by the crossing recursion.
 
     phi_1 = h_anchor - h_{ends_1} - shift, and for i > 1
     phi_i = max(phi_{i-1}, h_anchor - h_{ends_i} - shift - sum of phi_k over
     the earlier k with q_k >= cutoffs_i).  Every lifted family is this one
-    recursion; it differs only in its anchor, ends, cutoffs and shift.  It is
-    linear up to a running max, so h and the shift scaled by F (ints, see
-    `_Form`) give F times the lifts.
+    recursion; it differs only in its `_Lifting` and shift.  It is linear up
+    to a running max, so h and the shift scaled by F (ints, see `_Form`)
+    give F times the lifts.
     """
-    base = h[anchor] - shift
+    base = h[lift.anchor] - shift
     phis: list = []
-    for i, end in enumerate(ends):
-        cutoff = cutoffs[i]
+    for i, end in enumerate(lift.ends):
+        cutoff = lift.cutoffs[i]
         value = base - h[end] - sum(phis[k] for k in range(i) if q[k] >= cutoff)
         phis.append(max(phis[-1], value) if phis else value)
     return phis
 
 
-def gen_luedtke_lifted(inst: MixingInstance, params: LiftedParams) -> LinearCut:
-    """Lifted telescoping inequality for the cardinality case, sorted lifting set."""
-    _require_uniform(inst, "lifted")
-    r, p = params.r, inst.p
-    if not 1 <= r <= p:
-        raise FamilyParamError("r must lie within 1..p")
-    t = _check_increasing(params.t_set, r, "t_set")
-    q = tuple(params.q_list)
-    if len(q) != p - r:
-        raise FamilyParamError(f"q_list must have exactly p - r = {p - r} entries")
-    if q:
-        _check_increasing(q, inst.m, "q_list")
-        if q[0] <= p:
-            raise FamilyParamError("q_list must lie within p+1..m")
-    # sorted lifting: every earlier lift counts, so the cutoffs are 0
+def _lifted_cut(
+    inst: MixingInstance,
+    t: tuple[int, ...],
+    q: tuple[int, ...],
+    lift: _Lifting,
+    delta: Optional[Sequence[Fraction]] = None,
+) -> LinearCut:
+    """The cut of checked t and q: t telescoped to h_anchor plus delta, q lifted.
+
+    The lifts are discounted by the total of delta.
+    """
+    for i, (qi, lo) in enumerate(zip(q, lift.lower), start=1):
+        if not lo <= qi <= inst.m:
+            raise FamilyParamError(f"q_{i} = {qi} outside its admissible range {lo}..m")
     h = _fraction_h(inst)
-    phis = _lifts(h, r + 1, q, range(r + 2, r + len(q) + 2), [0] * len(q))
-    coefs = _telescope(h, t, r + 1)
-    return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
+    coefs = _telescope(h, t, lift.anchor)
+    shift = 0
+    if delta is not None:
+        coefs = tuple(c + d for c, d in zip(coefs, delta))
+        shift = sum(delta)
+    return mixing_form(inst.m, t, coefs, q, _lifts(h, lift, q, shift), inst.h_at(t[0]))
+
+
+def _star_cut(inst: MixingInstance, params: StarParams, top: int) -> LinearCut:
+    """Telescoping inequality over indices within 1..top, anchored at h_{top+1}."""
+    t = _check_increasing(params.t_set, top, "t_set")
+    return _lifted_cut(inst, t, (), _consecutive(top + 1, 0))
+
+
+def gen_star(inst: MixingInstance, params: StarParams) -> LinearCut:
+    """Telescoping inequality over an increasing index set, anchored at 0.
+
+    Valid for the knapsack-free mixing relaxation, hence for the instance.
+    """
+    return _star_cut(inst, params, inst.m)  # h_{m+1} = 0 anchor
+
+
+def gen_strengthened_star(inst: MixingInstance, params: StarParams) -> LinearCut:
+    """Telescoping inequality over indices within 1..p, anchored at h_{p+1}."""
+    return _star_cut(inst, params, inst.p)
+
+
+def gen_luedtke_lifted(inst: MixingInstance, params: LiftedParams) -> LinearCut:
+    """Lifted telescoping inequality for the cardinality case, sorted lifting set.
+
+    This is `gen_kucukyavuz` on an increasing q_list within p+1..m: every
+    earlier q_k >= p + 1 reaches every cutoff r + i + 1 <= p + 1, so every
+    earlier lift counts, as the sorted lifting has it.
+    """
+    _require_uniform(inst, "lifted")
+    q = _indices(params.q_list, "q_list")
+    if any(a >= b for a, b in zip(q, q[1:])) or (q and q[0] <= inst.p):
+        raise FamilyParamError("q_list must be strictly increasing within p+1..m")
+    return gen_kucukyavuz(inst, params)
 
 
 def gen_kucukyavuz(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     """Lifted inequality with a permuted lifting sequence, q_i >= r + i + 1."""
     _require_uniform(inst, "kucukyavuz")
-    r, p = params.r, inst.p
-    if not 1 <= r <= p:
-        raise FamilyParamError("r must lie within 1..p")
-    t = _check_increasing(params.t_set, r, "t_set")
-    q = tuple(params.q_list)
-    if len(q) != p - r:
-        raise FamilyParamError(f"q_list must have exactly p - r = {p - r} entries")
-    if len(set(q)) != len(q):
-        raise FamilyParamError("q_list entries must be distinct")
-    ends = range(r + 2, r + len(q) + 2)  # also the cutoffs and the q_i bounds
-    for i, (qi, lo) in enumerate(zip(q, ends), start=1):
-        if not lo <= qi <= inst.m:
-            raise FamilyParamError(f"q_{i} = {qi} violates q_i >= r + i + 1")
-    h = _fraction_h(inst)
-    phis = _lifts(h, r + 1, q, ends, ends)
-    coefs = _telescope(h, t, r + 1)
-    return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
+    r, t, q = _lifted_indices(inst, params)
+    if len(q) != inst.p - r:
+        raise FamilyParamError(f"q_list must have exactly p - r = {inst.p - r} entries")
+    return _lifted_cut(inst, t, q, _consecutive(r + 1, len(q)))
 
 
 def _zhao_w_tails(view: _IntView, q: Sequence[int]) -> list[int]:
@@ -352,50 +431,35 @@ def _zhao_w_tails(view: _IntView, q: Sequence[int]) -> list[int]:
     return tails
 
 
-def _zhao_derive_s(
-    view: _IntView, r: int, tails: Sequence[int]
-) -> tuple[Optional[tuple[int, ...]], Optional[int]]:
-    """The unique s-sequence satisfying the knapsack crossing conditions.
+def _zhao_derive_s(view: _IntView, r: int, tails: Sequence[int]) -> tuple[int, ...]:
+    """The s-sequence fixed by the knapsack crossing conditions, up to its first failure.
 
     For each position i the prefix mass of scenarios 1..r+s_i-1 plus the
     suffix mass ``tails[i]`` of the lifting set must not exceed epsilon, while
-    including scenario r+s_i pushes it strictly over (all in D units; the
-    prefix masses increase strictly, so s_i is found by bisection).  Returns
-    (None, i) when no such integer exists for position i (1-based).
+    including scenario r+s_i pushes it strictly over (all in D units).  The
+    prefix masses increase strictly, so at most one s_i >= 1 with r + s_i <= m
+    qualifies, found by bisection.  The entries before the first position
+    without one are returned, so a short result fails at position len + 1.
     """
     s: list[int] = []
     for i in range(len(tails) - 1):
         room = view.eps - tails[i]
-        if view.prefix[r] > room:
-            return None, i + 1
         k = bisect_right(view.prefix, room)  # first k with prefix[k] > room
-        if k > view.m:
-            return None, i + 1
+        if k <= r or k > view.m:
+            break
         s.append(k - r)
-    return tuple(s), None
+    return tuple(s)
 
 
-def _zhao_check_s(
-    view: _IntView, r: int, tails: Sequence[int], s: Sequence[int]
-) -> Optional[int]:
-    """Failing position (1-based) of the crossing conditions, or None."""
-    prefix, eps = view.prefix, view.eps
-    for i, si in enumerate(s):
-        if r + si > view.m:
-            return i + 1
-        if not (prefix[r + si] + tails[i] > eps and prefix[r + si - 1] + tails[i] <= eps):
-            return i + 1
-    return None
-
-
-def _zhao_ends_cutoffs(
-    r: int, s: Sequence[int], s_top: int
-) -> tuple[list[int], list[int]]:
-    """Ends and cutoffs of the s-shifted lifting; the cutoffs also bound q_i below."""
-    sx = list(s) + [s_top]
+def _zhao_lifting(r: int, s: Sequence[int], p: int) -> Optional[_Lifting]:
+    """The s-shifted lifting, or None unless s is nondecreasing within 1..p-r+1."""
+    sx = list(s) + [p - r + 1]
+    if sx[0] < 1 or any(a > b for a, b in zip(sx, sx[1:])):
+        return None
+    anchor = r + s[0]
     ends = [r + sx[1]] + [r + sx[i] + 1 for i in range(1, len(s))]
     cutoffs = [r + min(1 + sx[i], sx[i + 1]) for i in range(len(s))]
-    return ends, cutoffs
+    return _Lifting(anchor, ends, cutoffs, [max(c, anchor + 1) for c in cutoffs])
 
 
 def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
@@ -404,53 +468,35 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     All feasibility conditions are verified exactly; a violated knapsack
     crossing condition is reported with its failing position.
     """
-    r, p, theta = params.r, inst.p, inst.theta
-    if not 1 <= r <= p:
-        raise FamilyParamError("r must lie within 1..p")
-    t = _check_increasing(params.t_set, r, "t_set")
-    q = tuple(params.q_list)
+    r, t, q = _lifted_indices(inst, params)
     v = len(q)
     if v < 1:
         raise FamilyParamError("q_list must be nonempty (use the star families otherwise)")
-    if len(set(q)) != len(q):
-        raise FamilyParamError("q_list entries must be distinct")
-    if v > theta - r:
-        raise FamilyParamError(f"need |q_list| <= theta - r = {theta - r}")
-    for i, qi in enumerate(q, start=1):
-        if not 1 <= qi <= inst.m:  # before any pi_{q_i} is read
-            raise FamilyParamError(f"q_{i} = {qi} outside its admissible range")
+    if v > inst.theta - r:
+        raise FamilyParamError(f"need |q_list| <= theta - r = {inst.theta - r}")
     view = _int_view(inst)
-    tails = _zhao_w_tails(view, q)
+    s = _zhao_derive_s(view, r, _zhao_w_tails(view, q))
+    given = s
     if params.s_list is not None:
-        s = tuple(int(x) for x in params.s_list)
-        if len(s) != v:
+        given = _indices(params.s_list, "s_list")
+        if len(given) != v:
             raise FamilyParamError("s_list must match q_list in length")
-        bad = _zhao_check_s(view, r, tails, s)
-        if bad is not None:
-            raise FamilyParamError(f"knapsack crossing condition fails at iota={bad}")
-    else:
-        s, bad = _zhao_derive_s(view, r, tails)
-        if s is None:
-            raise FamilyParamError(f"knapsack crossing condition fails at iota={bad}")
-    s_top = p - r + 1
-    if any(a > b for a, b in zip(s, list(s[1:]) + [s_top])) or s[0] < 1:
+    # the crossing conditions fix each s_i, so only the derived s can pass
+    iota = next((i for i, (a, b) in enumerate(zip(given, s), start=1) if a != b), len(s) + 1)
+    if iota <= v:
+        raise FamilyParamError(f"knapsack crossing condition fails at iota={iota}")
+    lift = _zhao_lifting(r, s, inst.p)
+    if lift is None:
         raise FamilyParamError("s-sequence must be nondecreasing within 1..p-r+1")
-    ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
-    for i, (qi, lo) in enumerate(zip(q, cutoffs), start=1):
-        if not lo <= qi <= inst.m or qi <= r + s[0]:
-            raise FamilyParamError(f"q_{i} = {qi} outside its admissible range")
-    h = _fraction_h(inst)
-    phis = _lifts(h, r + s[0], q, ends, cutoffs)
-    coefs = _telescope(h, t, r + s[0])
-    return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
+    return _lifted_cut(inst, t, q, lift)
 
 
 def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut:
     """Aggregation family for the cardinality case: shifted coefficients.
 
     The delta shifts relax the telescoping coefficients; the lifting values
-    follow the same crossing recursion as the permuted family but discounted
-    by the total shift.
+    follow the same crossing recursion as the permuted family at r = p - v,
+    but discounted by the total shift.
     """
     _require_uniform(inst, "blp_uniform")
     if inst.epsilon == 1:
@@ -458,44 +504,22 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
             "the shifted families need epsilon < 1 (their multiplier construction"
             " divides by 1 - epsilon); the star families cover the vacuous knapsack"
         )
-    r, p = params.r, inst.p
-    if not 1 <= r <= p:
-        raise FamilyParamError("r must lie within 1..p")
-    t = _check_increasing(params.t_set, r, "t_set")
-    q = tuple(params.q_list)
+    r, t, q = _lifted_indices(inst, params)
     v = len(q)
-    if not 1 <= v <= p - r:
-        raise FamilyParamError(f"need 1 <= |q_list| <= p - r = {p - r}")
-    if len(set(q)) != len(q):
-        raise FamilyParamError("q_list entries must be distinct")
-    delta = tuple(rat(d) for d in params.delta)
-    if len(delta) != len(t):
-        raise FamilyParamError("delta must match t_set in length")
-    # s_iota = p - r - v + iota, so the anchor sits at h_{p-v+1} and the
-    # lifting ends, cutoffs and q_i lower bounds are r + s_iota + 1
-    anchor = p - v + 1
-    ends = range(anchor + 1, anchor + v + 1)
-    tx = list(t) + [anchor]
-    for i, d in enumerate(delta):
-        if d < inst.h_at(tx[i + 1]) - inst.h_at(tx[i]):
-            raise FamilyParamError(f"delta_{i + 1} below its telescoping lower bound")
+    if not 1 <= v <= inst.p - r:
+        raise FamilyParamError(f"need 1 <= |q_list| <= p - r = {inst.p - r}")
+    lift = _consecutive(inst.p - v + 1, v)
+    anchor = lift.anchor
+    delta = _check_delta(inst, t, params.delta, anchor)
     # every prefix including the full sum must be non-negative: the proof's
     # scenario cases rely on it, and a negative total genuinely produces
     # invalid inequalities
-    for k in range(2, len(t) + 2):
-        if sum(delta[: k - 1], Fraction(0)) < 0:
-            raise FamilyParamError(f"partial delta sum through {k - 1} is negative")
-    delta_sum = sum(delta, Fraction(0))
-    if delta_sum > inst.h_at(anchor) - inst.h_at(anchor + 1):
+    for k, total in enumerate(accumulate(delta), start=1):
+        if total < 0:
+            raise FamilyParamError(f"partial delta sum through {k} is negative")
+    if sum(delta) > inst.h_at(anchor) - inst.h_at(anchor + 1):
         raise FamilyParamError("total delta exceeds the first anchor gap")
-    for i, (qi, lo) in enumerate(zip(q, ends), start=1):
-        if not lo <= qi <= inst.m:
-            raise FamilyParamError(f"q_{i} = {qi} outside r+s_{i}+1..m")
-    phis = _lifts(_fraction_h(inst), anchor, q, ends, ends, delta_sum)
-    coefs = [
-        inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))
-    ]
-    return mixing_form(inst.m, t, coefs, q, phis, inst.h_at(t[0]))
+    return _lifted_cut(inst, t, q, lift, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -657,30 +681,18 @@ def _generic_structure_check(
             "the aggregation family needs epsilon < 1 (its multiplier construction"
             " divides by 1 - epsilon); the star families cover the vacuous knapsack"
         )
-    r, p = params.r, inst.p
-    if not 1 <= r <= p:
-        raise FamilyParamError("r must lie within 1..p")
-    t = _check_increasing(params.t_set, r, "t_set")
-    delta = tuple(rat(d) for d in params.delta)
-    if len(delta) != len(t):
-        raise FamilyParamError("delta must match t_set in length")
-    q = tuple(params.q_list)
-    if q:
-        _check_increasing(q, inst.m, "q_list")
-        if q[0] <= r:
-            raise FamilyParamError("q_list must lie within r+1..m")
-    if len(q) > p - r + len(t):
-        raise FamilyParamError(f"need |q_list| <= p - r + |t_set| = {p - r + len(t)}")
+    r, t, q = _lifted_indices(inst, params)
+    delta = _check_delta(inst, t, params.delta, r + 1)
+    if any(a >= b for a, b in zip(q, q[1:])) or (q and q[0] <= r):
+        raise FamilyParamError("q_list must be strictly increasing within r+1..m")
+    if len(q) > inst.p - r + len(t):
+        raise FamilyParamError(f"need |q_list| <= p - r + |t_set| = {inst.p - r + len(t)}")
     phi = tuple(rat(v) for v in params.phi)
     if len(phi) != len(q):
         raise FamilyParamError("phi must match q_list in length")
     if any(v < 0 for v in phi):
         raise FamilyParamError("phi entries must be non-negative")
-    tx = list(t) + [r + 1]
-    for i, d in enumerate(delta):
-        if d < inst.h_at(tx[i + 1]) - inst.h_at(tx[i]):
-            raise FamilyParamError(f"delta_{i + 1} below its telescoping lower bound")
-    if sum(delta, Fraction(0)) > inst.h_at(r + 1):
+    if sum(delta) > inst.h_at(r + 1):
         raise FamilyParamError("total delta exceeds h_{r+1}")
     return t, delta, q, phi
 
@@ -876,8 +888,8 @@ def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Opt
     shifted = inst.epsilon != 1
     generic = _proper_blp_generic if shifted else None
     table: dict[str, tuple[Optional[_Check], Optional[str]]] = {
-        "star": (_proper_star, None),
-        "strengthened_star": (_proper_strengthened_star, "star"),
+        "star": (partial(_proper_star, "star", inst.m), None),
+        "strengthened_star": (partial(_proper_star, "strengthened_star", inst.p), "star"),
     }
     if inst.uniform:
         table["lifted"] = (_proper_lifted, "strengthened_star")
@@ -892,26 +904,23 @@ def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Opt
     return table
 
 
-def _proper_star(inst: MixingInstance, form: _Form) -> Membership:
-    if form.q or not form.t:
-        return Membership(False)
+def _telescopes(form: _Form, top: int, anchor: int) -> bool:
+    """Whether t_set is nonempty within 1..top, starts at the base right-hand
+    side (h_{t_1}) and telescopes to h_anchor."""
     t = form.t
-    if form.rhs_base != form.h[t[0]]:
-        return Membership(False)
-    if form.coefs != _telescope(form.h, t, inst.m + 1):
-        return Membership(False)
-    return Membership(True, "star", StarParams(t))
+    return (
+        bool(t)
+        and t[-1] <= top
+        and form.rhs_base == form.h[t[0]]
+        and form.coefs == _telescope(form.h, t, anchor)
+    )
 
 
-def _proper_strengthened_star(inst: MixingInstance, form: _Form) -> Membership:
-    if form.q or not form.t:
+def _proper_star(via: str, top: int, inst: MixingInstance, form: _Form) -> Membership:
+    """The star family (top = m) or the strengthened one (top = p)."""
+    if form.q or not _telescopes(form, top, top + 1):
         return Membership(False)
-    t = form.t
-    if t[-1] > inst.p or form.rhs_base != form.h[t[0]]:
-        return Membership(False)
-    if form.coefs != _telescope(form.h, t, inst.p + 1):
-        return Membership(False)
-    return Membership(True, "strengthened_star", StarParams(t))
+    return Membership(True, via, StarParams(form.t))
 
 
 def _lift_orders(form: _Form) -> Iterator[tuple[int, ...]]:
@@ -929,73 +938,54 @@ def _lift_orders(form: _Form) -> Iterator[tuple[int, ...]]:
         yield tuple(chain.from_iterable(parts))
 
 
+def _match_lifts(form: _Form, lift: _Lifting, shift: int = 0) -> Optional[tuple[int, ...]]:
+    """The first order of q_list that ``lift`` admits and whose lifts are the form's.
+
+    Every order from `_lift_orders` lists the lifts in increasing order.
+    """
+    want = sorted(form.phis)
+    for perm in _lift_orders(form):
+        if all(lo <= qi for qi, lo in zip(perm, lift.lower)) and (
+            _lifts(form.h, lift, perm, shift) == want
+        ):
+            return perm
+    return None
+
+
 def _proper_lifted(inst: MixingInstance, form: _Form) -> Membership:
-    if not form.q or not form.t:
+    v = len(form.q)  # q is sorted ascending by construction
+    r = inst.p - v
+    if not v or r < 1 or form.q[0] <= inst.p or not _telescopes(form, r, r + 1):
         return Membership(False)
-    p = inst.p
-    q = form.q  # sorted ascending by construction
-    r = p - len(q)
-    t = form.t
-    if r < 1 or t[-1] > r or q[0] <= p:
+    if _lifts(form.h, _consecutive(r + 1, v), form.q) != list(form.phis):
         return Membership(False)
-    if form.rhs_base != form.h[t[0]]:
-        return Membership(False)
-    if form.coefs != _telescope(form.h, t, r + 1):
-        return Membership(False)
-    ends = range(r + 2, r + len(q) + 2)
-    if _lifts(form.h, r + 1, q, ends, [0] * len(q)) != list(form.phis):
-        return Membership(False)
-    return Membership(True, "lifted", LiftedParams(r, t, q))
+    return Membership(True, "lifted", LiftedParams(r, form.t, form.q))
 
 
 def _proper_kucukyavuz(inst: MixingInstance, form: _Form) -> Membership:
-    if not form.q or not form.t:
+    v = len(form.q)
+    r = inst.p - v
+    if not v or r < 1 or not _telescopes(form, r, r + 1):
         return Membership(False)
-    p = inst.p
-    r = p - len(form.q)
-    t = form.t
-    if r < 1 or t[-1] > r:
+    perm = _match_lifts(form, _consecutive(r + 1, v))
+    if perm is None:
         return Membership(False)
-    if form.rhs_base != form.h[t[0]]:
-        return Membership(False)
-    if form.coefs != _telescope(form.h, t, r + 1):
-        return Membership(False)
-    phi_of = dict(form.q_phis)
-    ends = range(r + 2, r + len(form.q) + 2)
-    for perm in _lift_orders(form):
-        if any(qi < lo for qi, lo in zip(perm, ends)):
-            continue
-        if _lifts(form.h, r + 1, perm, ends, ends) == [phi_of[qi] for qi in perm]:
-            return Membership(True, "kucukyavuz", LiftedParams(r, t, perm))
-    return Membership(False)
+    return Membership(True, "kucukyavuz", LiftedParams(r, form.t, perm))
 
 
 def _proper_zhao(inst: MixingInstance, form: _Form) -> Membership:
-    if not form.q or not form.t:
-        return Membership(False)
-    t = form.t
-    v = len(form.q)
-    phi_of = dict(form.q_phis)
-    if form.rhs_base != form.h[t[0]]:
+    t, v = form.t, len(form.q)
+    if not v or not t or form.rhs_base != form.h[t[0]]:
         return Membership(False)
     tails = _zhao_w_tails(form.view, form.q)
     for r in range(t[-1], min(inst.p, inst.theta - v) + 1):
-        s, _bad = _zhao_derive_s(form.view, r, tails)
-        if s is None:
+        s = _zhao_derive_s(form.view, r, tails)
+        if len(s) < v or form.coefs != _telescope(form.h, t, r + s[0]):
             continue
-        s_top = inst.p - r + 1
-        if s[0] < 1 or any(a > b for a, b in zip(s, list(s[1:]) + [s_top])):
-            continue
-        if form.coefs != _telescope(form.h, t, r + s[0]):
-            continue
-        ends, cutoffs = _zhao_ends_cutoffs(r, s, s_top)
-        for perm in _lift_orders(form):
-            if any(qi <= r + s[0] or qi < lo for qi, lo in zip(perm, cutoffs)):
-                continue
-            if _lifts(form.h, r + s[0], perm, ends, cutoffs) == [phi_of[qi] for qi in perm]:
-                return Membership(
-                    True, "zhao", LiftedParams(r, t, perm, s_list=s)
-                )
+        lift = _zhao_lifting(r, s, inst.p)
+        perm = None if lift is None else _match_lifts(form, lift)
+        if perm is not None:
+            return Membership(True, "zhao", LiftedParams(r, t, perm, s_list=s))
     return Membership(False)
 
 
@@ -1011,31 +1001,21 @@ def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Membership:
     the shift total becomes h_{A+extra} - h_{A+1} = 0, while the visible
     lifts, their cutoffs and their q bounds stay as they were.
     """
-    if not form.q or not form.t:
-        return Membership(False)
-    h, t = form.h, form.t
-    v = len(form.q)
+    h, t, v = form.h, form.t, len(form.q)
     r = inst.p - v
-    if r < 1 or t[-1] > r or form.rhs_base != h[t[0]]:
+    if not v or not t or r < 1 or t[-1] > r or form.rhs_base != h[t[0]]:
         return Membership(False)
-    anchor = r + 1
-    tx = t + (anchor,)
-    delta = [form.coefs[i] - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
+    lift = _consecutive(r + 1, v)
+    delta = [c - d for c, d in zip(form.coefs, _telescope(h, t, lift.anchor))]
     if any(total < 0 for total in accumulate(delta)):
         return Membership(False)
     delta_sum = sum(delta)
-    if delta_sum > h[anchor] - h[anchor + 1]:
+    if delta_sum > h[lift.anchor] - h[lift.anchor + 1]:
         return Membership(False)
-    phi_of = dict(form.q_phis)
-    ends = range(anchor + 1, anchor + v + 1)
-    for perm in _lift_orders(form):
-        if any(qi < lo for qi, lo in zip(perm, ends)):
-            continue
-        if _lifts(h, anchor, perm, ends, ends, delta_sum) == [phi_of[qi] for qi in perm]:
-            return Membership(
-                True, "blp_uniform", BlpUniformParams(r, t, perm, form.fractions(delta))
-            )
-    return Membership(False)
+    perm = _match_lifts(form, lift, delta_sum)
+    if perm is None:
+        return Membership(False)
+    return Membership(True, "blp_uniform", BlpUniformParams(r, t, perm, form.fractions(delta)))
 
 
 def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Membership:

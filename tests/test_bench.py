@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mixcut import bench, cli
-from mixcut.core import ValidationError, instance_to_json, make_cut
+from mixcut import bench, cli, families
+from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
 
 
 class TestCatalog:
@@ -157,6 +157,39 @@ class TestCli:
                          "--params", str(params), "--out", str(tmp_path / "cut2.json")]) == 0
         cut2 = json.loads((tmp_path / "cut2.json").read_text())
         assert cut2["z"] == "1"
+
+    # each family's worked example: (family, instance, parameter fields, library params)
+    K_PI = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
+    GENERATE_CASES = {
+        "star": ("star", (3, [20, 18, 14], None, 1), {"t_set": [1, 2, 3]},
+                 families.StarParams((1, 2, 3))),
+        "lifted": ("lifted", (5, [20, 18, 14, 11, 6], None, Fraction(3, 5)),
+                   {"r": 2, "t_set": [1, 2], "q_list": [4]},
+                   families.LiftedParams(2, (1, 2), (4,))),
+        "kucukyavuz": ("kucukyavuz", (6, [20, 18, 14, 11, 6, 5], None, Fraction(4, 6)),
+                       {"r": 2, "t_set": [1, 2], "q_list": [4, 5]},
+                       families.LiftedParams(2, (1, 2), (4, 5))),
+        "zhao": ("zhao", (10, [40, 38, 34, 31, 26, 16, 8, 4, 2, 1], K_PI, Fraction(1, 2)),
+                 {"r": 1, "t_set": [1], "q_list": [4, 7, 8]},
+                 families.LiftedParams(1, (1,), (4, 7, 8))),
+        "zhao_s_list": ("zhao", (10, [40, 38, 34, 31, 26, 16, 8, 4, 2, 1], K_PI, Fraction(1, 2)),
+                        {"r": 1, "t_set": [1], "q_list": [4, 7, 8], "s_list": [1, 2, 3]},
+                        families.LiftedParams(1, (1,), (4, 7, 8), s_list=(1, 2, 3))),
+        "blp_uniform": ("blp_uniform", (10, [20, 18, 14, 11, 6, 5, 4, 3, 2, 1], None,
+                                        Fraction(4, 10)),
+                        {"r": 1, "t_set": [1], "q_list": [6, 8, 7], "delta": ["1"]},
+                        families.BlpUniformParams(1, (1,), (6, 8, 7), (Fraction(1),))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+    def test_generate_prints_the_library_cut(self, case, tmp_path, capsys):
+        family, inst_args, fields, lib_params = self.GENERATE_CASES[case]
+        inst = build_instance(*inst_args)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(fields, instance=json.loads(instance_to_json(inst)))))
+        assert cli.main(["generate", "--family", family, "--params", str(params)]) == 0
+        want = cli.GENERATORS[family](inst, lib_params)
+        assert json.loads(capsys.readouterr().out) == json.loads(cut_to_json(want))
 
     def test_generate_generic_certificate(self, tmp_path, capsys):
         inst = bench.benchmark_instance("L", 10, 4)

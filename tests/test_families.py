@@ -114,6 +114,11 @@ class TestKucukyavuz:
         inst = benchmark_instance("L", 6, 4)
         with pytest.raises(fam.FamilyParamError):
             fam.gen_kucukyavuz(inst, fam.LiftedParams(2, (1, 2), (5, 4)))
+        # the lifts of that order give an invalid cut, which the membership
+        # checks refuse by the same bound
+        cut = make_cut(1, [2, 4, 0, -5, -3, 0], 12)
+        assert not cut_is_valid(inst, cut)
+        assert not fam.member_of(inst, cut, "blp_uniform")
 
     def test_agrees_with_lifted_on_shared_domain(self):
         inst = benchmark_instance("L", 7, 5)
@@ -144,9 +149,11 @@ class TestZhao:
         cut = fam.gen_zhao(ex42, fam.LiftedParams(1, (1,), (4, 7, 8), s_list=(1, 2, 3)))
         assert cut == make_cut(1, [2, 0, 0, -4, 0, 0, -4, -8, 0, 0], 24)
 
-    def test_crossing_violation_reports_position(self, ex42):
-        with pytest.raises(fam.FamilyParamError, match="iota=1"):
-            fam.gen_zhao(ex42, fam.LiftedParams(1, (1,), (4, 7, 8), s_list=(3, 3, 3)))
+    # the crossing conditions fix s = (1, 2, 3) here; iota is the first entry off it
+    @pytest.mark.parametrize("s_list,iota", [((3, 3, 3), 1), ((1, 3, 3), 2), ((1, 2, 4), 3)])
+    def test_crossing_violation_reports_position(self, ex42, s_list, iota):
+        with pytest.raises(fam.FamilyParamError, match=f"iota={iota}"):
+            fam.gen_zhao(ex42, fam.LiftedParams(1, (1,), (4, 7, 8), s_list=s_list))
 
     def test_uniform_matches_kucukyavuz(self):
         inst = benchmark_instance("L", 7, 4)
@@ -208,6 +215,28 @@ class TestBlpUniform:
         assert result.via == "blp_uniform"
         assert result.certificate == fam.BlpUniformParams(2, (1,), (4,), (Fraction(0),))
         assert fam.gen_blp_uniform(inst, result.certificate) == cut
+
+
+class TestIndexParams:
+    """r, t_set, q_list and s_list are ints: a float or a bool is refused, not
+    truncated or left to fail on indexing."""
+
+    CASES = {
+        "star_float_t": ("gen_star", fam.StarParams((1.7,))),
+        "zhao_float_s": ("gen_zhao", fam.LiftedParams(1, (1,), (4, 7, 8), s_list=(1.9, 2, 3))),
+        "kucukyavuz_float_r": ("gen_kucukyavuz", fam.LiftedParams(2.0, (1, 2), (4, 5))),
+        "kucukyavuz_float_q": ("gen_kucukyavuz", fam.LiftedParams(2, (1, 2), (4.0, 5))),
+        "blp_generic_float_r": ("gen_blp_generic", fam.BlpGenericParams(2.5, (1, 2), (0, 0))),
+        "zhao_bool_r": ("gen_zhao", fam.LiftedParams(True, (1,), (4, 7, 8))),
+        "lifted_bool_t": ("gen_luedtke_lifted", fam.LiftedParams(2, (True, 2), (5, 6))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_int_index_refused(self, case, ex42):
+        name, params = self.CASES[case]
+        inst = ex42 if name == "gen_zhao" else benchmark_instance("L", 6, 4)
+        with pytest.raises(fam.FamilyParamError, match="must be an int"):
+            getattr(fam, name)(inst, params)
 
 
 class TestUniformClosureOracle:
@@ -392,6 +421,28 @@ class TestNecessityCount:
                 check(inst, bad)
 
 
+# (benchmark cell or h, None or (weights, epsilon numerator)): two uniform
+# cells, a vacuous-knapsack cell, and two general-probability instances
+# (on the second, zhao and blp_generic cover different facets, so both
+# branches of that tree are exercised)
+MEMBERSHIP_INSTANCES = [
+    (("L", 6, 4), None),
+    (("K", 7, 5), None),
+    (("K", 6, 6), None),
+    ((30, 24, 17, 11, 6, 2), ((1, 3, 2, 1, 4, 1), 7)),
+    ((28, 21, 15, 10, 4, 2), ((1, 2, 1, 3, 2, 1), 5)),
+]
+
+
+def _membership_instance(data, weights):
+    if weights is None:
+        return benchmark_instance(*data)
+    w, eps = weights
+    return build_instance(
+        len(data), data, [Fraction(x, sum(w)) for x in w], Fraction(eps, sum(w))
+    )
+
+
 class TestMembership:
     def test_worked_example_memberships(self, ex21):
         assert not fam.member_of(ex21, EQ12, "zhao")
@@ -424,8 +475,11 @@ class TestMembership:
         with pytest.raises(fam.FamilyParamError.__mro__[1]):  # ValidationError
             fam.member_of(inst, make_cut(0, [1, 0, 0, 0, 0], 0), "star")
 
-    def test_certificate_soundness_on_hull(self):
-        inst = benchmark_instance("L", 6, 3)
+    @pytest.mark.parametrize("data,weights", [(("L", 6, 3), None)] + MEMBERSHIP_INSTANCES)
+    def test_certificate_soundness_on_hull(self, data, weights):
+        """Every witness regenerates its facet; K(6,6) yields star witnesses
+        and the general-probability instances zhao ones."""
+        inst = _membership_instance(data, weights)
         fs = hull.cached_facets(inst)
         regen = {
             "star": fam.gen_star,
@@ -435,15 +489,21 @@ class TestMembership:
             "zhao": fam.gen_zhao,
             "blp_uniform": fam.gen_blp_uniform,
         }
+        vias = set()
         for facet in fs.nonvertical:
             for family in fam.FAMILIES:
                 result = fam.member_of(inst, facet, family)
                 if not result or result.via == "degenerate":
                     continue
+                vias.add(result.via)
                 if result.via == "blp_generic":
                     assert fam.gen_blp_generic(inst, result.certificate).cut == facet
                 else:
                     assert regen[result.via](inst, result.certificate) == facet
+        if inst.p == inst.m:
+            assert "star" in vias
+        if not inst.uniform:
+            assert "zhao" in vias
 
     def test_nesting_chain_on_facets(self):
         order = list(fam.FAMILIES)
@@ -472,32 +532,14 @@ class TestLazyMembership:
         ]
         assert list(fam._lift_orders(parsed)) == want
 
-    # (benchmark cell or h, None or (weights, epsilon numerator)): two uniform
-    # cells, a vacuous-knapsack cell, and two general-probability instances
-    # (on the second, zhao and blp_generic cover different facets, so both
-    # branches of that tree are exercised)
-    INSTANCES = [
-        (("L", 6, 4), None),
-        (("K", 7, 5), None),
-        (("K", 6, 6), None),
-        ((30, 24, 17, 11, 6, 2), ((1, 3, 2, 1, 4, 1), 7)),
-        ((28, 21, 15, 10, 4, 2), ((1, 2, 1, 3, 2, 1), 5)),
-    ]
-
-    @pytest.mark.parametrize("data,weights", INSTANCES)
+    @pytest.mark.parametrize("data,weights", MEMBERSHIP_INSTANCES)
     def test_walk_up_matches_walk_down(self, data, weights):
         """`_memberships` gives `member_of`'s verdicts for every subset of names.
 
         Each subset is asked for in chain order and reversed, so the shared
         verdicts are filled from the bottom and from the top of each chain.
         """
-        if weights is None:
-            inst = benchmark_instance(*data)
-        else:
-            w, eps = weights
-            inst = build_instance(
-                len(data), data, [Fraction(x, sum(w)) for x in w], Fraction(eps, sum(w))
-            )
+        inst = _membership_instance(data, weights)
         for facet in hull.cached_facets(inst).nonvertical:
             truth = {name: bool(fam.member_of(inst, facet, name)) for name in fam.FAMILIES}
             for size in range(len(fam.FAMILIES) + 1):
