@@ -275,7 +275,7 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
 
     Markdown and csv render the source tables' three family columns, so
     every report must cover `DEFAULT_FAMILIES`; any other family list needs
-    the json form, which round-trips through :func:`parse_report`.
+    the json form, which holds every field of each report.
     """
     reports = sorted(reports, key=lambda r: (r.example or "", r.m, r.p))
     if fmt == "json":
@@ -311,23 +311,3 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
     for row in rows[1:]:
         out.append("| " + " | ".join(row) + " |")
     return "\n".join(out)
-
-
-def parse_report(text: str) -> list[CoverageReport]:
-    """Inverse of the json form of :func:`emit_report`."""
-    payload = json.loads(text)
-    out = []
-    for row in payload:
-        out.append(
-            CoverageReport(
-                example=row["example"],
-                m=int(row["m"]),
-                p=int(row["p"]),
-                facet_total=int(row["facet_total"]),
-                vertical_count=int(row["vertical_count"]),
-                covered=tuple((k, int(v)) for k, v in row["covered"].items()),
-                trivial=bool(row["trivial"]),
-                incomplete=bool(row.get("incomplete", False)),
-            )
-        )
-    return out

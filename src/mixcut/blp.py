@@ -6,6 +6,9 @@ weighted constraints, normalizing the y-products, and applying the
 substitution rules yields linear cuts in the x variables; the projection-cone
 view certifies them.  `build_sc` produces the lifted reformulation of a
 mixing instance whose aggregation cuts are valid for the instance's hull.
+Whether such a cut is a facet is decided by `hull.is_facet`, not here.  The
+exact x-projection of the restrictions' hull, which cross-checks the
+reformulation, lives with the tests, in `tests/projection_reference.py`.
 """
 
 from __future__ import annotations
@@ -17,14 +20,12 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from . import dd, linalg
 from .core import (
     LinearCut,
     MixingInstance,
     Rational,
     RationalLike,
     ValidationError,
-    canonicalize,
     json_array,
     json_int,
     json_malformed,
@@ -129,8 +130,8 @@ class BilinearSet:
         the polyhedron row ``E_t x >= f_t``, a constraint with zero A and zero
         c, so it reads the same at every j.  Every entry is stored as an int,
         the rational times :attr:`denominator`, so that weighted sums of rows
-        add Python ints; :func:`restriction_rows` divides back.  Every caller
-        that weights, lifts or matches a row reads it here.
+        add Python ints.  Every caller that weights, lifts or matches a row
+        reads it here.
         """
         T = self.denominator
 
@@ -201,17 +202,14 @@ class BilinearExpr:
     """Aggregated inequality with y-squares folded and y-crosses dropped.
 
     Represents ``sum quad[j][i] x_i y_{j+1} + lin_x . x + lin_y . y >= rhs``.
-    ``zeroed`` counts coefficients that some weighted constraint touched but
-    that cancelled to zero in the sum (the quantity audited by the facet
-    necessity condition).
+    ``t_sets_disjoint`` is true unless some polyhedron row is weighted at
+    every scenario 0..m; it says nothing about whether the cut is a facet.
     """
 
     quad: tuple[tuple[Fraction, ...], ...]
     lin_x: tuple[Fraction, ...]
     lin_y: tuple[Fraction, ...]
     rhs: Fraction
-    zeroed: int
-    weight_count: int
     t_sets_disjoint: bool
 
 
@@ -250,9 +248,6 @@ class BlpAssignment:
 class SubstitutionResult:
     coefs: tuple[Fraction, ...]
     rhs: Fraction
-    zeroed: int
-    required: int
-    c1_satisfied: bool
     moves: tuple[tuple[int, int, Fraction], ...]  # (j, table row, weight)
     t_sets_disjoint: bool
     z_slot: Optional[int]
@@ -292,8 +287,8 @@ def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
 
 def _weighted_sum(
     S: BilinearSet, weighted: Iterable[tuple[int, int, int]]
-) -> tuple[list[list[int]], list[int], list[int], int, int]:
-    """(quad, lin_x, lin_y, rhs, zeroed) of the weighted rows, y-normalized.
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """(quad, lin_x, lin_y, rhs) of the weighted rows, y-normalized.
 
     Each (j, k, w) adds row k as read at y = e_j in
     :attr:`BilinearSet.restrictions`, times the int w.  Weighting by y_j puts
@@ -308,8 +303,6 @@ def _weighted_sum(
     lin_x = [0] * n
     lin_y = [0] * m
     rhs = 0
-    touched_q = [[False] * n for _ in range(m)]
-    touched_y = [False] * m
     for j, k, w in weighted:
         pairs, row_rhs = S.restrictions[j][k]
         if j == 0:
@@ -318,29 +311,16 @@ def _weighted_sum(
                 lin_x[i] += wv
                 for jj in range(m):
                     quad[jj][i] -= wv
-                    touched_q[jj][i] = True
             if row_rhs:
                 wr = w * row_rhs
                 for jj in range(m):
                     lin_y[jj] += wr
-                    touched_y[jj] = True
                 rhs += wr
         else:
             for i, v in pairs:
                 quad[j - 1][i] += w * v
-                touched_q[j - 1][i] = True
-            if row_rhs:
-                lin_y[j - 1] -= w * row_rhs
-                touched_y[j - 1] = True
-
-    zeroed = sum(
-        1
-        for j in range(m)
-        for i in range(n)
-        if touched_q[j][i] and quad[j][i] == 0
-    )
-    zeroed += sum(1 for j in range(m) if touched_y[j] and lin_y[j] == 0)
-    return quad, lin_x, lin_y, rhs, zeroed
+            lin_y[j - 1] -= w * row_rhs
+    return quad, lin_x, lin_y, rhs
 
 
 def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, Fraction]]:
@@ -357,7 +337,7 @@ def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, F
 def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     """Weighted sum of the selected constraints with y-normalization applied."""
     L, weighted = _over_lcm(_assignment_rows(S, a))
-    quad, lin_x, lin_y, rhs, zeroed = _weighted_sum(S, weighted)
+    quad, lin_x, lin_y, rhs = _weighted_sum(S, weighted)
     frac = _over(L * S.denominator)
 
     t_sets: dict[int, set[int]] = {}
@@ -371,8 +351,6 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
         lin_x=tuple(map(frac, lin_x)),
         lin_y=tuple(map(frac, lin_y)),
         rhs=frac(rhs),
-        zeroed=zeroed,
-        weight_count=len(a.k_weights) + len(a.t_weights),
         t_sets_disjoint=disjoint,
     )
 
@@ -387,10 +365,6 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     Each move is one more weighted row of the set, recorded in ``moves`` as
     (j, table row, weight) with the row from :attr:`BilinearSet.relation_rows`
     (so an unbacked relation raises :class:`ValidationError`).
-
-    The returned audit compares the coefficients cancelled during
-    aggregation against the count the facet-necessity condition demands;
-    failing it leaves the cut valid but certifies it is not facet-defining.
     """
     m = S.m
     backing = S.relation_rows
@@ -426,27 +400,16 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
             lin_y[j - 1] += u
             moves.append((j, k, -u))
 
-    # a positive maximum p over q coefficients collapses onto x_i (or the rhs)
-    # and lowers the demanded count by q - 1
-    required = expr.weight_count
+    # the positive part of each column's maximum collapses onto x_i, and that
+    # of the y terms onto the rhs
     for i in range(S.n):
-        column = [row[i] for row in quad]
-        best = max(column, default=Fraction(0))
-        if best > 0:
+        best = max(_ZERO, *(row[i] for row in quad))
+        if best:
             lin_x[i] += best
-            required += 1 - column.count(best)
-    p0 = max(lin_y, default=Fraction(0))
-    if p0 > 0:
-        required += 1 - lin_y.count(p0)
-    else:
-        p0 = Fraction(0)
 
     return SubstitutionResult(
         coefs=tuple(lin_x),
-        rhs=expr.rhs - p0,
-        zeroed=expr.zeroed,
-        required=required,
-        c1_satisfied=expr.zeroed >= required,
+        rhs=expr.rhs - max(_ZERO, *lin_y),
         moves=tuple(moves),
         t_sets_disjoint=expr.t_sets_disjoint,
         z_slot=S.z_slot,
@@ -547,136 +510,6 @@ def sc_constraint_index(S: BilinearSet, group: int, i: int, j: Optional[int] = N
     raise ValidationError(f"unknown constraint group {group}")
 
 
-def sc_restriction_witness(inst: MixingInstance, j: int):
-    """Candidate feasible point (z, x, y) for the restriction y = e_j (e_0 = 0).
-
-    These witnesses satisfy every bilinear constraint and the box bounds;
-    the knapsack row additionally holds only when the fixed prefix mass fits
-    under epsilon (always for j <= p + 1, never for j >= p + 2 unless the
-    knapsack is vacuous).
-    """
-    m = inst.m
-    if j == 0:
-        return (Fraction(0), tuple(Fraction(1) for _ in range(m)), tuple(Fraction(0) for _ in range(m)))
-    x = tuple(Fraction(0) if i == j else Fraction(1) for i in range(1, m + 1))
-    y = tuple(Fraction(1) if i == j else Fraction(0) for i in range(1, m + 1))
-    return (inst.h_at(j), x, y)
-
-
-def point_satisfies_bilinear(S: BilinearSet, x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    for con in S.constraints:
-        total = con.d * -1
-        total += sum(con.b[i] * x[i] for i in range(S.n))
-        total += sum(con.c[j] * y[j] for j in range(S.m))
-        for j in range(S.m):
-            if y[j]:
-                total += y[j] * sum(con.A[j][i] * x[i] for i in range(S.n))
-        if total < 0:
-            return False
-    return True
-
-
-def point_in_xi(S: BilinearSet, x: Sequence[Fraction]) -> bool:
-    if any(v < 0 for v in x):
-        return False
-    return all(
-        sum(row[i] * x[i] for i in range(S.n)) >= b
-        for row, b in zip(S.e_rows, S.f)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Restrictions and their hull
-
-
-def restriction_rows(S: BilinearSet, j: int) -> tuple[list[tuple[Fraction, ...]], list[Fraction]]:
-    """H-representation of the x-space restriction at y = e_j (j = 0: y = 0)."""
-    frac = _over(S.denominator)
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for pairs, row_rhs in S.restrictions[j]:
-        row = [_ZERO] * S.n
-        for i, v in pairs:
-            row[i] = frac(v)
-        rows.append(tuple(row))
-        rhs.append(frac(row_rhs))
-    for i in range(S.n):
-        rows.append(tuple(Fraction(1) if k == i else _ZERO for k in range(S.n)))
-        rhs.append(_ZERO)
-    return rows, rhs
-
-
-def restriction_generators(
-    S: BilinearSet, j: int
-) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
-    rows, rhs = restriction_rows(S, j)
-    return dd.polyhedron_generators(rows, rhs)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    nonempty: tuple[bool, ...]  # indexed by j = 0..m
-    recession_shared: bool
-    recession: tuple[tuple[int, ...], ...]
-
-
-def check_restrictions(S: BilinearSet) -> AssumptionReport:
-    """Which restrictions are nonempty, and do the nonempty ones share a cone."""
-    nonempty = []
-    cones: list[tuple[tuple[int, ...], ...]] = []
-    for j in range(S.m + 1):
-        vertices, rays = restriction_generators(S, j)
-        nonempty.append(bool(vertices))
-        if vertices:
-            cones.append(tuple(sorted(rays)))
-    shared = all(c == cones[0] for c in cones) if cones else False
-    recession = cones[0] if cones else ()
-    return AssumptionReport(tuple(nonempty), shared, recession)
-
-
-def projected_hull_generators(
-    S: BilinearSet,
-) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
-    """Generators of the x-projection of the disjunctive hull.
-
-    The projection is the convex hull of the nonempty restrictions plus the
-    shared recession cone, so collecting each restriction's generators gives
-    an exact V-representation without eliminating the lifted variables.
-    """
-    points: list[tuple[Fraction, ...]] = []
-    rays: list[tuple[int, ...]] = []
-    seen_rays: set = set()
-    any_nonempty = False
-    for j in range(S.m + 1):
-        vertices, recession = restriction_generators(S, j)
-        if vertices:
-            any_nonempty = True
-            points.extend(vertices)
-        for r in recession:
-            if r not in seen_rays:
-                seen_rays.add(r)
-                rays.append(r)
-    if not any_nonempty:
-        raise ValidationError("every restriction is empty")
-    dedup = sorted(set(points))
-    return dedup, rays
-
-
-def projected_hull_facets(S: BilinearSet) -> list[LinearCut]:
-    """Facets of the disjunctive projection, as cuts over the x-block."""
-    points, rays = projected_hull_generators(S)
-    gens = [linalg.primitive(p + (Fraction(1),)) for p in points]
-    gens.extend(linalg.primitive(tuple(r) + (0,)) for r in rays)
-    facets = []
-    for a in dd.dual_rays(gens):
-        body, a0 = a[:-1], a[-1]
-        if all(v == 0 for v in body):
-            continue
-        cut = _x_block_cut(S.z_slot, tuple(map(Fraction, body)), Fraction(-a0))
-        facets.append(canonicalize(cut))
-    return sorted(facets, key=LinearCut.sort_key)
-
-
 # ---------------------------------------------------------------------------
 # Projection-cone certificates
 
@@ -695,7 +528,7 @@ def assemble_dual(
     denominators; the dense tuple holds one shared zero.
     """
     L, weighted = _over_lcm((*_assignment_rows(S, a), *result.moves))
-    quad, _, lin_y, _, _ = _weighted_sum(S, weighted)
+    quad, _, lin_y, _ = _weighted_sum(S, weighted)
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
     gamma0 = [max(0, *(quad[j][i] for j in range(m))) for i in range(n)]
     theta0 = max(0, *lin_y)

@@ -98,7 +98,11 @@ def cmd_coverage(args) -> int:
 
 
 def _params_from_payload(payload: dict, family: str):
-    """Family parameters; a missing field reads as `default` (None: required)."""
+    """Family parameters; a missing field reads as `default` (None: required).
+
+    A missing or null ``s_list`` leaves zhao's s to be derived; any other
+    value, the empty array included, is checked against ``q_list``.
+    """
 
     def ints(key: str, default=None) -> tuple[int, ...]:
         return json_ints(payload.get(key, default), "parameter", key)
@@ -112,7 +116,7 @@ def _params_from_payload(payload: dict, family: str):
     if family in ("lifted", "kucukyavuz", "zhao"):
         return families.LiftedParams(
             r=r, t_set=ints("t_set"), q_list=ints("q_list", []),
-            s_list=ints("s_list", []) or None,
+            s_list=None if payload.get("s_list") is None else ints("s_list"),
         )
     if family == "blp_uniform":
         return families.BlpUniformParams(
@@ -200,11 +204,6 @@ def cmd_blp_aggregate(args) -> int:
     document = {
         "coefs": [rat_str(c) for c in result.coefs],
         "rhs": rat_str(result.rhs),
-        "audit": {
-            "zeroed": result.zeroed,
-            "required": result.required,
-            "satisfied": result.c1_satisfied,
-        },
         "t_sets_disjoint": result.t_sets_disjoint,
     }
     if S.z_slot is not None:

@@ -4,22 +4,21 @@
 and returns the primitive integer normals of its facets (equivalently, the
 extreme rays of the dual cone).  It schedules each edge ahead of time, so
 that an insertion tests adjacency only among the rays tight on the new
-generator.  `polyhedron_generators` reads the vertices and extreme rays of
-an H-polyhedron off the dual rays of its homogenization.  The two
-independent oracles that cross-check `dual_rays` (ridge pivoting and a
-literal hyperplane search) live with the tests, in `tests/hull_oracles.py`.
+generator.  The two independent oracles that cross-check `dual_rays` (ridge
+pivoting and a literal hyperplane search) live with the tests, in
+`tests/hull_oracles.py`; so does `polyhedron_generators`, which reads an
+H-polyhedron's vertices and extreme rays off the dual rays of its
+homogenization (`tests/projection_reference.py`).
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from itertools import compress, islice
 from operator import itemgetter, mul, not_
 from typing import Optional, Sequence
 
-from . import linalg
 from .linalg import _reduce
 
 
@@ -242,32 +241,3 @@ def dual_rays(
                             edges[fa] += b, a
             i = j
     return sorted(r[2] for r in dying[n])
-
-
-def polyhedron_generators(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    budget: Optional[Budget] = None,
-) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
-    """Vertices and extreme rays of {x : rows . x >= rhs} via homogenization.
-
-    The polyhedron must be pointed (the homogenized constraint matrix has
-    full column rank); returns ([], rays) for an empty polyhedron and raises
-    ValueError when rank fails.
-    """
-    hom = [linalg.primitive(tuple(row) + (-Fraction(b),)) for row, b in zip(rows, rhs)]
-    n = len(hom[0]) - 1
-    hom.append(tuple([0] * n + [1]))
-    rays = dual_rays(hom, budget)
-    vertices: list[tuple[Fraction, ...]] = []
-    recession: list[tuple[int, ...]] = []
-    for r in rays:
-        w = r[-1]
-        if w > 0:
-            vertices.append(tuple(Fraction(v, w) for v in r[:-1]))
-        elif w == 0:
-            if any(v != 0 for v in r[:-1]):
-                recession.append(r[:-1])
-        else:  # pragma: no cover - dual rays satisfy the appended w >= 0 row
-            raise AssertionError("homogenization produced w < 0")
-    return vertices, recession

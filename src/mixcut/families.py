@@ -775,38 +775,6 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     return GenericCutResult(True, cut, cert)
 
 
-def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int:
-    """Number of certificate conditions that hold with equality.
-
-    Counts, over the scenarios j = 1..m, the ratio bounds that hold with
-    equality, the covering inequality when it is tight, and, when beta_j is
-    zero, each later scenario outside t_set and q_list.  The count is not a
-    facet test: the facet z + 2 x_1 >= 20 of L(3,1), certified with r = 1,
-    t_set = (1,) and beta = (0, 0, 4), counts 6 < 2m + 1 = 7.  Requires a
-    certified parameter set.
-    """
-    if params.a_sets is None or params.beta is None:
-        raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")
-    t, delta, q, phi = _generic_structure_check(inst, params)
-    a_posed, beta = _given_certificate(inst.m, q, params.a_sets, params.beta)
-    form = _params_form(inst, params.r, t, delta, q, phi)
-    m = inst.m
-    pq = set(t) | set(q)
-    count = 0
-    for j, row in enumerate(_certificate_rows(form), start=1):
-        a_pos = a_posed[j - 1]
-        b, d = _in_units(form, beta[j - 1])
-        if not _conditions_hold(row, a_pos, (b, d)):
-            raise FamilyParamError(f"certificate conditions fail at scenario {j}")
-        count += sum(1 for P, W in zip(row.P, row.W) if b * W == P * d)
-        _, _, C, R = _split_row(row, a_pos)
-        if b * C == R * d:
-            count += 1
-        if b == 0:
-            count += sum(1 for i in range(j + 1, m + 1) if i not in pq)
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Membership
 

@@ -3,9 +3,15 @@
 `families` decides every certificate condition on scaled ints: ratio bounds
 and covering ratios are compared by cross-multiplication.  This module keeps
 the plain rational statement of the same conditions, so the tests can check
-that the int kernel (`families.gen_blp_generic` and
-`families.facet_necessity_count`) gives the same certificate, the same
-infeasible scenario or the same error text.  It is not used by the library.
+that the int kernel (`families.gen_blp_generic`) gives the same certificate,
+the same infeasible scenario or the same error text.  It is not used by the
+library.
+
+`facet_necessity_count` counts the certificate conditions that hold with
+equality.  It is the only copy of that count, kept as the subject of an open
+question: the count is not a facet test.  The facet z + 2 x_1 >= 20 of
+L(3,1), certified with r = 1, t_set = (1,) and beta = (0, 0, 4), counts
+6 < 2m + 1 = 7, and `hull.is_facet` decides facetness exactly.
 """
 
 from __future__ import annotations
@@ -175,7 +181,13 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
 
 
 def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int:
-    """`families.facet_necessity_count` on the Fraction rows."""
+    """Number of certificate conditions that hold with equality.
+
+    Counts, over the scenarios j = 1..m, the ratio bounds that hold with
+    equality, the covering inequality when it is tight, and, when beta_j is
+    zero, each later scenario outside t_set and q_list.  Requires a certified
+    parameter set.
+    """
     if params.a_sets is None or params.beta is None:
         raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")
     t, delta, q, phi = _generic_structure_check(inst, params)

@@ -105,48 +105,30 @@ def _reading(S: BilinearSet, j: int, k: int) -> tuple[list[Fraction], Fraction]:
 
 def fraction_weighted_sum(
     S: BilinearSet, weighted: Iterable[tuple[int, int, Fraction]]
-) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], Fraction, int]:
-    """(quad, lin_x, lin_y, rhs, zeroed) of the weighted rows, y-normalized.
+) -> tuple[list[list[Fraction]], list[Fraction], list[Fraction], Fraction]:
+    """(quad, lin_x, lin_y, rhs) of the weighted rows, y-normalized.
 
     Weighting by y_j puts the reading at e_j into the j-th bilinear row;
     weighting by the simplex complement (j = 0) keeps the linear part and
-    mirrors it negatively into every bilinear row.  ``zeroed`` counts the
-    touched bilinear and y coefficients that sum to zero.
+    mirrors it negatively into every bilinear row.
     """
     m, n = S.m, S.n
     quad = [[Fraction(0)] * n for _ in range(m)]
     lin_x = [Fraction(0)] * n
     lin_y = [Fraction(0)] * m
     rhs = Fraction(0)
-    touched_q = [[False] * n for _ in range(m)]
-    touched_y = [False] * m
     for j, k, w in weighted:
         coefs, row_rhs = _reading(S, j, k)
-        pairs = [(i, v) for i, v in enumerate(coefs) if v]
         if j == 0:
-            for i, v in pairs:
+            for i, v in enumerate(coefs):
                 lin_x[i] += w * v
                 for jj in range(m):
                     quad[jj][i] -= w * v
-                    touched_q[jj][i] = True
-            if row_rhs:
-                for jj in range(m):
-                    lin_y[jj] += w * row_rhs
-                    touched_y[jj] = True
-                rhs += w * row_rhs
+            for jj in range(m):
+                lin_y[jj] += w * row_rhs
+            rhs += w * row_rhs
         else:
-            for i, v in pairs:
+            for i, v in enumerate(coefs):
                 quad[j - 1][i] += w * v
-                touched_q[j - 1][i] = True
-            if row_rhs:
-                lin_y[j - 1] -= w * row_rhs
-                touched_y[j - 1] = True
-
-    zeroed = sum(
-        1
-        for j in range(m)
-        for i in range(n)
-        if touched_q[j][i] and quad[j][i] == 0
-    )
-    zeroed += sum(1 for j in range(m) if touched_y[j] and lin_y[j] == 0)
-    return quad, lin_x, lin_y, rhs, zeroed
+            lin_y[j - 1] -= w * row_rhs
+    return quad, lin_x, lin_y, rhs

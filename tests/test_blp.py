@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import projection_reference as pref
 from cone_reference import dense_cone_membership, fraction_weighted_sum
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
@@ -93,29 +94,29 @@ class TestBuildSc:
     def test_witnesses_satisfy_bilinear_groups(self, ex21):
         S = blp.build_sc(ex21)
         for j in range(ex21.m + 1):
-            z, x, y = blp.sc_restriction_witness(ex21, j)
-            assert blp.point_satisfies_bilinear(S, (z,) + x, y)
+            z, x, y = pref.sc_restriction_witness(ex21, j)
+            assert pref.point_satisfies_bilinear(S, (z,) + x, y)
             # the all-but-one witness carries mass 1 - pi_j, so it clears the
             # knapsack row only when epsilon admits that much
             expected = j != 0 and 1 - ex21.pi_at(j) <= ex21.epsilon
-            assert blp.point_in_xi(S, (z,) + x) == expected
+            assert pref.point_in_xi(S, (z,) + x) == expected
 
     def test_restriction_emptiness_pattern(self, ex21):
         S = blp.build_sc(ex21)
-        report = blp.check_restrictions(S)
+        report = pref.check_restrictions(S)
         for j in range(ex21.m + 1):
             expected = j != 0 and ex21.prefix(j - 1) <= ex21.epsilon
             assert report.nonempty[j] == expected
 
     def test_restrictions_share_z_ray(self, ex21):
         S = blp.build_sc(ex21)
-        report = blp.check_restrictions(S)
+        report = pref.check_restrictions(S)
         assert report.recession_shared
         assert report.recession == (tuple([1] + [0] * ex21.m),)
 
     def test_vacuous_knapsack_all_nonempty(self):
         inst = build_instance(3, [20, 18, 14], None, 1)
-        report = blp.check_restrictions(blp.build_sc(inst))
+        report = pref.check_restrictions(blp.build_sc(inst))
         assert all(report.nonempty)
 
     @pytest.mark.parametrize("name", sorted(ROUND_TRIP_INSTANCES))
@@ -244,7 +245,6 @@ class TestSubstitute:
         )
         result = blp.substitute(S, blp.aggregate(S, a))
         assert result.mixing_cut() == make_cut(1, [6, 0, 0, 2, -3, -3, 0, 0, 0, 0], 14)
-        assert result.c1_satisfied
 
     def test_base_only_reduces_to_z_bound(self, ex21):
         S = blp.build_sc(ex21)
@@ -313,7 +313,7 @@ class TestDisjunctive:
             compl_pairs=frozenset(),
             compl_complement_pairs=frozenset(),
         )
-        points, rays = blp.projected_hull_generators(S)
+        points, rays = pref.projected_hull_generators(S)
         assert rays == []
         # both restrictions reach x in [0,1] jointly: y=0 gives [0,1/2], y=e1 gives [0,1]
         assert min(p[0] for p in points) == 0 and max(p[0] for p in points) == 1
@@ -322,7 +322,7 @@ class TestDisjunctive:
     def test_projection_matches_hull_uniform(self, m, p):
         inst = benchmark_instance("L", m, p)
         S = blp.build_sc(inst)
-        proj = blp.projected_hull_facets(S)
+        proj = pref.projected_hull_facets(S)
         fs = hull.enumerate_facets(inst)
         assert sorted(proj, key=lambda c: c.sort_key()) == sorted(
             fs.facets, key=lambda c: c.sort_key()
@@ -336,8 +336,8 @@ class TestDisjunctive:
             Fraction(3, 4),
         )
         S = blp.build_sc(inst)
-        points, rays = blp.projected_hull_generators(S)
-        proj_facets = blp.projected_hull_facets(S)
+        points, rays = pref.projected_hull_generators(S)
+        proj_facets = pref.projected_hull_facets(S)
         assert points and proj_facets
         for cut in proj_facets:
             # the facets describe the hull of the projection generators
@@ -530,9 +530,9 @@ class TestAggregateOracle:
         expr = blp.aggregate(S, a)
         rows = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
         rows.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
-        quad, lin_x, lin_y, rhs, zeroed = fraction_weighted_sum(S, rows)
-        assert (expr.quad, expr.lin_x, expr.lin_y, expr.rhs, expr.zeroed) == (
-            tuple(map(tuple, quad)), tuple(lin_x), tuple(lin_y), rhs, zeroed)
+        quad, lin_x, lin_y, rhs = fraction_weighted_sum(S, rows)
+        assert (expr.quad, expr.lin_x, expr.lin_y, expr.rhs) == (
+            tuple(map(tuple, quad)), tuple(lin_x), tuple(lin_y), rhs)
         assert all(type(v) is Fraction
                    for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs))
 
@@ -584,7 +584,7 @@ class TestPolyhedronRowsAsConstraints:
         assert folded_expr == expr
         assert blp.substitute(folded, folded_expr) == blp.substitute(S, expr)
         for j in range(S.m + 1):
-            assert blp.restriction_rows(folded, j) == blp.restriction_rows(S, j)
+            assert pref.restriction_rows(folded, j) == pref.restriction_rows(S, j)
 
 
 class TestVerticalImplication:
@@ -595,15 +595,13 @@ class TestVerticalImplication:
         S = blp.build_sc(inst)
         knap = S.tau - 1
         rng = random.Random(3)
-        rows, rhs = blp.restriction_rows(S, 0)
+        rows, rhs = pref.restriction_rows(S, 0)
         # polyhedron Xi alone: drop the restriction rows, keep E and bounds
         xi_rows = list(S.e_rows) + [
             tuple(Fraction(int(k == i)) for k in range(S.n)) for i in range(S.n)
         ]
         xi_rhs = list(S.f) + [Fraction(0)] * S.n
-        from mixcut import dd
-
-        vertices, rays = dd.polyhedron_generators(xi_rows, xi_rhs)
+        vertices, rays = pref.polyhedron_generators(xi_rows, xi_rhs)
         for _ in range(20):
             t_weights = []
             for t in range(S.tau):

