@@ -365,20 +365,32 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     Each move is one more weighted row of the set, recorded in ``moves`` as
     (j, table row, weight) with the row from :attr:`BilinearSet.relation_rows`
     (so an unbacked relation raises :class:`ValidationError`).
+
+    The expression is scaled once by the lcm L of its denominators, so every
+    move and the column maxima run on Python ints; only the returned
+    ``coefs``, ``rhs`` and move weights are built as Fractions, over L.
     """
     m = S.m
     backing = S.relation_rows
-    quad = [list(row) for row in expr.quad]
-    lin_y = list(expr.lin_y)
-    lin_x = list(expr.lin_x)
-    moves: list[tuple[int, int, Fraction]] = []
+    # most entries of an aggregated expression are the shared zero `_ZERO`,
+    # which scales to 0 without reading it
+    entries = chain(chain.from_iterable(expr.quad), expr.lin_x, expr.lin_y, (expr.rhs,))
+    L = math.lcm(*{v.denominator for v in entries if v is not _ZERO})
+
+    def scaled(values: Iterable[Fraction]) -> list[int]:
+        return [0 if v is _ZERO else v.numerator * (L // v.denominator) for v in values]
+
+    quad = list(map(scaled, expr.quad))
+    lin_y = scaled(expr.lin_y)
+    lin_x = scaled(expr.lin_x)
+    moves: list[tuple[int, int, int]] = []
 
     # x_i <= 1 moves a positive x_i y_j coefficient u onto y_j: row k at j, weight u
     for i, k in backing.upper.items():
         for j in range(1, m + 1):
             u = quad[j - 1][i]
             if u > 0:
-                quad[j - 1][i] = Fraction(0)
+                quad[j - 1][i] = 0
                 lin_y[j - 1] += u
                 moves.append((j, k, u))
 
@@ -387,7 +399,7 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     for (i, j), k in backing.compl.items():
         u = quad[j - 1][i]
         if u != 0:
-            quad[j - 1][i] = Fraction(0)
+            quad[j - 1][i] = 0
             if u > 0:
                 moves.append((j, k, u))
 
@@ -396,21 +408,20 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     for (i, j), k in backing.compl_complement.items():
         u = quad[j - 1][i]
         if u < 0:
-            quad[j - 1][i] = Fraction(0)
+            quad[j - 1][i] = 0
             lin_y[j - 1] += u
             moves.append((j, k, -u))
 
     # the positive part of each column's maximum collapses onto x_i, and that
     # of the y terms onto the rhs
-    for i in range(S.n):
-        best = max(_ZERO, *(row[i] for row in quad))
-        if best:
-            lin_x[i] += best
+    for i, column in enumerate(zip(*quad)):
+        lin_x[i] += max(0, *column)
 
+    frac = _over(L)
     return SubstitutionResult(
-        coefs=tuple(lin_x),
-        rhs=expr.rhs - max(_ZERO, *lin_y),
-        moves=tuple(moves),
+        coefs=tuple(map(frac, lin_x)),
+        rhs=frac(expr.rhs.numerator * (L // expr.rhs.denominator) - max(0, *lin_y)),
+        moves=tuple((j, k, frac(w)) for j, k, w in moves),
         t_sets_disjoint=expr.t_sets_disjoint,
         z_slot=S.z_slot,
     )

@@ -186,12 +186,20 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Print ``{"valid": ...}``, with ``"facet"`` too under --facet.
+
+    With --facet, one `hull.is_facet` call reads the slacks once: it decides
+    validity on the way, and an invalid cut raises `hull.InvalidCutError`.
+    """
     inst = instance_from_json(_read(args.instance))
     cut = canonicalize(cut_from_json(_read(args.cut)))
-    valid = cut_is_valid(inst, cut)
-    result = {"valid": valid}
-    if args.facet:
-        result["facet"] = hull.is_facet(inst, cut) if valid else False
+    if not args.facet:
+        result = {"valid": cut_is_valid(inst, cut)}
+    else:
+        try:
+            result = {"valid": True, "facet": hull.is_facet(inst, cut)}
+        except hull.InvalidCutError:
+            result = {"valid": False, "facet": False}
     print(json.dumps(result))
     return EXIT_OK
 

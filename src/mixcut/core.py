@@ -7,6 +7,11 @@ decision path.  Some decisions run on those rationals scaled to Python ints
 over a common denominator: vertex slacks here (`vertex_slacks`), and every
 family membership check (`families`, one integer view per instance and one
 scale per facet).
+
+The vertex slacks behind `cut_is_valid` and `hull.is_facet` are one pass
+over the vertices that shares prefixes: the vertex list is sorted and
+downward closed, so each vertex's x part is an earlier vertex's plus one
+coefficient (`_vertex_steps`, built once per instance).
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 #: Exact scalar type used throughout the package.  ``Fraction`` already
@@ -304,25 +308,54 @@ def _vertex_parity_masks(inst: MixingInstance) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _vertex_steps(inst: MixingInstance) -> tuple[memoryview, bytes]:
+    """(parents, coords): vertex i + 1 is vertex parents[i] plus the unit x_k, k = coords[i].
+
+    Read from :func:`_vertex_parity_masks`.  The vertices are sorted
+    lexicographically by x and downward closed (the knapsack weights are
+    positive), so clearing the last 1 in the x of any vertex but the first
+    (x = 0) gives a vertex listed before it, its parent; k is that cleared
+    coordinate, counted from 0.  The parents are unsigned ints in a
+    read-only memoryview and the coordinates bytes: four bytes and one per
+    vertex, with no int object per entry.
+    """
+    xs = [mask >> 1 for mask in _vertex_parity_masks(inst)]
+    index = {x: i for i, x in enumerate(xs)}
+    parents = memoryview(bytearray(4 * (len(xs) - 1))).cast("I")
+    coords = bytearray(len(xs) - 1)
+    for i, x in enumerate(xs[1:]):
+        k = x.bit_length() - 1
+        parents[i] = index[x ^ (1 << k)]
+        coords[i] = k
+    return parents.toreadonly(), bytes(coords)
+
+
 def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
     """Each vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D, as ints.
 
     L is the lcm of the cut's denominators and D that of the vertex z values,
     so the signs, and which slacks are zero, are exactly those of the rational
-    slacks.  The list follows :func:`enumerate_vertices`.
+    slacks.  The list follows :func:`enumerate_vertices`.  The x part is summed
+    in one pass along :func:`_vertex_steps`: each vertex adds one coefficient
+    to its parent's sum.
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
-    vertices = enumerate_vertices(inst)
+    enumerate_vertices(inst)  # the m <= 20 guard
     D, zs = _vertex_z_scaled(inst)
+    parents, coords = _vertex_steps(inst)
     L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
                  *(c.denominator for c in cut.x_coefs))
     az = cut.z_coef.numerator * (L // cut.z_coef.denominator)
-    ax = [c.numerator * (L // c.denominator) for c in cut.x_coefs]
+    ax = [D * c.numerator * (L // c.denominator) for c in cut.x_coefs]
     b = cut.rhs.numerator * (L // cut.rhs.denominator)
-    # vertex x is binary, so its x part is the sum of the coefficients it selects
-    return [az * z + D * (sum(compress(ax, v.x)) - b)
-            for z, v in zip(zs, vertices)]
+    # D (x part - b) of each vertex; the first vertex has x = 0
+    sums = [-D * b]
+    append = sums.append
+    for parent, k in zip(parents, coords):
+        append(sums[parent] + ax[k])
+    return [az * z + s for z, s in zip(zs, sums)]
 
 
 def cut_is_valid(inst: MixingInstance, cut: LinearCut) -> bool:

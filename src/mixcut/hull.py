@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import not_
 from typing import Optional, Sequence
 
 import json
@@ -131,12 +133,13 @@ def cached_facets(inst: MixingInstance) -> FacetSet:
 def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     """Rank test: does the cut's tight set span an m-dimensional face?
 
-    One integer slack pass (:func:`core.vertex_slacks`) gives both the
-    validity verdict and the tight set: the vertices where the cut holds
-    with equality, plus the recession ray when the z coefficient is zero.
-    The hull is full dimensional, so a facet needs affine rank m + 1: the
-    differences of the tight points from the first one, with the ray, must
-    have rank m.  The tight points are the ints ``(D z,) + x``, with D the
+    One integer slack pass (:func:`core.vertex_slacks`, the pass that also
+    decides :func:`core.cut_is_valid`) gives both the validity verdict and
+    the tight set: the vertices where the cut holds with equality, selected
+    by their zero slacks, plus the recession ray when the z coefficient is
+    zero.  The hull is full dimensional, so a facet needs affine rank m + 1:
+    the differences of the tight points from the first one, with the ray,
+    must have rank m.  The tight points are the ints ``(D z,) + x``, with D the
     common denominator of the vertex z values: scaling one coordinate by
     D > 0 keeps the affine rank.
 
@@ -155,7 +158,7 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     directions = []
     if cut.z_coef == 0:
         directions.append(tuple([1] + [0] * inst.m))
-    masks = [mask for mask, slack in zip(_vertex_parity_masks(inst), slacks) if not slack]
+    masks = list(compress(_vertex_parity_masks(inst), map(not_, slacks)))
     if masks:
         base = masks[0]
         rows = [mask ^ base for mask in masks[1:]]
@@ -164,9 +167,8 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
         if linalg.rank_mod2(rows) == inst.m:
             return True
     _, zs = _vertex_z_scaled(inst)
-    tight_points = [
-        (z,) + v.x for z, v, slack in zip(zs, enumerate_vertices(inst), slacks) if slack == 0
-    ]
+    tight = compress(zip(zs, enumerate_vertices(inst)), map(not_, slacks))
+    tight_points = [(z,) + v.x for z, v in tight]
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 
 

@@ -14,6 +14,9 @@ tests require both to return identical results, or the same error.
 `fraction_weighted_sum(S, weighted)` is the weighted row sum behind
 `blp.aggregate`, summed as Fractions over rows read straight from the
 constraints and the polyhedron, not from the set's integer restriction table.
+
+`fraction_substitute(S, expr)` is `blp.substitute` moving and collapsing
+the expression's Fractions entry by entry, without scaling them to ints.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mixcut.blp import BilinearSet
+from mixcut.blp import BilinearExpr, BilinearSet, SubstitutionResult
 from mixcut.core import LinearCut, RationalLike, ValidationError, rat
 
 
@@ -132,3 +135,58 @@ def fraction_weighted_sum(
                 quad[j - 1][i] += w * v
             lin_y[j - 1] -= w * row_rhs
     return quad, lin_x, lin_y, rhs
+
+
+def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
+    """`blp.substitute` on Fractions: the same moves, in the same order.
+
+    Bound substitutions for upper-bounded variables, then the two
+    complementarity eliminations, then the positive part of each column's
+    maximum onto x_i and that of the y terms onto the rhs.
+    """
+    m = S.m
+    backing = S.relation_rows
+    zero = Fraction(0)
+    quad = [list(row) for row in expr.quad]
+    lin_y = list(expr.lin_y)
+    lin_x = list(expr.lin_x)
+    moves: list[tuple[int, int, Fraction]] = []
+
+    # x_i <= 1 moves a positive x_i y_j coefficient u onto y_j: row k at j, weight u
+    for i, k in backing.upper.items():
+        for j in range(1, m + 1):
+            u = quad[j - 1][i]
+            if u > 0:
+                quad[j - 1][i] = zero
+                lin_y[j - 1] += u
+                moves.append((j, k, u))
+
+    # x_i y_j = 0 drops the coefficient u: row k at j, weight u when u > 0
+    for (i, j), k in backing.compl.items():
+        u = quad[j - 1][i]
+        if u != 0:
+            quad[j - 1][i] = zero
+            if u > 0:
+                moves.append((j, k, u))
+
+    # (1 - x_i) y_j = 0 moves a negative x_i y_j coefficient u onto y_j: row k
+    # at j, weight -u
+    for (i, j), k in backing.compl_complement.items():
+        u = quad[j - 1][i]
+        if u < 0:
+            quad[j - 1][i] = zero
+            lin_y[j - 1] += u
+            moves.append((j, k, -u))
+
+    for i in range(S.n):
+        best = max(zero, *(row[i] for row in quad))
+        if best:
+            lin_x[i] += best
+
+    return SubstitutionResult(
+        coefs=tuple(lin_x),
+        rhs=expr.rhs - max(zero, *lin_y),
+        moves=tuple(moves),
+        t_sets_disjoint=expr.t_sets_disjoint,
+        z_slot=S.z_slot,
+    )

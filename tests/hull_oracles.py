@@ -17,6 +17,9 @@ package's one elimination, `linalg._echelon`.  This module never imports
 `parse_mixing_form` is the rational inverse of `core.mixing_form`; the
 families decide membership on their own integer reading of a facet
 (`families._facet_form`).
+
+`instances` is the hypothesis strategy of the instances these oracles and
+the slack tests run on.
 """
 
 from __future__ import annotations
@@ -28,13 +31,34 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
+from hypothesis import strategies as st
+
 from mixcut import hull, linalg
-from mixcut.core import DimensionError, LinearCut, MixingInstance, ValidationError
+from mixcut.bench import benchmark_instance
+from mixcut.core import (
+    DimensionError, LinearCut, MixingInstance, ValidationError, build_instance,
+)
 from mixcut.linalg import _echelon, _reduce
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
+
+
+@st.composite
+def instances(draw):
+    """A table cell, or general probabilities with rational h; m = 3..7."""
+    m = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        return benchmark_instance(draw(st.sampled_from("LK")), m, draw(st.integers(1, m)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    total = sum(weights)
+    h = draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.integers(1, 4)),
+                      min_size=m, max_size=m))
+    return build_instance(
+        m, sorted(h, reverse=True), [Fraction(w, total) for w in weights],
+        Fraction(draw(st.integers(max(weights), total)), total),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,34 @@ class TestCli:
         cut_file.write_text('{"z": "1", "x": ["1", "2"], "rhs": "0"}')
         assert cli.main(argv) == cli.EXIT_OK
 
+    L32 = '{"m": 3, "h": ["20", "18", "14"], "epsilon": "2/3"}'
+
+    @pytest.mark.parametrize("cut,facet_out", [
+        ('{"z": "1", "x": ["6", "0", "0"], "rhs": "20"}', '{"valid": true, "facet": true}'),
+        ('{"z": "1", "x": ["6", "0", "0"], "rhs": "19"}', '{"valid": true, "facet": false}'),
+        ('{"z": "1", "x": ["0", "0", "0"], "rhs": "19"}', '{"valid": false, "facet": false}'),
+    ], ids=["facet", "valid_non_facet", "invalid"])
+    def test_check_output_bytes(self, cut, facet_out, tmp_path, capsys):
+        """check prints the same bytes with and without --facet; an invalid
+        cut is no facet (is_facet refuses it, and check reads the refusal)."""
+        (tmp_path / "inst.json").write_text(self.L32)
+        (tmp_path / "cut.json").write_text(cut)
+        argv = ["check", "--instance", str(tmp_path / "inst.json"), "--cut", str(tmp_path / "cut.json")]
+        assert cli.main(argv + ["--facet"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == facet_out + "\n"
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == facet_out.split(", ")[0] + "}\n"
+
+    @pytest.mark.parametrize("facet", [[], ["--facet"]], ids=["valid", "facet"])
+    def test_check_wrong_m_cut(self, facet, tmp_path, capsys):
+        (tmp_path / "inst.json").write_text(self.L32)
+        (tmp_path / "cut.json").write_text('{"z": "1", "x": ["6", "0"], "rhs": "20"}')
+        argv = ["check", "--instance", str(tmp_path / "inst.json"), "--cut", str(tmp_path / "cut.json")]
+        assert cli.main(argv + facet) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: cut has 2 x coefficients, instance has m=3\n"
+
     @pytest.mark.parametrize("argv", [["hull", "--instance", "BAD"],
                                       ["check", "--instance", "BAD", "--cut", "CUT"],
                                       ["check", "--instance", "INST", "--cut", "BAD"]],

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projection_reference as pref
-from cone_reference import dense_cone_membership, fraction_weighted_sum
+from cone_reference import dense_cone_membership, fraction_substitute, fraction_weighted_sum
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import ValidationError, build_instance, cut_is_valid, enumerate_vertices, make_cut
@@ -555,6 +555,81 @@ def _any_index_assignment(rng, S):
     return blp.BlpAssignment.build(*base, k_weights, t_weights)
 
 
+@st.composite
+def related_fractional_sets(draw):
+    """A fractional `bilinear_set_from_json` set that declares substitution relations.
+
+    Random fractional constraints and polyhedron rows as in
+    :func:`fractional_sets`, plus the row behind each relation drawn: ``-x_i
+    >= -1`` in E for an upper bound, and a constraint reading ``-x_i >= 0``
+    (``x_i >= 1``) at y = e_j and ``0 >= 0`` elsewhere for a complementarity
+    (complement) pair.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def vec(size):
+        return draw(st.lists(FRACTION_TEXT, min_size=size, max_size=size))
+
+    def unit(i, value, size):
+        return [value if k == i else "0" for k in range(size)]
+
+    pairs = [(i, j) for i in range(n) for j in range(1, m + 1)]
+    upper = draw(st.lists(st.integers(0, n - 1), unique=True))
+    compl = draw(st.lists(st.sampled_from(pairs), unique=True))
+    complc = draw(st.lists(st.sampled_from(pairs), unique=True))
+    constraints = [{"A": [vec(n) for _ in range(m)], "b": vec(n), "c": vec(m), "d": vec(1)[0]}
+                   for _ in range(draw(st.integers(1, 3)))]
+    for (i, j), coef, c_j in [*((pair, "-1", "0") for pair in compl),
+                              *((pair, "1", "-1") for pair in complc)]:
+        constraints.append({"A": [unit(i, coef, n) if jj == j else unit(0, "0", n)
+                                  for jj in range(1, m + 1)],
+                            "b": unit(0, "0", n), "c": unit(j - 1, c_j, m), "d": "0"})
+    tau = draw(st.integers(0, 2))
+    doc = {
+        "n": n,
+        "m": m,
+        "constraints": constraints,
+        "E": [vec(n) for _ in range(tau)] + [unit(i, "-1", n) for i in upper],
+        "f": vec(tau) + ["-1"] * len(upper),
+        "upper_bounded": upper,
+        "compl_pairs": compl,
+        "compl_complement_pairs": complc,
+    }
+    return blp.bilinear_set_from_json(json.dumps(doc))
+
+
+class TestSubstituteOracle:
+    """`substitute` against the Fraction moves in tests/cone_reference.py."""
+
+    @staticmethod
+    def _assert_same(S, expr):
+        result, reference = blp.substitute(S, expr), fraction_substitute(S, expr)
+        assert result.coefs == reference.coefs
+        assert result.rhs == reference.rhs
+        # order, j, table row and weight of every move
+        assert result.moves == reference.moves
+        assert result == reference
+        assert all(type(v) is Fraction
+                   for v in (*result.coefs, result.rhs, *(w for _, _, w in result.moves)))
+        return len(result.moves)
+
+    def test_table_cells(self):
+        rng = random.Random(20)
+        moves = 0
+        for m in range(3, 11):
+            for example in "LK":
+                S = _lifted(benchmark_instance(example, m, rng.randint(1, m)))
+                for _ in range(8):
+                    moves += self._assert_same(S, blp.aggregate(S, _random_assignment(rng, S)))
+        assert moves > 0
+
+    @given(S=related_fractional_sets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_sets(self, S, seed):
+        a = _any_index_assignment(random.Random(seed), S)
+        self._assert_same(S, blp.aggregate(S, a))
+
+
 class TestPolyhedronRowsAsConstraints:
     """A polyhedron row E_t x >= f_t is the constraint with A = 0, b = E_t, c = 0, d = f_t."""
 
@@ -588,15 +663,14 @@ class TestPolyhedronRowsAsConstraints:
 
 
 class TestVerticalImplication:
-    def test_alpha_free_cuts_are_implied_by_polyhedron(self):
-        # with every bilinear weight zero, the emitted cut must hold on the
-        # whole box/knapsack polyhedron, checked at its generator points
+    def test_bilinear_base_with_polyhedron_weights_holds_on_xi(self):
+        # the bilinear base self:1 at j = 1 (weight 1) plus random polyhedron
+        # weights: the emitted cut must hold on the box/knapsack polyhedron
+        # Xi, checked at its generators
         inst = benchmark_instance("L", 3, 2)
         S = blp.build_sc(inst)
-        knap = S.tau - 1
         rng = random.Random(3)
-        rows, rhs = pref.restriction_rows(S, 0)
-        # polyhedron Xi alone: drop the restriction rows, keep E and bounds
+        # polyhedron Xi alone: E and f, with the bounds x >= 0
         xi_rows = list(S.e_rows) + [
             tuple(Fraction(int(k == i)) for k in range(S.n)) for i in range(S.n)
         ]
@@ -607,9 +681,6 @@ class TestVerticalImplication:
             for t in range(S.tau):
                 for j in rng.sample(range(S.m + 1), rng.randrange(0, 2)):
                     t_weights.append((j, t, Fraction(rng.randrange(1, 4))))
-            # base must exist; pick a bilinear base with weight 1 but then
-            # remove its contribution is not possible, so emulate alpha = 0
-            # by aggregating polyhedron rows only through a synthetic pass
             expr = blp.aggregate(
                 S,
                 blp.BlpAssignment.build(

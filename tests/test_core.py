@@ -1,17 +1,21 @@
 """Instance model, canonicalization, validity oracle, mixing-form round trips."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcut import hull
+from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
     MixingInstance,
     ValidationError,
+    _vertex_steps,
     build_instance,
     canonicalize,
     cut_from_json,
@@ -24,8 +28,9 @@ from mixcut.core import (
     mixing_form,
     rat,
     rat_str,
+    vertex_slacks,
 )
-from hull_oracles import parse_mixing_form
+from hull_oracles import instances, parse_mixing_form
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 SEQ_K = [40, 38, 34, 31, 26, 16, 8, 4, 2, 1]
@@ -263,6 +268,68 @@ class TestValidity:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             cut_is_valid(ex21(), make_cut(1, [0] * 9, 0))
+
+
+COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _assert_exact_slacks(inst, cut):
+    """vertex_slacks is (evaluate - rhs) * L * D at every vertex, as ints."""
+    vertices = enumerate_vertices(inst)
+    D = math.lcm(*(v.z.denominator for v in vertices))
+    L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
+                 *(c.denominator for c in cut.x_coefs))
+    slacks = vertex_slacks(inst, cut)
+    assert all(type(s) is int for s in slacks)
+    assert slacks == [(cut.evaluate(v.z, v.x) - cut.rhs) * L * D for v in vertices]
+
+
+class TestVertexSlacks:
+    @given(inst=instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_slacks_are_the_scaled_rational_slacks(self, inst, data):
+        kind = data.draw(st.sampled_from(("facet", "general", "vertical")))
+        if kind == "facet":
+            cut = data.draw(st.sampled_from(hull.cached_facets(inst).facets))
+        else:
+            z = Fraction(0) if kind == "vertical" else data.draw(COEFS)
+            xs = data.draw(st.lists(COEFS, min_size=inst.m, max_size=inst.m))
+            cut = LinearCut(z, tuple(xs), data.draw(COEFS))
+        _assert_exact_slacks(inst, cut)
+
+    def test_fractional_h_general_pi(self):
+        # vertex z values over D = 12; the cuts over L = 30, 30 and 2
+        inst = build_instance(4, [Fraction(31, 4), Fraction(22, 3), 5, Fraction(1, 2)],
+                              [Fraction(w, 10) for w in (1, 2, 3, 4)], Fraction(1, 2))
+        assert math.lcm(*(v.z.denominator for v in enumerate_vertices(inst))) == 12
+        for cut in (make_cut(1, ["1/2", "-2/3", 0, "7/5"], "-3/10"),
+                    make_cut(0, ["-1/3", "1/2", "-1/5", 2], "-1/6"),
+                    make_cut("3/2", [0, 0, 0, 0], 11)):
+            _assert_exact_slacks(inst, cut)
+
+    @staticmethod
+    def _assert_step_table(inst):
+        vertices = enumerate_vertices(inst)
+        parents, coords = _vertex_steps(inst)
+        assert len(parents) == len(coords) == len(vertices) - 1
+        assert not any(vertices[0].x)
+        for i, (parent, k) in enumerate(zip(parents, coords), 1):
+            x, parent_x = vertices[i].x, vertices[parent].x
+            assert parent < i
+            # they differ in coordinate k alone, the last 1 of x
+            assert [c for c in range(inst.m) if x[c] != parent_x[c]] == [k]
+            assert x[k] == 1 and not any(x[k + 1:])
+
+    @given(instances())
+    @settings(max_examples=100, deadline=None)
+    def test_step_table_parents_clear_the_last_one(self, inst):
+        self._assert_step_table(inst)
+
+    def test_step_table_on_every_table_cell(self):
+        for example in "LK":
+            for m in range(1, 11):
+                for p in range(1, m + 1):
+                    self._assert_step_table(benchmark_instance(example, m, p))
 
 
 class TestMixingForm:

@@ -98,23 +98,7 @@ def test_dominated_cut_is_not_facet():
     assert not hull.is_facet(build_instance(1, [5], None, 1), make_cut(0, [1], -1))
 
 
-@st.composite
-def instances(draw):
-    """A table cell, or general probabilities with rational h; m = 3..7."""
-    m = draw(st.integers(3, 7))
-    if draw(st.booleans()):
-        return benchmark_instance(draw(st.sampled_from("LK")), m, draw(st.integers(1, m)))
-    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
-    total = sum(weights)
-    h = draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.integers(1, 4)),
-                      min_size=m, max_size=m))
-    return build_instance(
-        m, sorted(h, reverse=True), [Fraction(w, total) for w in weights],
-        Fraction(draw(st.integers(max(weights), total)), total),
-    )
-
-
-@given(instances())
+@given(hull_oracles.instances())
 @settings(max_examples=100, deadline=None)
 def test_lifted_generators_are_primitive_fraction_lifts(inst):
     """Each vertex lifts to the primitive integer multiple of (z, x, 1)."""
@@ -130,7 +114,7 @@ POSITIVE = st.builds(Fraction, st.integers(1, 12), st.integers(1, 4))
 SHIFTS = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(-2)])
 
 
-@given(inst=instances(), data=st.data())
+@given(inst=hull_oracles.instances(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_slack_verdicts_match_evaluate(inst, data):
     """cut_is_valid and the is_facet tight set agree with LinearCut.evaluate."""
