@@ -661,9 +661,10 @@ _DOC = "bilinear"
 def bilinear_set_from_json(text: str) -> BilinearSet:
     """Parse :func:`bilinear_set_to_json` output.
 
-    ``n`` and ``m`` must be JSON integers, every vector and matrix an array
-    of the right length, and every index in range; any other malformation
-    raises :class:`ValidationError`, and so does an upper bound or a
+    ``n`` and ``m`` must be JSON integers, ``m`` at least 1 as in an
+    instance, every vector and matrix an array of the right length, and
+    every index in range; any other malformation raises
+    :class:`ValidationError`, and so does an upper bound or a
     complementarity pair with no row behind it
     (:attr:`BilinearSet.relation_rows`).
     """
@@ -671,7 +672,7 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
 
     payload = json_object(json.loads(text), _DOC, ("n", "m", "constraints", "E", "f"))
     n = json_int(payload["n"], _DOC, "n")
-    m = json_int(payload["m"], _DOC, "m")
+    m = json_int(payload["m"], _DOC, "m", 1)
     constraints = []
     for k, con in enumerate(json_array(payload["constraints"], _DOC, "constraints")):
         if not isinstance(con, dict) or any(key not in con for key in "Abcd"):

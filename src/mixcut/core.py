@@ -4,9 +4,9 @@ Everything downstream (hull enumeration, inequality families, the bilinear
 aggregation engine) works over the types defined here.  Every scalar in these
 types is a `fractions.Fraction`; no floating point is used anywhere in a
 decision path.  Some decisions run on those rationals scaled to Python ints
-over a common denominator: vertex slacks here (`vertex_slacks`), and every
-family membership check (`families`, one integer view per instance and one
-scale per facet).
+over a common denominator: the knapsack test of vertex enumeration and the
+vertex slacks here (`vertex_slacks`), and every family membership check
+(`families`, one integer view per instance and one scale per facet).
 
 The vertex slacks behind `cut_is_valid` and `hull.is_facet` are one pass
 over the vertices that shares prefixes: the vertex list is sorted and
@@ -261,29 +261,27 @@ def enumerate_vertices(inst: MixingInstance) -> tuple[Vertex, ...]:
 
 @lru_cache(maxsize=None)
 def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
-    m = inst.m
-    out: list[Vertex] = []
-    x = [0] * m
+    """The vertices, grown one coordinate at a time with x_i = 0 before x_i = 1,
+    so sorted by x.
 
-    def rec(i: int, mass: Fraction) -> None:
-        if i == m:
-            zeros_max = Fraction(0)
-            for k in range(m):
-                if not x[k] and inst.h[k] > zeros_max:
-                    zeros_max = inst.h[k]
-            out.append(Vertex(zeros_max, tuple(x)))
-            return
-        x[i] = 0
-        rec(i + 1, mass)
-        new_mass = mass + inst.pi[i]
-        if new_mass <= inst.epsilon:
-            x[i] = 1
-            rec(i + 1, new_mass)
-            x[i] = 0
-
-    rec(0, Fraction(0))
-    out.sort(key=lambda v: v.x)
-    return tuple(out)
+    The knapsack is decided on ints, pi and epsilon over their common
+    denominator.  h is non-increasing, so the largest h_i with x_i = 0 is h
+    at the first zero of x (None until there is one).  No closure holds the
+    list, so it is freed with the cache entry rather than by the collector.
+    """
+    D = math.lcm(inst.epsilon.denominator, *(v.denominator for v in inst.pi))
+    # (room left under epsilon, z so far, x so far) for each feasible prefix
+    level: list = [(inst.epsilon.numerator * (D // inst.epsilon.denominator), None, ())]
+    for hi, v in zip(inst.h, inst.pi):
+        w = v.numerator * (D // v.denominator)
+        grown = []
+        for room, z, x in level:
+            grown.append((room, hi if z is None else z, x + (0,)))
+            if w <= room:
+                grown.append((room - w, z, x + (1,)))
+        level = grown
+    zero = Fraction(0)
+    return tuple(Vertex(zero if z is None else z, x) for _, z, x in level)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,15 @@ given s_list is checked by comparison with the derived one.
 Every membership decision and every certificate condition compares Python
 ints: each instance has one integer view (`_int_view`: pi and epsilon over
 their common denominator D, h over its own, H), and each facet is scaled by
-one F, a multiple of H and of the facet's denominators (`_Form`).  Fractions
-are built only for the parameters a witness returns.
+one F, a multiple of H and of the facet's denominators (`_Form`).
+
+The generic family's certificate search (`_search_rows`) takes, for each
+scenario, the smallest feasible prefix of the lifting positions in ratio
+order, up to a whole tie group; that is the first feasible A_j in subset
+order.  Each family's own check returns its int search result, or None.
+The verdict path (`_memberships`, behind `bench.coverage`) only tests it;
+`member_of` and `gen_blp_generic` alone turn it into parameter records,
+frozensets and Fractions (`_witness`, `_certificate_values`).
 """
 
 from __future__ import annotations
@@ -29,7 +36,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, permutations, product
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from .core import (
     DimensionError,
@@ -526,82 +541,45 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
 # Generic certificate machinery
 
 
-class _Row(NamedTuple):
-    """Scenario j's certificate conditions before A_j is chosen, over ints.
+def _row_heads(form: _Form, W: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(k, C, R) of scenario j's certificate conditions, for j = 1..m in order.
 
-    ``positions`` are the q positions k with q_k > j; ``P`` holds their
-    F phi_k and ``W`` their D pi_{q_k}.  ``C`` is D times the covering
-    coefficient and ``R`` is m F times its right-hand side, both with A_j
-    empty; each position moved into A_j takes W_k off C and P_k off R.
-    The ratio bound phi_k / (m pi_{q_k}) is u P_k / W_k and the covering
-    ratio is u R / C, with one unit u = D / (m F): a ratio is held as
-    (numerator, denominator) in units of u, with a positive denominator,
-    and ratios are compared by cross-multiplication.
-    """
-
-    positions: tuple[int, ...]
-    P: tuple[int, ...]
-    W: tuple[int, ...]
-    C: int
-    R: int
-
-
-def _certificate_rows(form: _Form) -> Iterator[_Row]:
-    """The certificate rows of scenarios j = 1..m, in order.
+    Row j's positions are the q positions k..len(q) - 1, those with q_k > j
+    (q is increasing).  Position k has P_k = F phi_k and W_k = D pi_{q_k}
+    (``W``).  C is D times the covering coefficient and R is m F times its
+    right-hand side, both with A_j empty; each position moved into A_j takes
+    W_k off C and P_k off R.  The ratio bound phi_k / (m pi_{q_k}) is
+    u P_k / W_k and the covering ratio is u R / C, with one unit
+    u = D / (m F): a ratio is held as (numerator, denominator) in units of
+    u, with a positive denominator, and ratios are compared by
+    cross-multiplication.
 
     Scenario j's covering right-hand side is h_{a} - h_j - (delta_1 + ... +
     delta_{a-1}) - phi_j, where a is the first t entry not below j (r + 1
     when there is none).  The delta telescope against h_{t_1} = rhs_base, so
     this is rhs_base minus the coefficients on the t entries below j, minus
-    h_j and phi_j: it reads the cut alone, whatever r and any zero-coefficient
-    t entries are.  q is increasing, so the positions above j are a suffix.
+    h_j and phi_j: it reads the cut alone, whatever r and any
+    zero-coefficient t entries are.  That sum and k are carried from one
+    scenario to the next.
     """
-    view, h, q, P = form.view, form.h, form.q, form.phis
-    W = tuple(view.pi[qk] for qk in q)
-    P_at = dict(zip(q, P))
+    view, h, q = form.view, form.h, form.q
+    P_at = dict(zip(q, form.phis))
     w_tails = list(accumulate(reversed(W), initial=0))[::-1]
-    covered, i = form.rhs_base, 0
+    covered, i, k = form.rhs_base, 0, 0
     for j in range(1, view.m + 1):
         while i < len(form.t) and form.t[i] < j:
             covered -= form.coefs[i]
             i += 1
-        k = bisect_right(q, j)
-        yield _Row(
-            tuple(range(k, len(q))),
-            P[k:],
-            W[k:],
-            view.prefix[j] - view.pi[j] - view.eps + w_tails[k],
-            covered - h[j] - P_at.get(j, 0),
-        )
+        while k < len(q) and q[k] <= j:
+            k += 1
+        yield k, view.prefix[j - 1] - view.eps + w_tails[k], covered - h[j] - P_at.get(j, 0)
 
 
-def _split_row(
-    row: _Row, a_pos: frozenset[int]
-) -> tuple[tuple[int, int], Optional[tuple[int, int]], int, int]:
-    """(lo, hi, C, R) of the row with A_j = a_pos (0-based q positions).
-
-    The ratio window is lo <= beta_j <= hi (hi None when unbounded); lo is at
-    least 0.  Positions not above j are inert.
-    """
-    lo, hi, C, R = (0, 1), None, row.C, row.R
-    for k, P, W in zip(row.positions, row.P, row.W):
-        if k in a_pos:
-            if P * lo[1] > lo[0] * W:
-                lo = (P, W)
-            C -= W
-            R -= P
-        elif hi is None or P * hi[1] < hi[0] * W:
-            hi = (P, W)
-    return lo, hi, C, R
-
-
-def _least_beta(row: _Row, a_pos: frozenset[int]) -> Optional[tuple[int, int]]:
-    """Least feasible multiplier for scenario j (in units of u), or None when infeasible.
-
-    Combines the ratio window from the lifted coefficients with the covering
-    requirement beta_j C >= R.
-    """
-    lo, hi, C, R = _split_row(row, a_pos)
+def _covering_beta(
+    lo: tuple[int, int], hi: Optional[tuple[int, int]], C: int, R: int
+) -> Optional[tuple[int, int]]:
+    """Least beta_j in the ratio window lo..hi (hi None when unbounded) with
+    beta_j C >= R, or None when there is none."""
     if C > 0:
         if R * lo[1] > lo[0] * C:
             lo = (R, C)
@@ -615,25 +593,54 @@ def _least_beta(row: _Row, a_pos: frozenset[int]) -> Optional[tuple[int, int]]:
     return lo
 
 
-def _conditions_hold(row: _Row, a_pos: frozenset[int], beta_j: tuple[int, int]) -> bool:
-    lo, hi, C, R = _split_row(row, a_pos)
-    b, d = beta_j
-    return (
-        lo[0] * d <= b * lo[1]
-        and (hi is None or b * hi[1] <= hi[0] * d)
-        and b * C >= R * d
-    )
+#: An int certificate: per scenario j = 1..m, (A_j as q positions, b, d) with
+#: beta_j = b / d in units of u (see `_row_heads`).
+_IntCertificate = list[tuple[Collection[int], int, int]]
 
 
-def _search_row(row: _Row) -> Optional[tuple[frozenset[int], tuple[int, int]]]:
-    """First feasible (A_j, beta_j) in deterministic subset order."""
-    relevant = row.positions
-    for mask in range(1 << len(relevant)):
-        a_pos = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
-        beta = _least_beta(row, a_pos)
-        if beta is not None:
-            return a_pos, beta
-    return None
+def _search_rows(
+    form: _Form, W: Sequence[int]
+) -> tuple[Optional[_IntCertificate], Optional[int]]:
+    """Each scenario's first feasible (A_j, beta_j) in subset order, or None
+    and the first infeasible j.
+
+    Subset order is bit-mask order over the row's positions, and beta_j is
+    the least multiplier of the first feasible A_j.  A feasible A_j has
+    every ratio bound in it at most beta_j and every one outside it at
+    least beta_j.  If it splits a group of tied ratios, their ratio is
+    beta_j; taking the group's members out of A_j takes P_k = beta_j W_k off
+    both sides of the covering condition, so that smaller mask is feasible
+    at the same beta_j.  The first feasible A_j is therefore the smallest
+    feasible ratio prefix: the first g tie groups in increasing ratio order.
+    A_j empty is decided in O(1) against the least ratio above j, the other
+    prefixes by one scan in ratio order.  The scan adds one position at a
+    time, yet stops only after a whole tie group: a feasible prefix that
+    splits a group would make the prefix before the group feasible, and the
+    scan tried that one first.
+    """
+    P, n = form.phis, len(W)
+    least: list = [None] * (n + 1)  # least ratio among positions k..n-1
+    for k in reversed(range(n)):
+        nxt = least[k + 1]
+        least[k] = nxt if nxt and nxt[0] * W[k] <= P[k] * nxt[1] else (P[k], W[k])
+    L = math.lcm(*W)  # P_k (L / W_k) orders the ratios, ties equal
+    ranked = sorted(range(n), key=lambda k: P[k] * (L // W[k]))
+    found: _IntCertificate = []
+    for j, (k, C, R) in enumerate(_row_heads(form, W), start=1):
+        a_pos, beta = (), _covering_beta((0, 1), least[k], C, R)
+        row = [i for i in ranked if i >= k] if beta is None else ()
+        for g, i in enumerate(row, start=1):
+            C -= W[i]
+            R -= P[i]
+            hi = (P[row[g]], W[row[g]]) if g < len(row) else None
+            beta = _covering_beta((P[i], W[i]), hi, C, R)
+            if beta is not None:
+                a_pos = row[:g]
+                break
+        if beta is None:
+            return None, j
+        found.append((a_pos, *beta))
+    return found, None
 
 
 def _in_units(form: _Form, beta: Fraction) -> tuple[int, int]:
@@ -645,32 +652,49 @@ def _certify(
     form: _Form,
     a_posed: Optional[Sequence[frozenset[int]]] = None,
     beta: Optional[Sequence[Fraction]] = None,
-) -> tuple[Optional[tuple[tuple[frozenset[int], ...], tuple[Fraction, ...]]], Optional[int]]:
-    """((A_j as q values), beta) for j = 1..m, or None and the first infeasible scenario.
+) -> tuple[Optional[_IntCertificate], Optional[int]]:
+    """The int certificate for j = 1..m, or None and the first infeasible scenario.
 
-    Without ``a_posed`` each scenario's (A_j, beta_j) is searched; with it,
-    the given beta_j is verified, or the least feasible one is taken.
+    Without ``a_posed`` each scenario's (A_j, beta_j) is searched
+    (`_search_rows`); with it, the given beta_j is verified, or the least
+    feasible one is taken.
     """
-    D, mF = form.view.D, form.view.m * form.F
-    a_sets, betas = [], []
-    for j, row in enumerate(_certificate_rows(form), start=1):
-        if a_posed is None:
-            found = _search_row(row)
+    P, W = form.phis, tuple(form.view.pi[qk] for qk in form.q)
+    if a_posed is None:
+        return _search_rows(form, W)
+    found: _IntCertificate = []
+    for j, (k, C, R) in enumerate(_row_heads(form, W), start=1):
+        a_pos, lo, hi = a_posed[j - 1], (0, 1), None
+        for i in range(k, len(P)):
+            if i in a_pos:
+                if P[i] * lo[1] > lo[0] * W[i]:
+                    lo = (P[i], W[i])
+                C -= W[i]
+                R -= P[i]
+            elif hi is None or P[i] * hi[1] < hi[0] * W[i]:
+                hi = (P[i], W[i])
+        if beta is None:
+            beta_j = _covering_beta(lo, hi, C, R)
         else:
-            a_pos = a_posed[j - 1]
-            if beta is None:
-                beta_j = _least_beta(row, a_pos)
-            else:
-                beta_j = _in_units(form, beta[j - 1])
-                if not _conditions_hold(row, a_pos, beta_j):
-                    beta_j = None
-            found = None if beta_j is None else (a_pos, beta_j)
-        if found is None:
+            beta_j = b, d = _in_units(form, beta[j - 1])
+            if not (lo[0] * d <= b * lo[1] and (hi is None or b * hi[1] <= hi[0] * d)
+                    and b * C >= R * d):
+                beta_j = None
+        if beta_j is None:
             return None, j
-        a_pos, (b, d) = found
-        a_sets.append(frozenset(form.q[k] for k in a_pos))
-        betas.append(Fraction(b * D, d * mF))
-    return (tuple(a_sets), tuple(betas)), None
+        found.append((a_pos, *beta_j))
+    return found, None
+
+
+def _certificate_values(
+    form: _Form, found: _IntCertificate
+) -> tuple[tuple[frozenset[int], ...], tuple[Fraction, ...]]:
+    """An int certificate's A_j as sets of q values and its beta_j as rationals."""
+    D, mF = form.view.D, form.view.m * form.F
+    return (
+        tuple(frozenset(form.q[k] for k in a_pos) for a_pos, _, _ in found),
+        tuple(Fraction(b * D, d * mF) for _, b, d in found),
+    )
 
 
 def _generic_structure_check(
@@ -753,10 +777,11 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     """Emit the generic aggregation cut when a multiplier certificate exists.
 
     With ``a_sets``/``beta`` supplied they are verified; otherwise each
-    scenario is searched independently (subsets of the lifting positions
-    above the scenario, smallest feasible multiplier).  A ``beta`` without
-    ``a_sets`` is refused, since each beta_j is checked against its A_j.  On
-    failure the first infeasible scenario is reported and no cut is emitted.
+    scenario is searched independently (the first feasible subset of the
+    lifting positions above the scenario, smallest feasible multiplier; see
+    `_search_rows`).  A ``beta`` without ``a_sets`` is refused, since each
+    beta_j is checked against its A_j.  On failure the first infeasible
+    scenario is reported and no cut is emitted.
     """
     t, delta, q, phi = _generic_structure_check(inst, params)
     m = inst.m
@@ -769,8 +794,7 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     found, infeasible_j = _certify(form, a_posed, beta)
     if found is None:
         return GenericCutResult(False, None, None, infeasible_j=infeasible_j)
-    a_sets, betas = found
-    cert = BlpGenericParams(params.r, t, delta, q, phi, a_sets, betas)
+    cert = BlpGenericParams(params.r, t, delta, q, phi, *_certificate_values(form, found))
     cut = mixing_form(m, t, form.fractions(form.coefs), q, phi, inst.h_at(t[0]))
     return GenericCutResult(True, cut, cert)
 
@@ -786,7 +810,7 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
     no family membership).  Memberships are inclusive along the family
     hierarchy; on non-uniform instances the cardinality-only families are
     simply empty.  The witness is the highest family on the chain from
-    `family` down whose own check holds.
+    `family` down whose own check holds, built from that check's int result.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
@@ -800,10 +824,11 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
     table = _family_table(inst)
     name: Optional[str] = family
     while name is not None:
-        check, name = table[name]
+        check, parent = table[name]
         found = check(inst, form) if check is not None else None
-        if found:
-            return found
+        if found is not None:
+            return Membership(True, name, _witness(form, name, found))
+        name = parent
     return Membership(False)
 
 
@@ -814,7 +839,8 @@ def _memberships(
 
     Each chain is walked up from its bottom and stops at the first family
     whose own check holds; the verdicts are shared across `names`, so a
-    costly check runs only when no family below it holds.
+    costly check runs only when no family below it holds.  A check's int
+    result is only tested, never turned into a witness.
     """
     form = _facet_form(inst, facet)
     degenerate = _degenerate(inst, form)
@@ -827,7 +853,7 @@ def _memberships(
         if name not in held:
             check, parent = table[name]
             held[name] = (parent is not None and holds(parent)) or (
-                check is not None and bool(check(inst, form))
+                check is not None and check(inst, form) is not None
             )
         return held[name]
 
@@ -841,7 +867,8 @@ def _degenerate(inst: MixingInstance, form: _Form) -> Optional[bool]:
     return form.rhs_base == form.h[inst.p + 1]
 
 
-_Check = Callable[[MixingInstance, _Form], Membership]
+#: A family's own check: its int search result when it holds, else None.
+_Check = Callable[[MixingInstance, _Form], Optional[tuple]]
 
 
 def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Optional[str]]]:
@@ -856,8 +883,8 @@ def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Opt
     shifted = inst.epsilon != 1
     generic = _proper_blp_generic if shifted else None
     table: dict[str, tuple[Optional[_Check], Optional[str]]] = {
-        "star": (partial(_proper_star, "star", inst.m), None),
-        "strengthened_star": (partial(_proper_star, "strengthened_star", inst.p), "star"),
+        "star": (partial(_proper_star, inst.m), None),
+        "strengthened_star": (partial(_proper_star, inst.p), "star"),
     }
     if inst.uniform:
         table["lifted"] = (_proper_lifted, "strengthened_star")
@@ -884,11 +911,11 @@ def _telescopes(form: _Form, top: int, anchor: int) -> bool:
     )
 
 
-def _proper_star(via: str, top: int, inst: MixingInstance, form: _Form) -> Membership:
-    """The star family (top = m) or the strengthened one (top = p)."""
+def _proper_star(top: int, inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """The star family (top = m) or the strengthened one (top = p): (t_set,)."""
     if form.q or not _telescopes(form, top, top + 1):
-        return Membership(False)
-    return Membership(True, via, StarParams(form.t))
+        return None
+    return (form.t,)
 
 
 def _lift_orders(form: _Form) -> Iterator[tuple[int, ...]]:
@@ -920,31 +947,34 @@ def _match_lifts(form: _Form, lift: _Lifting, shift: int = 0) -> Optional[tuple[
     return None
 
 
-def _proper_lifted(inst: MixingInstance, form: _Form) -> Membership:
+def _proper_lifted(inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """(r, t_set, q_list) of the sorted lifting."""
     v = len(form.q)  # q is sorted ascending by construction
     r = inst.p - v
     if not v or r < 1 or form.q[0] <= inst.p or not _telescopes(form, r, r + 1):
-        return Membership(False)
+        return None
     if _lifts(form.h, _consecutive(r + 1, v), form.q) != list(form.phis):
-        return Membership(False)
-    return Membership(True, "lifted", LiftedParams(r, form.t, form.q))
+        return None
+    return r, form.t, form.q
 
 
-def _proper_kucukyavuz(inst: MixingInstance, form: _Form) -> Membership:
+def _proper_kucukyavuz(inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """(r, t_set, q_list) of the first matching lifting order."""
     v = len(form.q)
     r = inst.p - v
     if not v or r < 1 or not _telescopes(form, r, r + 1):
-        return Membership(False)
+        return None
     perm = _match_lifts(form, _consecutive(r + 1, v))
     if perm is None:
-        return Membership(False)
-    return Membership(True, "kucukyavuz", LiftedParams(r, form.t, perm))
+        return None
+    return r, form.t, perm
 
 
-def _proper_zhao(inst: MixingInstance, form: _Form) -> Membership:
+def _proper_zhao(inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """(r, t_set, q_list, s_list) of the first r and lifting order that match."""
     t, v = form.t, len(form.q)
     if not v or not t or form.rhs_base != form.h[t[0]]:
-        return Membership(False)
+        return None
     tails = _zhao_w_tails(form.view, form.q)
     for r in range(t[-1], min(inst.p, inst.theta - v) + 1):
         s = _zhao_derive_s(form.view, r, tails)
@@ -953,12 +983,12 @@ def _proper_zhao(inst: MixingInstance, form: _Form) -> Membership:
         lift = _zhao_lifting(r, s, inst.p)
         perm = None if lift is None else _match_lifts(form, lift)
         if perm is not None:
-            return Membership(True, "zhao", LiftedParams(r, t, perm, s_list=s))
-    return Membership(False)
+            return r, t, perm, s
+    return None
 
 
-def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Membership:
-    """Search for generating parameters with r = p - |q| and every q entry visible.
+def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """(r, t_set, q_list, F delta) with r = p - |q| and every q entry visible.
 
     A smaller r gives the same cut.  A generating q-sequence could also lead
     with entries whose lift works out to zero: invisible in the cut, they
@@ -972,22 +1002,22 @@ def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Membership:
     h, t, v = form.h, form.t, len(form.q)
     r = inst.p - v
     if not v or not t or r < 1 or t[-1] > r or form.rhs_base != h[t[0]]:
-        return Membership(False)
+        return None
     lift = _consecutive(r + 1, v)
     delta = [c - d for c, d in zip(form.coefs, _telescope(h, t, lift.anchor))]
     if any(total < 0 for total in accumulate(delta)):
-        return Membership(False)
+        return None
     delta_sum = sum(delta)
     if delta_sum > h[lift.anchor] - h[lift.anchor + 1]:
-        return Membership(False)
+        return None
     perm = _match_lifts(form, lift, delta_sum)
     if perm is None:
-        return Membership(False)
-    return Membership(True, "blp_uniform", BlpUniformParams(r, t, perm, form.fractions(delta)))
+        return None
+    return r, t, perm, delta
 
 
-def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Membership:
-    """Certificate search over r and phantom zero-coefficient index choices.
+def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Optional[tuple]:
+    """(r, t_set with phantoms, int certificate) of the certificate search.
 
     A generating index set may include positions whose shifted coefficient is
     zero; they drop out of the cut but count toward |t_set|, which is what
@@ -996,26 +1026,18 @@ def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Membership:
     the base right-hand side.  Nothing else depends on the choice: the total
     shift is the coefficient sum minus h_{t_1}, plus h_{r+1}, so it stays
     within h_{r+1} for every choice or for none, and the certificate rows
-    read the cut alone (`_certificate_rows`).  So the rows are certified
-    once, for the first choice.
+    read the cut alone (`_row_heads`).  So the rows are certified once, for
+    the first choice.
     """
     if not form.t or sum(form.coefs) > form.rhs_base:
-        return Membership(False)
+        return None
     choice = _first_generic_choice(inst, form)
     if choice is None:
-        return Membership(False)
+        return None
     found, _ = _certify(form)
     if found is None:
-        return Membership(False)
-    r, t = choice
-    h, tx = form.h, t + (r + 1,)
-    coef_of = dict(zip(form.t, form.coefs))
-    delta = [coef_of.get(t[i], 0) - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
-    a_sets, betas = found
-    cert = BlpGenericParams(
-        r, t, form.fractions(delta), form.q, form.fractions(form.phis), a_sets, betas
-    )
-    return Membership(True, "blp_generic", cert)
+        return None
+    return *choice, found
 
 
 def _first_generic_choice(
@@ -1033,3 +1055,19 @@ def _first_generic_choice(
                 if form.h[t[0]] == form.rhs_base:
                     return r, t
     return None
+
+
+def _witness(form: _Form, name: str, found: tuple) -> object:
+    """The parameters record of family `name` from its own check's int result."""
+    if name == "blp_uniform":
+        return BlpUniformParams(*found[:3], form.fractions(found[3]))
+    if name != "blp_generic":
+        return (StarParams if name.endswith("star") else LiftedParams)(*found)
+    r, t, certificate = found
+    h, tx = form.h, t + (r + 1,)
+    coef_of = dict(zip(form.t, form.coefs))
+    delta = [coef_of.get(t[i], 0) - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
+    return BlpGenericParams(
+        r, t, form.fractions(delta), form.q, form.fractions(form.phis),
+        *_certificate_values(form, certificate),
+    )

@@ -10,6 +10,15 @@ from mixcut.core import ValidationError, build_instance, cut_to_json, instance_t
 from projection_reference import parse_report
 
 
+def _no_scenarios(docs):
+    """Set ``m = 0`` in the blp-aggregate documents, keeping the rest consistent."""
+    docs["set"]["m"] = 0
+    for con in docs["set"]["constraints"]:
+        con["A"] = con["c"] = []
+    docs["set"]["compl_pairs"] = docs["set"]["compl_complement_pairs"] = []
+    docs["assignment"]["base"][1] = 0
+
+
 class TestCatalog:
     def test_first_sequence(self):
         inst = bench.benchmark_instance("L", 5, 3)
@@ -404,6 +413,9 @@ class TestCli:
         "scalar_base": (None, "base", 3),
         "missing_base": (None, "base", ...),
         "float_weight_index": (None, "k_weights", [[1, 2.5, "1"]]),
+        # a set with no scenarios, consistent otherwise: no y parts, no pairs,
+        # and the base at j = 0
+        "zero_scenarios": (None, None, _no_scenarios),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_BLP))
@@ -419,7 +431,9 @@ class TestCli:
         }
         set_key, assignment_key, value = self.MALFORMED_BLP[case]
         doc, key = (docs["set"], set_key) if set_key else (docs["assignment"], assignment_key)
-        if value is ...:
+        if callable(value):
+            value(docs)
+        elif value is ...:
             del doc[key]
         else:
             doc[key] = value

@@ -1,5 +1,6 @@
 """Instance model, canonicalization, validity oracle, mixing-form round trips."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -15,6 +16,7 @@ from mixcut.core import (
     LinearCut,
     MixingInstance,
     ValidationError,
+    Vertex,
     _vertex_steps,
     build_instance,
     canonicalize,
@@ -250,6 +252,31 @@ class TestVertices:
         h = list(range(42, 0, -2))
         with pytest.raises(ValidationError):
             enumerate_vertices(build_instance(21, h, None, 1))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        """Every x in {0,1}^m in lexicographic order, kept when pi . x <= epsilon
+        on Fractions, with z the largest h_i over x_i = 0.  h is fractional and
+        tied, pi general, and epsilon is pi . x of some x (the boundary)."""
+        m = data.draw(st.integers(1, 8))
+        h = sorted(
+            data.draw(st.lists(
+                st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3])),
+                min_size=m, max_size=m,
+            )),
+            reverse=True,
+        )
+        w = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        hit = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        eps = Fraction(max(max(w), sum(wi for wi, b in zip(w, hit) if b)), sum(w))
+        inst = build_instance(m, h, [Fraction(wi, sum(w)) for wi in w], eps)
+        want = []
+        for x in itertools.product((0, 1), repeat=m):
+            if sum((p for p, xi in zip(inst.pi, x) if xi), Fraction(0)) <= eps:
+                z = max((hi for hi, xi in zip(inst.h, x) if not xi), default=Fraction(0))
+                want.append(Vertex(z, x))
+        assert enumerate_vertices(inst) == tuple(want)
 
 
 class TestValidity:

@@ -695,3 +695,76 @@ class TestIntKernel:
             searched = ref.gen_blp_generic(inst, replace(cert, a_sets=None, beta=None))
             assert searched.certificate == cert and searched.cut == facet
             assert repr(self.agree(inst, cert)) == repr(searched)
+
+
+class TestRatioPrefixSearch:
+    """The certificate search of `families._certify` (smallest feasible ratio
+    prefix, `_search_rows`) against the subset-order search of
+    `certificate_reference`, row by row: same A_j, same beta_j, same first
+    infeasible j."""
+
+    @staticmethod
+    def reference(inst, r, t, delta, q, phi):
+        """((A_j as q values, beta_j) per scenario up to the first infeasible
+        one, that j or None)."""
+        chosen = []
+        for j, row in enumerate(ref.certificate_rows(inst, r, t, delta, q, phi), start=1):
+            found = ref.search_row(row)
+            if found is None:
+                return chosen, j
+            a_pos, beta = found
+            chosen.append((frozenset(q[k] for k in a_pos), beta))
+        return chosen, None
+
+    def agree(self, inst, r, t, delta, q, phi):
+        form = fam._params_form(inst, r, t, delta, q, phi)
+        found, infeasible_j = fam._certify(form)
+        chosen, want_j = self.reference(inst, r, t, delta, q, phi)
+        assert infeasible_j == want_j
+        if found is not None:
+            assert list(zip(*fam._certificate_values(form, found))) == chosen
+        return chosen
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_tied_ratios(self, data):
+        """Facet witnesses of uniform and general instances with their lifts
+        moved so that ratio groups tie: each phi_k keeps its value, takes one
+        value v repeated, or takes c m pi_{q_k} for one c."""
+        inst, cert = data.draw(st.sampled_from(_kernel_certificates()))
+        v = data.draw(st.sampled_from(cert.phi)) if cert.phi else Fraction(0)
+        c = data.draw(_SMALL)
+        phi = tuple(
+            data.draw(st.sampled_from([own, v, c * inst.m * inst.pi_at(qk)]))
+            for qk, own in zip(cert.q_list, cert.phi)
+        )
+        self.agree(inst, cert.r, cert.t_set, cert.delta, cert.q_list, phi)
+
+    def test_whole_tie_group(self):
+        """L(7,3) with the lifts phi = (3, 3) tied: A_5 is the group {6, 7}."""
+        inst = benchmark_instance("L", 7, 3)
+        args = (1, (1,), (Fraction(1),), (6, 7), (Fraction(3), Fraction(3)))
+        chosen = self.agree(inst, *args)
+        assert [a for a, _ in chosen] == [frozenset()] * 4 + [frozenset({6, 7})] + [frozenset()] * 2
+        result = fam.gen_blp_generic(inst, fam.BlpGenericParams(*args))
+        assert result.certificate.a_sets[4] == frozenset({6, 7})
+        assert result.certificate.beta == (0, 0, 3, 3, 5, 3, Fraction(10, 3))
+
+
+class TestWitnesses:
+    """Witnesses are built from the checks' int results only in `member_of`."""
+
+    CELLS = [(example, m, p) for example in "LK" for m in range(1, 8) for p in range(1, m + 1)]
+
+    @pytest.mark.parametrize("example,m,p", CELLS)
+    def test_generic_witness_regenerates_facet(self, example, m, p):
+        """Every blp_generic witness on the cell regenerates its facet, with
+        the same certificate; `_memberships` gives `member_of`'s verdicts."""
+        inst = benchmark_instance(example, m, p)
+        for facet in hull.cached_facets(inst).nonvertical:
+            found = fam.member_of(inst, facet, "blp_generic")
+            if found.via == "blp_generic":
+                result = fam.gen_blp_generic(inst, found.certificate)
+                assert result.cut == facet and result.certificate == found.certificate
+            truth = {name: bool(fam.member_of(inst, facet, name)) for name in fam.FAMILIES}
+            assert fam._memberships(inst, facet) == truth
