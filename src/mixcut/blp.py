@@ -3,8 +3,10 @@
 A `BilinearSet` holds constraints of the form ``y^T A x + b.x + c.y >= d``
 over ``x`` in a polyhedron and ``y`` in the integral simplex.  Aggregating
 weighted constraints, normalizing the y-products, and applying the
-substitution rules yields linear cuts in the x variables; the projection-cone
-view certifies them.  `build_sc` produces the lifted reformulation of a
+substitution rules yields linear cuts in the x variables; a sparse point of
+the projection cone (`ConeDual`) certifies each of them.  `aggregate`,
+`assemble_dual` and `cone_membership` share one weighted row sum over the
+set's restriction table.  `build_sc` produces the lifted reformulation of a
 mixing instance whose aggregation cuts are valid for the instance's hull.
 Whether such a cut is a facet is decided by `hull.is_facet`, not here.  The
 exact x-projection of the restrictions' hull, which cross-checks the
@@ -17,8 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     LinearCut,
@@ -52,8 +54,17 @@ class BilinearConstraint:
 #: all ints.
 Restriction = tuple[tuple[tuple[int, int], ...], int]
 
-#: The zero every dense Fraction output shares.
+#: The zero every Fraction output shares.
 _ZERO = Fraction(0)
+
+
+def _index(value: object, what: str, size: Optional[int] = None) -> int:
+    """An int index (a bool, a float or any other value is refused), below `size` if given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an int, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise ValidationError(f"{what} {value} out of range 0..{size - 1}")
+    return value
 
 
 def _nonzero(coefs: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -235,13 +246,14 @@ class BlpAssignment:
         k_weights: Iterable[tuple[int, int, RationalLike]] = (),
         t_weights: Iterable[tuple[int, int, RationalLike]] = (),
     ) -> "BlpAssignment":
-        kw = tuple(
-            (int(j), int(k), rat(w)) for j, k, w in k_weights if rat(w) != 0
-        )
-        tw = tuple(
-            (int(j), int(t), rat(w)) for j, t, w in t_weights if rat(w) != 0
-        )
-        return BlpAssignment(int(base_k), int(base_j), kw, tw)
+        def nonzero(weights, what: str) -> tuple[tuple[int, int, Fraction], ...]:
+            read = ((_index(j, f"{what} scenario"), _index(i, f"{what} index"), rat(w))
+                    for j, i, w in weights)
+            return tuple(row for row in read if row[2])
+
+        return BlpAssignment(_index(base_k, "base constraint index"),
+                             _index(base_j, "base weight index"),
+                             nonzero(k_weights, "k_weights"), nonzero(t_weights, "t_weights"))
 
 
 @dataclass(frozen=True)
@@ -267,22 +279,17 @@ def _x_block_cut(z_slot: Optional[int], coefs: Sequence[Fraction], rhs: Fraction
 
 
 def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
-    if not 0 <= a.base_k < S.kappa:
-        raise ValidationError(f"base constraint index {a.base_k} out of range")
-    if not 0 <= a.base_j <= S.m:
-        raise ValidationError(f"base weight index {a.base_j} out of range")
-    for j, k, w in a.k_weights:
-        if not 0 <= j <= S.m or not 0 <= k < S.kappa:
-            raise ValidationError(f"constraint weight ({j},{k}) out of range")
-        if w < 0:
-            raise ValidationError("aggregation weights must be non-negative")
-        if (k, j) == (a.base_k, a.base_j):
-            raise ValidationError("the base pair may not be reweighted")
-    for j, t, w in a.t_weights:
-        if not 0 <= j <= S.m or not 0 <= t < S.tau:
-            raise ValidationError(f"polyhedron weight ({j},{t}) out of range")
-        if w < 0:
-            raise ValidationError("aggregation weights must be non-negative")
+    _index(a.base_k, "base constraint index", S.kappa)
+    _index(a.base_j, "base weight index", S.m + 1)
+    for weights, what, size in ((a.k_weights, "constraint", S.kappa),
+                                (a.t_weights, "polyhedron", S.tau)):
+        for j, k, w in weights:
+            _index(j, f"{what} weight scenario", S.m + 1)
+            _index(k, f"{what} weight index", size)
+            if w < 0:
+                raise ValidationError("aggregation weights must be non-negative")
+    if any((k, j) == (a.base_k, a.base_j) for j, k, _ in a.k_weights):
+        raise ValidationError("the base pair may not be reweighted")
 
 
 def _weighted_sum(
@@ -295,8 +302,8 @@ def _weighted_sum(
     the reading into the j-th bilinear row (squares fold to y_j, crosses
     vanish); weighting by the simplex complement (j = 0) keeps the linear part
     and mirrors it negatively into every bilinear row.  Callers scale their
-    rational weights by one lcm L (:func:`_over_lcm`), so every sum is a
-    Python int, the rational sum times L * T.
+    rational weights by one lcm L, so every sum is a Python int, the rational
+    sum times L * T.
     """
     m, n = S.m, S.n
     quad = [[0] * n for _ in range(m)]
@@ -525,103 +532,91 @@ def sc_constraint_index(S: BilinearSet, group: int, i: int, j: Optional[int] = N
 # Projection-cone certificates
 
 
-def assemble_dual(
-    S: BilinearSet, a: BlpAssignment, result: SubstitutionResult
-) -> tuple[Fraction, ...]:
-    """Dual vector certifying a substitution's cut via the projection cone.
+class ConeDual(NamedTuple):
+    """A point of the projection cone, sparse: every absent key is zero.
 
-    The alpha and beta blocks are the assignment's weighted rows plus the
-    substitution's ``result.moves``, summed by (j, table row); the gamma and
-    theta blocks are the canonical completion (columnwise positive part of
-    the residual bilinear matrix, and its per-scenario slack), read from the
-    weighted sum of those same rows, so a move onto the base pair counts in
-    both.  Everything is summed on ints over one lcm L of the weights'
-    denominators; the dense tuple holds one shared zero.
+    ``rows[j, k]`` weights row k of :attr:`BilinearSet.restrictions` at y =
+    e_j (polyhedron row t is k = kappa + t); ``gamma[j, i]`` and ``theta[j]``
+    are scenario j's slacks on x_i and on the right-hand side.
+    """
+
+    rows: Mapping[tuple[int, int], RationalLike]
+    gamma: Mapping[tuple[int, int], RationalLike]
+    theta: Mapping[int, RationalLike]
+
+
+def assemble_dual(S: BilinearSet, a: BlpAssignment, result: SubstitutionResult) -> ConeDual:
+    """The point of the projection cone that certifies a substitution's cut.
+
+    Its rows are the assignment's weighted rows plus the substitution's
+    ``result.moves``, summed by (j, table row); gamma and theta are the
+    canonical completion (columnwise positive part of the residual bilinear
+    matrix, and its per-scenario slack), read from the weighted sum of those
+    same rows, so a move onto the base pair counts in both.  Everything is
+    summed on ints over one lcm L of the weights' denominators; only the
+    nonzero entries are built, as Fractions.
     """
     L, weighted = _over_lcm((*_assignment_rows(S, a), *result.moves))
     quad, _, lin_y, _ = _weighted_sum(S, weighted)
-    n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
-    gamma0 = [max(0, *(quad[j][i] for j in range(m))) for i in range(n)]
+    gamma0 = [max(0, *column) for column in zip(*quad)]
     theta0 = max(0, *lin_y)
-
-    # alpha_j[k] sits at j * kappa + k, and beta_j[t] (table row kappa + t)
-    # after every alpha block, at (m + 1) * kappa + j * tau + t
-    beta_at = (m + 1) * kappa
-    summed: dict[int, int] = {}
+    rows: dict[tuple[int, int], int] = {}
     for j, k, w in weighted:
-        pos = j * kappa + k if k < kappa else beta_at + j * tau + k - kappa
-        summed[pos] = summed.get(pos, 0) + w
-    dual = [_ZERO] * ((m + 1) * (kappa + tau))
-    for pos, w in summed.items():
-        dual[pos] = Fraction(w, L)
-    frac = _over(L * S.denominator)
-    dual.extend(map(frac, gamma0))
-    for j in range(m):
-        dual.extend(frac(gamma0[i] - quad[j][i]) for i in range(n))
-    dual.append(frac(theta0))
-    dual.extend(frac(theta0 - lin_y[j]) for j in range(m))
-    return tuple(dual)
+        rows[j, k] = rows.get((j, k), 0) + w
+    weight, slack = _over(L), _over(L * S.denominator)
+    # scenario 0 reads as a zero quad row and a zero lin_y entry
+    return ConeDual(
+        {key: weight(w) for key, w in rows.items()},
+        {(j, i): slack(g - v) for j, row in enumerate([[0] * S.n, *quad])
+         for i, (g, v) in enumerate(zip(gamma0, row)) if g != v},
+        {j: slack(theta0 - v) for j, v in enumerate([0, *lin_y]) if v != theta0},
+    )
 
 
-def cone_membership(
-    S: BilinearSet, dual: Sequence[RationalLike]
-) -> tuple[bool, Optional[LinearCut]]:
-    """Is the weight vector in the projection cone; if so, its projected cut.
+def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[LinearCut]]:
+    """Is the sparse dual in the projection cone; if so, its projected cut.
 
-    Layout: alpha blocks j = 0..m (each kappa long), beta blocks j = 0..m
-    (each tau long), gamma blocks j = 0..m (each n long), then theta_0..m.
-    Scenario j weights row k of :attr:`BilinearSet.restrictions` at j by
-    alpha_j[k], and polyhedron row t (table row kappa + t) by beta_j[t]; only
-    nonzero weights and nonzero row entries are evaluated.  Writing ``R_j . x
-    >= r_j`` for the weighted sum of the rows at j, scenario 0 projects to the
-    cut ``base . x >= base_rhs`` with ``base = gamma_0 + R_0`` and ``base_rhs
-    = r_0 - theta_0``; the vector is in the cone iff every scenario j >= 1
-    gives ``gamma_j + R_j = base`` and ``theta_j - r_j = -base_rhs``.
-
-    Signs are read from the entries' numerators.  The entries are then scaled
-    by the lcm L of their denominators, and each scenario is summed and
-    compared on ints, times L * T; only the returned cut is built as Fractions.
+    A key that indexes nothing (j outside 0..m, a table row, or an x index,
+    out of range) or a value :func:`~mixcut.core.rat` refuses raises
+    :class:`ValidationError`; a negative value is outside the cone.  The
+    values are scaled by the lcm L of their denominators and the rows summed
+    once by :func:`_weighted_sum`, on ints times L * T.  The dual is in the
+    cone iff ``gamma_j = gamma_0 - quad[j - 1]`` and ``theta_j = theta_0 -
+    lin_y[j - 1]`` for every j >= 1; its cut is ``(gamma_0 + lin_x) . x >=
+    rhs - theta_0``.
     """
-    n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
-    expected = (m + 1) * (kappa + tau + n + 1)
-    vec = [v if isinstance(v, Fraction) else rat(v) for v in dual]
-    if len(vec) != expected:
-        raise ValidationError(f"dual vector must have length {expected}")
-    nums = [v.numerator for v in vec]
-    if min(nums) < 0:
+    n, m = S.n, S.m
+
+    def read(entries: Mapping, what: str, *sizes: int) -> dict:
+        """The values as Fractions; each key is (j, index), or j alone for one size."""
+        for key in entries:
+            index = key if len(sizes) > 1 else (key,)
+            if not isinstance(index, tuple) or len(index) != len(sizes):
+                raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
+            for i, size in zip(index, sizes):
+                _index(i, f"{what} key {key!r}: index", size)
+        return {key: rat(v) for key, v in entries.items()}
+
+    rows = read(dual.rows, "rows", m + 1, S.kappa + S.tau)
+    gamma = read(dual.gamma, "gamma", m + 1, n)
+    theta = read(dual.theta, "theta", m + 1)
+    every = [*rows.values(), *gamma.values(), *theta.values()]
+    if any(v < 0 for v in every):
         return False, None
-    support = list(compress(range(expected), nums))
-    L = math.lcm(*(vec[p].denominator for p in support))
+    L = math.lcm(*(v.denominator for v in every))
     T = S.denominator
-    ints = [0] * expected
-    for p in support:
-        ints[p] = nums[p] * (L // vec[p].denominator)
-    beta_at = (m + 1) * kappa
-    gamma_at = beta_at + (m + 1) * tau
-    theta_at = gamma_at + (m + 1) * n
-
-    def side(j: int) -> tuple[list[int], int]:
-        """(gamma_j + R_j, r_j), times L * T."""
-        row = [g * T for g in ints[gamma_at + j * n : gamma_at + (j + 1) * n]]
-        total = 0
-        alpha = ints[j * kappa : (j + 1) * kappa]
-        beta = ints[beta_at + j * tau : beta_at + (j + 1) * tau]
-        for k, w in enumerate(alpha + beta):
-            if w:
-                pairs, row_rhs = S.restrictions[j][k]
-                for i, v in pairs:
-                    row[i] += v * w
-                total += row_rhs * w
-        return row, total
-
-    base, base_rhs = side(0)
-    base_rhs -= ints[theta_at] * T
-    for j in range(1, m + 1):
-        row, total = side(j)
-        if row != base or ints[theta_at + j] * T - total != -base_rhs:
-            return False, None
+    quad, lin_x, lin_y, rhs = _weighted_sum(
+        S, ((j, k, w.numerator * (L // w.denominator)) for (j, k), w in rows.items()))
+    gamma, theta = ({key: v.numerator * (L // v.denominator) * T for key, v in slack.items()}
+                    for slack in (gamma, theta))
+    gamma0, theta0 = [gamma.get((0, i), 0) for i in range(n)], theta.get(0, 0)
+    if any(theta.get(j, 0) != theta0 - v for j, v in enumerate(lin_y, 1)) or any(
+            gamma.get((j, i), 0) != g - v
+            for j, row in enumerate(quad, 1) for i, (g, v) in enumerate(zip(gamma0, row))):
+        return False, None
     frac = _over(L * T)
-    return True, _x_block_cut(S.z_slot, tuple(map(frac, base)), frac(base_rhs))
+    return True, _x_block_cut(S.z_slot, tuple(frac(g + v) for g, v in zip(gamma0, lin_x)),
+                              frac(rhs - theta0))
 
 
 # ---------------------------------------------------------------------------

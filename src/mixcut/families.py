@@ -22,10 +22,14 @@ one F, a multiple of H and of the facet's denominators (`_Form`).
 The generic family's certificate search (`_search_rows`) takes, for each
 scenario, the smallest feasible prefix of the lifting positions in ratio
 order, up to a whole tie group; that is the first feasible A_j in subset
-order.  Each family's own check returns its int search result, or None.
-The verdict path (`_memberships`, behind `bench.coverage`) only tests it;
-`member_of` and `gen_blp_generic` alone turn it into parameter records,
-frozensets and Fractions (`_witness`, `_certificate_values`).
+order.  Its choice of r and phantom indices (`_first_generic_choice`) is a
+closed form too: only the first index of t_set is tested, so for each r
+the first admissible pool start, with the fewest phantoms the count bound
+allows, is the first hit of the subset search.  Each family's own check
+returns its int search result, or None.  The verdict path (`_memberships`,
+behind `bench.coverage`) only tests it; `member_of` and `gen_blp_generic`
+alone turn it into parameter records, frozensets and Fractions
+(`_witness`, `_certificate_values`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, permutations, product
+from itertools import accumulate, chain, permutations, product
 from typing import (
     Callable,
     Collection,
@@ -1043,17 +1047,29 @@ def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Optional[tuple]:
 def _first_generic_choice(
     inst: MixingInstance, form: _Form
 ) -> Optional[tuple[int, tuple[int, ...]]]:
-    """The first (r, t_set with phantoms) in search order with h_{t_1} = rhs_base."""
-    t_vis, q = form.t, form.q
+    """The first (r, t_set with phantoms) in search order with h_{t_1} = rhs_base.
+
+    The order is r upward, then the fewest phantoms (at least the `need` that
+    |q| <= p - r + |t_set| asks for), then phantom sets in lexicographic
+    order.  Only the smallest index of t_set, min(first phantom, t_1), is
+    tested, so each r has a closed form: no phantoms if none are needed and
+    h_{t_1} fits; otherwise e = max(need, 1) consecutive pool entries from
+    the first entry x with h_{min(x, t_1)} = rhs_base and e - 1 entries after
+    it.  More phantoms only shrink the admissible starts.
+    """
+    t_vis, q, h = form.t, form.q, form.h
     hi = inst.p if not q else min(inst.p, q[0] - 1)
     for r in range(t_vis[-1], hi + 1):
-        pool = [i for i in range(1, r + 1) if i not in t_vis]
         need = max(0, len(q) - (inst.p - r) - len(t_vis))
-        for extra in range(need, len(pool) + 1):
-            for phantom in combinations(pool, extra):
-                t = tuple(sorted(t_vis + phantom))
-                if form.h[t[0]] == form.rhs_base:
-                    return r, t
+        if not need and h[t_vis[0]] == form.rhs_base:
+            return r, t_vis
+        pool = [i for i in range(1, r + 1) if i not in t_vis]
+        e = max(need, 1)
+        starts = (at for at in range(len(pool) - e + 1)
+                  if h[min(pool[at], t_vis[0])] == form.rhs_base)
+        at = next(starts, None)
+        if at is not None:
+            return r, tuple(sorted(t_vis + tuple(pool[at:at + e])))
     return None
 
 

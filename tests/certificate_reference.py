@@ -7,6 +7,10 @@ that the int kernel (`families.gen_blp_generic`) gives the same certificate,
 the same infeasible scenario or the same error text.  It is not used by the
 library.
 
+`first_generic_choice` is the search that `families._first_generic_choice`
+replaces by its closed form: r upward, then phantom sets by size and in
+lexicographic order, each tested whole.
+
 `facet_necessity_count` counts the certificate conditions that hold with
 equality.  It is the only copy of that count, kept as the subject of an open
 question: the count is not a facet test.  The facet z + 2 x_1 >= 20 of
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from mixcut.core import MixingInstance, mixing_form
@@ -25,6 +30,7 @@ from mixcut.families import (
     BlpGenericParams,
     FamilyParamError,
     GenericCutResult,
+    _Form,
     _generic_structure_check,
     _given_certificate,
 )
@@ -178,6 +184,23 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     coefs = [inst.h_at(tx[i]) - inst.h_at(tx[i + 1]) + delta[i] for i in range(len(t))]
     cut = mixing_form(m, t, coefs, q, phi, inst.h_at(t[0]))
     return GenericCutResult(True, cut, cert)
+
+
+def first_generic_choice(
+    inst: MixingInstance, form: _Form
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The first (r, t_set with phantoms) in search order with h_{t_1} = rhs_base."""
+    t_vis, q = form.t, form.q
+    hi = inst.p if not q else min(inst.p, q[0] - 1)
+    for r in range(t_vis[-1], hi + 1):
+        pool = [i for i in range(1, r + 1) if i not in t_vis]
+        need = max(0, len(q) - (inst.p - r) - len(t_vis))
+        for extra in range(need, len(pool) + 1):
+            for phantom in combinations(pool, extra):
+                t = tuple(sorted(t_vis + phantom))
+                if form.h[t[0]] == form.rhs_base:
+                    return r, t
+    return None
 
 
 def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int:

@@ -7,9 +7,12 @@ over all of alpha_j, alpha_0, beta_j and beta_0, zero weights included, and
 requires the total to vanish.  The scenario-0 blocks then give the projected
 cut.
 
-`blp.cone_membership` evaluates only the nonzero weights and compares every
-scenario with the projected cut, so it shares no loop with this one; the
-tests require both to return identical results, or the same error.
+`dense_dual(S, dual)` lays a sparse `blp.ConeDual` out as that dense vector:
+alpha blocks j = 0..m (each kappa long), beta blocks j = 0..m (each tau
+long), gamma blocks j = 0..m (each n long), then theta_0..m, zeros
+included.  `blp.cone_membership` reads the sparse dual through the weighted
+row sum behind `blp.aggregate`, so it shares no loop with this one; the
+tests require both to return identical results, or both to raise.
 
 `fraction_weighted_sum(S, weighted)` is the weighted row sum behind
 `blp.aggregate`, summed as Fractions over rows read straight from the
@@ -24,8 +27,32 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from mixcut.blp import BilinearExpr, BilinearSet, SubstitutionResult
+from mixcut.blp import BilinearExpr, BilinearSet, ConeDual, SubstitutionResult
 from mixcut.core import LinearCut, RationalLike, ValidationError, rat
+
+
+def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
+    """The dense vector of a sparse dual, its values as given; absent entries are 0.
+
+    A key with no slot in the layout raises :class:`ValidationError`.
+    """
+    n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
+    vec: list[RationalLike] = [0] * ((m + 1) * (kappa + tau + n + 1))
+
+    def slot(start: int, j, i, size: int) -> int:
+        """Entry i of block j, blocks `size` long from `start`."""
+        if type(j) is not int or type(i) is not int or not (0 <= j <= m and 0 <= i < size):
+            raise ValidationError(f"the dense layout has no slot for ({j!r}, {i!r})")
+        return start + j * size + i
+
+    for (j, k), w in dual.rows.items():
+        pos = slot(0, j, k, kappa) if k < kappa else slot((m + 1) * kappa, j, k - kappa, tau)
+        vec[pos] = w
+    for (j, i), g in dual.gamma.items():
+        vec[slot((m + 1) * (kappa + tau), j, i, n)] = g
+    for j, v in dual.theta.items():
+        vec[slot((m + 1) * (kappa + tau + n), j, 0, 1)] = v
+    return vec
 
 
 def dense_cone_membership(

@@ -493,3 +493,25 @@ class TestCli:
                 "--cut", str(tmp_path / "cut.json"), "--facet"]
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out) == {"valid": True, "facet": True}
+
+    def test_blp_aggregate_mixed_denominators(self, tmp_path, capsys):
+        """On L(3,2)'s lifted set, an aggregate with denominators 2 in its
+        bilinear and x terms and 3 in its y terms: `substitute` scales by their
+        lcm 6, and the cut differs from the one any single denominator or the
+        lcm of the bilinear or the x terms alone would give."""
+        from mixcut import blp
+
+        S = blp.build_sc(bench.benchmark_instance("L", 3, 2))
+        doc = {"base": [12, 3], "k_weights": [[3, 9, "3/2"], [3, 11, "2/3"]],
+               "t_weights": [[0, 3, "3/2"], [3, 2, "1/3"]]}
+        expr = blp.aggregate(S, blp.assignment_from_json(json.dumps(doc)))
+        assert {v.denominator for row in expr.quad for v in row} | {
+            v.denominator for v in expr.lin_x} == {1, 2}
+        assert {v.denominator for v in expr.lin_y} == {1, 3}
+        (tmp_path / "set.json").write_text(blp.bilinear_set_to_json(S))
+        (tmp_path / "assignment.json").write_text(json.dumps(doc))
+        argv = ["blp-aggregate", "--set", str(tmp_path / "set.json"),
+                "--assignment", str(tmp_path / "assignment.json")]
+        assert cli.main(argv) == 0
+        cut = json.loads(capsys.readouterr().out)["cut"]
+        assert cut == {"z": "0", "x": ["-1/2", "-1/2", "-1/2"], "rhs": "-3/2"}

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import projection_reference as pref
-from cone_reference import dense_cone_membership, fraction_substitute, fraction_weighted_sum
+from cone_reference import (
+    dense_cone_membership,
+    dense_dual,
+    fraction_substitute,
+    fraction_weighted_sum,
+)
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import ValidationError, build_instance, cut_is_valid, enumerate_vertices, make_cut
@@ -129,9 +134,11 @@ class TestBuildSc:
         rng = random.Random(name)
         for _ in range(3):
             a = _random_assignment(rng, S)
+            result = blp.substitute(S, blp.aggregate(S, a))
             duals = [blp.assemble_dual(T, a, blp.substitute(T, blp.aggregate(T, a)))
                      for T in (S, back)]
             assert duals[0] == duals[1]
+            assert blp.cone_membership(back, duals[1]) == (True, result.mixing_cut())
 
     def test_json_refuses_unbacked_compl_pair(self):
         # without its self: rows the set still lists the pairs (i, i); taken
@@ -228,6 +235,19 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             blp.BlpAssignment.build(k, 1, [(1, k, 1)])
             blp.aggregate(S, blp.BlpAssignment(k, 1, ((1, k, Fraction(1)),)))
+
+    @pytest.mark.parametrize("args", [
+        (1.7, 2), (1, 2.2), (True, 2), (1, False), (1, 2, [(0.9, 3, 2)]), (1, 2, [(0, 3.4, 2)]),
+        (1, 2, [(True, 3, 2)]), (1, 2, [], [(0, 1.0, 1)]), (1, 2, [(0, 3.0, 0)]),
+    ])
+    def test_build_refuses_non_int_index(self, args):
+        # a float or bool index used to be truncated by int()
+        with pytest.raises(ValidationError):
+            blp.BlpAssignment.build(*args)
+
+    def test_build_drops_zero_weights(self):
+        a = blp.BlpAssignment.build(1, 2, [(0, 3, "0"), (0, 4, "1/2")], [(1, 0, 0), (1, 1, 2)])
+        assert a == blp.BlpAssignment(1, 2, ((0, 4, Fraction(1, 2)),), ((1, 1, Fraction(2)),))
 
     def test_negative_weight_rejected(self, ex21):
         S = blp.build_sc(ex21)
@@ -352,8 +372,7 @@ class TestDisjunctive:
 class TestConeMembership:
     def test_zero_dual_is_member(self, ex21):
         S = blp.build_sc(ex21)
-        size = (ex21.m + 1) * (S.kappa + S.tau + S.n + 1)
-        member, cut = blp.cone_membership(S, [0] * size)
+        member, cut = blp.cone_membership(S, blp.ConeDual({}, {}, {}))
         assert member
         assert cut.z_coef == 0 and cut.rhs == 0 and all(c == 0 for c in cut.x_coefs)
 
@@ -396,15 +415,24 @@ class TestConeMembership:
         S = blp.build_sc(ex21)
         a = blp.BlpAssignment.build(blp.sc_constraint_index(S, 3, 1), 1)
         result = blp.substitute(S, blp.aggregate(S, a))
-        dual = list(blp.assemble_dual(S, a, result))
-        dual[-1] += 1
-        member, _ = blp.cone_membership(S, dual)
+        dual = blp.assemble_dual(S, a, result)
+        theta = dict(dual.theta)
+        theta[ex21.m] = theta.get(ex21.m, 0) + 1
+        member, _ = blp.cone_membership(S, dual._replace(theta=theta))
         assert not member
 
     def test_layout_mismatch_rejected(self, ex21):
+        """A key outside the set's layout, or not an int index, is refused."""
         S = blp.build_sc(ex21)
-        with pytest.raises(ValidationError):
-            blp.cone_membership(S, [0, 1, 2])
+        assert (S.m, S.kappa + S.tau, S.n) == (10, 96, 11)
+        for field, key in [
+            ("rows", (11, 0)), ("rows", (0, 96)), ("rows", (-1, 0)), ("rows", (0, 1.0)),
+            ("rows", (True, 0)), ("rows", 3), ("rows", (0, 1, 2)), ("gamma", (0, 11)),
+            ("gamma", (11, 0)), ("gamma", (0, -1)), ("theta", 11), ("theta", -1),
+            ("theta", (0,)), ("theta", False),
+        ]:
+            with pytest.raises(ValidationError, match=f"{field} key"):
+                blp.cone_membership(S, blp.ConeDual({}, {}, {})._replace(**{field: {key: 1}}))
 
 
 @lru_cache(maxsize=None)
@@ -430,10 +458,38 @@ def lifted_sets(draw):
 
 
 def _outcome(check, S, dual):
+    """The verdict and cut, or that the check raised `ValidationError`."""
     try:
         return repr(check(S, dual))
-    except ValidationError as exc:
-        return f"ValidationError: {exc}"
+    except ValidationError:
+        return "ValidationError"
+
+
+def _dense_check(S, dual):
+    return dense_cone_membership(S, dense_dual(S, dual))
+
+
+def _dual_keys(S):
+    """Every (field, key) a dual on S may hold."""
+    return ([("rows", (j, k)) for j in range(S.m + 1) for k in range(S.kappa + S.tau)]
+            + [("gamma", (j, i)) for j in range(S.m + 1) for i in range(S.n)]
+            + [("theta", j) for j in range(S.m + 1)])
+
+
+def _outside_keys(S):
+    """(field, key) pairs one past each end of the ranges `_dual_keys` covers."""
+    return [("rows", (S.m + 1, 0)), ("rows", (0, S.kappa + S.tau)), ("rows", (-1, 0)),
+            ("gamma", (S.m + 1, 0)), ("gamma", (0, S.n)), ("theta", S.m + 1), ("theta", -1)]
+
+
+def _support(dual):
+    return [(field, key) for field in dual._fields
+            for key, v in getattr(dual, field).items() if v]
+
+
+def _with(dual, field, key, value):
+    """The dual with entry `key` of `field` set to `value`."""
+    return dual._replace(**{field: {**getattr(dual, field), key: value}})
 
 
 class TestConeMembershipOracle:
@@ -444,21 +500,21 @@ class TestConeMembershipOracle:
     def test_matches_dense_reference(self, S, seed, data):
         a = _random_assignment(random.Random(seed), S)
         result = blp.substitute(S, blp.aggregate(S, a))
-        dual = list(blp.assemble_dual(S, a, result))
+        dual = blp.assemble_dual(S, a, result)
         assert blp.cone_membership(S, dual) == (True, result.mixing_cut())
         # a nonzero entry half the time; most entries are zero
-        support = [i for i, v in enumerate(dual) if v]
-        pos = data.draw(st.sampled_from(
-            support if support and data.draw(st.booleans()) else range(len(dual))))
-        changed = list(dual)
-        changed[pos] = data.draw(st.sampled_from(
-            [v for v in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3)) if v != dual[pos]]))
-        negative = list(dual)
-        negative[pos] = -data.draw(st.sampled_from((Fraction(1, 2), Fraction(2))))
-        wrong_length = dual[:-1] if data.draw(st.booleans()) else dual + [Fraction(0)]
-        for vector in (dual, changed, negative, wrong_length):
-            assert _outcome(blp.cone_membership, S, vector) == _outcome(
-                dense_cone_membership, S, vector)
+        support = _support(dual)
+        field, key = data.draw(st.sampled_from(
+            support if support and data.draw(st.booleans()) else _dual_keys(S)))
+        old = getattr(dual, field).get(key, 0)
+        changed = _with(dual, field, key, data.draw(st.sampled_from(
+            [v for v in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3)) if v != old])))
+        negative = _with(dual, field, key,
+                         -data.draw(st.sampled_from((Fraction(1, 2), Fraction(2)))))
+        outside = _with(dual, *data.draw(st.sampled_from(_outside_keys(S))), Fraction(1))
+        assert _outcome(blp.cone_membership, S, outside) == "ValidationError"
+        for vector in (dual, changed, negative, outside):
+            assert _outcome(blp.cone_membership, S, vector) == _outcome(_dense_check, S, vector)
 
     @given(S=lifted_sets(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -475,18 +531,17 @@ class TestConeMembershipOracle:
                 return int(v)
             return f"{v.numerator}/{v.denominator}" if kind == "str" else v
 
-        mixed = [given_as(v) for v in dual]
+        mixed = blp.ConeDual(*({key: given_as(v) for key, v in entries.items()}
+                               for entries in dual))
         assert blp.cone_membership(S, mixed) == (True, result.mixing_cut())
-        pos = rng.randrange(len(dual))
-        changed = list(mixed)
-        changed[pos] = rng.choice((1, "1/3", 3)) if not dual[pos] else 0
-        negative = list(mixed)
-        negative[pos] = rng.choice((-2, "-1/2"))
-        malformed = list(mixed)
-        malformed[pos] = rng.choice(("1.5", True, 0.5, "1/0"))
+        field, key = rng.choice(_dual_keys(S))
+        changed = _with(mixed, field, key,
+                        0 if getattr(dual, field).get(key) else rng.choice((1, "1/3", 3)))
+        negative = _with(mixed, field, key, rng.choice((-2, "-1/2")))
+        malformed = _with(mixed, field, key, rng.choice(("1.5", True, 0.5, "1/0")))
+        assert _outcome(blp.cone_membership, S, malformed) == "ValidationError"
         for vector in (mixed, changed, negative, malformed):
-            assert _outcome(blp.cone_membership, S, vector) == _outcome(
-                dense_cone_membership, S, vector)
+            assert _outcome(blp.cone_membership, S, vector) == _outcome(_dense_check, S, vector)
 
 
 #: An exact rational as JSON reads it: "a/b", often with b > 1.
@@ -628,6 +683,21 @@ class TestSubstituteOracle:
     def test_fractional_sets(self, S, seed):
         a = _any_index_assignment(random.Random(seed), S)
         self._assert_same(S, blp.aggregate(S, a))
+
+
+class TestConeRoundTripFractional:
+    """`assemble_dual` -> `cone_membership` on JSON sets with fractional T,
+    declared relations and no z slot."""
+
+    @given(S=related_fractional_sets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_sets(self, S, seed):
+        a = _any_index_assignment(random.Random(seed), S)
+        result = blp.substitute(S, blp.aggregate(S, a))
+        dual = blp.assemble_dual(S, a, result)
+        expected = (True, blp._x_block_cut(S.z_slot, result.coefs, result.rhs))
+        assert blp.cone_membership(S, dual) == expected
+        assert _dense_check(S, dual) == expected
 
 
 class TestPolyhedronRowsAsConstraints:

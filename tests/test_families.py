@@ -1,5 +1,6 @@
 """Generators and membership certifiers for the inequality families."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -749,6 +750,48 @@ class TestRatioPrefixSearch:
         result = fam.gen_blp_generic(inst, fam.BlpGenericParams(*args))
         assert result.certificate.a_sets[4] == frozenset({6, 7})
         assert result.certificate.beta == (0, 0, 3, 3, 5, 3, Fraction(10, 3))
+
+
+def _general_draw(s):
+    """General-probability draw s: m = 7 + s mod 3, h distinct in 1..100, pi
+    from integer weights 1..6 redrawn until every pi <= epsilon = 2/5."""
+    rng = random.Random(f"general:{s}")
+    m = 7 + s % 3
+    h = sorted(rng.sample(range(1, 101), m), reverse=True)
+    while True:
+        weights = [rng.randint(1, 6) for _ in range(m)]
+        if 5 * max(weights) <= 2 * sum(weights):
+            break
+    total = sum(weights)
+    return build_instance(m, h, [Fraction(w, total) for w in weights], Fraction(2, 5))
+
+
+class TestGenericChoice:
+    """The closed form of `families._first_generic_choice` against the
+    subset-order search of `certificate_reference`, on every nonvertical
+    facet with a positive x coefficient."""
+
+    INSTANCES = {f"{example}({m},{p})": (example, m, p)
+                 for example in "LK" for m in range(1, 9) for p in range(1, m + 1)}
+    INSTANCES.update({f"general:{s}": s for s in range(12)})
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_matches_search(self, name):
+        key = self.INSTANCES[name]
+        inst = benchmark_instance(*key) if isinstance(key, tuple) else _general_draw(key)
+        for facet in hull.cached_facets(inst).nonvertical:
+            form = fam._facet_form(inst, facet)
+            if form.t:
+                assert fam._first_generic_choice(inst, form) == ref.first_generic_choice(
+                    inst, form), facet
+
+    def test_phantom_choice(self):
+        """L(7,4): z + 3x_1 + 2x_4 - 3(x_5 + x_6 + x_7) >= 11 needs one phantom,
+        the first pool entry 2."""
+        inst = benchmark_instance("L", 7, 4)
+        form = fam._facet_form(inst, make_cut(1, [3, 0, 0, 2, -3, -3, -3], 11))
+        assert fam._first_generic_choice(inst, form) == (4, (1, 2, 4))
+        assert ref.first_generic_choice(inst, form) == (4, (1, 2, 4))
 
 
 class TestWitnesses:
