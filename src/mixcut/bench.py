@@ -173,22 +173,32 @@ def coverage(
     every family.  Only the families in `family_names` are evaluated, each
     chain up to its first member; an unknown or repeated family name raises
     `ValidationError`.  Without a budget the hull comes from
-    `hull.cached_facets`.
-    A tripped hull budget yields an "incomplete" report with no fabricated
-    percentages.
+    `hull.cached_facets`.  A budget of `budget_seconds` bounds the whole
+    run: the hull, then one charge per facet checked.  A tripped budget
+    yields an "incomplete" report with no fabricated percentages.
     """
     for k, name in enumerate(family_names):
         if name not in families.FAMILIES:
             raise ValidationError(f"unknown family {name!r}")
         if name in family_names[:k]:
             raise ValidationError(f"family {name!r} is listed more than once")
+    counts = {name: 0 for name in family_names}
     try:
         # a budgeted run stays uncached, so that its budget can still trip
         if budget_seconds is None:
+            budget = None
             fs = hull.cached_facets(inst)
         else:
-            fs = hull.enumerate_facets(inst, dd.Budget(seconds=budget_seconds))
-    except hull.BudgetExceeded:
+            budget = dd.Budget(seconds=budget_seconds)
+            fs = hull.enumerate_facets(inst, budget)
+        for normal in fs.normals:
+            if budget is not None:
+                budget.charge()
+            memberships = families._memberships(inst, normal, family_names)
+            for name in family_names:
+                if memberships[name]:
+                    counts[name] += 1
+    except dd.BudgetExceeded:
         return CoverageReport(
             example=example,
             m=inst.m,
@@ -199,17 +209,11 @@ def coverage(
             trivial=inst.p in (1, inst.m),
             incomplete=True,
         )
-    counts = {name: 0 for name in family_names}
-    for facet in fs.nonvertical:
-        memberships = families._memberships(inst, facet, family_names)
-        for name in family_names:
-            if memberships[name]:
-                counts[name] += 1
     return CoverageReport(
         example=example,
         m=inst.m,
         p=inst.p,
-        facet_total=len(fs.nonvertical),
+        facet_total=len(fs.normals),
         vertical_count=len(fs.vertical),
         covered=tuple((name, counts[name]) for name in family_names),
         trivial=inst.p in (1, inst.m),

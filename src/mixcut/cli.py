@@ -84,7 +84,7 @@ def cmd_coverage(args) -> int:
         args.example, args.m, args.p, family_names, budget_seconds=_budget(args)
     )
     if report.incomplete:
-        print("incomplete: hull budget exhausted", file=sys.stderr)
+        print("incomplete: budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
     fmt = {"md": "markdown"}.get(args.format, args.format)
     _write_or_print(bench.emit_report([report], fmt), args.out)

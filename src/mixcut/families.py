@@ -17,7 +17,9 @@ given s_list is checked by comparison with the derived one.
 Every membership decision and every certificate condition compares Python
 ints: each instance has one integer view (`_int_view`: pi and epsilon over
 their common denominator D, h over its own, H), and each facet is scaled by
-one F, a multiple of H and of the facet's denominators (`_Form`).
+one F, a multiple of H and of the facet's denominators (`_Form`).  The form
+is read off the facet's primitive integer normal (`_normal_form`): the one
+double description gives, or the one a cut scales to (`_facet_form`).
 
 The generic family's certificate search (`_search_rows`) takes, for each
 scenario, the smallest feasible prefix of the lifting positions in ratio
@@ -59,6 +61,7 @@ from .core import (
     mixing_form,
     rat,
 )
+from .linalg import primitive
 
 FAMILIES = (
     "star",
@@ -286,7 +289,7 @@ class _Form:
     F is a multiple of the view's H and of every denominator of the cut, so
     ``h`` (F h, indexed as in `_IntView`), ``coefs`` (on ``t``), ``phis``
     (on ``q``) and ``rhs_base`` are ints.  A form read from a facet
-    (`_facet_form`) lists only its nonzero coefficients; one built from
+    (`_normal_form`) lists only its nonzero coefficients; one built from
     generator parameters (`_params_form`) lists t and q as given.
     """
 
@@ -314,16 +317,27 @@ def _facet_form(inst: MixingInstance, cut: LinearCut) -> _Form:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
     if cut.z_coef != 1:
         raise ValidationError("mixing-form parsing requires a canonical cut with z_coef = 1")
+    return _normal_form(inst, primitive((cut.z_coef, *cut.x_coefs, -cut.rhs)))
+
+
+def _normal_form(inst: MixingInstance, normal: Sequence[int]) -> _Form:
+    """The mixing form of the primitive normal (a_z, a_1, ..., a_m, a_0), a_z > 0.
+
+    The normal stands for a_z z + a.x + a_0 >= 0, whose canonical cut is
+    z + (a / a_z).x >= -a_0 / a_z.  Since the normal is primitive, the lcm
+    of that cut's denominators is a_z itself, so F = lcm(H, a_z).
+    """
     view = _int_view(inst)
-    ratios = [c.as_integer_ratio() for c in cut.x_coefs]
-    F = math.lcm(view.H, cut.rhs.denominator, *(d for _, d in ratios))
-    x = [n * (F // d) for n, d in ratios]
+    a_z = normal[0]
+    F = math.lcm(view.H, a_z)
+    k = F // a_z
+    x = [c * k for c in normal[1:-1]]
     t = tuple(i for i, c in enumerate(x, start=1) if c > 0)
     q = tuple(i for i, c in enumerate(x, start=1) if c < 0)
     phis = tuple(-x[i - 1] for i in q)
     return _Form(
         view, F, view.h_times(F), t, tuple(x[i - 1] for i in t), q, phis,
-        _scale(cut.rhs, F) + sum(phis),
+        sum(phis) - normal[-1] * k,
     )
 
 
@@ -837,22 +851,31 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
 
 
 def _memberships(
-    inst: MixingInstance, facet: LinearCut, names: Sequence[str] = FAMILIES
+    inst: MixingInstance, facet, names: Sequence[str] = FAMILIES
 ) -> dict[str, bool]:
     """Whether `member_of` holds for each of `names`, without its witnesses.
 
-    Each chain is walked up from its bottom and stops at the first family
-    whose own check holds; the verdicts are shared across `names`, so a
-    costly check runs only when no family below it holds.  A check's int
-    result is only tested, never turned into a witness.
+    `facet` is a canonical cut with z coefficient 1 or its primitive integer
+    normal (`hull.FacetSet.normals`); both give the same `_Form`.  Each
+    chain is walked up from its bottom and stops at the first family whose
+    own check holds; the verdicts are shared across `names`, so a costly
+    check runs only when no family below it holds.  A check's int result is
+    only tested, never turned into a witness.
     """
-    form = _facet_form(inst, facet)
+    if isinstance(facet, LinearCut):
+        form = _facet_form(inst, facet)
+    else:
+        form = _normal_form(inst, facet)
     degenerate = _degenerate(inst, form)
     if degenerate is not None:
         return {name: degenerate for name in names}
     table = _family_table(inst)
     held: dict[str, bool] = {}
 
+    # holds refers to itself, so each call leaves one small reference cycle.
+    # A cycle-free walk was tried: with no cyclic garbage a full collection
+    # almost never runs, and only a full collection empties CPython's tuple
+    # free lists, so the coverage sweep's peak RSS rose by about 0.4 MB.
     def holds(name: str) -> bool:
         if name not in held:
             check, parent = table[name]
@@ -875,8 +898,10 @@ def _degenerate(inst: MixingInstance, form: _Form) -> Optional[bool]:
 _Check = Callable[[MixingInstance, _Form], Optional[tuple]]
 
 
+@lru_cache(maxsize=256)
 def _family_table(inst: MixingInstance) -> dict[str, tuple[Optional[_Check], Optional[str]]]:
-    """Each family's own check and its parent in the inclusion chain.
+    """Each family's own check and its parent in the inclusion chain, built
+    once per instance.
 
     A family holds when its own check or its parent holds.  A None check
     never holds: with a vacuous knapsack (epsilon = 1) the shifted families'

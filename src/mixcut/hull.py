@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from operator import not_
 from typing import Optional, Sequence
@@ -51,16 +51,33 @@ class InvalidCutError(ValidationError):
 class FacetSet:
     """Complete facet description of one instance's hull.
 
-    ``nonvertical`` facets have z coefficient 1 after canonicalization (the
-    recession ray forces the sign), ``vertical`` ones have z coefficient 0
-    and are implied by the box/knapsack polyhedron alone.
+    ``normals`` holds the nonvertical facets as double description gives
+    them: primitive integer normals (a_z, a_1, ..., a_m, a_0) of
+    a_z z + a.x + a_0 >= 0 with a_z > 0, in canonical cut order.  Their
+    canonical cuts, with z coefficient 1 (the recession ray forces the
+    sign), are ``nonvertical``, built on first read.  ``vertical`` facets
+    have z coefficient 0 and are implied by the box/knapsack polyhedron
+    alone.  ``facets`` is the nonvertical cuts, then the vertical ones.
     """
 
     instance: MixingInstance
-    facets: tuple[LinearCut, ...]
-    nonvertical: tuple[LinearCut, ...]
+    normals: tuple[tuple[int, ...], ...]
     vertical: tuple[LinearCut, ...]
     vertices: tuple[Vertex, ...]
+
+    @cached_property
+    def nonvertical(self) -> tuple[LinearCut, ...]:
+        """The canonical cuts of ``normals``: x / a_z and -a_0 / a_z, each
+        distinct (numerator, a_z) pair built as a Fraction once."""
+        frac = lru_cache(maxsize=None)(Fraction)
+        return tuple(
+            LinearCut(Fraction(1), tuple(frac(c, a[0]) for c in a[1:-1]), frac(-a[-1], a[0]))
+            for a in self.normals
+        )
+
+    @cached_property
+    def facets(self) -> tuple[LinearCut, ...]:
+        return self.nonvertical + self.vertical
 
 
 def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
@@ -88,13 +105,13 @@ def enumerate_facets(inst: MixingInstance, budget: Optional[dd.Budget] = None) -
 
 
 def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
-    """Canonical cuts of the primitive normals (z, x, a0) of z z + x.x + a0 >= 0.
+    """The facet set of the primitive normals (z, x, a0) of z z + x.x + a0 >= 0.
 
-    A nonvertical normal (z > 0) gives its canonical cut directly, x / z and
+    A nonvertical normal (z > 0) stands for its canonical cut x / z and
     -a0 / z.  Those cuts all have z coefficient 1, so `LinearCut.sort_key`
     orders them as their x and rhs scaled by L, the lcm of the z values:
-    ints, c (L // z).  The normals are sorted before any cut is built, and
-    each distinct (numerator, z) pair is built as a Fraction once.
+    ints, c (L // z).  The normals are kept in that order, and no cut is
+    built for them here.
     """
     lifted = [a for a in normals if a[0] > 0]
     L = math.lcm(*(a[0] for a in lifted))
@@ -103,11 +120,6 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
         k = L // a[0]
         return tuple(c * k for c in a[1:-1]) + (-a[-1] * k,)
 
-    frac = lru_cache(maxsize=None)(Fraction)
-    nonvertical = [
-        LinearCut(Fraction(1), tuple(frac(c, a[0]) for c in a[1:-1]), frac(-a[-1], a[0]))
-        for a in sorted(lifted, key=key)
-    ]
     # z = 0 and x = 0 is a constant inequality, not a facet of a
     # full-dimensional hull
     vertical = sorted(
@@ -117,8 +129,7 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
     )
     return FacetSet(
         instance=inst,
-        facets=tuple(nonvertical + vertical),
-        nonvertical=tuple(nonvertical),
+        normals=tuple(sorted(lifted, key=key)),
         vertical=tuple(vertical),
         vertices=enumerate_vertices(inst),
     )
@@ -176,10 +187,27 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
 # Serialization
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """`core.rat_str` of Fraction(n, d), for d > 0, without the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def facetset_to_json(fs: FacetSet) -> str:
+    """The vertices, the facets as `core.cut_to_dict` objects, and the vertical count.
+
+    Each nonvertical cut is written from its normal: z is 1, and x and rhs
+    are x / a_z and -a_0 / a_z, rendered from the ints as `core.rat_str`
+    renders those Fractions.
+    """
+    text = lru_cache(maxsize=None)(_ratio_str)
+    nonvertical = [
+        {"z": "1", "x": [text(c, a[0]) for c in a[1:-1]], "rhs": text(-a[-1], a[0])}
+        for a in fs.normals
+    ]
     payload = {
         "vertices": [vertex_to_dict(v) for v in fs.vertices],
-        "facets": [cut_to_dict(c) for c in fs.facets],
+        "facets": nonvertical + [cut_to_dict(c) for c in fs.vertical],
         "vertical_count": len(fs.vertical),
     }
     return json.dumps(payload)
@@ -191,8 +219,10 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     Any malformation raises :class:`ValidationError`: a missing field or one
     of the wrong JSON type, a vertex list other than
     ``enumerate_vertices(inst)``, a ``vertical_count`` that does not match the
-    facet list, and (as :class:`DimensionError`) a cut whose number of x
-    coefficients is not ``inst.m``.
+    facet list, a nonvertical cut whose z coefficient is not 1, and (as
+    :class:`DimensionError`) a cut whose number of x coefficients is not
+    ``inst.m``.  Each nonvertical cut's normal is its primitive integer
+    multiple (`linalg.primitive`); the normals keep the file's order.
     """
     doc = "facet set"
     payload = json_object(json.loads(text), doc, ("vertices", "facets", "vertical_count"))
@@ -200,11 +230,13 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     for c in facets:
         if c.m != inst.m:
             raise DimensionError(f"cut has {c.m} x coefficients, instance has m={inst.m}")
+        if c.z_coef not in (0, 1):
+            raise ValidationError(f"a nonvertical cut must have z coefficient 1, got {c.z_coef}")
     vertices = tuple(vertex_from_dict(v) for v in json_array(payload["vertices"], doc, "vertices"))
     if vertices != enumerate_vertices(inst):
         raise ValidationError("the vertex list is not the instance's vertex list")
-    nonvertical = tuple(c for c in facets if c.z_coef != 0)
+    normals = tuple(linalg.primitive((c.z_coef, *c.x_coefs, -c.rhs)) for c in facets if c.z_coef)
     vertical = tuple(c for c in facets if c.z_coef == 0)
     if len(vertical) != json_int(payload["vertical_count"], doc, "vertical_count"):
         raise ValidationError("vertical_count does not match the facet list")
-    return FacetSet(inst, facets, nonvertical, vertical, vertices)
+    return FacetSet(inst, normals, vertical, vertices)

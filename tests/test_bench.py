@@ -2,10 +2,11 @@
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from mixcut import bench, cli, families
+from mixcut import bench, cli, dd, families
 from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
 from projection_reference import parse_report
 
@@ -96,6 +97,30 @@ class TestCoverage:
     def test_zero_budget_marks_incomplete(self):
         report = bench.coverage(bench.benchmark_instance("L", 6, 3), budget_seconds=0)
         assert report.incomplete
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_budget_bounds_the_membership_loop(self, monkeypatch, late):
+        """The budget DD ran under is charged once per facet checked: on a
+        clock that `late` moves past the deadline only once DD has returned,
+        the membership loop trips it; on a clock that stays put the report is
+        the unbudgeted one."""
+        now = [0.0]
+        monkeypatch.setattr(dd, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        dual_rays = dd.dual_rays
+
+        def dual_rays_then_late(gens, budget=None):
+            rays = dual_rays(gens, budget)
+            now[0] += 100.0 * late
+            return rays
+
+        monkeypatch.setattr(dd, "dual_rays", dual_rays_then_late)
+        inst = bench.benchmark_instance("L", 6, 3)
+        report = bench.coverage(inst, budget_seconds=1)
+        if late:
+            assert report.incomplete and report.facet_total == 0
+            assert all(v == 0 for _, v in report.covered)
+        else:
+            assert report == bench.coverage(inst)
 
     def test_monotone_coverage(self):
         r = bench.benchmark_coverage("K", 7, 5)

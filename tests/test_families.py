@@ -1,5 +1,6 @@
 """Generators and membership certifiers for the inequality families."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -792,6 +793,48 @@ class TestGenericChoice:
         form = fam._facet_form(inst, make_cut(1, [3, 0, 0, 2, -3, -3, -3], 11))
         assert fam._first_generic_choice(inst, form) == (4, (1, 2, 4))
         assert ref.first_generic_choice(inst, form) == (4, (1, 2, 4))
+
+
+def _fraction_form(inst, cut):
+    """Reference `_Form` of a canonical cut read from its Fractions: F is the
+    lcm of H and every denominator of the cut."""
+    view = fam._int_view(inst)
+    ratios = [c.as_integer_ratio() for c in cut.x_coefs]
+    F = math.lcm(view.H, cut.rhs.denominator, *(d for _, d in ratios))
+    x = [n * (F // d) for n, d in ratios]
+    t = tuple(i for i, c in enumerate(x, start=1) if c > 0)
+    q = tuple(i for i, c in enumerate(x, start=1) if c < 0)
+    phis = tuple(-x[i - 1] for i in q)
+    return fam._Form(view, F, view.h_times(F), t, tuple(x[i - 1] for i in t), q, phis,
+                     cut.rhs.numerator * (F // cut.rhs.denominator) + sum(phis))
+
+
+class TestNormalRoute:
+    """Coverage reads each facet from DD's primitive normal; a cut reads the
+    same `_Form`, and `_memberships` gives the same verdicts, by either route."""
+
+    INSTANCES = TestGenericChoice.INSTANCES
+
+    @pytest.mark.parametrize("name", INSTANCES)
+    def test_normal_and_cut_agree(self, name):
+        key = self.INSTANCES[name]
+        inst = benchmark_instance(*key) if isinstance(key, tuple) else _general_draw(key)
+        fs = hull.cached_facets(inst)
+        assert len(fs.normals) == len(fs.nonvertical)
+        for normal, cut in zip(fs.normals, fs.nonvertical):
+            form = fam._normal_form(inst, normal)
+            assert form == fam._facet_form(inst, cut) == _fraction_form(inst, cut), cut
+            assert fam._memberships(inst, normal) == fam._memberships(inst, cut), cut
+
+    @pytest.mark.parametrize("den", [2, 4, 6])
+    def test_fractional_h(self, den):
+        """L(6,4) with h over den: H = den shares factors with the normals' z
+        entries, so F = lcm(H, a_z) is not H a_z."""
+        inst = build_instance(6, [Fraction(v, den) for v in SEQ_L[:6]], None, Fraction(4, 6))
+        fs = hull.cached_facets(inst)
+        for normal, cut in zip(fs.normals, fs.nonvertical):
+            assert fam._normal_form(inst, normal) == _fraction_form(inst, cut), cut
+            assert fam._memberships(inst, normal) == fam._memberships(inst, cut), cut
 
 
 class TestWitnesses:

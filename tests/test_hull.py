@@ -17,9 +17,11 @@ from mixcut.core import (
     build_instance,
     canonicalize,
     cut_is_valid,
+    cut_to_dict,
     enumerate_vertices,
     make_cut,
     vertex_slacks,
+    vertex_to_dict,
 )
 from mixcut import dd, hull, linalg
 import hull_oracles
@@ -250,11 +252,25 @@ def test_budget_steps_are_candidate_pairs():
 
 
 def test_facetset_json_round_trip():
-    inst = benchmark_instance("L", 4, 2)
-    fs = hull.enumerate_facets(inst)
-    back = hull.facetset_from_json(inst, hull.facetset_to_json(fs))
-    assert back.facets == fs.facets
-    assert back.vertices == fs.vertices
+    """On every L/K cell with m <= 7, and on L(6,4) with h over 4 and over 6
+    (normals with z entries 2, 4 and 3, 6), the file written from the normals
+    is the one `cut_to_dict` writes from the Fraction cuts, byte for byte,
+    and reads back as the same facet set, normals included."""
+    instances = [benchmark_instance(example, m, p)
+                 for example in "LK" for m in range(1, 8) for p in range(1, m + 1)]
+    instances += [build_instance(6, [Fraction(v, den) for v in SEQ_L[:6]], None, Fraction(4, 6))
+                  for den in (4, 6)]
+    for inst in instances:
+        fs = hull.enumerate_facets(inst)
+        text = hull.facetset_to_json(fs)
+        assert text == json.dumps({
+            "vertices": [vertex_to_dict(v) for v in fs.vertices],
+            "facets": [cut_to_dict(c) for c in fs.facets],
+            "vertical_count": len(fs.vertical),
+        })
+        back = hull.facetset_from_json(inst, text)
+        assert back == fs
+        assert back.facets == fs.facets
 
 
 @pytest.mark.parametrize("example,m,p", [("L", 3, 2), ("L", 4, 2), ("K", 4, 3)])
@@ -305,6 +321,8 @@ def test_nonvertical_cuts_from_normals_keep_sort_key_order(drawn, data):
     {"z": "1", "x": ["1", "2"]},
     ["1", ["1", "2"], "0"],
     {"z": "1", "x": ["1", "0.5"], "rhs": "0"},
+    {"z": "2", "x": ["2", "0"], "rhs": "40"},
+    {"z": "-1", "x": ["0", "0"], "rhs": "-20"},
 ])
 def test_facetset_json_reader_checks_each_cut(facet):
     inst = benchmark_instance("L", 2, 1)
