@@ -10,7 +10,9 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from typing import Iterable
 
 from . import bench, blp, dd, families, hull
 from .core import (
@@ -41,11 +43,15 @@ def _read(path: str) -> str:
 
 
 def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_pieces((text,), out)
+
+
+def _write_pieces(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces of one document, then a newline, to the file `out`,
+    or to stdout when `out` is not given, one piece at a time."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def _budget(args) -> float:
@@ -72,7 +78,8 @@ def _budget(args) -> float:
 def cmd_hull(args) -> int:
     inst = instance_from_json(_read(args.instance))
     fs = hull.enumerate_facets(inst, dd.Budget(seconds=_budget(args)))
-    _write_or_print(hull.facetset_to_json(fs), args.out)
+    # --out is opened only now, so a tripped budget leaves no file
+    _write_pieces(hull.facetset_pieces(fs), args.out)
     return EXIT_OK
 
 

@@ -259,7 +259,7 @@ def enumerate_vertices(inst: MixingInstance) -> tuple[Vertex, ...]:
     return _vertices_cached(inst)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
     """The vertices, grown one coordinate at a time with x_i = 0 before x_i = 1,
     so sorted by x.
@@ -284,7 +284,7 @@ def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
     return tuple(Vertex(zero if z is None else z, x) for _, z, x in level)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _vertex_z_scaled(inst: MixingInstance) -> tuple[int, tuple[int, ...]]:
     """(D, D * z of each vertex): the vertex z values over their common denominator D."""
     zs = [v.z for v in _vertices_cached(inst)]
@@ -292,7 +292,7 @@ def _vertex_z_scaled(inst: MixingInstance) -> tuple[int, tuple[int, ...]]:
     return D, tuple(z.numerator * (D // z.denominator) for z in zs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _vertex_parity_masks(inst: MixingInstance) -> tuple[int, ...]:
     """Each vertex's ints ``(D z,) + x`` mod 2 as one bit mask.
 
@@ -306,7 +306,7 @@ def _vertex_parity_masks(inst: MixingInstance) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _vertex_steps(inst: MixingInstance) -> tuple[memoryview, bytes]:
     """(parents, coords): vertex i + 1 is vertex parents[i] plus the unit x_k, k = coords[i].
 

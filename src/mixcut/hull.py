@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress, pairwise
 from operator import not_
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import json
 
@@ -35,9 +35,9 @@ from .core import (
     json_array,
     json_int,
     json_object,
+    rat_str,
     vertex_from_dict,
     vertex_slacks,
-    vertex_to_dict,
 )
 
 BudgetExceeded = dd.BudgetExceeded
@@ -193,24 +193,47 @@ def _ratio_str(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def facetset_to_json(fs: FacetSet) -> str:
-    """The vertices, the facets as `core.cut_to_dict` objects, and the vertical count.
+def _items(records: Iterable[str]) -> Iterator[str]:
+    """The records as the items of a JSON array, each with its separator."""
+    sep = ""
+    for record in records:
+        yield sep + record
+        sep = ", "
 
-    Each nonvertical cut is written from its normal: z is 1, and x and rhs
-    are x / a_z and -a_0 / a_z, rendered from the ints as `core.rat_str`
-    renders those Fractions.
+
+def facetset_pieces(fs: FacetSet) -> Iterator[str]:
+    """The text of :func:`facetset_to_json`, in pieces: one per vertex and per facet.
+
+    Each vertex and each nonvertical cut is rendered from its ints with no
+    dict in between: z is 1, and x and rhs are x / a_z and -a_0 / a_z,
+    rendered as `core.rat_str` renders those Fractions.  These strings hold
+    only digits, ``-`` and ``/``, which JSON never escapes.  The vertical
+    cuts are written through `core.cut_to_dict`.  A writer that takes the
+    pieces as they come holds one record at a time, never the document.
     """
     text = lru_cache(maxsize=None)(_ratio_str)
-    nonvertical = [
-        {"z": "1", "x": [text(c, a[0]) for c in a[1:-1]], "rhs": text(-a[-1], a[0])}
-        for a in fs.normals
-    ]
-    payload = {
-        "vertices": [vertex_to_dict(v) for v in fs.vertices],
-        "facets": nonvertical + [cut_to_dict(c) for c in fs.vertical],
-        "vertical_count": len(fs.vertical),
-    }
-    return json.dumps(payload)
+
+    def vertex(v: Vertex) -> str:
+        return f'{{"z": "{rat_str(v.z)}", "x": [{", ".join(map(str, v.x))}]}}'
+
+    def nonvertical(a: tuple[int, ...]) -> str:
+        x = '", "'.join([text(c, a[0]) for c in a[1:-1]])
+        return f'{{"z": "1", "x": ["{x}"], "rhs": "{text(-a[-1], a[0])}"}}'
+
+    yield '{"vertices": ['
+    yield from _items(map(vertex, fs.vertices))
+    yield '], "facets": ['
+    yield from _items(chain(
+        map(nonvertical, fs.normals),
+        (json.dumps(cut_to_dict(c)) for c in fs.vertical),
+    ))
+    yield f'], "vertical_count": {len(fs.vertical)}}}'
+
+
+def facetset_to_json(fs: FacetSet) -> str:
+    """The vertices, the facets as `core.cut_to_dict` objects, and the vertical
+    count, as one string: the pieces of :func:`facetset_pieces`, joined."""
+    return "".join(facetset_pieces(fs))
 
 
 def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
@@ -219,10 +242,13 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     Any malformation raises :class:`ValidationError`: a missing field or one
     of the wrong JSON type, a vertex list other than
     ``enumerate_vertices(inst)``, a ``vertical_count`` that does not match the
-    facet list, a nonvertical cut whose z coefficient is not 1, and (as
-    :class:`DimensionError`) a cut whose number of x coefficients is not
-    ``inst.m``.  Each nonvertical cut's normal is its primitive integer
-    multiple (`linalg.primitive`); the normals keep the file's order.
+    facet list, a nonvertical cut whose z coefficient is not 1, a vertical
+    cut that is not canonical, and (as :class:`DimensionError`) a cut whose
+    number of x coefficients is not ``inst.m``.  The facet list must be in the order the writer gives it:
+    nonvertical cuts first, then vertical ones, each run strictly increasing
+    by `LinearCut.sort_key`, so a repeated or misplaced facet is refused
+    too.  Each nonvertical cut's normal is its primitive integer multiple
+    (`linalg.primitive`).
     """
     doc = "facet set"
     payload = json_object(json.loads(text), doc, ("vertices", "facets", "vertical_count"))
@@ -232,6 +258,15 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
             raise DimensionError(f"cut has {c.m} x coefficients, instance has m={inst.m}")
         if c.z_coef not in (0, 1):
             raise ValidationError(f"a nonvertical cut must have z coefficient 1, got {c.z_coef}")
+        if c.z_coef == 0 and canonicalize(c) != c:
+            raise ValidationError("a vertical cut's first nonzero x coefficient must be 1 or -1")
+    for a, b in pairwise(facets):
+        if a.z_coef < b.z_coef:
+            raise ValidationError("a nonvertical cut follows a vertical one")
+        if a.z_coef == b.z_coef and not a.sort_key() < b.sort_key():
+            raise ValidationError(
+                "the facets of each kind must be strictly increasing by LinearCut.sort_key"
+            )
     vertices = tuple(vertex_from_dict(v) for v in json_array(payload["vertices"], doc, "vertices"))
     if vertices != enumerate_vertices(inst):
         raise ValidationError("the vertex list is not the instance's vertex list")

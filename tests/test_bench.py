@@ -1,12 +1,15 @@
 """Benchmark catalog, coverage reports, rendering, and the CLI."""
 
+import hashlib
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from mixcut import bench, cli, dd, families
+from mixcut import bench, cli, dd, families, hull
 from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
 from projection_reference import parse_report
 
@@ -474,6 +477,76 @@ class TestCli:
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 8, 4)))
         monkeypatch.setenv("MIXCUT_BUDGET", "0.000001")
         assert cli.main(["hull", "--instance", str(inst_file)]) == cli.EXIT_BUDGET
+
+    def test_budget_leaves_no_out_file(self, tmp_path, monkeypatch, capsys):
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 8, 4)))
+        out_file = tmp_path / "facets.json"
+        monkeypatch.setenv("MIXCUT_BUDGET", "0.000001")
+        argv = ["hull", "--instance", str(inst_file), "--out", str(out_file)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert not out_file.exists()
+
+    # L(6,4) with h over 4 and over 6, whose normals have z entries 2, 4 and
+    # 3, 6 (as in test_hull.py's test_facetset_json_round_trip), and K(5,3);
+    # all three have vertical facets
+    HULL_FILE_CASES = {
+        "L64_h_over_4": (6, [Fraction(v, 4) for v in (20, 18, 14, 11, 6, 5)], None,
+                         Fraction(4, 6)),
+        "L64_h_over_6": (6, [Fraction(v, 6) for v in (20, 18, 14, 11, 6, 5)], None,
+                         Fraction(4, 6)),
+        "K53": (5, [20, 18, 14, 11, 6], None, Fraction(3, 5)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(HULL_FILE_CASES))
+    def test_hull_writes_the_facet_file(self, case, tmp_path, capsys):
+        """`mixcut hull` writes `facetset_to_json` and a newline, to --out and to stdout."""
+        inst = build_instance(*self.HULL_FILE_CASES[case])
+        fs = hull.enumerate_facets(inst)
+        assert fs.vertical
+        expected = (hull.facetset_to_json(fs) + "\n").encode()
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(instance_to_json(inst))
+        out_file = tmp_path / "facets.json"
+        assert cli.main(["hull", "--instance", str(inst_file), "--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == expected
+        assert cli.main(["hull", "--instance", str(inst_file)]) == 0
+        assert capsys.readouterr().out.encode() == expected
+
+    def test_hull_streams_the_facet_file(self, tmp_path, monkeypatch):
+        """K(10,5) has 2 006 nonvertical facets; `mixcut hull` writes its file
+        to a sink that only hashes while holding under a quarter of the text."""
+        inst = bench.benchmark_instance("K", 10, 5)
+        fs = hull.cached_facets(inst)
+        assert len(fs.normals) >= 1000
+        text = hull.facetset_to_json(fs) + "\n"
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(instance_to_json(inst))
+        monkeypatch.setattr(hull, "enumerate_facets", lambda inst, budget=None: fs)
+
+        class HashingSink:
+            def __init__(self):
+                self.sha = hashlib.sha256()
+
+            def write(self, piece):
+                self.sha.update(piece.encode())
+                return len(piece)
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+        sink = HashingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        args = SimpleNamespace(instance=str(inst_file), out=None, budget=3600.0)
+        tracemalloc.start()
+        try:
+            assert cli.cmd_hull(args) == cli.EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.sha.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+        assert peak < len(text) / 4
 
     def test_blp_aggregate_roundtrip(self, tmp_path, capsys):
         from mixcut import blp

@@ -17,7 +17,10 @@ from mixcut.core import (
     MixingInstance,
     ValidationError,
     Vertex,
+    _vertex_parity_masks,
     _vertex_steps,
+    _vertex_z_scaled,
+    _vertices_cached,
     build_instance,
     canonicalize,
     cut_from_json,
@@ -277,6 +280,19 @@ class TestVertices:
                 z = max((hi for hi, xi in zip(inst.h, x) if not xi), default=Fraction(0))
                 want.append(Vertex(z, x))
         assert enumerate_vertices(inst) == tuple(want)
+
+    def test_vertex_tables_keep_256_instances(self):
+        """After 257 distinct instances each per-instance vertex table holds
+        256 of them; a second pass, which misses on every instance, rebuilds
+        equal tables."""
+        tables = (_vertices_cached, _vertex_z_scaled, _vertex_parity_masks, _vertex_steps)
+        insts = [build_instance(3, [k + 2, k + 1, k], None, Fraction(2, 3))
+                 for k in range(1, 258)]
+        first = [tuple(table(inst) for table in tables) for inst in insts]
+        assert [table.cache_info().currsize for table in tables] == [256] * 4
+        misses = [table.cache_info().misses for table in tables]
+        assert [tuple(table(inst) for table in tables) for inst in insts] == first
+        assert [table.cache_info().misses - n for table, n in zip(tables, misses)] == [257] * 4
 
 
 class TestValidity:

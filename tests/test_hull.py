@@ -347,11 +347,47 @@ def _vertex_dropped(doc):
     return doc
 
 
+def _first_facet_appended(doc):
+    """A nonvertical cut after the vertical ones, counted twice."""
+    doc["facets"].append(doc["facets"][0])
+    return doc
+
+
+def _first_facet_repeated(doc):
+    doc["facets"].insert(1, doc["facets"][0])
+    return doc
+
+
+def _last_facet_doubled(doc):
+    """A vertical cut scaled by 2, out of canonical form."""
+    doc["facets"][-1]["x"] = [str(2 * int(c)) for c in doc["facets"][-1]["x"]]
+    return doc
+
+
+def _first_two_swapped(doc):
+    """Two nonvertical cuts out of order."""
+    facets = doc["facets"]
+    facets[0], facets[1] = facets[1], facets[0]
+    return doc
+
+
+def _last_two_swapped(doc):
+    """Two vertical cuts out of order."""
+    facets = doc["facets"]
+    facets[-2], facets[-1] = facets[-1], facets[-2]
+    return doc
+
+
 @pytest.mark.parametrize("mutate,error", [
     (_without_vertical_count, ValidationError),
     (lambda doc: [doc], ValidationError),
     (_short_cut, DimensionError),
     (_vertex_dropped, ValidationError),
+    (_first_facet_appended, ValidationError),
+    (_first_facet_repeated, ValidationError),
+    (_last_facet_doubled, ValidationError),
+    (_first_two_swapped, ValidationError),
+    (_last_two_swapped, ValidationError),
 ])
 def test_facetset_json_reader_checks_the_document(mutate, error):
     inst = benchmark_instance("L", 4, 2)
