@@ -164,6 +164,17 @@ def test_charged_steps_match_reference_pairs(key):
     assert limit - budget.steps_left == entry["dd_pairs"]
 
 
+@pytest.mark.parametrize("key, pairs", [("uniform1", 815_038), ("general1", 205_961)])
+def test_enumerate_facets_charges_insertion_order_pairs(key, pairs):
+    """`hull.enumerate_facets` inserts in `hull.insertion_order`: its charged
+    pairs on the stored pool entries (lex order: 821 711 and 282 794)."""
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
+    inst = instance_from_json(json.dumps(entry["instance"]))
+    budget = dd.Budget(steps=10 * pairs)
+    hull.enumerate_facets(inst, budget)
+    assert 10 * pairs - budget.steps_left == pairs
+
+
 def test_budget_deadline_checked_on_every_charge():
     budget = dd.Budget(seconds=1e-6)
     time.sleep(0.01)

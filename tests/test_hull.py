@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import assume, given, settings
@@ -109,6 +110,62 @@ def test_lifted_generators_are_primitive_fraction_lifts(inst):
         for v in enumerate_vertices(inst)
     ]
     assert hull.lifted_generators(inst) == expected
+
+
+def _check_insertion_order(inst):
+    """`insertion_order` permutes the lex generators: the ray first, then the
+    first-zero positions of x non-decreasing, each block strictly decreasing
+    in lex order of x."""
+    gens = hull.lifted_generators(inst)
+    order = hull.insertion_order(inst)
+    assert sorted(order) == sorted(gens)
+    assert order[0] == gens[0] == (1,) + (0,) * (inst.m + 1)
+    xs = [tuple(map(bool, g[1:-1])) for g in order[1:]]
+    first_zero = [x.index(False) if False in x else inst.m for x in xs]
+    assert first_zero == sorted(first_zero)
+    for (ka, a), (kb, b) in pairwise(zip(first_zero, xs)):
+        assert ka < kb or a > b
+    return order
+
+
+@given(hull_oracles.instances())
+@settings(max_examples=100, deadline=None)
+def test_insertion_order_reverses_each_first_zero_block(inst):
+    _check_insertion_order(inst)
+
+
+@pytest.mark.parametrize("inst", [
+    # tied h: blocks 1-2 and 3-5 share z but stay apart, each reversed
+    build_instance(5, [9, 9, 4, 4, 4], None, Fraction(2, 5)),
+    # h over 3: the x entries of a lifted vertex are its z denominator
+    build_instance(4, [Fraction(41, 3), Fraction(20, 3), 5, Fraction(1, 3)], None, Fraction(1, 2)),
+    # p = m: the all-ones vertex, with no zero, is the last block
+    benchmark_instance("L", 5, 5),
+    benchmark_instance("K", 1, 1),
+], ids=["tied-h", "fractional-h", "p=m", "m=1"])
+def test_insertion_order_edge_cases(inst):
+    order = _check_insertion_order(inst)
+    assert len(order) == len(enumerate_vertices(inst)) + 1
+    if inst.epsilon == 1:
+        assert order[-1][1:-1] == (order[-1][-1],) * inst.m
+
+
+def _facets_in_lex_order(inst):
+    return hull._facetset_from_normals(inst, dd.dual_rays(hull.lifted_generators(inst)))
+
+
+@pytest.mark.parametrize("example", "LK")
+def test_insertion_order_keeps_the_lex_facets_on_table_cells(example):
+    for m in range(1, 9):
+        for p in range(1, m + 1):
+            inst = benchmark_instance(example, m, p)
+            assert hull.enumerate_facets(inst) == _facets_in_lex_order(inst)
+
+
+@given(hull_oracles.instances())
+@settings(max_examples=60, deadline=None)
+def test_insertion_order_keeps_the_lex_facets(inst):
+    assert hull.enumerate_facets(inst) == _facets_in_lex_order(inst)
 
 
 COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -243,12 +300,13 @@ def test_zero_budget_trips(budget):
 
 
 def test_budget_steps_are_candidate_pairs():
-    # DD on L(7,4) examines 1 489 candidate pairs over all its insertions
+    # DD on L(7,4), in `insertion_order`, examines 1 535 candidate pairs over
+    # all its insertions (1 489 in lex order)
     inst = benchmark_instance("L", 7, 4)
-    facets = hull.enumerate_facets(inst, dd.Budget(steps=1489)).facets
+    facets = hull.enumerate_facets(inst, dd.Budget(steps=1535)).facets
     assert facets == hull.enumerate_facets(inst).facets
     with pytest.raises(hull.BudgetExceeded):
-        hull.enumerate_facets(inst, dd.Budget(steps=1488))
+        hull.enumerate_facets(inst, dd.Budget(steps=1534))
 
 
 def test_facetset_json_round_trip():
