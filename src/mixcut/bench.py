@@ -229,7 +229,12 @@ def benchmark_coverage(
 
 
 def check_against_paper(report: CoverageReport) -> list[str]:
-    """Mismatch descriptions vs the embedded reference table (empty if clean)."""
+    """Mismatch descriptions vs the embedded reference table (empty if clean).
+
+    A family mismatches when its percentage, rounded half-up to hundredths,
+    is more than one hundredth from the reference; both are compared exactly,
+    in hundredths.
+    """
     if report.example is None or report.incomplete:
         return ["report has no reference row"]
     table = paper_table(report.example)
@@ -240,8 +245,8 @@ def check_against_paper(report: CoverageReport) -> list[str]:
     for name, want in zip(DEFAULT_FAMILIES, row):
         if name not in dict(report.covered):
             continue
-        got = pct_value(report.fraction(name))
-        if abs(got - float(want)) > 0.01:
+        got = _hundredths_of_pct(report.fraction(name))
+        if abs(got - Fraction(want) * 100) > 1:
             problems.append(
                 f"(m={report.m}, p={report.p}) {name}: computed {report.pct(name)} vs reference {want}"
             )

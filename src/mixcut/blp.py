@@ -28,6 +28,7 @@ from .core import (
     Rational,
     RationalLike,
     ValidationError,
+    as_index,
     json_array,
     json_int,
     json_malformed,
@@ -56,15 +57,6 @@ Restriction = tuple[tuple[tuple[int, int], ...], int]
 
 #: The zero every Fraction output shares.
 _ZERO = Fraction(0)
-
-
-def _index(value: object, what: str, size: Optional[int] = None) -> int:
-    """An int index (a bool, a float or any other value is refused), below `size` if given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an int, got {value!r}")
-    if size is not None and not 0 <= value < size:
-        raise ValidationError(f"{what} {value} out of range 0..{size - 1}")
-    return value
 
 
 def _nonzero(coefs: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -247,12 +239,12 @@ class BlpAssignment:
         t_weights: Iterable[tuple[int, int, RationalLike]] = (),
     ) -> "BlpAssignment":
         def nonzero(weights, what: str) -> tuple[tuple[int, int, Fraction], ...]:
-            read = ((_index(j, f"{what} scenario"), _index(i, f"{what} index"), rat(w))
+            read = ((as_index(j, f"{what} scenario"), as_index(i, f"{what} index"), rat(w))
                     for j, i, w in weights)
             return tuple(row for row in read if row[2])
 
-        return BlpAssignment(_index(base_k, "base constraint index"),
-                             _index(base_j, "base weight index"),
+        return BlpAssignment(as_index(base_k, "base constraint index"),
+                             as_index(base_j, "base weight index"),
                              nonzero(k_weights, "k_weights"), nonzero(t_weights, "t_weights"))
 
 
@@ -279,13 +271,13 @@ def _x_block_cut(z_slot: Optional[int], coefs: Sequence[Fraction], rhs: Fraction
 
 
 def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
-    _index(a.base_k, "base constraint index", S.kappa)
-    _index(a.base_j, "base weight index", S.m + 1)
+    as_index(a.base_k, "base constraint index", S.kappa)
+    as_index(a.base_j, "base weight index", S.m + 1)
     for weights, what, size in ((a.k_weights, "constraint", S.kappa),
                                 (a.t_weights, "polyhedron", S.tau)):
         for j, k, w in weights:
-            _index(j, f"{what} weight scenario", S.m + 1)
-            _index(k, f"{what} weight index", size)
+            as_index(j, f"{what} weight scenario", S.m + 1)
+            as_index(k, f"{what} weight index", size)
             if w < 0:
                 raise ValidationError("aggregation weights must be non-negative")
     if any((k, j) == (a.base_k, a.base_j) for j, k, _ in a.k_weights):
@@ -444,7 +436,9 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
     x-block layout: slot 0 is z, slots 1..m are the binary indicators.  Five
     constraint groups (complement link both ways, the conditional bound on z,
     self-complementarity, and the prefix complement chain), then the box and
-    knapsack rows of the deterministic polyhedron.  The relations are
+    knapsack rows of the deterministic polyhedron.  Each constraint is
+    addressed by its label (``complement+:i``, ``complement-:i``,
+    ``zbound:i``, ``self:i``, ``prefix:i<j``), which the JSON carries.  The relations are
     declared, not indexed: :attr:`BilinearSet.relation_rows` finds the box row
     behind each x_i <= 1, the self row behind each x_i y_i = 0 and the prefix
     row behind each (1 - x_i) y_j = 0 (i < j).
@@ -514,20 +508,6 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
     )
 
 
-def sc_constraint_index(S: BilinearSet, group: int, i: int, j: Optional[int] = None) -> int:
-    """Index of a reformulation constraint by group (1..5) and scenario."""
-    m = S.m
-    if group in (1, 2, 3, 4):
-        if not 1 <= i <= m:
-            raise ValidationError(f"scenario {i} out of range")
-        return (group - 1) * m + i - 1
-    if group == 5:
-        if j is None or not 1 <= i < j <= m:
-            raise ValidationError("group 5 requires a pair i < j")
-        return S.relation_rows.compl_complement[i, j]
-    raise ValidationError(f"unknown constraint group {group}")
-
-
 # ---------------------------------------------------------------------------
 # Projection-cone certificates
 
@@ -594,7 +574,7 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
             if not isinstance(index, tuple) or len(index) != len(sizes):
                 raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
             for i, size in zip(index, sizes):
-                _index(i, f"{what} key {key!r}: index", size)
+                as_index(i, f"{what} key {key!r}: index", size)
         return {key: rat(v) for key, v in entries.items()}
 
     rows = read(dual.rows, "rows", m + 1, S.kappa + S.tau)

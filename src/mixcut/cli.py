@@ -138,8 +138,8 @@ def _params_from_payload(payload: dict, family: str):
             q_list=ints("q_list", []),
             phi=rats("phi", []),
             a_sets=None if a_sets is None else tuple(
-                frozenset(json_ints(a, "parameter", "A_sets entry"))
-                for a in json_array(a_sets, "parameter", "A_sets")
+                frozenset(json_ints(a, "parameter", f"A_{j}"))
+                for j, a in enumerate(json_array(a_sets, "parameter", "A_sets"), 1)
             ),
             beta=None if payload.get("beta") is None else rats("beta"),
         )

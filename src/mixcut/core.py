@@ -6,12 +6,16 @@ types is a `fractions.Fraction`; no floating point is used anywhere in a
 decision path.  Some decisions run on those rationals scaled to Python ints
 over a common denominator: the knapsack test of vertex enumeration and the
 vertex slacks here (`vertex_slacks`), and every family membership check
-(`families`, one integer view per instance and one scale per facet).
+(`families`, with one scale per facet).  Each instance has one integer view
+(`_int_view`: pi and epsilon over their common denominator D, h over its
+own, H), which the knapsack test and `families` both read.
 
 The vertex slacks behind `cut_is_valid` and `hull.is_facet` are one pass
 over the vertices that shares prefixes: the vertex list is sorted and
 downward closed, so each vertex's x part is an earlier vertex's plus one
-coefficient (`_vertex_steps`, built once per instance).
+coefficient.  That step table, the vertex z values over their common
+denominator and the vertices' parity masks are one integer table per
+instance (`_vertex_table`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 #: Exact scalar type used throughout the package.  ``Fraction`` already
 #: guarantees lowest terms and a positive denominator.
@@ -66,14 +70,35 @@ def rat(value: RationalLike) -> Fraction:
 _DIGITS = tuple(str(d) for d in range(10))
 
 
+def ratio_str(n: int, d: int) -> str:
+    """Render the rational n / d, d > 0, as ``"a"`` or ``"a/b"`` in lowest terms."""
+    g = math.gcd(n, d)
+    if g == d:
+        n //= d
+        return _DIGITS[n] if 0 <= n < 10 else str(n)
+    return f"{n // g}/{d // g}"
+
+
 def rat_str(q: Fraction) -> str:
     """Render a rational as ``"a"`` or ``"a/b"`` (inverse of :func:`rat`)."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    if q.denominator == 1:
-        n = q.numerator
-        return _DIGITS[n] if 0 <= n < 10 else str(n)
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_str(q.numerator, q.denominator)
+
+
+def as_index(
+    value: object, what: str, size: Optional[int] = None,
+    error: type[ValidationError] = ValidationError,
+) -> int:
+    """An int (a bool, a float or any other value is refused), below `size` if given.
+
+    A refusal raises `error`.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an int, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise error(f"{what} {value} out of range 0..{size - 1}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -188,6 +213,56 @@ def build_instance(
     )
 
 
+# ---------------------------------------------------------------------------
+# Integer view
+
+
+def _scale(x: Fraction, L: int) -> int:
+    """L x, for a multiple L of the denominator of x."""
+    return x.numerator * (L // x.denominator)
+
+
+@dataclass(frozen=True)
+class _IntView:
+    """An instance over common denominators, built once per instance.
+
+    D is the lcm of the denominators of pi and epsilon, H that of h.  ``pi``
+    and ``h`` are indexed by scenario (index 0 unused): pi[j] = D pi_j and
+    h[i] = H h_i, with h[m + 1] = 0.  ``prefix[k]`` is D times the mass of
+    scenarios 1..k and ``eps`` is D epsilon.
+    """
+
+    m: int
+    D: int
+    pi: tuple[int, ...]
+    prefix: tuple[int, ...]
+    eps: int
+    H: int
+    h: tuple[int, ...]
+
+    def h_times(self, F: int) -> tuple[int, ...]:
+        """F h, indexed as ``h``, for a multiple F of H."""
+        if F == self.H:
+            return self.h
+        k = F // self.H
+        return tuple(v * k for v in self.h)
+
+
+@lru_cache(maxsize=256)
+def _int_view(inst: MixingInstance) -> _IntView:
+    D = math.lcm(inst.epsilon.denominator, *(x.denominator for x in inst.pi))
+    H = math.lcm(*(x.denominator for x in inst.h))
+    return _IntView(
+        m=inst.m,
+        D=D,
+        pi=(0,) + tuple(_scale(x, D) for x in inst.pi),
+        prefix=tuple(_scale(x, D) for x in inst.pi_prefix),
+        eps=_scale(inst.epsilon, D),
+        H=H,
+        h=(0,) + tuple(_scale(x, H) for x in inst.h) + (0,),
+    )
+
+
 @dataclass(frozen=True)
 class LinearCut:
     """An inequality ``z_coef * z + sum_i x_coefs[i] * x_i >= rhs``.
@@ -264,16 +339,16 @@ def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
     """The vertices, grown one coordinate at a time with x_i = 0 before x_i = 1,
     so sorted by x.
 
-    The knapsack is decided on ints, pi and epsilon over their common
-    denominator.  h is non-increasing, so the largest h_i with x_i = 0 is h
-    at the first zero of x (None until there is one).  No closure holds the
-    list, so it is freed with the cache entry rather than by the collector.
+    The knapsack is decided on the integer view's ints, pi and epsilon over
+    their common denominator.  h is non-increasing, so the largest h_i with
+    x_i = 0 is h at the first zero of x (None until there is one).  No
+    closure holds the list, so it is freed with the cache entry rather than
+    by the collector.
     """
-    D = math.lcm(inst.epsilon.denominator, *(v.denominator for v in inst.pi))
+    view = _int_view(inst)
     # (room left under epsilon, z so far, x so far) for each feasible prefix
-    level: list = [(inst.epsilon.numerator * (D // inst.epsilon.denominator), None, ())]
-    for hi, v in zip(inst.h, inst.pi):
-        w = v.numerator * (D // v.denominator)
+    level: list = [(view.eps, None, ())]
+    for hi, w in zip(inst.h, view.pi[1:]):
         grown = []
         for room, z, x in level:
             grown.append((room, hi if z is None else z, x + (0,)))
@@ -284,41 +359,37 @@ def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
     return tuple(Vertex(zero if z is None else z, x) for _, z, x in level)
 
 
-@lru_cache(maxsize=256)
-def _vertex_z_scaled(inst: MixingInstance) -> tuple[int, tuple[int, ...]]:
-    """(D, D * z of each vertex): the vertex z values over their common denominator D."""
-    zs = [v.z for v in _vertices_cached(inst)]
-    D = math.lcm(*(z.denominator for z in zs))
-    return D, tuple(z.numerator * (D // z.denominator) for z in zs)
+class _VertexTable(NamedTuple):
+    """The vertices of :func:`enumerate_vertices` as ints, in their order.
 
-
-@lru_cache(maxsize=256)
-def _vertex_parity_masks(inst: MixingInstance) -> tuple[int, ...]:
-    """Each vertex's ints ``(D z,) + x`` mod 2 as one bit mask.
-
-    Bit 0 holds the parity of D z (D as in :func:`_vertex_z_scaled`) and bit
-    k the binary x_k, so XOR of two masks is their difference mod 2.
-    """
-    _, zs = _vertex_z_scaled(inst)
-    return tuple(
-        (z & 1) | sum(b << k for k, b in enumerate(v.x, 1))
-        for z, v in zip(zs, _vertices_cached(inst))
-    )
-
-
-@lru_cache(maxsize=256)
-def _vertex_steps(inst: MixingInstance) -> tuple[memoryview, bytes]:
-    """(parents, coords): vertex i + 1 is vertex parents[i] plus the unit x_k, k = coords[i].
-
-    Read from :func:`_vertex_parity_masks`.  The vertices are sorted
+    ``zs`` holds D z of each vertex, D the lcm of the vertex z denominators.
+    ``masks`` holds each vertex's ints ``(D z,) + x`` mod 2 as one bit mask:
+    bit 0 the parity of D z and bit k the binary x_k, so XOR of two masks is
+    their difference mod 2.  Vertex i + 1 is vertex ``parents[i]`` plus the
+    unit x_k, k = ``coords[i]`` counted from 0: the vertices are sorted
     lexicographically by x and downward closed (the knapsack weights are
     positive), so clearing the last 1 in the x of any vertex but the first
-    (x = 0) gives a vertex listed before it, its parent; k is that cleared
-    coordinate, counted from 0.  The parents are unsigned ints in a
-    read-only memoryview and the coordinates bytes: four bytes and one per
-    vertex, with no int object per entry.
+    (x = 0) gives a vertex listed before it, its parent.  The parents are
+    unsigned ints in a read-only memoryview and the coordinates bytes: four
+    bytes and one per vertex, with no int object per entry.
     """
-    xs = [mask >> 1 for mask in _vertex_parity_masks(inst)]
+
+    D: int
+    zs: tuple[int, ...]
+    masks: tuple[int, ...]
+    parents: memoryview
+    coords: bytes
+
+
+@lru_cache(maxsize=256)
+def _vertex_table(inst: MixingInstance) -> _VertexTable:
+    vertices = _vertices_cached(inst)
+    D = math.lcm(*(v.z.denominator for v in vertices))
+    zs = tuple(_scale(v.z, D) for v in vertices)
+    masks = tuple(
+        (z & 1) | sum(b << k for k, b in enumerate(v.x, 1)) for z, v in zip(zs, vertices)
+    )
+    xs = [mask >> 1 for mask in masks]
     index = {x: i for i, x in enumerate(xs)}
     parents = memoryview(bytearray(4 * (len(xs) - 1))).cast("I")
     coords = bytearray(len(xs) - 1)
@@ -326,7 +397,7 @@ def _vertex_steps(inst: MixingInstance) -> tuple[memoryview, bytes]:
         k = x.bit_length() - 1
         parents[i] = index[x ^ (1 << k)]
         coords[i] = k
-    return parents.toreadonly(), bytes(coords)
+    return _VertexTable(D, zs, masks, parents.toreadonly(), bytes(coords))
 
 
 def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
@@ -335,14 +406,13 @@ def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
     L is the lcm of the cut's denominators and D that of the vertex z values,
     so the signs, and which slacks are zero, are exactly those of the rational
     slacks.  The list follows :func:`enumerate_vertices`.  The x part is summed
-    in one pass along :func:`_vertex_steps`: each vertex adds one coefficient
-    to its parent's sum.
+    in one pass along the step table of :func:`_vertex_table`: each vertex
+    adds one coefficient to its parent's sum.
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
     enumerate_vertices(inst)  # the m <= 20 guard
-    D, zs = _vertex_z_scaled(inst)
-    parents, coords = _vertex_steps(inst)
+    D, zs, _, parents, coords = _vertex_table(inst)
     L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
                  *(c.denominator for c in cut.x_coefs))
     az = cut.z_coef.numerator * (L // cut.z_coef.denominator)

@@ -15,8 +15,8 @@ rule is coded once, in `_zhao_derive_s`: the conditions fix each s_i, so a
 given s_list is checked by comparison with the derived one.
 
 Every membership decision and every certificate condition compares Python
-ints: each instance has one integer view (`_int_view`: pi and epsilon over
-their common denominator D, h over its own, H), and each facet is scaled by
+ints: each instance's integer view (`core._int_view`: pi and epsilon over
+their common denominator D, h over its own, H), and each facet scaled by
 one F, a multiple of H and of the facet's denominators (`_Form`).  The form
 is read off the facet's primitive integer normal (`_normal_form`): the one
 double description gives, or the one a cut scales to (`_facet_form`).
@@ -57,6 +57,10 @@ from .core import (
     LinearCut,
     MixingInstance,
     ValidationError,
+    _int_view,
+    _IntView,
+    _scale,
+    as_index,
     canonicalize,
     mixing_form,
     rat,
@@ -154,15 +158,8 @@ class Membership:
 # Shared validation helpers
 
 
-def _int(x: object, what: str) -> int:
-    """An index parameter; a float, a bool or any other non-int is refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise FamilyParamError(f"{what} must be an int, got {x!r}")
-    return x
-
-
 def _indices(values: Iterable, what: str) -> tuple[int, ...]:
-    return tuple(_int(x, f"each {what} entry") for x in values)
+    return tuple(as_index(x, f"each {what} entry", error=FamilyParamError) for x in values)
 
 
 def _check_increasing(t_set: Iterable, upper: int, what: str) -> tuple[int, ...]:
@@ -184,7 +181,7 @@ def _lifted_indices(
     r lies within 1..p, t_set increases within 1..r, and the q_list entries
     are distinct within 1..m (zhao reads pi_{q_i} before its own q bounds).
     """
-    r = _int(params.r, "r")
+    r = as_index(params.r, "r", error=FamilyParamError)
     if not 1 <= r <= inst.p:
         raise FamilyParamError("r must lie within 1..p")
     t = _check_increasing(params.t_set, r, "t_set")
@@ -230,56 +227,6 @@ def _fraction_h(inst: MixingInstance) -> tuple[Fraction, ...]:
 def _require_uniform(inst: MixingInstance, family: str) -> None:
     if not inst.uniform:
         raise FamilyParamError(f"the {family} family requires a uniform instance")
-
-
-# ---------------------------------------------------------------------------
-# Integer views
-
-
-@dataclass(frozen=True)
-class _IntView:
-    """An instance over common denominators, built once per instance.
-
-    D is the lcm of the denominators of pi and epsilon, H that of h.  ``pi``
-    and ``h`` are indexed by scenario (index 0 unused): pi[j] = D pi_j and
-    h[i] = H h_i, with h[m + 1] = 0.  ``prefix[k]`` is D times the mass of
-    scenarios 1..k and ``eps`` is D epsilon.
-    """
-
-    m: int
-    D: int
-    pi: tuple[int, ...]
-    prefix: tuple[int, ...]
-    eps: int
-    H: int
-    h: tuple[int, ...]
-
-    def h_times(self, F: int) -> tuple[int, ...]:
-        """F h, indexed as ``h``, for a multiple F of H."""
-        if F == self.H:
-            return self.h
-        k = F // self.H
-        return tuple(v * k for v in self.h)
-
-
-def _scale(x: Fraction, L: int) -> int:
-    """L x, for a multiple L of the denominator of x."""
-    return x.numerator * (L // x.denominator)
-
-
-@lru_cache(maxsize=256)
-def _int_view(inst: MixingInstance) -> _IntView:
-    D = math.lcm(inst.epsilon.denominator, *(x.denominator for x in inst.pi))
-    H = math.lcm(*(x.denominator for x in inst.h))
-    return _IntView(
-        m=inst.m,
-        D=D,
-        pi=(0,) + tuple(_scale(x, D) for x in inst.pi),
-        prefix=tuple(_scale(x, D) for x in inst.pi_prefix),
-        eps=_scale(inst.epsilon, D),
-        H=H,
-        h=(0,) + tuple(_scale(x, H) for x in inst.h) + (0,),
-    )
 
 
 @dataclass(frozen=True)

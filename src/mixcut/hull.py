@@ -26,8 +26,7 @@ from .core import (
     MixingInstance,
     ValidationError,
     Vertex,
-    _vertex_parity_masks,
-    _vertex_z_scaled,
+    _vertex_table,
     canonicalize,
     cut_from_dict,
     cut_to_dict,
@@ -36,6 +35,7 @@ from .core import (
     json_int,
     json_object,
     rat_str,
+    ratio_str,
     vertex_from_dict,
     vertex_slacks,
 )
@@ -56,8 +56,9 @@ class FacetSet:
     a_z z + a.x + a_0 >= 0 with a_z > 0, in canonical cut order.  Their
     canonical cuts, with z coefficient 1 (the recession ray forces the
     sign), are ``nonvertical``, built on first read.  ``vertical`` facets
-    have z coefficient 0 and are implied by the box/knapsack polyhedron
-    alone.  ``facets`` is the nonvertical cuts, then the vertical ones.
+    have z coefficient 0: they are facets of the hull of the binary knapsack
+    points, which on general pi the box and the knapsack row alone need not
+    imply.  ``facets`` is the nonvertical cuts, then the vertical ones.
     """
 
     instance: MixingInstance
@@ -199,7 +200,8 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     directions = []
     if cut.z_coef == 0:
         directions.append(tuple([1] + [0] * inst.m))
-    masks = list(compress(_vertex_parity_masks(inst), map(not_, slacks)))
+    table = _vertex_table(inst)
+    masks = list(compress(table.masks, map(not_, slacks)))
     if masks:
         base = masks[0]
         rows = [mask ^ base for mask in masks[1:]]
@@ -207,20 +209,13 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
             rows.append(1)
         if linalg.rank_mod2(rows) == inst.m:
             return True
-    _, zs = _vertex_z_scaled(inst)
-    tight = compress(zip(zs, enumerate_vertices(inst)), map(not_, slacks))
+    tight = compress(zip(table.zs, enumerate_vertices(inst)), map(not_, slacks))
     tight_points = [(z,) + v.x for z, v in tight]
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """`core.rat_str` of Fraction(n, d), for d > 0, without the Fraction."""
-    g = math.gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _items(records: Iterable[str]) -> Iterator[str]:
@@ -236,12 +231,13 @@ def facetset_pieces(fs: FacetSet) -> Iterator[str]:
 
     Each vertex and each nonvertical cut is rendered from its ints with no
     dict in between: z is 1, and x and rhs are x / a_z and -a_0 / a_z,
-    rendered as `core.rat_str` renders those Fractions.  These strings hold
+    rendered by `core.ratio_str`, as `core.rat_str` renders those Fractions,
+    with no Fraction built.  These strings hold
     only digits, ``-`` and ``/``, which JSON never escapes.  The vertical
     cuts are written through `core.cut_to_dict`.  A writer that takes the
     pieces as they come holds one record at a time, never the document.
     """
-    text = lru_cache(maxsize=None)(_ratio_str)
+    text = lru_cache(maxsize=None)(ratio_str)
 
     def vertex(v: Vertex) -> str:
         return f'{{"z": "{rat_str(v.z)}", "x": [{", ".join(map(str, v.x))}]}}'

@@ -24,6 +24,11 @@ from mixcut.core import ValidationError, build_instance, cut_is_valid, enumerate
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 
 
+def _row(S, label):
+    """The index of the lifted set's constraint with this label."""
+    return [con.label for con in S.constraints].index(label)
+
+
 @pytest.fixture(scope="module")
 def ex21():
     return build_instance(10, SEQ_L, None, Fraction(4, 10))
@@ -41,27 +46,27 @@ def theorem_assignment(inst, S, r, t, delta, q, phi, beta):
     for i, qq in enumerate(q):
         w_pos = phi[i] - m * inst.pi_at(qq) * beta0
         if w_pos > 0:
-            k_weights.append((0, blp.sc_constraint_index(S, 1, qq), w_pos))
+            k_weights.append((0, _row(S, f"complement+:{qq}"), w_pos))
         w_neg = m * inst.pi_at(qq) * beta0 - phi[i]
         if w_neg > 0:
-            k_weights.append((0, blp.sc_constraint_index(S, 2, qq), w_neg))
+            k_weights.append((0, _row(S, f"complement-:{qq}"), w_neg))
     for tt in t:
         w = coef[tt] + m * inst.pi_at(tt) * beta0
         if w > 0:
-            k_weights.append((0, blp.sc_constraint_index(S, 2, tt), w))
+            k_weights.append((0, _row(S, f"complement-:{tt}"), w))
     for j in range(1, m + 1):
         if j not in t and j not in q:
-            k_weights.append((0, blp.sc_constraint_index(S, 2, j), m * inst.pi_at(j) * beta0))
+            k_weights.append((0, _row(S, f"complement-:{j}"), m * inst.pi_at(j) * beta0))
     for j in range(1, m + 1):
         if j != t[0]:
-            k_weights.append((j, blp.sc_constraint_index(S, 3, j), Fraction(1)))
+            k_weights.append((j, _row(S, f"zbound:{j}"), Fraction(1)))
     knapsack = S.tau - 1
     t_weights = [(0, knapsack, m * beta0)]
     for j in range(1, m + 1):
         if beta[j - 1] > 0:
             t_weights.append((j, knapsack, m * beta[j - 1]))
     return blp.BlpAssignment.build(
-        blp.sc_constraint_index(S, 3, t[0]), t[0], k_weights, t_weights
+        _row(S, f"zbound:{t[0]}"), t[0], k_weights, t_weights
     )
 
 
@@ -177,7 +182,7 @@ class TestBuildSc:
 class TestAggregate:
     def test_single_term_base(self, ex21):
         S = blp.build_sc(ex21)
-        a = blp.BlpAssignment.build(blp.sc_constraint_index(S, 3, 2), 2)
+        a = blp.BlpAssignment.build(_row(S, "zbound:2"), 2)
         expr = blp.aggregate(S, a)
         assert expr.quad[1][0] == 1  # z y_2 coefficient
         assert expr.lin_y[1] == -ex21.h_at(2)
@@ -191,9 +196,9 @@ class TestAggregate:
 
     def test_linearity(self, ex21):
         S = blp.build_sc(ex21)
-        base = blp.sc_constraint_index(S, 3, 1)
-        k1 = blp.sc_constraint_index(S, 2, 3)
-        k2 = blp.sc_constraint_index(S, 1, 5)
+        base = _row(S, "zbound:1")
+        k1 = _row(S, "complement-:3")
+        k2 = _row(S, "complement+:5")
         knap = S.tau - 1
         a1 = blp.BlpAssignment.build(base, 1, [(0, k1, 2)], [(4, knap, 1)])
         a2 = blp.BlpAssignment.build(base, 1, [(0, k1, 1), (0, k2, 3)], [(4, knap, 2)])
@@ -231,7 +236,7 @@ class TestAggregate:
 
     def test_base_pair_reuse_rejected(self, ex21):
         S = blp.build_sc(ex21)
-        k = blp.sc_constraint_index(S, 3, 1)
+        k = _row(S, "zbound:1")
         with pytest.raises(ValidationError):
             blp.BlpAssignment.build(k, 1, [(1, k, 1)])
             blp.aggregate(S, blp.BlpAssignment(k, 1, ((1, k, Fraction(1)),)))
@@ -251,8 +256,8 @@ class TestAggregate:
 
     def test_negative_weight_rejected(self, ex21):
         S = blp.build_sc(ex21)
-        k = blp.sc_constraint_index(S, 2, 1)
-        a = blp.BlpAssignment(blp.sc_constraint_index(S, 3, 1), 1, ((0, k, Fraction(-1)),))
+        k = _row(S, "complement-:1")
+        a = blp.BlpAssignment(_row(S, "zbound:1"), 1, ((0, k, Fraction(-1)),))
         with pytest.raises(ValidationError):
             blp.aggregate(S, a)
 
@@ -268,7 +273,7 @@ class TestSubstitute:
 
     def test_base_only_reduces_to_z_bound(self, ex21):
         S = blp.build_sc(ex21)
-        a = blp.BlpAssignment.build(blp.sc_constraint_index(S, 3, 7), 7)
+        a = blp.BlpAssignment.build(_row(S, "zbound:7"), 7)
         result = blp.substitute(S, blp.aggregate(S, a))
         assert result.mixing_cut() == make_cut(1, [0] * 10, 0)
 
@@ -391,9 +396,7 @@ class TestConeMembership:
         # compl_to_y at (1, 2) puts weight 1 on prefix:1<2 at j = 2, the base
         # pair itself, so the dual weights that pair 2 in alpha and in the sum
         S = blp.build_sc(benchmark_instance("L", 3, 2))
-        labels = [con.label for con in S.constraints]
-        a = blp.BlpAssignment.build(
-            labels.index("prefix:1<2"), 2, [(0, labels.index("complement-:1"), 2)])
+        a = blp.BlpAssignment.build(_row(S, "prefix:1<2"), 2, [(0, _row(S, "complement-:1"), 2)])
         result = blp.substitute(S, blp.aggregate(S, a))
         member, cut = blp.cone_membership(S, blp.assemble_dual(S, a, result))
         assert member
@@ -413,7 +416,7 @@ class TestConeMembership:
 
     def test_perturbed_dual_rejected(self, ex21):
         S = blp.build_sc(ex21)
-        a = blp.BlpAssignment.build(blp.sc_constraint_index(S, 3, 1), 1)
+        a = blp.BlpAssignment.build(_row(S, "zbound:1"), 1)
         result = blp.substitute(S, blp.aggregate(S, a))
         dual = blp.assemble_dual(S, a, result)
         theta = dict(dual.theta)
@@ -754,7 +757,7 @@ class TestVerticalImplication:
             expr = blp.aggregate(
                 S,
                 blp.BlpAssignment.build(
-                    blp.sc_constraint_index(S, 4, 1), 1, [], t_weights
+                    _row(S, "self:1"), 1, [], t_weights
                 ),
             )
             result = blp.substitute(S, expr)

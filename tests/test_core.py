@@ -17,9 +17,8 @@ from mixcut.core import (
     MixingInstance,
     ValidationError,
     Vertex,
-    _vertex_parity_masks,
-    _vertex_steps,
-    _vertex_z_scaled,
+    _int_view,
+    _vertex_table,
     _vertices_cached,
     build_instance,
     canonicalize,
@@ -285,14 +284,14 @@ class TestVertices:
         """After 257 distinct instances each per-instance vertex table holds
         256 of them; a second pass, which misses on every instance, rebuilds
         equal tables."""
-        tables = (_vertices_cached, _vertex_z_scaled, _vertex_parity_masks, _vertex_steps)
+        tables = (_int_view, _vertices_cached, _vertex_table)
         insts = [build_instance(3, [k + 2, k + 1, k], None, Fraction(2, 3))
                  for k in range(1, 258)]
         first = [tuple(table(inst) for table in tables) for inst in insts]
-        assert [table.cache_info().currsize for table in tables] == [256] * 4
+        assert [table.cache_info().currsize for table in tables] == [256] * 3
         misses = [table.cache_info().misses for table in tables]
         assert [tuple(table(inst) for table in tables) for inst in insts] == first
-        assert [table.cache_info().misses - n for table, n in zip(tables, misses)] == [257] * 4
+        assert [table.cache_info().misses - n for table, n in zip(tables, misses)] == [257] * 3
 
 
 class TestValidity:
@@ -353,7 +352,7 @@ class TestVertexSlacks:
     @staticmethod
     def _assert_step_table(inst):
         vertices = enumerate_vertices(inst)
-        parents, coords = _vertex_steps(inst)
+        _, _, _, parents, coords = _vertex_table(inst)
         assert len(parents) == len(coords) == len(vertices) - 1
         assert not any(vertices[0].x)
         for i, (parent, k) in enumerate(zip(parents, coords), 1):

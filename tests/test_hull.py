@@ -12,8 +12,7 @@ from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
-    _vertex_parity_masks,
-    _vertex_z_scaled,
+    _vertex_table,
     ValidationError,
     build_instance,
     canonicalize,
@@ -217,7 +216,7 @@ def test_slack_verdicts_match_evaluate(inst, data):
         verdict = hull.is_facet(inst, cut)
     # the tight vertices as ints (D z,) + x, D the common z denominator;
     # scaling z by D keeps the affine rank of the rational points
-    D, _ = _vertex_z_scaled(inst)
+    D = _vertex_table(inst).D
     tight = [(int(D * v.z),) + v.x for v, value in zip(vertices, values) if value == cut.rhs]
     ray = [tuple([1] + [0] * inst.m)] if z == 0 else []
     # the mod-2 check gets each tight point's difference from the first, and
@@ -272,13 +271,29 @@ def test_is_facet_matches_exact_rank_oracle(example, m, p):
     assert 0 < fallbacks < len(facets)
 
 
+def test_vertical_facet_not_implied_by_box_and_knapsack():
+    """On general pi a vertical facet can cut off points of the box and
+    knapsack polyhedron: x_1 + x_4 <= 1 is one here, and x_1 = x_4 = 9/10,
+    all others 0, meets the box and the knapsack but violates it."""
+    inst = build_instance(7, [82, 56, 36, 29, 24, 12, 11],
+                          [Fraction(w, 18) for w in (4, 3, 1, 4, 1, 2, 3)], Fraction(2, 5))
+    fs = hull.enumerate_facets(inst)
+    assert (len(fs.nonvertical), len(fs.vertical)) == (11, 25)
+    cut = make_cut(0, [-1, 0, 0, -1, 0, 0, 0], -1)
+    assert cut in fs.vertical
+    point = (Fraction(9, 10), 0, 0, Fraction(9, 10), 0, 0, 0)
+    assert all(0 <= x <= 1 for x in point)
+    assert sum(q * x for q, x in zip(inst.pi, point)) <= inst.epsilon
+    assert cut.evaluate(Fraction(0), point) < cut.rhs
+
+
 def test_is_facet_falls_back_on_mod2_shortfall():
     """A facet of L(8,5) whose tight differences have rank m over Q but not mod 2."""
     inst = build_instance(8, SEQ_L[:8], None, Fraction(5, 8))
     facet = make_cut(1, [2, 0, 0, -4, 0, -6, -6, -6], -2)
     assert facet in hull.cached_facets(inst).facets
     slacks = vertex_slacks(inst, facet)
-    tight = [mask for mask, slack in zip(_vertex_parity_masks(inst), slacks) if slack == 0]
+    tight = [mask for mask, slack in zip(_vertex_table(inst).masks, slacks) if slack == 0]
     assert linalg.rank_mod2([mask ^ tight[0] for mask in tight[1:]]) < inst.m
     assert hull.is_facet(inst, facet)
     assert _exact_is_facet(inst, facet)
