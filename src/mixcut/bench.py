@@ -214,7 +214,7 @@ def coverage(
         m=inst.m,
         p=inst.p,
         facet_total=len(fs.normals),
-        vertical_count=len(fs.vertical),
+        vertical_count=len(fs.vertical_normals),
         covered=tuple((name, counts[name]) for name in family_names),
         trivial=inst.p in (1, inst.m),
     )

@@ -445,10 +445,10 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
     """
     m = inst.m
     n = m + 1
-    zero_row = tuple(Fraction(0) for _ in range(n))
+    zero_row = (_ZERO,) * n
 
     def unit(i: int, value: RationalLike = 1) -> tuple[Fraction, ...]:
-        return tuple(rat(value) if k == i else Fraction(0) for k in range(n))
+        return tuple(rat(value) if k == i else _ZERO for k in range(n))
 
     constraints: list[BilinearConstraint] = []
     # (1 - x_i)(1 - sum y) >= 0
@@ -468,29 +468,28 @@ def build_sc(inst: MixingInstance) -> BilinearSet:
     # z y_i - h_i y_i >= 0
     for i in range(1, m + 1):
         A = tuple(unit(0) if j == i - 1 else zero_row for j in range(m))
-        c = tuple(-inst.h_at(i) if j == i - 1 else Fraction(0) for j in range(m))
+        c = tuple((-inst.h_at(i) or _ZERO) if j == i - 1 else _ZERO for j in range(m))
         constraints.append(
-            BilinearConstraint(A, zero_row, c, Fraction(0), label=f"zbound:{i}")
+            BilinearConstraint(A, zero_row, c, _ZERO, label=f"zbound:{i}")
         )
     # -x_i y_i >= 0
     for i in range(1, m + 1):
         A = tuple(unit(i, -1) if j == i - 1 else zero_row for j in range(m))
         constraints.append(
-            BilinearConstraint(A, zero_row, tuple(Fraction(0) for _ in range(m)),
-                               Fraction(0), label=f"self:{i}")
+            BilinearConstraint(A, zero_row, (_ZERO,) * m, _ZERO, label=f"self:{i}")
         )
     # -(1 - x_i) y_j >= 0 for i < j
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             A = tuple(unit(i) if jj == j - 1 else zero_row for jj in range(m))
-            c = tuple(Fraction(-1) if jj == j - 1 else Fraction(0) for jj in range(m))
+            c = tuple(Fraction(-1) if jj == j - 1 else _ZERO for jj in range(m))
             constraints.append(
-                BilinearConstraint(A, zero_row, c, Fraction(0), label=f"prefix:{i}<{j}")
+                BilinearConstraint(A, zero_row, c, _ZERO, label=f"prefix:{i}<{j}")
             )
 
     e_rows = [unit(i, -1) for i in range(1, m + 1)]
     f = [Fraction(-1)] * m
-    e_rows.append(tuple([Fraction(0)] + [-q for q in inst.pi]))
+    e_rows.append(tuple([_ZERO] + [-q for q in inst.pi]))
     f.append(-inst.epsilon)
 
     return BilinearSet(

@@ -93,8 +93,7 @@ def cmd_coverage(args) -> int:
     if report.incomplete:
         print("incomplete: budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
-    fmt = {"md": "markdown"}.get(args.format, args.format)
-    _write_or_print(bench.emit_report([report], fmt), args.out)
+    _write_or_print(bench.emit_report([report], args.format), args.out)
     if args.check_paper:
         problems = bench.check_against_paper(report)
         for line in problems:

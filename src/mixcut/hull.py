@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress, pairwise
+from itertools import chain, compress
 from operator import not_
 from typing import Iterable, Iterator, Optional
 
@@ -29,7 +29,6 @@ from .core import (
     _vertex_table,
     canonicalize,
     cut_from_dict,
-    cut_to_dict,
     enumerate_vertices,
     json_array,
     json_int,
@@ -51,34 +50,56 @@ class InvalidCutError(ValidationError):
 class FacetSet:
     """Complete facet description of one instance's hull.
 
-    ``normals`` holds the nonvertical facets as double description gives
-    them: primitive integer normals (a_z, a_1, ..., a_m, a_0) of
-    a_z z + a.x + a_0 >= 0 with a_z > 0, in canonical cut order.  Their
-    canonical cuts, with z coefficient 1 (the recession ray forces the
-    sign), are ``nonvertical``, built on first read.  ``vertical`` facets
-    have z coefficient 0: they are facets of the hull of the binary knapsack
+    Every facet is kept as double description gives it: a primitive integer
+    normal (a_z, a_1, ..., a_m, a_0) of a_z z + a.x + a_0 >= 0.  ``normals``
+    holds the nonvertical facets (a_z > 0) and ``vertical_normals`` the
+    vertical ones (a_z = 0): facets of the hull of the binary knapsack
     points, which on general pi the box and the knapsack row alone need not
-    imply.  ``facets`` is the nonvertical cuts, then the vertical ones.
+    imply.  A normal's canonical cut is the normal over its divisor
+    (:func:`_divisor`), and each tuple is in canonical cut order.  The cuts
+    are built on first read: ``nonvertical`` (z coefficient 1, the recession
+    ray forces the sign), ``vertical`` (z coefficient 0, first nonzero x
+    coefficient 1 or -1) and ``facets``, the nonvertical cuts then the
+    vertical ones.  ``vertices`` is the instance's vertex list.
     """
 
     instance: MixingInstance
     normals: tuple[tuple[int, ...], ...]
-    vertical: tuple[LinearCut, ...]
-    vertices: tuple[Vertex, ...]
+    vertical_normals: tuple[tuple[int, ...], ...]
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        return enumerate_vertices(self.instance)
 
     @cached_property
     def nonvertical(self) -> tuple[LinearCut, ...]:
-        """The canonical cuts of ``normals``: x / a_z and -a_0 / a_z, each
-        distinct (numerator, a_z) pair built as a Fraction once."""
-        frac = lru_cache(maxsize=None)(Fraction)
-        return tuple(
-            LinearCut(Fraction(1), tuple(frac(c, a[0]) for c in a[1:-1]), frac(-a[-1], a[0]))
-            for a in self.normals
-        )
+        return _cuts(self.normals)
+
+    @cached_property
+    def vertical(self) -> tuple[LinearCut, ...]:
+        return _cuts(self.vertical_normals)
 
     @cached_property
     def facets(self) -> tuple[LinearCut, ...]:
         return self.nonvertical + self.vertical
+
+
+def _divisor(a: tuple[int, ...]) -> int:
+    """The positive scale that makes normal `a` canonical: a_z, or the
+    absolute value of the first nonzero x entry of a vertical normal."""
+    return a[0] or abs(next(filter(None, a[1:-1])))
+
+
+def _cuts(normals: Iterable[tuple[int, ...]]) -> tuple[LinearCut, ...]:
+    """The canonical cuts of `normals`: a_z, a and -a_0 over the divisor,
+    each distinct (numerator, divisor) pair built as a Fraction once."""
+    frac = lru_cache(maxsize=None)(Fraction)
+
+    def cut(a: tuple[int, ...]) -> LinearCut:
+        d = _divisor(a)
+        return LinearCut(frac(a[0], d), tuple(frac(c, d) for c in a[1:-1]), frac(-a[-1], d))
+
+    return tuple(map(cut, normals))
 
 
 def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
@@ -136,34 +157,27 @@ def enumerate_facets(inst: MixingInstance, budget: Optional[dd.Budget] = None) -
 
 
 def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
-    """The facet set of the primitive normals (z, x, a0) of z z + x.x + a0 >= 0.
+    """The facet set of the primitive normals (a_z, a, a_0), a_z >= 0, of
+    a_z z + a.x + a_0 >= 0.
 
-    A nonvertical normal (z > 0) stands for its canonical cut x / z and
-    -a0 / z.  Those cuts all have z coefficient 1, so `LinearCut.sort_key`
-    orders them as their x and rhs scaled by L, the lcm of the z values:
-    ints, c (L // z).  The normals are kept in that order, and no cut is
-    built for them here.
+    A normal's canonical cut is the normal over its divisor d, so
+    `LinearCut.sort_key` orders the cuts of one kind as their x and rhs
+    scaled by L, the lcm of the divisors: ints, c (L // d).  One sort on
+    that key, behind a flag that puts the nonvertical normals first, gives
+    both kinds in canonical cut order, and no cut is built here.
     """
-    lifted = [a for a in normals if a[0] > 0]
-    L = math.lcm(*(a[0] for a in lifted))
-
-    def key(a):
-        k = L // a[0]
-        return tuple(c * k for c in a[1:-1]) + (-a[-1] * k,)
-
     # z = 0 and x = 0 is a constant inequality, not a facet of a
     # full-dimensional hull
-    vertical = sorted(
-        (canonicalize(LinearCut(Fraction(0), tuple(Fraction(c) for c in a[1:-1]), Fraction(-a[-1])))
-         for a in normals if a[0] == 0 and any(a[1:-1])),
-        key=LinearCut.sort_key,
-    )
-    return FacetSet(
-        instance=inst,
-        normals=tuple(sorted(lifted, key=key)),
-        vertical=tuple(vertical),
-        vertices=enumerate_vertices(inst),
-    )
+    normals = [a for a in normals if any(a[:-1])]
+    L = math.lcm(*map(_divisor, normals))
+
+    def key(a):
+        k = L // _divisor(a)
+        return (not a[0], *(c * k for c in a[1:-1]), -a[-1] * k)
+
+    normals.sort(key=key)
+    n = sum(1 for a in normals if a[0])
+    return FacetSet(inst, tuple(normals[:n]), tuple(normals[n:]))
 
 
 @lru_cache(maxsize=256)
@@ -229,31 +243,29 @@ def _items(records: Iterable[str]) -> Iterator[str]:
 def facetset_pieces(fs: FacetSet) -> Iterator[str]:
     """The text of :func:`facetset_to_json`, in pieces: one per vertex and per facet.
 
-    Each vertex and each nonvertical cut is rendered from its ints with no
-    dict in between: z is 1, and x and rhs are x / a_z and -a_0 / a_z,
-    rendered by `core.ratio_str`, as `core.rat_str` renders those Fractions,
-    with no Fraction built.  These strings hold
-    only digits, ``-`` and ``/``, which JSON never escapes.  The vertical
-    cuts are written through `core.cut_to_dict`.  A writer that takes the
-    pieces as they come holds one record at a time, never the document.
+    Each vertex and each facet is rendered from its ints with no dict in
+    between.  A facet's z, x and rhs are a_z, a and -a_0 over the normal's
+    divisor, each rendered by `core.ratio_str` (so z reads "1" or "0"), as
+    `core.cut_to_dict` renders its canonical cut, with no Fraction built.
+    These strings hold only digits, ``-`` and ``/``, which JSON never
+    escapes.  A writer that takes the pieces as they come holds one record
+    at a time, never the document.
     """
     text = lru_cache(maxsize=None)(ratio_str)
 
     def vertex(v: Vertex) -> str:
         return f'{{"z": "{rat_str(v.z)}", "x": [{", ".join(map(str, v.x))}]}}'
 
-    def nonvertical(a: tuple[int, ...]) -> str:
-        x = '", "'.join([text(c, a[0]) for c in a[1:-1]])
-        return f'{{"z": "1", "x": ["{x}"], "rhs": "{text(-a[-1], a[0])}"}}'
+    def facet(a: tuple[int, ...]) -> str:
+        d = _divisor(a)
+        x = '", "'.join([text(c, d) for c in a[1:-1]])
+        return f'{{"z": "{text(a[0], d)}", "x": ["{x}"], "rhs": "{text(-a[-1], d)}"}}'
 
     yield '{"vertices": ['
     yield from _items(map(vertex, fs.vertices))
     yield '], "facets": ['
-    yield from _items(chain(
-        map(nonvertical, fs.normals),
-        (json.dumps(cut_to_dict(c)) for c in fs.vertical),
-    ))
-    yield f'], "vertical_count": {len(fs.vertical)}}}'
+    yield from _items(map(facet, chain(fs.normals, fs.vertical_normals)))
+    yield f'], "vertical_count": {len(fs.vertical_normals)}}}'
 
 
 def facetset_to_json(fs: FacetSet) -> str:
@@ -266,15 +278,14 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     """Read :func:`facetset_to_json` output back as the facet set of `inst`.
 
     Any malformation raises :class:`ValidationError`: a missing field or one
-    of the wrong JSON type, a vertex list other than
-    ``enumerate_vertices(inst)``, a ``vertical_count`` that does not match the
-    facet list, a nonvertical cut whose z coefficient is not 1, a vertical
-    cut that is not canonical, and (as :class:`DimensionError`) a cut whose
-    number of x coefficients is not ``inst.m``.  The facet list must be in the order the writer gives it:
-    nonvertical cuts first, then vertical ones, each run strictly increasing
-    by `LinearCut.sort_key`, so a repeated or misplaced facet is refused
-    too.  Each nonvertical cut's normal is its primitive integer multiple
-    (`linalg.primitive`).
+    of the wrong JSON type, a cut whose number of x coefficients is not
+    ``inst.m`` (as :class:`DimensionError`), a vertex list other than
+    ``enumerate_vertices(inst)``, and a ``vertical_count`` that does not
+    match the facet list.  The facets are read as the facet set that their
+    primitive normals (`linalg.primitive`) give, through the writer's own
+    canonical form and order, and that set's ``facets`` must be the parsed
+    cuts, with no repeat: so a cut out of canonical form, a repeated or
+    misplaced facet, or a constant one is refused.
     """
     doc = "facet set"
     payload = json_object(json.loads(text), doc, ("vertices", "facets", "vertical_count"))
@@ -282,22 +293,17 @@ def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     for c in facets:
         if c.m != inst.m:
             raise DimensionError(f"cut has {c.m} x coefficients, instance has m={inst.m}")
-        if c.z_coef not in (0, 1):
-            raise ValidationError(f"a nonvertical cut must have z coefficient 1, got {c.z_coef}")
-        if c.z_coef == 0 and canonicalize(c) != c:
-            raise ValidationError("a vertical cut's first nonzero x coefficient must be 1 or -1")
-    for a, b in pairwise(facets):
-        if a.z_coef < b.z_coef:
-            raise ValidationError("a nonvertical cut follows a vertical one")
-        if a.z_coef == b.z_coef and not a.sort_key() < b.sort_key():
-            raise ValidationError(
-                "the facets of each kind must be strictly increasing by LinearCut.sort_key"
-            )
     vertices = tuple(vertex_from_dict(v) for v in json_array(payload["vertices"], doc, "vertices"))
     if vertices != enumerate_vertices(inst):
         raise ValidationError("the vertex list is not the instance's vertex list")
-    normals = tuple(linalg.primitive((c.z_coef, *c.x_coefs, -c.rhs)) for c in facets if c.z_coef)
-    vertical = tuple(c for c in facets if c.z_coef == 0)
-    if len(vertical) != json_int(payload["vertical_count"], doc, "vertical_count"):
+    fs = _facetset_from_normals(
+        inst, [linalg.primitive((c.z_coef, *c.x_coefs, -c.rhs)) for c in facets]
+    )
+    if fs.facets != facets or len(set(facets)) != len(facets):
+        raise ValidationError(
+            "the facets must be distinct canonical cuts, nonvertical ones first, "
+            "each kind strictly increasing by LinearCut.sort_key"
+        )
+    if len(fs.vertical_normals) != json_int(payload["vertical_count"], doc, "vertical_count"):
         raise ValidationError("vertical_count does not match the facet list")
-    return FacetSet(inst, normals, vertical, vertices)
+    return fs

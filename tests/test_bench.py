@@ -398,6 +398,17 @@ class TestCli:
         assert captured.out == ""
         assert "lacks blp_generic (use --format json" in captured.err
 
+    def test_coverage_md_prints_the_markdown_table(self, capsys):
+        """`--format md` is passed to `bench.emit_report` as it is and prints
+        the bytes `--format markdown` prints."""
+        argv = ["coverage", "--example", "L", "--m", "5", "--p", "3", "--format"]
+        printed = []
+        for fmt in ("md", "markdown"):
+            assert cli.main(argv + [fmt]) == cli.EXIT_OK
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("| example |")
+
     def test_check_cut_string_coefficients_exit_code(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 2, 1)))

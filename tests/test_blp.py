@@ -21,17 +21,10 @@ from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import ValidationError, build_instance, cut_is_valid, enumerate_vertices, make_cut
 
-SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
-
 
 def _row(S, label):
     """The index of the lifted set's constraint with this label."""
     return [con.label for con in S.constraints].index(label)
-
-
-@pytest.fixture(scope="module")
-def ex21():
-    return build_instance(10, SEQ_L, None, Fraction(4, 10))
 
 
 def theorem_assignment(inst, S, r, t, delta, q, phi, beta):
@@ -123,6 +116,16 @@ class TestBuildSc:
         report = pref.check_restrictions(S)
         assert report.recession_shared
         assert report.recession == (tuple([1] + [0] * ex21.m),)
+
+    def test_zero_entries_share_one_object(self):
+        """Every zero of A, b, c, d and E is the module's one zero Fraction."""
+        S = blp.build_sc(benchmark_instance("L", 10, 4))
+        entries = [v for con in S.constraints
+                   for v in (*(x for row in con.A for x in row), *con.b, *con.c, con.d)]
+        entries += [v for row in S.e_rows for v in row]
+        zeros = [v for v in entries if v == 0]
+        assert len(zeros) == 10761
+        assert all(v is blp._ZERO for v in zeros)
 
     def test_vacuous_knapsack_all_nonempty(self):
         inst = build_instance(3, [20, 18, 14], None, 1)

@@ -37,33 +37,22 @@ from mixcut.core import (
 from hull_oracles import instances, parse_mixing_form
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
-SEQ_K = [40, 38, 34, 31, 26, 16, 8, 4, 2, 1]
-
-
-def ex21():
-    return build_instance(10, SEQ_L, None, Fraction(4, 10))
-
-
-def ex42():
-    pi = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
-    return build_instance(10, SEQ_K, pi, Fraction(1, 2))
-
 
 EQ12 = make_cut(1, [6, 0, 0, 2, -3, -3, 0, 0, 0, 0], 14)
 
 
 class TestBuildInstance:
-    def test_uniform_cardinality_example(self):
-        inst = ex21()
+    def test_uniform_cardinality_example(self, ex21):
+        inst = ex21
         assert inst.p == 4 and inst.theta == 4
         assert inst.uniform
 
-    def test_general_probability_example(self):
+    def test_general_probability_example(self, ex42):
         # The prefix-sum definitions give p=4 and theta=6 here; theta >= p
         # always holds because the ascending permutation packs scenarios
         # fastest.  (The narrative source asserts the swapped pair, which is
         # impossible under its own definitions.)
-        inst = ex42()
+        inst = ex42
         assert inst.p == 4 and inst.theta == 6
         assert not inst.uniform
         assert inst.order[:6] == (5, 6, 7, 8, 9, 10)
@@ -112,8 +101,8 @@ class TestRationalIO:
         with pytest.raises(ValidationError):
             rat(0.5)
 
-    def test_instance_json_round_trip(self):
-        inst = ex42()
+    def test_instance_json_round_trip(self, ex42):
+        inst = ex42
         assert instance_from_json(instance_to_json(inst)) == inst
 
     def test_cut_json_round_trip(self):
@@ -295,21 +284,21 @@ class TestVertices:
 
 
 class TestValidity:
-    def test_worked_facet_is_valid(self):
-        assert cut_is_valid(ex21(), EQ12)
+    def test_worked_facet_is_valid(self, ex21):
+        assert cut_is_valid(ex21, EQ12)
 
-    def test_z_nonnegative_always_valid(self):
-        assert cut_is_valid(ex21(), make_cut(1, [0] * 10, 0))
+    def test_z_nonnegative_always_valid(self, ex21):
+        assert cut_is_valid(ex21, make_cut(1, [0] * 10, 0))
 
-    def test_z_above_h1_invalid(self):
-        assert not cut_is_valid(ex21(), make_cut(1, [0] * 10, 20))
+    def test_z_above_h1_invalid(self, ex21):
+        assert not cut_is_valid(ex21, make_cut(1, [0] * 10, 20))
 
-    def test_negative_z_coefficient_invalid(self):
-        assert not cut_is_valid(ex21(), make_cut(-1, [0] * 10, -100))
+    def test_negative_z_coefficient_invalid(self, ex21):
+        assert not cut_is_valid(ex21, make_cut(-1, [0] * 10, -100))
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, ex21):
         with pytest.raises(DimensionError):
-            cut_is_valid(ex21(), make_cut(1, [0] * 9, 0))
+            cut_is_valid(ex21, make_cut(1, [0] * 9, 0))
 
 
 COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
@@ -379,8 +368,8 @@ class TestMixingForm:
         cut = mixing_form(10, [1, 4], [6, 2], [5, 6], [3, 3], 20)
         assert cut == EQ12
 
-    def test_degenerate_selection(self):
-        inst = ex21()
+    def test_degenerate_selection(self, ex21):
+        inst = ex21
         cut = mixing_form(inst.m, [], [], [], [], inst.h_at(inst.p + 1))
         assert cut == make_cut(1, [0] * 10, 6)
 
@@ -388,33 +377,33 @@ class TestMixingForm:
         with pytest.raises(ValidationError):
             mixing_form(4, [1, 2], [1, 1], [2, 3], [1, 1], 5)
 
-    def test_parse_worked_example(self):
-        parsed = parse_mixing_form(ex21(), EQ12)
+    def test_parse_worked_example(self, ex21):
+        parsed = parse_mixing_form(ex21, EQ12)
         assert parsed.p_coefs == ((1, Fraction(6)), (4, Fraction(2)))
         assert parsed.q_phis == ((5, Fraction(3)), (6, Fraction(3)))
         assert parsed.rhs_base == 20
         assert parsed.consistent
 
-    def test_parse_plain_bound(self):
-        parsed = parse_mixing_form(ex21(), make_cut(1, [0] * 10, 3))
+    def test_parse_plain_bound(self, ex21):
+        parsed = parse_mixing_form(ex21, make_cut(1, [0] * 10, 3))
         assert parsed.p_coefs == () and parsed.q_phis == ()
         assert parsed.rhs_base == 3
 
-    def test_parse_shifted_example(self):
+    def test_parse_shifted_example(self, ex21):
         cut = make_cut(1, [3, 0, 0, 0, 0, -3, -5, -3, 0, 0], 9)
-        parsed = parse_mixing_form(ex21(), cut)
+        parsed = parse_mixing_form(ex21, cut)
         assert parsed.p_coefs == ((1, Fraction(3)),)
         assert dict(parsed.q_phis) == {6: Fraction(3), 7: Fraction(5), 8: Fraction(3)}
         assert parsed.rhs_base == 20
 
-    def test_parse_requires_unit_z(self):
+    def test_parse_requires_unit_z(self, ex21):
         with pytest.raises(ValidationError):
-            parse_mixing_form(ex21(), make_cut(0, [1] + [0] * 9, 0))
+            parse_mixing_form(ex21, make_cut(0, [1] + [0] * 9, 0))
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
-    def test_round_trip(self, data):
-        inst = ex21()
+    def test_round_trip(self, ex21, data):
+        inst = ex21
         m = inst.m
         indices = data.draw(
             st.lists(st.integers(1, m), unique=True, min_size=1, max_size=6)

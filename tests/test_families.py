@@ -20,20 +20,8 @@ from hull_oracles import ParsedMixingForm
 from uniform_closure import uniform_closure
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
-SEQ_K = [40, 38, 34, 31, 26, 16, 8, 4, 2, 1]
 
 EQ12 = make_cut(1, [6, 0, 0, 2, -3, -3, 0, 0, 0, 0], 14)
-
-
-@pytest.fixture(scope="module")
-def ex21():
-    return build_instance(10, SEQ_L, None, Fraction(4, 10))
-
-
-@pytest.fixture(scope="module")
-def ex42():
-    pi = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
-    return build_instance(10, SEQ_K, pi, Fraction(1, 2))
 
 
 class TestStar:

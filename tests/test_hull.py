@@ -28,6 +28,10 @@ import hull_oracles
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 
+#: The draw general:0: 25 vertical facets, 5 of them with a fractional coefficient.
+GENERAL0 = build_instance(7, [82, 56, 36, 29, 24, 12, 11],
+                          [Fraction(w, 18) for w in (4, 3, 1, 4, 1, 2, 3)], Fraction(2, 5))
+
 
 def test_tiny_nonvertical_facet():
     inst = build_instance(3, [20, 18, 14], None, Fraction(1, 3))
@@ -74,8 +78,7 @@ def test_every_facet_valid_and_facet_defining():
         assert hull.is_facet(inst, cut)
 
 
-def test_is_facet_worked_examples():
-    ex21 = build_instance(10, SEQ_L, None, Fraction(4, 10))
+def test_is_facet_worked_examples(ex21):
     eq12 = make_cut(1, [6, 0, 0, 2, -3, -3, 0, 0, 0, 0], 14)
     assert hull.is_facet(ex21, eq12)
     cut44 = make_cut(1, [3, 0, 0, 0, 0, -3, -5, -3, 0, 0], 9)
@@ -275,8 +278,7 @@ def test_vertical_facet_not_implied_by_box_and_knapsack():
     """On general pi a vertical facet can cut off points of the box and
     knapsack polyhedron: x_1 + x_4 <= 1 is one here, and x_1 = x_4 = 9/10,
     all others 0, meets the box and the knapsack but violates it."""
-    inst = build_instance(7, [82, 56, 36, 29, 24, 12, 11],
-                          [Fraction(w, 18) for w in (4, 3, 1, 4, 1, 2, 3)], Fraction(2, 5))
+    inst = GENERAL0
     fs = hull.enumerate_facets(inst)
     assert (len(fs.nonvertical), len(fs.vertical)) == (11, 25)
     cut = make_cut(0, [-1, 0, 0, -1, 0, 0, 0], -1)
@@ -324,15 +326,18 @@ def test_budget_steps_are_candidate_pairs():
         hull.enumerate_facets(inst, dd.Budget(steps=1534))
 
 
-def test_facetset_json_round_trip():
-    """On every L/K cell with m <= 7, and on L(6,4) with h over 4 and over 6
-    (normals with z entries 2, 4 and 3, 6), the file written from the normals
-    is the one `cut_to_dict` writes from the Fraction cuts, byte for byte,
-    and reads back as the same facet set, normals included."""
+def test_facetset_json_round_trip(ex42):
+    """On every L/K cell with m <= 7, on L(6,4) with h over 4 and over 6
+    (normals with z entries 2, 4 and 3, 6), and on general:0 and the m = 10
+    general-probability example (vertical normals whose first nonzero x is
+    not 1 or -1, so cuts with fractional coefficients), the file written
+    from the normals is the one `cut_to_dict` writes from the Fraction cuts,
+    byte for byte, and reads back as the same facet set, normals included."""
     instances = [benchmark_instance(example, m, p)
                  for example in "LK" for m in range(1, 8) for p in range(1, m + 1)]
     instances += [build_instance(6, [Fraction(v, den) for v in SEQ_L[:6]], None, Fraction(4, 6))
                   for den in (4, 6)]
+    instances += [GENERAL0, ex42]
     for inst in instances:
         fs = hull.enumerate_facets(inst)
         text = hull.facetset_to_json(fs)
@@ -344,6 +349,30 @@ def test_facetset_json_round_trip():
         back = hull.facetset_from_json(inst, text)
         assert back == fs
         assert back.facets == fs.facets
+    # (vertical facets, those with a fractional coefficient)
+    for inst, counts in ((GENERAL0, (25, 5)), (ex42, (56, 11))):
+        vertical = hull.enumerate_facets(inst).vertical
+        fractional = [c for c in vertical if any(q.denominator > 1 for q in c.x_coefs + (c.rhs,))]
+        assert (len(vertical), len(fractional)) == counts
+
+
+def test_facet_file_builds_no_cut(monkeypatch):
+    """From double description to the last piece of the facet file, hull
+    builds no LinearCut and no Fraction: both kinds of facet are written
+    from their integer normals."""
+    fs = hull.enumerate_facets(GENERAL0)
+    want = json.dumps({
+        "vertices": [vertex_to_dict(v) for v in fs.vertices],
+        "facets": [cut_to_dict(c) for c in fs.facets],
+        "vertical_count": len(fs.vertical),
+    })
+
+    def refuse(*args):
+        raise AssertionError(f"built from {args}")
+
+    monkeypatch.setattr(hull, "LinearCut", refuse)
+    monkeypatch.setattr(hull, "Fraction", refuse)
+    assert "".join(hull.facetset_pieces(hull.enumerate_facets(GENERAL0))) == want
 
 
 @pytest.mark.parametrize("example,m,p", [("L", 3, 2), ("L", 4, 2), ("K", 4, 3)])
@@ -360,33 +389,43 @@ def test_wrapping_oracle_small(example, m, p):
 
 @st.composite
 def _cuts_sharing_prefixes(draw):
-    """Distinct z = 1 cuts whose x share prefixes, with small denominators."""
+    """Distinct canonical cuts whose x share prefixes, with small denominators:
+    z = 1 cuts, and vertical ones (z = 0) scaled so their first nonzero x
+    coefficient, of either sign and any size, is 1 or -1."""
     m = draw(st.integers(1, 4))
     small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
     base = draw(st.lists(small, min_size=m, max_size=m))
     cuts = set()
     for _ in range(draw(st.integers(1, 10))):
         keep = draw(st.integers(0, m))
-        x = base[:keep] + draw(st.lists(small, min_size=m - keep, max_size=m - keep))
-        cuts.add(LinearCut(Fraction(1), tuple(x), draw(small)))
+        x = tuple(base[:keep] + draw(st.lists(small, min_size=m - keep, max_size=m - keep)))
+        rhs = draw(small)
+        if draw(st.booleans()):
+            cuts.add(LinearCut(Fraction(1), x, rhs))
+        elif any(x):
+            cuts.add(canonicalize(LinearCut(Fraction(0), x, rhs)))
     return m, sorted(cuts, key=repr)
 
 
 @given(drawn=_cuts_sharing_prefixes(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_nonvertical_cuts_from_normals_keep_sort_key_order(drawn, data):
-    """Cuts built from primitive normals (z > 0) come out canonical and in sort_key order.
+    """Cuts built from primitive normals come out canonical and, kind by
+    kind, in sort_key order, and the facet file writes them as `cut_to_dict`.
 
-    Cuts sharing an x prefix get normals with different z, so the int key
-    c (L // z) must order them as the rationals do.
+    Cuts sharing an x prefix get normals with different divisors (z, or the
+    first nonzero x of a vertical normal), so the int key c (L // divisor)
+    must order them as the rationals do.
     """
     m, cuts = drawn
     normals = [linalg.primitive((c.z_coef,) + c.x_coefs + (-c.rhs,)) for c in cuts]
     normals = data.draw(st.permutations(normals))
     fs = hull._facetset_from_normals(build_instance(m, [1] * m, None, 1), normals)
-    assert fs.vertical == ()
-    assert list(fs.nonvertical) == sorted(cuts, key=LinearCut.sort_key)
-    assert all(canonicalize(c) == c for c in fs.nonvertical)
+    assert list(fs.nonvertical) == sorted((c for c in cuts if c.z_coef), key=LinearCut.sort_key)
+    assert list(fs.vertical) == sorted((c for c in cuts if not c.z_coef), key=LinearCut.sort_key)
+    assert all(canonicalize(c) == c for c in fs.facets)
+    doc = json.loads(hull.facetset_to_json(fs))
+    assert doc["facets"] == [cut_to_dict(c) for c in fs.facets]
 
 
 @pytest.mark.parametrize("facet", [
