@@ -125,11 +125,6 @@ def render_pct(value: Fraction) -> str:
     return text[:-1] if text.endswith("0") else text
 
 
-def pct_value(value: Fraction) -> float:
-    """Percentage rounded half-up to 2 decimals as a float (for tolerances)."""
-    return _hundredths_of_pct(value) / 100.0
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     example: Optional[str]
@@ -163,7 +158,7 @@ class CoverageReport:
 def coverage(
     inst: MixingInstance,
     family_names: Sequence[str] = DEFAULT_FAMILIES,
-    budget_seconds: Optional[float] = None,
+    budget: Optional[dd.Budget] = None,
     example: Optional[str] = None,
 ) -> CoverageReport:
     """Membership counts of every nonvertical hull facet, per family.
@@ -173,9 +168,11 @@ def coverage(
     every family.  Only the families in `family_names` are evaluated, each
     chain up to its first member; an unknown or repeated family name raises
     `ValidationError`.  Without a budget the hull comes from
-    `hull.cached_facets`.  A budget of `budget_seconds` bounds the whole
-    run: the hull, then one charge per facet checked.  A tripped budget
-    yields an "incomplete" report with no fabricated percentages.
+    `hull.cached_facets`.  A `dd.Budget` bounds the whole run: DD charges it
+    with its candidate pairs, then coverage charges one step per facet
+    checked, so a step budget counts DD's pairs plus the facets.  A tripped
+    budget yields an "incomplete" report, with zero counts and totals and no
+    fabricated percentages.
     """
     for k, name in enumerate(family_names):
         if name not in families.FAMILIES:
@@ -185,12 +182,7 @@ def coverage(
     counts = {name: 0 for name in family_names}
     try:
         # a budgeted run stays uncached, so that its budget can still trip
-        if budget_seconds is None:
-            budget = None
-            fs = hull.cached_facets(inst)
-        else:
-            budget = dd.Budget(seconds=budget_seconds)
-            fs = hull.enumerate_facets(inst, budget)
+        fs = hull.cached_facets(inst) if budget is None else hull.enumerate_facets(inst, budget)
         for normal in fs.normals:
             if budget is not None:
                 budget.charge()
@@ -198,34 +190,28 @@ def coverage(
             for name in family_names:
                 if memberships[name]:
                     counts[name] += 1
+        facet_total, vertical_count, incomplete = len(fs.normals), len(fs.vertical_normals), False
     except dd.BudgetExceeded:
-        return CoverageReport(
-            example=example,
-            m=inst.m,
-            p=inst.p,
-            facet_total=0,
-            vertical_count=0,
-            covered=tuple((name, 0) for name in family_names),
-            trivial=inst.p in (1, inst.m),
-            incomplete=True,
-        )
+        counts = {name: 0 for name in family_names}
+        facet_total, vertical_count, incomplete = 0, 0, True
     return CoverageReport(
         example=example,
         m=inst.m,
         p=inst.p,
-        facet_total=len(fs.normals),
-        vertical_count=len(fs.vertical_normals),
-        covered=tuple((name, counts[name]) for name in family_names),
+        facet_total=facet_total,
+        vertical_count=vertical_count,
+        covered=tuple(counts.items()),
         trivial=inst.p in (1, inst.m),
+        incomplete=incomplete,
     )
 
 
 def benchmark_coverage(
     example: str, m: int, p: int, family_names: Sequence[str] = DEFAULT_FAMILIES,
-    budget_seconds: Optional[float] = None,
+    budget: Optional[dd.Budget] = None,
 ) -> CoverageReport:
     inst = benchmark_instance(example, m, p)
-    return coverage(inst, family_names, budget_seconds, example=example.upper())
+    return coverage(inst, family_names, budget, example=example.upper())
 
 
 def check_against_paper(report: CoverageReport) -> list[str]:

@@ -54,8 +54,9 @@ def _write_pieces(pieces: Iterable[str], out: str | None) -> None:
         fh.write("\n")
 
 
-def _budget(args) -> float:
-    """The wall-clock budget in seconds: MIXCUT_BUDGET, else --budget.
+def _budget(args) -> dd.Budget:
+    """The wall-clock budget of the whole command: MIXCUT_BUDGET seconds,
+    else --budget.
 
     Any value that is not > 0 (0, negative, nan) is refused: 0 and nan would
     switch the guard off, a negative value would trip it before any work.
@@ -72,12 +73,12 @@ def _budget(args) -> float:
             ) from None
     if not value > 0:
         raise ValidationError(f"{what} must be a positive number of seconds, got {value}")
-    return value
+    return dd.Budget(seconds=value)
 
 
 def cmd_hull(args) -> int:
     inst = instance_from_json(_read(args.instance))
-    fs = hull.enumerate_facets(inst, dd.Budget(seconds=_budget(args)))
+    fs = hull.enumerate_facets(inst, _budget(args))
     # --out is opened only now, so a tripped budget leaves no file
     _write_pieces(hull.facetset_pieces(fs), args.out)
     return EXIT_OK
@@ -87,9 +88,14 @@ def cmd_coverage(args) -> int:
     family_names = bench.DEFAULT_FAMILIES
     if args.families:
         family_names = tuple(name.strip() for name in args.families.split(","))
-    report = bench.benchmark_coverage(
-        args.example, args.m, args.p, family_names, budget_seconds=_budget(args)
-    )
+    budget = _budget(args)
+    # a report without the table's families would pass with nothing compared
+    if args.check_paper and not set(family_names) & set(bench.DEFAULT_FAMILIES):
+        raise ValidationError(
+            f"--check-paper compares {', '.join(bench.DEFAULT_FAMILIES)} with the"
+            " reference table; --families lists none of them"
+        )
+    report = bench.benchmark_coverage(args.example, args.m, args.p, family_names, budget)
     if report.incomplete:
         print("incomplete: budget exhausted", file=sys.stderr)
         return EXIT_BUDGET

@@ -140,9 +140,6 @@ class GenericCutResult:
     certificate: Optional[BlpGenericParams]
     infeasible_j: Optional[int] = None
 
-    def __bool__(self) -> bool:
-        return self.accepted
-
 
 @dataclass(frozen=True)
 class Membership:
@@ -431,11 +428,14 @@ def _zhao_derive_s(view: _IntView, r: int, tails: Sequence[int]) -> tuple[int, .
     return tuple(s)
 
 
-def _zhao_lifting(r: int, s: Sequence[int], p: int) -> Optional[_Lifting]:
-    """The s-shifted lifting, or None unless s is nondecreasing within 1..p-r+1."""
+def _zhao_lifting(r: int, s: Sequence[int], p: int) -> _Lifting:
+    """The s-shifted lifting of a full-length s from `_zhao_derive_s`.
+
+    Such an s is nondecreasing within 1..p-r+1: the tails decrease, so the
+    room and its bisection index k_i increase; k_i > r gives s_i >= 1; and
+    prefix[p+1] > epsilon (or k <= m when p = m) gives s_i <= p - r + 1.
+    """
     sx = list(s) + [p - r + 1]
-    if sx[0] < 1 or any(a > b for a, b in zip(sx, sx[1:])):
-        return None
     anchor = r + s[0]
     ends = [r + sx[1]] + [r + sx[i] + 1 for i in range(1, len(s))]
     cutoffs = [r + min(1 + sx[i], sx[i + 1]) for i in range(len(s))]
@@ -465,10 +465,7 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     iota = next((i for i, (a, b) in enumerate(zip(given, s), start=1) if a != b), len(s) + 1)
     if iota <= v:
         raise FamilyParamError(f"knapsack crossing condition fails at iota={iota}")
-    lift = _zhao_lifting(r, s, inst.p)
-    if lift is None:
-        raise FamilyParamError("s-sequence must be nondecreasing within 1..p-r+1")
-    return _lifted_cut(inst, t, q, lift)
+    return _lifted_cut(inst, t, q, _zhao_lifting(r, s, inst.p))
 
 
 def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut:
@@ -798,21 +795,19 @@ def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership
 
 
 def _memberships(
-    inst: MixingInstance, facet, names: Sequence[str] = FAMILIES
+    inst: MixingInstance, normal: Sequence[int], names: Sequence[str] = FAMILIES
 ) -> dict[str, bool]:
     """Whether `member_of` holds for each of `names`, without its witnesses.
 
-    `facet` is a canonical cut with z coefficient 1 or its primitive integer
-    normal (`hull.FacetSet.normals`); both give the same `_Form`.  Each
-    chain is walked up from its bottom and stops at the first family whose
-    own check holds; the verdicts are shared across `names`, so a costly
-    check runs only when no family below it holds.  A check's int result is
-    only tested, never turned into a witness.
+    `normal` is a nonvertical facet's primitive integer normal
+    (`hull.FacetSet.normals`), which gives the `_Form` that `member_of`
+    reads from the facet's canonical cut.  Each chain is walked up from its
+    bottom and stops at the first family whose own check holds; the verdicts
+    are shared across `names`, so a costly check runs only when no family
+    below it holds.  A check's int result is only tested, never turned into
+    a witness.
     """
-    if isinstance(facet, LinearCut):
-        form = _facet_form(inst, facet)
-    else:
-        form = _normal_form(inst, facet)
+    form = _normal_form(inst, normal)
     degenerate = _degenerate(inst, form)
     if degenerate is not None:
         return {name: degenerate for name in names}
@@ -956,8 +951,7 @@ def _proper_zhao(inst: MixingInstance, form: _Form) -> Optional[tuple]:
         s = _zhao_derive_s(form.view, r, tails)
         if len(s) < v or form.coefs != _telescope(form.h, t, r + s[0]):
             continue
-        lift = _zhao_lifting(r, s, inst.p)
-        perm = None if lift is None else _match_lifts(form, lift)
+        perm = _match_lifts(form, _zhao_lifting(r, s, inst.p))
         if perm is not None:
             return r, t, perm, s
     return None

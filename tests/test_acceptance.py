@@ -40,15 +40,15 @@ from typing import Optional
 
 import pytest
 
-from mixcut import blp, families as fam, hull
+from mixcut import blp, dd, families as fam, hull
 from mixcut.bench import (
     DEFAULT_FAMILIES,
     PAPER_TABLE_K,
     PAPER_TABLE_L,
+    _hundredths_of_pct,
     benchmark_coverage,
     benchmark_instance,
     paper_table,
-    pct_value,
     render_pct,
 )
 from mixcut.core import (
@@ -74,10 +74,17 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
         pytest.fail(line)
 
 
+def _within_a_hundredth(value: Fraction, want: str) -> bool:
+    """Whether `value`, as a percentage rounded half-up to hundredths, is at
+    most one hundredth from the reference `want`; decided exactly, in
+    hundredths."""
+    return abs(_hundredths_of_pct(value) - Fraction(want) * 100) <= 1
+
+
 def _reference_count(want: str, total: int) -> Optional[int]:
     """The covered count out of `total` that the reference percentage prints."""
-    k = round(float(want) * total / 100)
-    return k if abs(pct_value(Fraction(k, total)) - float(want)) <= 0.01 else None
+    k = round(Fraction(want) * total / 100)
+    return k if _within_a_hundredth(Fraction(k, total), want) else None
 
 
 def _cut_str(cut) -> str:
@@ -98,18 +105,18 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
     want_row = paper_table(example)[(m, p)]
     problems = []
     for name, want in zip(DEFAULT_FAMILIES, want_row):
-        if name != "blp_uniform" and abs(pct_value(report.fraction(name)) - float(want)) > 0.01:
+        if name != "blp_uniform" and not _within_a_hundredth(report.fraction(name), want):
             problems.append(f"{cell} {name}: {report.pct(name)} vs {want}")
 
     inst = benchmark_instance(example, m, p)
-    facets = hull.cached_facets(inst).nonvertical
+    fs = hull.cached_facets(inst)
     total = report.facet_total
-    if len(facets) != total:
-        problems.append(f"{cell}: report counts {total} facets, the hull has {len(facets)}")
+    if len(fs.normals) != total:
+        problems.append(f"{cell}: report counts {total} facets, the hull has {len(fs.normals)}")
     oracle = 0
     regenerated = 0
-    for facet in facets:
-        verdicts = fam._memberships(inst, facet, ("zhao", "blp_uniform"))
+    for normal, facet in zip(fs.normals, fs.nonvertical):
+        verdicts = fam._memberships(inst, normal, ("zhao", "blp_uniform"))
         uniform = fam.member_of(inst, facet, "blp_uniform")
         # the family column is inclusive of the chain below it
         expected = verdicts["zhao"] or uniform_closure(inst, facet) is not None
@@ -133,7 +140,7 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
 
     deviations = []
     want = want_row[DEFAULT_FAMILIES.index("blp_uniform")]
-    if abs(pct_value(Fraction(oracle, total)) - float(want)) > 0.01:
+    if not _within_a_hundredth(Fraction(oracle, total), want):
         ref = _reference_count(want, total)
         line = (
             f"{cell} blp_uniform: {oracle}/{total} ({render_pct(Fraction(oracle, total))})"
@@ -195,12 +202,12 @@ def test_criterion_03_stretch_cells():
     problems = []
     deviations: list[str] = []
     regenerated = 0
-    r97 = benchmark_coverage("L", 9, 7, budget_seconds=3600)
+    r97 = benchmark_coverage("L", 9, 7, budget=dd.Budget(seconds=3600))
     if r97.incomplete:
         problems.append("(L,9,7) did not finish inside the 1h budget")
-    elif abs(pct_value(r97.fraction("blp_generic")) - 99.77) > 0.01:
+    elif not _within_a_hundredth(r97.fraction("blp_generic"), "99.77"):
         problems.append(f"(L,9,7) blp_generic: {r97.pct('blp_generic')} vs 99.77")
-    r104 = benchmark_coverage("L", 10, 4, budget_seconds=4 * 3600)
+    r104 = benchmark_coverage("L", 10, 4, budget=dd.Budget(seconds=4 * 3600))
     if r104.incomplete:
         problems.append("(L,10,4) did not finish inside the 4h budget")
     else:
@@ -405,9 +412,9 @@ def test_criterion_06_nesting():
         for m in range(1, 9):
             for p in range(1, m + 1):
                 inst = benchmark_instance(example, m, p)
-                for facet in hull.cached_facets(inst).nonvertical:
+                for normal in hull.cached_facets(inst).normals:
                     flags = [bool(v) for v in
-                             (fam._memberships(inst, facet)[f] for f in order)]
+                             (fam._memberships(inst, normal)[f] for f in order)]
                     facets_checked += 1
                     if flags != sorted(flags):
                         counterexamples += 1

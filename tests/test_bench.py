@@ -108,13 +108,13 @@ class TestCoverage:
 
     def test_budget_marks_incomplete(self):
         report = bench.coverage(
-            bench.benchmark_instance("L", 8, 4), budget_seconds=1e-9
+            bench.benchmark_instance("L", 8, 4), budget=dd.Budget(seconds=1e-9)
         )
         assert report.incomplete
         assert all(v == 0 for _, v in report.covered)
 
     def test_zero_budget_marks_incomplete(self):
-        report = bench.coverage(bench.benchmark_instance("L", 6, 3), budget_seconds=0)
+        report = bench.coverage(bench.benchmark_instance("L", 6, 3), budget=dd.Budget(seconds=0))
         assert report.incomplete
 
     @pytest.mark.parametrize("late", [False, True])
@@ -134,12 +134,32 @@ class TestCoverage:
 
         monkeypatch.setattr(dd, "dual_rays", dual_rays_then_late)
         inst = bench.benchmark_instance("L", 6, 3)
-        report = bench.coverage(inst, budget_seconds=1)
+        report = bench.coverage(inst, budget=dd.Budget(seconds=1))
         if late:
             assert report.incomplete and report.facet_total == 0
             assert all(v == 0 for _, v in report.covered)
         else:
             assert report == bench.coverage(inst)
+
+    def test_step_budget_counts_dd_pairs_and_facets(self):
+        """A step budget is charged DD's candidate pairs, then one step per
+        facet: L(6,3) takes 302 pairs and has 22 facets, so 324 steps give
+        the unbudgeted report and 323 an incomplete one."""
+        inst = bench.benchmark_instance("L", 6, 3)
+        full = bench.coverage(inst)
+        assert full.facet_total == 22
+        assert bench.coverage(inst, budget=dd.Budget(steps=324)) == full
+        short = bench.coverage(inst, budget=dd.Budget(steps=323))
+        assert short.incomplete and short.facet_total == short.vertical_count == 0
+        assert short.covered == tuple((name, 0) for name in bench.DEFAULT_FAMILIES)
+
+    def test_degenerate_facet_counts_for_every_family(self):
+        """With h constant, the one nonvertical facet is the degenerate
+        z >= h_{p+1}, which every family covers."""
+        inst = build_instance(3, [5, 5, 5], None, Fraction(1, 3))
+        assert hull.cached_facets(inst).normals == ((1, 0, 0, 0, -5),)
+        report = bench.coverage(inst, families.FAMILIES)
+        assert report.covered == tuple((name, 1) for name in families.FAMILIES)
 
     def test_monotone_coverage(self):
         r = bench.benchmark_coverage("K", 7, 5)
@@ -179,6 +199,17 @@ class TestCli:
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "84.62" in out and "92.31" in out
+
+    def test_coverage_check_paper_needs_a_table_family(self, monkeypatch, capsys):
+        """--check-paper with none of the table's families would compare
+        nothing; it is refused before any coverage is computed."""
+        monkeypatch.setattr(bench, "benchmark_coverage", None)
+        argv = ["coverage", "--example", "L", "--m", "6", "--p", "4", "--families", "star",
+                "--format", "json", "--check-paper"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--families lists none of them" in captured.err
 
     def test_coverage_check_paper_mismatch(self, capsys):
         # the middle family column of this cell cannot be reproduced from the
@@ -516,6 +547,14 @@ class TestCli:
         inst_file.write_text(instance_to_json(bench.benchmark_instance("L", 8, 4)))
         monkeypatch.setenv("MIXCUT_BUDGET", "0.000001")
         assert cli.main(["hull", "--instance", str(inst_file)]) == cli.EXIT_BUDGET
+
+    def test_coverage_budget_exit_code(self, tmp_path, monkeypatch, capsys):
+        out_file = tmp_path / "coverage.md"
+        monkeypatch.setenv("MIXCUT_BUDGET", "0.000001")
+        argv = ["coverage", "--example", "L", "--m", "8", "--p", "4", "--out", str(out_file)]
+        assert cli.main(argv) == cli.EXIT_BUDGET
+        assert "incomplete: budget exhausted" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_budget_leaves_no_out_file(self, tmp_path, monkeypatch, capsys):
         inst_file = tmp_path / "inst.json"

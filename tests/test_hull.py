@@ -449,6 +449,11 @@ def _without_vertical_count(doc):
     return doc
 
 
+def _vertical_count_one_more(doc):
+    doc["vertical_count"] += 1
+    return doc
+
+
 def _short_cut(doc):
     doc["facets"][0]["x"].pop()
     return doc
@@ -492,6 +497,7 @@ def _last_two_swapped(doc):
 
 @pytest.mark.parametrize("mutate,error", [
     (_without_vertical_count, ValidationError),
+    (_vertical_count_one_more, ValidationError),
     (lambda doc: [doc], ValidationError),
     (_short_cut, DimensionError),
     (_vertex_dropped, ValidationError),
