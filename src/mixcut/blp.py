@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     LinearCut,
@@ -204,16 +204,40 @@ class BilinearSet:
 class BilinearExpr:
     """Aggregated inequality with y-squares folded and y-crosses dropped.
 
-    Represents ``sum quad[j][i] x_i y_{j+1} + lin_x . x + lin_y . y >= rhs``.
-    ``t_sets_disjoint`` is true unless some polyhedron row is weighted at
-    every scenario 0..m; it says nothing about whether the cut is a facet.
+    Represents ``sum quad[j][i] x_i y_{j+1} + lin_x . x + lin_y . y >= rhs``,
+    held as ints over one positive ``denominator``: ``quad_num``,
+    ``lin_x_num``, ``lin_y_num`` and ``rhs_num``.  The ints and the
+    denominator share no common factor, so the denominator is the lcm of the
+    coefficients' denominators and equal expressions compare equal.  ``quad``,
+    ``lin_x``, ``lin_y`` and ``rhs`` are the coefficients as Fractions, built
+    on first read.  ``t_sets_disjoint`` is true unless some polyhedron row is
+    weighted at every scenario 0..m; it says nothing about whether the cut is
+    a facet.
     """
 
-    quad: tuple[tuple[Fraction, ...], ...]
-    lin_x: tuple[Fraction, ...]
-    lin_y: tuple[Fraction, ...]
-    rhs: Fraction
+    denominator: int
+    quad_num: tuple[tuple[int, ...], ...]
+    lin_x_num: tuple[int, ...]
+    lin_y_num: tuple[int, ...]
+    rhs_num: int
     t_sets_disjoint: bool
+
+    @cached_property
+    def quad(self) -> tuple[tuple[Fraction, ...], ...]:
+        frac = _over(self.denominator)
+        return tuple(tuple(map(frac, row)) for row in self.quad_num)
+
+    @cached_property
+    def lin_x(self) -> tuple[Fraction, ...]:
+        return tuple(map(_over(self.denominator), self.lin_x_num))
+
+    @cached_property
+    def lin_y(self) -> tuple[Fraction, ...]:
+        return tuple(map(_over(self.denominator), self.lin_y_num))
+
+    @cached_property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -334,10 +358,19 @@ def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, F
 
 
 def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
-    """Weighted sum of the selected constraints with y-normalization applied."""
+    """Weighted sum of the selected constraints with y-normalization applied.
+
+    The sum is taken on ints times L * T (L the lcm of the weights'
+    denominators) and divided by the gcd of those ints and L * T.
+    """
     L, weighted = _over_lcm(_assignment_rows(S, a))
     quad, lin_x, lin_y, rhs = _weighted_sum(S, weighted)
-    frac = _over(L * S.denominator)
+    denominator = L * S.denominator
+    g = math.gcd(denominator, rhs, *lin_x, *lin_y, *chain.from_iterable(quad))
+    if g > 1:
+        denominator //= g
+        quad = [[v // g for v in row] for row in quad]
+        lin_x, lin_y, rhs = [v // g for v in lin_x], [v // g for v in lin_y], rhs // g
 
     t_sets: dict[int, set[int]] = {}
     for j, t, _ in a.t_weights:
@@ -346,10 +379,11 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     disjoint = len(t_sets) <= S.m or not set.intersection(*t_sets.values())
 
     return BilinearExpr(
-        quad=tuple(tuple(map(frac, r)) for r in quad),
-        lin_x=tuple(map(frac, lin_x)),
-        lin_y=tuple(map(frac, lin_y)),
-        rhs=frac(rhs),
+        denominator=denominator,
+        quad_num=tuple(map(tuple, quad)),
+        lin_x_num=tuple(lin_x),
+        lin_y_num=tuple(lin_y),
+        rhs_num=rhs,
         t_sets_disjoint=disjoint,
     )
 
@@ -365,23 +399,15 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     (j, table row, weight) with the row from :attr:`BilinearSet.relation_rows`
     (so an unbacked relation raises :class:`ValidationError`).
 
-    The expression is scaled once by the lcm L of its denominators, so every
-    move and the column maxima run on Python ints; only the returned
-    ``coefs``, ``rhs`` and move weights are built as Fractions, over L.
+    Every move and the column maxima run on the expression's ints over its
+    denominator L; only the returned ``coefs``, ``rhs`` and move weights are
+    built as Fractions, over L.
     """
     m = S.m
     backing = S.relation_rows
-    # most entries of an aggregated expression are the shared zero `_ZERO`,
-    # which scales to 0 without reading it
-    entries = chain(chain.from_iterable(expr.quad), expr.lin_x, expr.lin_y, (expr.rhs,))
-    L = math.lcm(*{v.denominator for v in entries if v is not _ZERO})
-
-    def scaled(values: Iterable[Fraction]) -> list[int]:
-        return [0 if v is _ZERO else v.numerator * (L // v.denominator) for v in values]
-
-    quad = list(map(scaled, expr.quad))
-    lin_y = scaled(expr.lin_y)
-    lin_x = scaled(expr.lin_x)
+    quad = list(map(list, expr.quad_num))
+    lin_y = list(expr.lin_y_num)
+    lin_x = list(expr.lin_x_num)
     moves: list[tuple[int, int, int]] = []
 
     # x_i <= 1 moves a positive x_i y_j coefficient u onto y_j: row k at j, weight u
@@ -416,10 +442,10 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     for i, column in enumerate(zip(*quad)):
         lin_x[i] += max(0, *column)
 
-    frac = _over(L)
+    frac = _over(expr.denominator)
     return SubstitutionResult(
         coefs=tuple(map(frac, lin_x)),
-        rhs=frac(expr.rhs.numerator * (L // expr.rhs.denominator) - max(0, *lin_y)),
+        rhs=frac(expr.rhs_num - max(0, *lin_y)),
         moves=tuple((j, k, frac(w)) for j, k, w in moves),
         t_sets_disjoint=expr.t_sets_disjoint,
         z_slot=S.z_slot,
@@ -552,35 +578,57 @@ def assemble_dual(S: BilinearSet, a: BlpAssignment, result: SubstitutionResult) 
     )
 
 
+def _keys_fit(keys: Collection, sizes: Sequence[int]) -> bool:
+    """Is every key a tuple of len(sizes) plain ints (one plain int for one
+    size), each within 0..size - 1?
+
+    Each check reads all the keys at once.  False proves nothing: an int
+    subclass fits too, and the caller then checks key by key.
+    """
+    if not keys:
+        return True
+    if len(sizes) == 1:
+        columns = (keys,)
+    elif {*map(type, keys)} == {tuple} and {*map(len, keys)} == {len(sizes)}:
+        columns = tuple(zip(*keys))
+    else:
+        return False
+    return all({*map(type, column)} == {int} and 0 <= min(column) and max(column) < size
+               for column, size in zip(columns, sizes))
+
+
 def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[LinearCut]]:
     """Is the sparse dual in the projection cone; if so, its projected cut.
 
     A key that indexes nothing (j outside 0..m, a table row, or an x index,
     out of range) or a value :func:`~mixcut.core.rat` refuses raises
-    :class:`ValidationError`; a negative value is outside the cone.  The
-    values are scaled by the lcm L of their denominators and the rows summed
-    once by :func:`_weighted_sum`, on ints times L * T.  The dual is in the
-    cone iff ``gamma_j = gamma_0 - quad[j - 1]`` and ``theta_j = theta_0 -
-    lin_y[j - 1]`` for every j >= 1; its cut is ``(gamma_0 + lin_x) . x >=
-    rhs - theta_0``.
+    :class:`ValidationError`; a negative value is outside the cone.  Each
+    map's keys are checked at once (:func:`_keys_fit`); only a map that
+    fails that check is read key by key, which accepts int subclasses and
+    names a key it refuses.  The values are scaled by the lcm L of their
+    denominators and the rows summed once by :func:`_weighted_sum`, on ints
+    times L * T.  The dual is in the cone iff ``gamma_j = gamma_0 -
+    quad[j - 1]`` and ``theta_j = theta_0 - lin_y[j - 1]`` for every j >= 1;
+    its cut is ``(gamma_0 + lin_x) . x >= rhs - theta_0``.
     """
     n, m = S.n, S.m
 
     def read(entries: Mapping, what: str, *sizes: int) -> dict:
         """The values as Fractions; each key is (j, index), or j alone for one size."""
-        for key in entries:
-            index = key if len(sizes) > 1 else (key,)
-            if not isinstance(index, tuple) or len(index) != len(sizes):
-                raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
-            for i, size in zip(index, sizes):
-                as_index(i, f"{what} key {key!r}: index", size)
+        if not _keys_fit(entries.keys(), sizes):
+            for key in entries:
+                index = key if len(sizes) > 1 else (key,)
+                if not isinstance(index, tuple) or len(index) != len(sizes):
+                    raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
+                for i, size in zip(index, sizes):
+                    as_index(i, f"{what} key {key!r}: index", size)
         return {key: rat(v) for key, v in entries.items()}
 
     rows = read(dual.rows, "rows", m + 1, S.kappa + S.tau)
     gamma = read(dual.gamma, "gamma", m + 1, n)
     theta = read(dual.theta, "theta", m + 1)
     every = [*rows.values(), *gamma.values(), *theta.values()]
-    if any(v < 0 for v in every):
+    if any(v.numerator < 0 for v in every):
         return False, None
     L = math.lcm(*(v.denominator for v in every))
     T = S.denominator

@@ -13,9 +13,10 @@ own, H), which the knapsack test and `families` both read.
 The vertex slacks behind `cut_is_valid` and `hull.is_facet` are one pass
 over the vertices that shares prefixes: the vertex list is sorted and
 downward closed, so each vertex's x part is an earlier vertex's plus one
-coefficient.  That step table, the vertex z values over their common
-denominator and the vertices' parity masks are one integer table per
-instance (`_vertex_table`).
+coefficient, and its z part that vertex's z plus a change that is zero on
+all but at most m steps.  That step table with its z changes, the vertex z
+values over their common denominator and the vertices' parity masks are one
+integer table per instance (`_vertex_table`).
 """
 
 from __future__ import annotations
@@ -92,11 +93,14 @@ def as_index(
 ) -> int:
     """An int (a bool, a float or any other value is refused), below `size` if given.
 
-    A refusal raises `error`.
+    A refusal raises `error`.  With `size` 0 every int is refused, and the
+    message says that there is nothing to index.
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an int, got {value!r}")
     if size is not None and not 0 <= value < size:
+        if not size:
+            raise error(f"{what} {value} indexes nothing: the range is empty")
         raise error(f"{what} {value} out of range 0..{size - 1}")
     return value
 
@@ -372,6 +376,12 @@ class _VertexTable(NamedTuple):
     (x = 0) gives a vertex listed before it, its parent.  The parents are
     unsigned ints in a read-only memoryview and the coordinates bytes: four
     bytes and one per vertex, with no int object per entry.
+
+    ``dz`` holds step i's z change ``zs[i + 1] - zs[parents[i]]`` as the
+    pairs (i, change) with a nonzero change, in step order; every other step
+    keeps its parent's z.  z is h at the first zero of x, so the change is
+    nonzero only where the new 1 lands on the parent's first zero, which
+    leaves x all ones up to that 1: at most m steps.
     """
 
     D: int
@@ -379,6 +389,7 @@ class _VertexTable(NamedTuple):
     masks: tuple[int, ...]
     parents: memoryview
     coords: bytes
+    dz: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=256)
@@ -397,7 +408,9 @@ def _vertex_table(inst: MixingInstance) -> _VertexTable:
         k = x.bit_length() - 1
         parents[i] = index[x ^ (1 << k)]
         coords[i] = k
-    return _VertexTable(D, zs, masks, parents.toreadonly(), bytes(coords))
+    dz = tuple((i, zs[i + 1] - zs[parent]) for i, parent in enumerate(parents)
+               if zs[i + 1] != zs[parent])
+    return _VertexTable(D, zs, masks, parents.toreadonly(), bytes(coords), dz)
 
 
 def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
@@ -405,25 +418,34 @@ def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
 
     L is the lcm of the cut's denominators and D that of the vertex z values,
     so the signs, and which slacks are zero, are exactly those of the rational
-    slacks.  The list follows :func:`enumerate_vertices`.  The x part is summed
-    in one pass along the step table of :func:`_vertex_table`: each vertex
-    adds one coefficient to its parent's sum.
+    slacks.  The list follows :func:`enumerate_vertices`.  The slacks are
+    built in one pass along the step table of :func:`_vertex_table`: each
+    vertex adds one x coefficient to its parent's slack, and on the few steps
+    with a z change, that change times the z coefficient as well.  Those
+    steps read their sum from entries appended after the m coefficients.
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
     enumerate_vertices(inst)  # the m <= 20 guard
-    D, zs, _, parents, coords = _vertex_table(inst)
+    table = _vertex_table(inst)
+    D = table.D
     L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
                  *(c.denominator for c in cut.x_coefs))
     az = cut.z_coef.numerator * (L // cut.z_coef.denominator)
-    ax = [D * c.numerator * (L // c.denominator) for c in cut.x_coefs]
+    step = [D * c.numerator * (L // c.denominator) for c in cut.x_coefs]
     b = cut.rhs.numerator * (L // cut.rhs.denominator)
-    # D (x part - b) of each vertex; the first vertex has x = 0
-    sums = [-D * b]
-    append = sums.append
-    for parent, k in zip(parents, coords):
-        append(sums[parent] + ax[k])
-    return [az * z + s for z, s in zip(zs, sums)]
+    coords = table.coords
+    if az and table.dz:
+        coords = bytearray(coords)
+        for i, change in table.dz:
+            coords[i] = len(step)
+            step.append(step[table.coords[i]] + az * change)
+    # the first vertex has x = 0
+    slacks = [az * table.zs[0] - D * b]
+    append = slacks.append
+    for parent, k in zip(table.parents, coords):
+        append(slacks[parent] + step[k])
+    return slacks
 
 
 def cut_is_valid(inst: MixingInstance, cut: LinearCut) -> bool:

@@ -28,6 +28,13 @@ def _no_scenarios(docs):
     docs["assignment"]["base"][1] = 0
 
 
+def _no_constraints(docs):
+    """Empty the lifted set's constraints, and the pairs that only they back."""
+    docs["set"]["constraints"] = []
+    docs["set"]["compl_pairs"] = docs["set"]["compl_complement_pairs"] = []
+    docs["assignment"]["base"][0] = 0
+
+
 class TestCatalog:
     def test_first_sequence(self):
         inst = bench.benchmark_instance("L", 5, 3)
@@ -514,6 +521,12 @@ class TestCli:
         # a set with no scenarios, consistent otherwise: no y parts, no pairs,
         # and the base at j = 0
         "zero_scenarios": (None, None, _no_scenarios),
+        # a set with no constraints: any base constraint index indexes nothing
+        "no_constraints": (None, None, _no_constraints),
+    }
+    # the message printed on stderr, where a case pins it
+    MALFORMED_BLP_MESSAGES = {
+        "no_constraints": "base constraint index 0 indexes nothing: the range is empty",
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_BLP))
@@ -541,6 +554,7 @@ class TestCli:
             path.write_text(json.dumps(doc))
             argv += [f"--{name}", str(path)]
         assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert self.MALFORMED_BLP_MESSAGES.get(case, "") in capsys.readouterr().err
 
     def test_budget_exit_code(self, tmp_path, monkeypatch, capsys):
         inst_file = tmp_path / "inst.json"

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import random
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -428,17 +430,42 @@ class TestConeMembership:
         assert not member
 
     def test_layout_mismatch_rejected(self, ex21):
-        """A key outside the set's layout, or not an int index, is refused."""
+        """A key outside the set's layout, or not an int index, is refused;
+        keys of an int subclass (not bool) index as the ints they equal."""
         S = blp.build_sc(ex21)
         assert (S.m, S.kappa + S.tau, S.n) == (10, 96, 11)
+        dual = _worked_dual(ex21, S)
+        assert dual.rows and dual.gamma and dual.theta
         for field, key in [
             ("rows", (11, 0)), ("rows", (0, 96)), ("rows", (-1, 0)), ("rows", (0, 1.0)),
             ("rows", (True, 0)), ("rows", 3), ("rows", (0, 1, 2)), ("gamma", (0, 11)),
             ("gamma", (11, 0)), ("gamma", (0, -1)), ("theta", 11), ("theta", -1),
             ("theta", (0,)), ("theta", False),
         ]:
-            with pytest.raises(ValidationError, match=f"{field} key"):
+            with pytest.raises(ValidationError, match=f"{field} key") as alone:
                 blp.cone_membership(S, blp.ConeDual({}, {}, {})._replace(**{field: {key: 1}}))
+            # among the keys of a complete, valid dual, the key is refused alike
+            entries = dict(getattr(dual, field))
+            entries.pop(key, None)  # True and (True, 0) equal the keys 1 and (1, 0)
+            entries[key] = 1
+            with pytest.raises(ValidationError) as among:
+                blp.cone_membership(S, dual._replace(**{field: entries}))
+            assert str(among.value) == str(alone.value)
+        index = IntEnum("Index", {f"i{v}": v for v in range(S.kappa + S.tau)})
+        as_enum = dual._replace(
+            rows={(index(j), index(k)): w for (j, k), w in dual.rows.items()},
+            gamma={(index(j), index(i)): w for (j, i), w in dual.gamma.items()},
+            theta={index(j): w for j, w in dual.theta.items()},
+        )
+        assert blp.cone_membership(S, as_enum) == blp.cone_membership(S, dual)
+
+
+def _worked_dual(inst, S):
+    """The dual that certifies the worked generic-family cut on L(10,4)."""
+    a = theorem_assignment(
+        inst, S, 4, (1, 4), (Fraction(-3),) * 2, (5, 6), (Fraction(3),) * 2, EX41_BETA
+    )
+    return blp.assemble_dual(S, a, blp.substitute(S, blp.aggregate(S, a)))
 
 
 @lru_cache(maxsize=None)
@@ -596,6 +623,22 @@ class TestAggregateOracle:
             tuple(map(tuple, quad)), tuple(lin_x), tuple(lin_y), rhs)
         assert all(type(v) is Fraction
                    for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs))
+
+    def test_equal_expressions_compare_equal(self):
+        """An unused polyhedron row over 7 changes T, not the expression."""
+        S = blp.build_sc(benchmark_instance("L", 3, 2))
+        zero = Fraction(0)
+        unused = dataclasses.replace(S, e_rows=(*S.e_rows, (Fraction(1, 7),) + (zero,) * S.m),
+                                     f=(*S.f, zero))
+        assert unused.denominator == 7 * S.denominator
+        a = blp.BlpAssignment.build(_row(S, "prefix:1<3"), 3,
+                                    [(3, _row(S, "self:1"), "3/2"), (3, _row(S, "self:3"), "2/3")],
+                                    [(0, 3, "3/2"), (3, 2, "1/3")])
+        expr = blp.aggregate(S, a)
+        assert blp.aggregate(unused, a) == expr
+        assert blp.substitute(unused, blp.aggregate(unused, a)) == blp.substitute(S, expr)
+        assert expr.denominator == math.lcm(
+            *(v.denominator for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs)))
 
 
 def _any_index_assignment(rng, S):

@@ -341,15 +341,24 @@ class TestVertexSlacks:
     @staticmethod
     def _assert_step_table(inst):
         vertices = enumerate_vertices(inst)
-        _, _, _, parents, coords = _vertex_table(inst)
+        table = _vertex_table(inst)
+        parents, coords, zs = table.parents, table.coords, table.zs
         assert len(parents) == len(coords) == len(vertices) - 1
         assert not any(vertices[0].x)
+        changes = dict(table.dz)
+        assert list(changes) == sorted(changes) and 0 not in changes.values()
         for i, (parent, k) in enumerate(zip(parents, coords), 1):
             x, parent_x = vertices[i].x, vertices[parent].x
             assert parent < i
             # they differ in coordinate k alone, the last 1 of x
             assert [c for c in range(inst.m) if x[c] != parent_x[c]] == [k]
             assert x[k] == 1 and not any(x[k + 1:])
+            change = changes.get(i - 1, 0)
+            assert zs[parent] + change == zs[i]
+            # z is h at the first zero of x: it changes only where the new 1
+            # fills the parent's first zero
+            if change:
+                assert parent_x.index(0) == k
 
     @given(instances())
     @settings(max_examples=100, deadline=None)
