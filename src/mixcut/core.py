@@ -4,19 +4,21 @@ Everything downstream (hull enumeration, inequality families, the bilinear
 aggregation engine) works over the types defined here.  Every scalar in these
 types is a `fractions.Fraction`; no floating point is used anywhere in a
 decision path.  Some decisions run on those rationals scaled to Python ints
-over a common denominator: the knapsack test of vertex enumeration and the
-vertex slacks here (`vertex_slacks`), and every family membership check
+over a common denominator: the knapsack test of vertex enumeration, the
+vertex slacks here (`packed_slacks`), and every family membership check
 (`families`, with one scale per facet).  Each instance has one integer view
 (`_int_view`: pi and epsilon over their common denominator D, h over its
 own, H), which the knapsack test and `families` both read.
 
-The vertex slacks behind `cut_is_valid` and `hull.is_facet` are one pass
-over the vertices that shares prefixes: the vertex list is sorted and
-downward closed, so each vertex's x part is an earlier vertex's plus one
-coefficient, and its z part that vertex's z plus a change that is zero on
-all but at most m steps.  That step table with its z changes, the vertex z
-values over their common denominator and the vertices' parity masks are one
-integer table per instance (`_vertex_table`).
+The vertex slacks behind `cut_is_valid` and `hull.is_facet` are evaluated at
+every vertex at once, SIMD within a register on Python's big ints: the
+vertex z values over their common denominator, each x column and a ones
+column are packed into ints, one fixed-width field per vertex
+(`_packing`, per instance and width), so a cut's slacks are one sum of
+m + 2 multiples of them, computed in C.  Validity is one AND with the
+fields' top bits and the tight vertices one zero-field test.  The vertex z
+values and parity masks are one integer table per instance
+(`_vertex_table`).
 """
 
 from __future__ import annotations
@@ -129,12 +131,25 @@ class MixingInstance:
 
     def __post_init__(self) -> None:
         # Instances key the per-instance caches, which are looked up once per
-        # facet or cut; hashing every Fraction field on each lookup would cost
-        # more than some membership checks.  The other fields follow from these.
-        object.__setattr__(self, "_hash", hash((self.m, self.h, self.pi, self.epsilon)))
+        # facet or cut, often with an equal instance built again; hashing or
+        # comparing every Fraction field on each lookup would cost more than
+        # some membership checks.  So both read one key of ints, built here:
+        # m and the numerators and denominators of h, pi and epsilon.  The
+        # other fields follow from these.
+        key = (self.m, *(c for q in (*self.h, *self.pi, self.epsilon)
+                         for c in (q.numerator, q.denominator)))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def h_at(self, i: int) -> Fraction:
         """1-indexed access to h with the convention ``h_{m+1} = 0``."""
@@ -318,9 +333,14 @@ def canonicalize(cut: LinearCut) -> LinearCut:
     return cut.scaled(1 / abs(lead))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
-    """A minimal point of the mixing set: binary x with z forced as low as possible."""
+    """A minimal point of the mixing set: binary x with z forced as low as possible.
+
+    Slotted: the vertex cache holds one per vertex of up to 256 instances,
+    and a slotted vertex takes about 56 bytes against 97 with an instance
+    dict (Python 3.11).
+    """
 
     z: Fraction
     x: tuple[int, ...]
@@ -367,29 +387,15 @@ class _VertexTable(NamedTuple):
     """The vertices of :func:`enumerate_vertices` as ints, in their order.
 
     ``zs`` holds D z of each vertex, D the lcm of the vertex z denominators.
+    The first vertex has x = 0, so z = h_1, and ``zs[0]`` is the largest.
     ``masks`` holds each vertex's ints ``(D z,) + x`` mod 2 as one bit mask:
     bit 0 the parity of D z and bit k the binary x_k, so XOR of two masks is
-    their difference mod 2.  Vertex i + 1 is vertex ``parents[i]`` plus the
-    unit x_k, k = ``coords[i]`` counted from 0: the vertices are sorted
-    lexicographically by x and downward closed (the knapsack weights are
-    positive), so clearing the last 1 in the x of any vertex but the first
-    (x = 0) gives a vertex listed before it, its parent.  The parents are
-    unsigned ints in a read-only memoryview and the coordinates bytes: four
-    bytes and one per vertex, with no int object per entry.
-
-    ``dz`` holds step i's z change ``zs[i + 1] - zs[parents[i]]`` as the
-    pairs (i, change) with a nonzero change, in step order; every other step
-    keeps its parent's z.  z is h at the first zero of x, so the change is
-    nonzero only where the new 1 lands on the parent's first zero, which
-    leaves x all ones up to that 1: at most m steps.
+    their difference mod 2.
     """
 
     D: int
     zs: tuple[int, ...]
     masks: tuple[int, ...]
-    parents: memoryview
-    coords: bytes
-    dz: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=256)
@@ -400,52 +406,99 @@ def _vertex_table(inst: MixingInstance) -> _VertexTable:
     masks = tuple(
         (z & 1) | sum(b << k for k, b in enumerate(v.x, 1)) for z, v in zip(zs, vertices)
     )
-    xs = [mask >> 1 for mask in masks]
-    index = {x: i for i, x in enumerate(xs)}
-    parents = memoryview(bytearray(4 * (len(xs) - 1))).cast("I")
-    coords = bytearray(len(xs) - 1)
-    for i, x in enumerate(xs[1:]):
-        k = x.bit_length() - 1
-        parents[i] = index[x ^ (1 << k)]
-        coords[i] = k
-    dz = tuple((i, zs[i + 1] - zs[parent]) for i, parent in enumerate(parents)
-               if zs[i + 1] != zs[parent])
-    return _VertexTable(D, zs, masks, parents.toreadonly(), bytes(coords), dz)
+    return _VertexTable(D, zs, masks)
 
 
-def vertex_slacks(inst: MixingInstance, cut: LinearCut) -> list[int]:
-    """Each vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D, as ints.
+class _Packing(NamedTuple):
+    """The vertex table's columns packed into ints, one field per vertex.
+
+    Vertex v owns bytes v W .. v W + W - 1 of each int (little-endian,
+    W = ``width``): ``z`` holds D z (None when D z_1 overflows a field: no cut
+    with a z coefficient has this width), ``x[k]`` holds x_{k+1} and ``ones``
+    holds 1.  The top bit of every field (`top`) is the bias that offsets
+    each field's slack; it is built per call, not cached.
+    """
+
+    width: int
+    n: int
+    z: Optional[int]
+    x: tuple[int, ...]
+    ones: int
+
+    @property
+    def top(self) -> int:
+        return self.ones << 8 * self.width - 1
+
+    def nonnegative(self, word: int) -> bool:
+        """Does every field of a :func:`packed_slacks` word hold a slack >= 0?"""
+        top = self.top
+        return (word & top) == top
+
+    def zero_flags(self, word: int) -> bytes:
+        """One byte per vertex, nonzero where the slack is zero, for a word
+        whose slacks are all nonnegative.
+
+        Each field of ``word ^ top`` is the slack itself, below the top bit;
+        adding ``top - ones``, the bits below it, sets the top bit of exactly
+        the nonzero ones, with no carry into the next field, and the XOR with
+        ``top`` flips that bit.  The flag is each field's top byte.
+        """
+        W, top = self.width, self.top
+        flags = (((word ^ top) + (top - self.ones)) & top) ^ top
+        return flags.to_bytes(self.n * W, "little")[W - 1::W]
+
+
+@lru_cache(maxsize=256)
+def _packing(inst: MixingInstance, width: int) -> _Packing:
+    table = _vertex_table(inst)
+    n = len(table.zs)
+
+    def column(fields: bytes) -> int:
+        buf = bytearray(n * width)
+        buf[::width] = fields
+        return int.from_bytes(buf, "little")
+
+    z = None
+    if table.zs[0] >> 8 * width == 0:
+        z = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in table.zs), "little")
+    x = tuple(column(bytes((mask >> k) & 1 for mask in table.masks))
+              for k in range(1, inst.m + 1))
+    return _Packing(width, n, z, x, column(b"\x01" * n))
+
+
+def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
+    """Every vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D,
+    in one int, with the packing that lays it out.
 
     L is the lcm of the cut's denominators and D that of the vertex z values,
     so the signs, and which slacks are zero, are exactly those of the rational
-    slacks.  The list follows :func:`enumerate_vertices`.  The slacks are
-    built in one pass along the step table of :func:`_vertex_table`: each
-    vertex adds one x coefficient to its parent's slack, and on the few steps
-    with a z change, that change times the z coefficient as well.  Those
-    steps read their sum from entries appended after the m coefficients.
+    slacks.  Field v of the word (in :func:`enumerate_vertices` order) holds
+    the slack plus the bias 2^(8 W - 1), so its top bit says slack >= 0 (see
+    `_Packing.nonnegative` and `_Packing.zero_flags`).  The word is
+    ``a_z Z + sum_k c_k X_k - b ONES + bias ONES`` over the packed columns,
+    exact because every field's value lies in 0 .. 2^(8 W) - 1: W is the
+    fewest bytes that hold the slack bound ``|a_z| D z_1 + D |b| + D sum
+    |c_k|`` (all over L) with a sign bit and one spare bit.
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
     enumerate_vertices(inst)  # the m <= 20 guard
     table = _vertex_table(inst)
-    D = table.D
-    L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
-                 *(c.denominator for c in cut.x_coefs))
-    az = cut.z_coef.numerator * (L // cut.z_coef.denominator)
-    step = [D * c.numerator * (L // c.denominator) for c in cut.x_coefs]
-    b = cut.rhs.numerator * (L // cut.rhs.denominator)
-    coords = table.coords
-    if az and table.dz:
-        coords = bytearray(coords)
-        for i, change in table.dz:
-            coords[i] = len(step)
-            step.append(step[table.coords[i]] + az * change)
-    # the first vertex has x = 0
-    slacks = [az * table.zs[0] - D * b]
-    append = slacks.append
-    for parent, k in zip(table.parents, coords):
-        append(slacks[parent] + step[k])
-    return slacks
+    zn, zd = cut.z_coef.as_integer_ratio()
+    ratios = [c.as_integer_ratio() for c in (cut.rhs, *cut.x_coefs)]
+    L = math.lcm(zd, *(d for _, d in ratios))
+    az = zn * (L // zd)
+    LD = L * table.D
+    b, *cs = [n * (LD // d) for n, d in ratios]
+    bound = abs(az) * table.zs[0] + abs(b) + sum(map(abs, cs))
+    packing = _packing(inst, (bound.bit_length() + 9) // 8)
+    word = ((1 << 8 * packing.width - 1) - b) * packing.ones
+    if az:
+        word += az * packing.z
+    for c, column in zip(cs, packing.x):
+        if c:
+            word += c * column
+    return word, packing
 
 
 def cut_is_valid(inst: MixingInstance, cut: LinearCut) -> bool:
@@ -453,10 +506,10 @@ def cut_is_valid(inst: MixingInstance, cut: LinearCut) -> bool:
 
     The recession ray (1, 0) makes ``z_coef >= 0`` necessary; point-wise
     validity over the minimal vertices is then sufficient for the whole set;
-    it is read from the integer slacks of :func:`vertex_slacks`.
+    it is read from the top bits of the :func:`packed_slacks` word.
     """
-    slacks = vertex_slacks(inst, cut)
-    return cut.z_coef >= 0 and min(slacks) >= 0
+    word, packing = packed_slacks(inst, cut)
+    return cut.z_coef >= 0 and packing.nonnegative(word)
 
 
 def mixing_form(

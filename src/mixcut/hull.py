@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
-from operator import not_
 from typing import Iterable, Iterator, Optional
 
 import json
@@ -33,10 +32,10 @@ from .core import (
     json_array,
     json_int,
     json_object,
+    packed_slacks,
     rat_str,
     ratio_str,
     vertex_from_dict,
-    vertex_slacks,
 )
 
 BudgetExceeded = dd.BudgetExceeded
@@ -189,15 +188,15 @@ def cached_facets(inst: MixingInstance) -> FacetSet:
 def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     """Rank test: does the cut's tight set span an m-dimensional face?
 
-    One integer slack pass (:func:`core.vertex_slacks`, the pass that also
-    decides :func:`core.cut_is_valid`) gives both the validity verdict and
-    the tight set: the vertices where the cut holds with equality, selected
-    by their zero slacks, plus the recession ray when the z coefficient is
-    zero.  The hull is full dimensional, so a facet needs affine rank m + 1:
-    the differences of the tight points from the first one, with the ray,
-    must have rank m.  The tight points are the ints ``(D z,) + x``, with D the
-    common denominator of the vertex z values: scaling one coordinate by
-    D > 0 keeps the affine rank.
+    One packed slack word (:func:`core.packed_slacks`, the word that also
+    decides :func:`core.cut_is_valid`) gives both the validity verdict, its
+    fields' top bits, and the tight set: the vertices whose field holds a
+    zero slack, one flag byte each, plus the recession ray when the z
+    coefficient is zero.  The hull is full dimensional, so a facet needs
+    affine rank m + 1: the differences of the tight points from the first
+    one, with the ray, must have rank m.  The tight points are the ints
+    ``(D z,) + x``, with D the common denominator of the vertex z values:
+    scaling one coordinate by D > 0 keeps the affine rank.
 
     Those differences are checked mod 2 first (:func:`linalg.rank_mod2` on
     the vertices' parity masks, the ray's mask being 1).  Rank over GF(2)
@@ -208,14 +207,15 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     exactly; it is the only path that answers False.
     """
     cut = canonicalize(cut)
-    slacks = vertex_slacks(inst, cut)
-    if cut.z_coef < 0 or min(slacks) < 0:
+    word, packing = packed_slacks(inst, cut)
+    if cut.z_coef < 0 or not packing.nonnegative(word):
         raise InvalidCutError("facet test requires a valid cut")
     directions = []
     if cut.z_coef == 0:
         directions.append(tuple([1] + [0] * inst.m))
     table = _vertex_table(inst)
-    masks = list(compress(table.masks, map(not_, slacks)))
+    flags = packing.zero_flags(word)
+    masks = list(compress(table.masks, flags))
     if masks:
         base = masks[0]
         rows = [mask ^ base for mask in masks[1:]]
@@ -223,7 +223,7 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
             rows.append(1)
         if linalg.rank_mod2(rows) == inst.m:
             return True
-    tight = compress(zip(table.zs, enumerate_vertices(inst)), map(not_, slacks))
+    tight = compress(zip(table.zs, enumerate_vertices(inst)), flags)
     tight_points = [(z,) + v.x for z, v in tight]
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 

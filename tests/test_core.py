@@ -1,16 +1,16 @@
 """Instance model, canonicalization, validity oracle, mixing-form round trips."""
 
+import dataclasses
 import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixcut import hull
-from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError,
     LinearCut,
@@ -18,6 +18,7 @@ from mixcut.core import (
     ValidationError,
     Vertex,
     _int_view,
+    _packing,
     _vertex_table,
     _vertices_cached,
     build_instance,
@@ -30,9 +31,9 @@ from mixcut.core import (
     instance_to_json,
     make_cut,
     mixing_form,
+    packed_slacks,
     rat,
     rat_str,
-    vertex_slacks,
 )
 from hull_oracles import instances, parse_mixing_form
 
@@ -85,6 +86,25 @@ class TestBuildInstance:
         h = list(range(2 * m, m, -1))
         inst = build_instance(m, h, None, eps)
         assert inst.p == inst.theta == int(m * eps)
+
+    def test_equal_instances_share_cache_entries(self):
+        """Two equal instances built separately compare and hash equal and
+        hit one cache entry; a change in epsilon, in one pi entry or in one h
+        entry makes an unequal instance."""
+        args = (4, [Fraction(97, 3), 11, 11, Fraction(1, 2)],
+                [Fraction(1, 7), Fraction(2, 7), Fraction(3, 14), Fraction(5, 14)], Fraction(1, 2))
+        a, b = build_instance(*args), build_instance(*args)
+        assert a is not b and a == b and hash(a) == hash(b)
+        view = _int_view(a)
+        info = _int_view.cache_info()
+        assert _int_view(b) is view
+        assert (_int_view.cache_info().hits, _int_view.cache_info().misses) == (
+            info.hits + 1, info.misses)
+        assert build_instance(*args[:3], Fraction(4, 7)) != a
+        pi = a.pi[:2] + (Fraction(2, 7),) + a.pi[3:]
+        assert dataclasses.replace(a, pi=pi) != a
+        assert dataclasses.replace(a, h=a.h[:3] + (Fraction(1, 3),)) != a
+        assert a != object() and not a == args
 
     def test_epsilon_one_makes_knapsack_vacuous(self):
         inst = build_instance(3, [20, 18, 14], None, 1)
@@ -270,17 +290,18 @@ class TestVertices:
         assert enumerate_vertices(inst) == tuple(want)
 
     def test_vertex_tables_keep_256_instances(self):
-        """After 257 distinct instances each per-instance vertex table holds
-        256 of them; a second pass, which misses on every instance, rebuilds
-        equal tables."""
-        tables = (_int_view, _vertices_cached, _vertex_table)
+        """After 257 distinct instances each per-instance vertex table, and
+        the packed columns of one field width, holds 256 of them; a second
+        pass, which misses on every instance, rebuilds equal tables."""
+        tables = ((_int_view, ()), (_vertices_cached, ()), (_vertex_table, ()), (_packing, (2,)))
         insts = [build_instance(3, [k + 2, k + 1, k], None, Fraction(2, 3))
                  for k in range(1, 258)]
-        first = [tuple(table(inst) for table in tables) for inst in insts]
-        assert [table.cache_info().currsize for table in tables] == [256] * 3
-        misses = [table.cache_info().misses for table in tables]
-        assert [tuple(table(inst) for table in tables) for inst in insts] == first
-        assert [table.cache_info().misses - n for table, n in zip(tables, misses)] == [257] * 3
+        first = [tuple(table(inst, *args) for table, args in tables) for inst in insts]
+        assert [table.cache_info().currsize for table, _ in tables] == [256] * 4
+        misses = [table.cache_info().misses for table, _ in tables]
+        assert [tuple(table(inst, *args) for table, args in tables) for inst in insts] == first
+        assert [table.cache_info().misses - n
+                for (table, _), n in zip(tables, misses)] == [257] * 4
 
 
 class TestValidity:
@@ -304,15 +325,49 @@ class TestValidity:
 COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 
 
-def _assert_exact_slacks(inst, cut):
-    """vertex_slacks is (evaluate - rhs) * L * D at every vertex, as ints."""
+def _oracle_slacks(inst, cut):
+    """(evaluate - rhs) * L * D at every vertex, from the Fraction cut, and
+    the slack bound |a_z| D z_1 + D |b| + D sum |c_k|, all over L.
+
+    L is the lcm of the cut's denominators and D that of the vertex z values.
+    """
     vertices = enumerate_vertices(inst)
     D = math.lcm(*(v.z.denominator for v in vertices))
     L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
                  *(c.denominator for c in cut.x_coefs))
-    slacks = vertex_slacks(inst, cut)
-    assert all(type(s) is int for s in slacks)
-    assert slacks == [(cut.evaluate(v.z, v.x) - cut.rhs) * L * D for v in vertices]
+    slacks = [(cut.evaluate(v.z, v.x) - cut.rhs) * L * D for v in vertices]
+    bound = (abs(cut.z_coef) * max(v.z for v in vertices) + abs(cut.rhs)
+             + sum(map(abs, cut.x_coefs))) * L * D
+    assert all(q.denominator == 1 for q in slacks + [bound])
+    return [q.numerator for q in slacks], bound.numerator
+
+
+def _assert_exact_slacks(inst, cut):
+    """The packed_slacks word holds each vertex's scaled rational slack in a
+    field of the fewest bytes that hold the slack bound with a sign bit and
+    a spare bit; its top bits give the validity verdict and its zero flags
+    the tight vertices."""
+    slacks, bound = _oracle_slacks(inst, cut)
+    word, packing = packed_slacks(inst, cut)
+    W = packing.width
+    assert W == -(-(bound.bit_length() + 2) // 8) and packing.n == len(slacks)
+    raw = word.to_bytes(packing.n * W, "little")
+    fields = [int.from_bytes(raw[i:i + W], "little") for i in range(0, len(raw), W)]
+    assert [f - (1 << 8 * W - 1) for f in fields] == slacks
+    valid = min(slacks) >= 0
+    assert packing.nonnegative(word) == valid
+    assert cut_is_valid(inst, cut) == (valid and cut.z_coef >= 0)
+    if valid:
+        flags = packing.zero_flags(word)
+        assert [bool(f) for f in flags] == [s == 0 for s in slacks]
+
+
+@st.composite
+def _kernel_instances(draw):
+    """hull_oracles.instances, or an m = 1 instance with rational h."""
+    if draw(st.integers(0, 4)):
+        return draw(instances())
+    return build_instance(1, [draw(st.builds(Fraction, st.integers(0, 60), st.integers(1, 4)))])
 
 
 class TestVertexSlacks:
@@ -338,38 +393,51 @@ class TestVertexSlacks:
                     make_cut("3/2", [0, 0, 0, 0], 11)):
             _assert_exact_slacks(inst, cut)
 
-    @staticmethod
-    def _assert_step_table(inst):
-        vertices = enumerate_vertices(inst)
-        table = _vertex_table(inst)
-        parents, coords, zs = table.parents, table.coords, table.zs
-        assert len(parents) == len(coords) == len(vertices) - 1
-        assert not any(vertices[0].x)
-        changes = dict(table.dz)
-        assert list(changes) == sorted(changes) and 0 not in changes.values()
-        for i, (parent, k) in enumerate(zip(parents, coords), 1):
-            x, parent_x = vertices[i].x, vertices[parent].x
-            assert parent < i
-            # they differ in coordinate k alone, the last 1 of x
-            assert [c for c in range(inst.m) if x[c] != parent_x[c]] == [k]
-            assert x[k] == 1 and not any(x[k + 1:])
-            change = changes.get(i - 1, 0)
-            assert zs[parent] + change == zs[i]
-            # z is h at the first zero of x: it changes only where the new 1
-            # fills the parent's first zero
-            if change:
-                assert parent_x.index(0) == k
+    @given(inst=_kernel_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_slacks_at_every_scale(self, inst, data):
+        """Coefficients from 1 to 2^80 times small rationals, vertical cuts
+        (a_z = 0, on instances whose vertex z values may be over D > 1), and
+        right-hand sides on a vertex value, so that some slacks are zero."""
+        scale = 2 ** data.draw(st.integers(0, 80))
+        z = Fraction(0) if data.draw(st.booleans()) else data.draw(COEFS) * scale
+        xs = [c * scale for c in data.draw(st.lists(COEFS, min_size=inst.m, max_size=inst.m))]
+        values = [z * v.z + sum(c for c, b in zip(xs, v.x) if b) for v in enumerate_vertices(inst)]
+        rhs = data.draw(st.sampled_from((min(values), max(values), values[0]))
+                        | st.sampled_from(values) | COEFS.map(lambda c: c * scale))
+        _assert_exact_slacks(inst, LinearCut(z, tuple(xs), rhs))
 
-    @given(instances())
-    @settings(max_examples=100, deadline=None)
-    def test_step_table_parents_clear_the_last_one(self, inst):
-        self._assert_step_table(inst)
+    @given(inst=_kernel_instances(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_slack_bound_at_a_byte_boundary(self, inst, data):
+        """An integer cut whose right-hand side puts the slack bound just
+        below 2^(8 k - 2), the most that k bytes hold with a sign and a spare
+        bit, or just above it, for k = 1 .. 11."""
+        k = data.draw(st.integers(1, 11))
+        z = data.draw(st.integers(0, 3))
+        xs = data.draw(st.lists(st.integers(-3, 3), min_size=inst.m, max_size=inst.m))
+        base = LinearCut(Fraction(z), tuple(map(Fraction, xs)), Fraction(0))
+        _, rest = _oracle_slacks(inst, base)
+        D = math.lcm(*(v.z.denominator for v in enumerate_vertices(inst)))
+        room = ((1 << 8 * k - 2) - 1 - rest) // D
+        assume(room >= 0)
+        above = data.draw(st.booleans())
+        sign = data.draw(st.sampled_from((1, -1)))
+        cut = LinearCut(base.z_coef, base.x_coefs, Fraction(sign * (room + above)))
+        _, bound = _oracle_slacks(inst, cut)
+        assert (bound >> 8 * k - 2 > 0) == above
+        _assert_exact_slacks(inst, cut)
+        assert packed_slacks(inst, cut)[1].width == k + above
 
-    def test_step_table_on_every_table_cell(self):
-        for example in "LK":
-            for m in range(1, 11):
-                for p in range(1, m + 1):
-                    self._assert_step_table(benchmark_instance(example, m, p))
+    def test_vertical_cut_narrower_than_the_z_column(self):
+        """A vertical cut whose bound fits one byte on an instance whose z
+        values do not: the packing of that width has no z column, and the
+        cut reads none."""
+        inst = build_instance(2, [Fraction(1000, 3), 7], None, Fraction(1, 2))
+        cut = make_cut(0, [-1, -1], -1)
+        word, packing = packed_slacks(inst, cut)
+        assert packing.width == 1 and packing.z is None
+        _assert_exact_slacks(inst, cut)
 
 
 class TestMixingForm:

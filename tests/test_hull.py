@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import pairwise
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,8 +20,8 @@ from mixcut.core import (
     cut_is_valid,
     cut_to_dict,
     enumerate_vertices,
+    instance_from_json,
     make_cut,
-    vertex_slacks,
     vertex_to_dict,
 )
 from mixcut import dd, hull, linalg
@@ -294,13 +295,34 @@ def test_is_facet_falls_back_on_mod2_shortfall():
     inst = build_instance(8, SEQ_L[:8], None, Fraction(5, 8))
     facet = make_cut(1, [2, 0, 0, -4, 0, -6, -6, -6], -2)
     assert facet in hull.cached_facets(inst).facets
-    slacks = vertex_slacks(inst, facet)
-    tight = [mask for mask, slack in zip(_vertex_table(inst).masks, slacks) if slack == 0]
+    tight = [mask for mask, v in zip(_vertex_table(inst).masks, enumerate_vertices(inst))
+             if facet.evaluate(v.z, v.x) == facet.rhs]
     assert linalg.rank_mod2([mask ^ tight[0] for mask in tight[1:]]) < inst.m
     assert hull.is_facet(inst, facet)
     assert _exact_is_facet(inst, facet)
     weaker = LinearCut(facet.z_coef, facet.x_coefs, facet.rhs - 1)
     assert not hull.is_facet(inst, weaker)
+
+
+#: hull_m11 pool instances, read from the benchmark's stored results
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def test_every_facet_of_an_m11_pool_instance():
+    """Every facet of the pool's general1 (m = 11) passes is_facet; each one
+    lowered by 1/2 is valid and no facet, and each one raised by 1 is
+    refused as invalid."""
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"]["general1"]
+    inst = instance_from_json(json.dumps(entry["instance"]))
+    facets = hull.cached_facets(inst).facets
+    assert inst.m == 11 and len(facets) == 1091
+    for cut in facets:
+        assert hull.is_facet(inst, cut)
+        lower = LinearCut(cut.z_coef, cut.x_coefs, cut.rhs - Fraction(1, 2))
+        assert cut_is_valid(inst, lower) and not hull.is_facet(inst, lower)
+        higher = LinearCut(cut.z_coef, cut.x_coefs, cut.rhs + 1)
+        with pytest.raises(hull.InvalidCutError):
+            hull.is_facet(inst, higher)
 
 
 def test_budget_guard_is_all_or_nothing():
