@@ -6,7 +6,11 @@ weighted constraints, normalizing the y-products, and applying the
 substitution rules yields linear cuts in the x variables; a sparse point of
 the projection cone (`ConeDual`) certifies each of them.  `aggregate`,
 `assemble_dual` and `cone_membership` share one weighted row sum over the
-set's restriction table.  `build_sc` produces the lifted reformulation of a
+set's restriction table.  The round trip runs on ints: the table, the
+aggregated expression, the substitution result and the dual each hold ints
+over one denominator, and Fractions are built only for the returned cut and
+for the Fraction views (`BilinearExpr.quad`, `SubstitutionResult.coefs` and
+the like), on first read.  `build_sc` produces the lifted reformulation of a
 mixing instance whose aggregation cuts are valid for the instance's hull.
 Whether such a cut is a facet is decided by `hull.is_facet`, not here.  The
 exact x-projection of the restrictions' hull, which cross-checks the
@@ -74,15 +78,6 @@ def _over(denominator: int) -> Callable[[int], Fraction]:
         return q
 
     return frac
-
-
-def _over_lcm(
-    weighted: Iterable[tuple[int, int, Fraction]]
-) -> tuple[int, list[tuple[int, int, int]]]:
-    """(L, the rows with each weight times L): L is the lcm of the weights' denominators."""
-    weighted = list(weighted)
-    L = math.lcm(*(w.denominator for _, _, w in weighted))
-    return L, [(j, k, w.numerator * (L // w.denominator)) for j, k, w in weighted]
 
 
 class RelationRows(NamedTuple):
@@ -274,11 +269,32 @@ class BlpAssignment:
 
 @dataclass(frozen=True)
 class SubstitutionResult:
-    coefs: tuple[Fraction, ...]
-    rhs: Fraction
-    moves: tuple[tuple[int, int, Fraction], ...]  # (j, table row, weight)
+    """The linear cut ``coefs . x >= rhs`` a substitution leaves, and its moves.
+
+    Held as ints over the expression's ``denominator``: ``coefs_num``,
+    ``rhs_num`` and ``moves_num``, each move (j, table row, weight).
+    ``coefs``, ``rhs`` and ``moves`` are the same values as Fractions, built
+    on first read.
+    """
+
+    denominator: int
+    coefs_num: tuple[int, ...]
+    rhs_num: int
+    moves_num: tuple[tuple[int, int, int], ...]
     t_sets_disjoint: bool
     z_slot: Optional[int]
+
+    @cached_property
+    def coefs(self) -> tuple[Fraction, ...]:
+        return tuple(map(_over(self.denominator), self.coefs_num))
+
+    @cached_property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.denominator)
+
+    @cached_property
+    def moves(self) -> tuple[tuple[int, int, Fraction], ...]:
+        return tuple((j, k, Fraction(w, self.denominator)) for j, k, w in self.moves_num)
 
     def mixing_cut(self) -> LinearCut:
         """Interpret the x-block as (z, x) and emit a mixing-set cut."""
@@ -346,15 +362,19 @@ def _weighted_sum(
     return quad, lin_x, lin_y, rhs
 
 
-def _assignment_rows(S: BilinearSet, a: BlpAssignment) -> list[tuple[int, int, Fraction]]:
-    """The assignment's weighted rows (j, table row, weight), validated.
+def _assignment_rows(
+    S: BilinearSet, a: BlpAssignment, *denominators: int
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """(L, the assignment's weighted rows (j, table row, weight times L)), validated.
 
-    The base pair carries weight 1; polyhedron row t is table row kappa + t.
+    L is the lcm of the weights' denominators and of `denominators`.  The
+    base pair carries weight 1; polyhedron row t is table row kappa + t.
     """
     _validate_assignment(S, a)
-    weighted = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
-    weighted.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
-    return weighted
+    weighted = [*a.k_weights, *((j, S.kappa + t, w) for j, t, w in a.t_weights)]
+    L = math.lcm(*denominators, *(w.denominator for _, _, w in weighted))
+    return L, [(a.base_j, a.base_k, L),
+               *((j, k, w.numerator * (L // w.denominator)) for j, k, w in weighted)]
 
 
 def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
@@ -363,7 +383,7 @@ def aggregate(S: BilinearSet, a: BlpAssignment) -> BilinearExpr:
     The sum is taken on ints times L * T (L the lcm of the weights'
     denominators) and divided by the gcd of those ints and L * T.
     """
-    L, weighted = _over_lcm(_assignment_rows(S, a))
+    L, weighted = _assignment_rows(S, a)
     quad, lin_x, lin_y, rhs = _weighted_sum(S, weighted)
     denominator = L * S.denominator
     g = math.gcd(denominator, rhs, *lin_x, *lin_y, *chain.from_iterable(quad))
@@ -399,9 +419,8 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     (j, table row, weight) with the row from :attr:`BilinearSet.relation_rows`
     (so an unbacked relation raises :class:`ValidationError`).
 
-    Every move and the column maxima run on the expression's ints over its
-    denominator L; only the returned ``coefs``, ``rhs`` and move weights are
-    built as Fractions, over L.
+    Every move and the column maxima run on the expression's ints, and the
+    result keeps them over the expression's denominator.
     """
     m = S.m
     backing = S.relation_rows
@@ -442,11 +461,11 @@ def substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
     for i, column in enumerate(zip(*quad)):
         lin_x[i] += max(0, *column)
 
-    frac = _over(expr.denominator)
     return SubstitutionResult(
-        coefs=tuple(map(frac, lin_x)),
-        rhs=frac(expr.rhs_num - max(0, *lin_y)),
-        moves=tuple((j, k, frac(w)) for j, k, w in moves),
+        denominator=expr.denominator,
+        coefs_num=tuple(lin_x),
+        rhs_num=expr.rhs_num - max(0, *lin_y),
+        moves_num=tuple(moves),
         t_sets_disjoint=expr.t_sets_disjoint,
         z_slot=S.z_slot,
     )
@@ -542,39 +561,44 @@ class ConeDual(NamedTuple):
 
     ``rows[j, k]`` weights row k of :attr:`BilinearSet.restrictions` at y =
     e_j (polyhedron row t is k = kappa + t); ``gamma[j, i]`` and ``theta[j]``
-    are scenario j's slacks on x_i and on the right-hand side.
+    are scenario j's slacks on x_i and on the right-hand side.  Every value
+    is read as value / ``denominator``, a positive int (1 when left out).
     """
 
     rows: Mapping[tuple[int, int], RationalLike]
     gamma: Mapping[tuple[int, int], RationalLike]
     theta: Mapping[int, RationalLike]
+    denominator: int = 1
 
 
 def assemble_dual(S: BilinearSet, a: BlpAssignment, result: SubstitutionResult) -> ConeDual:
     """The point of the projection cone that certifies a substitution's cut.
 
     Its rows are the assignment's weighted rows plus the substitution's
-    ``result.moves``, summed by (j, table row); gamma and theta are the
-    canonical completion (columnwise positive part of the residual bilinear
-    matrix, and its per-scenario slack), read from the weighted sum of those
-    same rows, so a move onto the base pair counts in both.  Everything is
-    summed on ints over one lcm L of the weights' denominators; only the
-    nonzero entries are built, as Fractions.
+    moves, summed by (j, table row); gamma and theta are the canonical
+    completion (columnwise positive part of the residual bilinear matrix,
+    and its per-scenario slack), read from the weighted sum of those same
+    rows, so a move onto the base pair counts in both.  The weights are
+    scaled to ints over M, the lcm of the assignment's weight denominators
+    and the result's denominator, so the row sum is over M * T; the dual
+    holds only its nonzero entries, all ints over ``denominator`` M * T.
     """
-    L, weighted = _over_lcm((*_assignment_rows(S, a), *result.moves))
+    M, weighted = _assignment_rows(S, a, result.denominator)
+    weighted.extend((j, k, w * (M // result.denominator)) for j, k, w in result.moves_num)
     quad, _, lin_y, _ = _weighted_sum(S, weighted)
     gamma0 = [max(0, *column) for column in zip(*quad)]
     theta0 = max(0, *lin_y)
+    T = S.denominator
     rows: dict[tuple[int, int], int] = {}
     for j, k, w in weighted:
-        rows[j, k] = rows.get((j, k), 0) + w
-    weight, slack = _over(L), _over(L * S.denominator)
+        rows[j, k] = rows.get((j, k), 0) + w * T
     # scenario 0 reads as a zero quad row and a zero lin_y entry
     return ConeDual(
-        {key: weight(w) for key, w in rows.items()},
-        {(j, i): slack(g - v) for j, row in enumerate([[0] * S.n, *quad])
+        rows,
+        {(j, i): g - v for j, row in enumerate([[0] * S.n, *quad])
          for i, (g, v) in enumerate(zip(gamma0, row)) if g != v},
-        {j: slack(theta0 - v) for j, v in enumerate([0, *lin_y]) if v != theta0},
+        {j: theta0 - v for j, v in enumerate([0, *lin_y]) if v != theta0},
+        M * T,
     )
 
 
@@ -601,20 +625,26 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
     """Is the sparse dual in the projection cone; if so, its projected cut.
 
     A key that indexes nothing (j outside 0..m, a table row, or an x index,
-    out of range) or a value :func:`~mixcut.core.rat` refuses raises
+    out of range), a value :func:`~mixcut.core.rat` refuses or a
+    ``denominator`` that is not a positive int raises
     :class:`ValidationError`; a negative value is outside the cone.  Each
     map's keys are checked at once (:func:`_keys_fit`); only a map that
     fails that check is read key by key, which accepts int subclasses and
-    names a key it refuses.  The values are scaled by the lcm L of their
-    denominators and the rows summed once by :func:`_weighted_sum`, on ints
-    times L * T.  The dual is in the cone iff ``gamma_j = gamma_0 -
-    quad[j - 1]`` and ``theta_j = theta_0 - lin_y[j - 1]`` for every j >= 1;
-    its cut is ``(gamma_0 + lin_x) . x >= rhs - theta_0``.
+    names a key it refuses.  Maps whose values are all plain ints are read
+    as they are (L = 1); otherwise every value goes through ``rat`` and is
+    scaled by the lcm L of their denominators.  The rows are summed once by
+    :func:`_weighted_sum`, on ints times ``denominator`` * L * T.
+    The dual is in the cone iff ``gamma_j = gamma_0 - quad[j - 1]`` and
+    ``theta_j = theta_0 - lin_y[j - 1]`` for every j >= 1; its cut is
+    ``(gamma_0 + lin_x) . x >= rhs - theta_0``.
     """
     n, m = S.n, S.m
-
-    def read(entries: Mapping, what: str, *sizes: int) -> dict:
-        """The values as Fractions; each key is (j, index), or j alone for one size."""
+    D = dual.denominator
+    if isinstance(D, bool) or not isinstance(D, int) or D < 1:
+        raise ValidationError(f"dual denominator must be a positive int, got {D!r}")
+    for entries, what, *sizes in ((dual.rows, "rows", m + 1, S.kappa + S.tau),
+                                  (dual.gamma, "gamma", m + 1, n), (dual.theta, "theta", m + 1)):
+        # each key is (j, index), or j alone for one size
         if not _keys_fit(entries.keys(), sizes):
             for key in entries:
                 index = key if len(sizes) > 1 else (key,)
@@ -622,26 +652,26 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
                     raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
                 for i, size in zip(index, sizes):
                     as_index(i, f"{what} key {key!r}: index", size)
-        return {key: rat(v) for key, v in entries.items()}
-
-    rows = read(dual.rows, "rows", m + 1, S.kappa + S.tau)
-    gamma = read(dual.gamma, "gamma", m + 1, n)
-    theta = read(dual.theta, "theta", m + 1)
-    every = [*rows.values(), *gamma.values(), *theta.values()]
-    if any(v.numerator < 0 for v in every):
+    maps = dual[:3]
+    L = 1
+    if not all({*map(type, entries.values())} <= {int} for entries in maps):
+        maps = [{key: rat(v) for key, v in entries.items()} for entries in maps]
+        L = math.lcm(*(v.denominator for entries in maps for v in entries.values()))
+        maps = [{key: v.numerator * (L // v.denominator) for key, v in entries.items()}
+                for entries in maps]
+    rows, gamma, theta = maps
+    if min(chain(rows.values(), gamma.values(), theta.values()), default=0) < 0:
         return False, None
-    L = math.lcm(*(v.denominator for v in every))
     T = S.denominator
-    quad, lin_x, lin_y, rhs = _weighted_sum(
-        S, ((j, k, w.numerator * (L // w.denominator)) for (j, k), w in rows.items()))
-    gamma, theta = ({key: v.numerator * (L // v.denominator) * T for key, v in slack.items()}
-                    for slack in (gamma, theta))
-    gamma0, theta0 = [gamma.get((0, i), 0) for i in range(n)], theta.get(0, 0)
-    if any(theta.get(j, 0) != theta0 - v for j, v in enumerate(lin_y, 1)) or any(
-            gamma.get((j, i), 0) != g - v
-            for j, row in enumerate(quad, 1) for i, (g, v) in enumerate(zip(gamma0, row))):
+    quad, lin_x, lin_y, rhs = _weighted_sum(S, ((j, k, w) for (j, k), w in rows.items()))
+    slack = [[0] * n for _ in range(m + 1)]
+    for (j, i), v in gamma.items():
+        slack[j][i] = v * T
+    gamma0, theta0 = slack[0], theta.get(0, 0) * T
+    if any(theta.get(j, 0) * T != theta0 - v for j, v in enumerate(lin_y, 1)) or any(
+            slack[j] != [g - v for g, v in zip(gamma0, row)] for j, row in enumerate(quad, 1)):
         return False, None
-    frac = _over(L * T)
+    frac = _over(D * L * T)
     return True, _x_block_cut(S.z_slot, tuple(frac(g + v) for g, v in zip(gamma0, lin_x)),
                               frac(rhs - theta0))
 

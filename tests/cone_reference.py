@@ -7,37 +7,48 @@ over all of alpha_j, alpha_0, beta_j and beta_0, zero weights included, and
 requires the total to vanish.  The scenario-0 blocks then give the projected
 cut.
 
-`dense_dual(S, dual)` lays a sparse `blp.ConeDual` out as that dense vector:
-alpha blocks j = 0..m (each kappa long), beta blocks j = 0..m (each tau
-long), gamma blocks j = 0..m (each n long), then theta_0..m, zeros
-included.  `blp.cone_membership` reads the sparse dual through the weighted
-row sum behind `blp.aggregate`, so it shares no loop with this one; the
-tests require both to return identical results, or both to raise.
+`dense_dual(S, dual)` lays a sparse `blp.ConeDual` out as that dense vector,
+each value divided by the dual's denominator: alpha blocks j = 0..m (each
+kappa long), beta blocks j = 0..m (each tau long), gamma blocks j = 0..m
+(each n long), then theta_0..m, zeros included.  `blp.cone_membership`
+reads the sparse dual through the weighted row sum behind `blp.aggregate`,
+so it shares no loop with this one; the tests require both to return
+identical results, or both to raise.
 
 `fraction_weighted_sum(S, weighted)` is the weighted row sum behind
 `blp.aggregate`, summed as Fractions over rows read straight from the
 constraints and the polyhedron, not from the set's integer restriction table.
 
 `fraction_substitute(S, expr)` is `blp.substitute` moving and collapsing
-the expression's Fractions entry by entry, without scaling them to ints.
+the expression's Fractions entry by entry, without scaling them to ints; it
+returns a `FractionSubstitution`, which the tests compare with the Fraction
+views of `blp.SubstitutionResult`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from mixcut.blp import BilinearExpr, BilinearSet, ConeDual, SubstitutionResult
+from mixcut.blp import BilinearExpr, BilinearSet, ConeDual
 from mixcut.core import LinearCut, RationalLike, ValidationError, rat
 
 
 def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
-    """The dense vector of a sparse dual, its values as given; absent entries are 0.
+    """The dense vector of a sparse dual, each value read by `rat` and
+    divided by the dual's denominator; absent entries are 0.
 
-    A key with no slot in the layout raises :class:`ValidationError`.
+    A key with no slot in the layout, a value `rat` refuses or a denominator
+    that is not a positive int raises :class:`ValidationError`.
     """
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
+    D = dual.denominator
+    if isinstance(D, bool) or not isinstance(D, int) or D < 1:
+        raise ValidationError(f"the dense layout needs a positive int denominator, got {D!r}")
     vec: list[RationalLike] = [0] * ((m + 1) * (kappa + tau + n + 1))
+
+    def value(v: RationalLike) -> Fraction:
+        return rat(v) / D
 
     def slot(start: int, j, i, size: int) -> int:
         """Entry i of block j, blocks `size` long from `start`."""
@@ -47,11 +58,11 @@ def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
 
     for (j, k), w in dual.rows.items():
         pos = slot(0, j, k, kappa) if k < kappa else slot((m + 1) * kappa, j, k - kappa, tau)
-        vec[pos] = w
+        vec[pos] = value(w)
     for (j, i), g in dual.gamma.items():
-        vec[slot((m + 1) * (kappa + tau), j, i, n)] = g
+        vec[slot((m + 1) * (kappa + tau), j, i, n)] = value(g)
     for j, v in dual.theta.items():
-        vec[slot((m + 1) * (kappa + tau + n), j, 0, 1)] = v
+        vec[slot((m + 1) * (kappa + tau + n), j, 0, 1)] = value(v)
     return vec
 
 
@@ -164,7 +175,17 @@ def fraction_weighted_sum(
     return quad, lin_x, lin_y, rhs
 
 
-def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResult:
+class FractionSubstitution(NamedTuple):
+    """The Fraction fields of a `blp.SubstitutionResult`."""
+
+    coefs: tuple[Fraction, ...]
+    rhs: Fraction
+    moves: tuple[tuple[int, int, Fraction], ...]
+    t_sets_disjoint: bool
+    z_slot: Optional[int]
+
+
+def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> FractionSubstitution:
     """`blp.substitute` on Fractions: the same moves, in the same order.
 
     Bound substitutions for upper-bounded variables, then the two
@@ -210,7 +231,7 @@ def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> SubstitutionResul
         if best:
             lin_x[i] += best
 
-    return SubstitutionResult(
+    return FractionSubstitution(
         coefs=tuple(lin_x),
         rhs=expr.rhs - max(zero, *lin_y),
         moves=tuple(moves),

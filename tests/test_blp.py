@@ -515,8 +515,12 @@ def _outside_keys(S):
             ("gamma", (S.m + 1, 0)), ("gamma", (0, S.n)), ("theta", S.m + 1), ("theta", -1)]
 
 
+#: The three maps of a `blp.ConeDual`, without its denominator.
+DUAL_MAPS = ("rows", "gamma", "theta")
+
+
 def _support(dual):
-    return [(field, key) for field in dual._fields
+    return [(field, key) for field in DUAL_MAPS
             for key, v in getattr(dual, field).items() if v]
 
 
@@ -564,8 +568,9 @@ class TestConeMembershipOracle:
                 return int(v)
             return f"{v.numerator}/{v.denominator}" if kind == "str" else v
 
-        mixed = blp.ConeDual(*({key: given_as(v) for key, v in entries.items()}
-                               for entries in dual))
+        mixed = blp.ConeDual(*({key: given_as(Fraction(v, dual.denominator))
+                                for key, v in entries.items()}
+                               for entries in (dual.rows, dual.gamma, dual.theta)))
         assert blp.cone_membership(S, mixed) == (True, result.mixing_cut())
         field, key = rng.choice(_dual_keys(S))
         changed = _with(mixed, field, key,
@@ -712,7 +717,9 @@ class TestSubstituteOracle:
         assert result.rhs == reference.rhs
         # order, j, table row and weight of every move
         assert result.moves == reference.moves
-        assert result == reference
+        assert (result.t_sets_disjoint, result.z_slot) == (reference.t_sets_disjoint,
+                                                           reference.z_slot)
+        assert result.denominator == expr.denominator
         assert all(type(v) is Fraction
                    for v in (*result.coefs, result.rhs, *(w for _, _, w in result.moves)))
         return len(result.moves)
@@ -747,6 +754,111 @@ class TestConeRoundTripFractional:
         expected = (True, blp._x_block_cut(S.z_slot, result.coefs, result.rhs))
         assert blp.cone_membership(S, dual) == expected
         assert _dense_check(S, dual) == expected
+
+
+def _as_fractions(dual):
+    """The same dual with every value a Fraction, over denominator 1."""
+    return blp.ConeDual(*({key: Fraction(v, dual.denominator)
+                           for key, v in getattr(dual, field).items()} for field in DUAL_MAPS))
+
+
+class TestIntDual:
+    """`assemble_dual` returns plain ints over one denominator, which
+    `cone_membership` reads as they are."""
+
+    @given(S=st.one_of(lifted_sets(), related_fractional_sets()),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_reads_as_its_fractions(self, S, seed, data):
+        # `_random_assignment` reads the constraint labels only build_sc sets carry
+        pick = _random_assignment if S.constraints[0].label else _any_index_assignment
+        a = pick(random.Random(seed), S)
+        result = blp.substitute(S, blp.aggregate(S, a))
+        dual = blp.assemble_dual(S, a, result)
+        values = [v for field in DUAL_MAPS for v in getattr(dual, field).values()]
+        assert all(type(v) is int and v > 0 for v in values)
+        assert type(dual.denominator) is int and dual.denominator % S.denominator == 0
+        expected = (True, blp._x_block_cut(S.z_slot, result.coefs, result.rhs))
+        if S.z_slot is not None:
+            assert expected[1] == result.mixing_cut()
+        assert blp.cone_membership(S, dual) == expected
+        assert blp.cone_membership(S, _as_fractions(dual)) == expected
+        assert _dense_check(S, dual) == expected
+        # one entry moved by +-1 over the denominator, a nonzero one half the time
+        support = _support(dual)
+        field, key = data.draw(st.sampled_from(
+            support if support and data.draw(st.booleans()) else _dual_keys(S)))
+        moved = _with(dual, field, key,
+                      getattr(dual, field).get(key, 0) + data.draw(st.sampled_from((-1, 1))))
+        outcome = _outcome(blp.cone_membership, S, moved)
+        assert _outcome(blp.cone_membership, S, _as_fractions(moved)) == outcome
+        assert _outcome(_dense_check, S, moved) == outcome
+        assert _outcome(_dense_check, S, _as_fractions(moved)) == outcome
+
+    @pytest.mark.parametrize("denominator", [0, -3, True, 1.0, "2"])
+    def test_denominator_refused(self, ex21, denominator):
+        S = blp.build_sc(ex21)
+        for dual in (blp.ConeDual({}, {}, {}), _worked_dual(ex21, S)):
+            with pytest.raises(ValidationError, match="denominator"):
+                blp.cone_membership(S, dual._replace(denominator=denominator))
+
+    def test_zero_dual_over_seven(self, ex21):
+        S = blp.build_sc(ex21)
+        member, cut = blp.cone_membership(S, blp.ConeDual({}, {}, {}, 7))
+        assert member
+        assert cut == make_cut(0, [0] * ex21.m, 0)
+
+
+class TestValidateAssignment:
+    """`aggregate` and `assemble_dual` check the assignment entry by entry,
+    and each message names what it refuses."""
+
+    #: L(3,2)'s mixed-denominator assignment: base prefix:1<3 at j = 3.
+    BASE = (12, 3)
+    K_WEIGHTS = ((3, 9, Fraction(3, 2)), (3, 11, Fraction(2, 3)))
+    T_WEIGHTS = ((0, 3, Fraction(3, 2)), (3, 2, Fraction(1, 3)))
+
+    @pytest.mark.parametrize("k_extra, t_extra, message", [
+        ((True, 9, Fraction(1)), None, "constraint weight scenario must be an int, got True"),
+        ((0, False, Fraction(1)), None, "constraint weight index must be an int, got False"),
+        (None, (True, 2, Fraction(1)), "polyhedron weight scenario must be an int, got True"),
+        (None, (0, True, Fraction(1)), "polyhedron weight index must be an int, got True"),
+        ((4, 9, Fraction(1)), None, "constraint weight scenario 4 out of range 0..3"),
+        ((-1, 9, Fraction(1)), None, "constraint weight scenario -1 out of range 0..3"),
+        ((0, 15, Fraction(1)), None, "constraint weight index 15 out of range 0..14"),
+        (None, (4, 2, Fraction(1)), "polyhedron weight scenario 4 out of range 0..3"),
+        (None, (0, 4, Fraction(1)), "polyhedron weight index 4 out of range 0..3"),
+        ((0, 3, Fraction(-1)), None, "aggregation weights must be non-negative"),
+        (None, (1, 0, -2), "aggregation weights must be non-negative"),
+        ((0, 3, -0.5), None, "aggregation weights must be non-negative"),
+        ((3, 12, Fraction(1)), None, "the base pair may not be reweighted"),
+    ])
+    def test_messages(self, k_extra, t_extra, message):
+        S = _lifted(benchmark_instance("L", 3, 2))
+        good = blp.BlpAssignment(*self.BASE, self.K_WEIGHTS, self.T_WEIGHTS)
+        result = blp.substitute(S, blp.aggregate(S, good))
+        # the bad entry follows good ones
+        bad = blp.BlpAssignment(*self.BASE, self.K_WEIGHTS + ((k_extra,) if k_extra else ()),
+                                self.T_WEIGHTS + ((t_extra,) if t_extra else ()))
+        for call in (lambda a: blp.aggregate(S, a), lambda a: blp.assemble_dual(S, a, result)):
+            with pytest.raises(ValidationError) as refused:
+                call(bad)
+            assert str(refused.value) == message
+
+    def test_int_enum_index_accepted(self):
+        S = _lifted(benchmark_instance("L", 3, 2))
+        index = IntEnum("Index", {f"i{v}": v for v in range(S.kappa)})
+
+        def enum(weights):
+            return tuple((index(j), index(k), w) for j, k, w in weights)
+
+        plain = blp.BlpAssignment(*self.BASE, self.K_WEIGHTS, self.T_WEIGHTS)
+        enums = blp.BlpAssignment(*self.BASE, enum(self.K_WEIGHTS), enum(self.T_WEIGHTS))
+        assert blp.aggregate(S, enums) == blp.aggregate(S, plain)
+        result = blp.substitute(S, blp.aggregate(S, plain))
+        dual = blp.assemble_dual(S, enums, result)
+        assert dual == blp.assemble_dual(S, plain, result)
+        assert blp.cone_membership(S, dual) == (True, result.mixing_cut())
 
 
 class TestPolyhedronRowsAsConstraints:
