@@ -6,15 +6,15 @@ weighted constraints, normalizing the y-products, and applying the
 substitution rules yields linear cuts in the x variables; a sparse point of
 the projection cone (`ConeDual`) certifies each of them.  `aggregate`,
 `assemble_dual` and `cone_membership` share one weighted row sum over the
-set's restriction table.  The round trip runs on ints: the table, the
-aggregated expression, the substitution result and the dual each hold ints
-over one denominator, and Fractions are built only for the returned cut and
-for the Fraction views (`BilinearExpr.quad`, `SubstitutionResult.coefs` and
-the like), on first read.  `build_sc` produces the lifted reformulation of a
-mixing instance whose aggregation cuts are valid for the instance's hull.
-Whether such a cut is a facet is decided by `hull.is_facet`, not here.  The
-exact x-projection of the restrictions' hull, which cross-checks the
-reformulation, lives with the tests, in `tests/projection_reference.py`.
+set's restriction table.  The round trip runs on one number format: the
+table, the aggregated expression, the substitution result and the dual each
+hold ints over one denominator, and the only Fractions are those of the cut
+that `SubstitutionResult.mixing_cut` and `cone_membership` return.
+`build_sc` produces the lifted reformulation of a mixing instance whose
+aggregation cuts are valid for the instance's hull.  Whether such a cut is a
+facet is decided by `hull.is_facet`, not here.  The exact x-projection of
+the restrictions' hull, which cross-checks the reformulation, lives with the
+tests, in `tests/projection_reference.py`.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     LinearCut,
     MixingInstance,
-    Rational,
     RationalLike,
     ValidationError,
     as_index,
@@ -65,19 +64,6 @@ _ZERO = Fraction(0)
 
 def _nonzero(coefs: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple((i, v) for i, v in enumerate(coefs) if v)
-
-
-def _over(denominator: int) -> Callable[[int], Fraction]:
-    """``v -> Fraction(v, denominator)``, building each distinct value once; 0 is `_ZERO`."""
-    built = {0: _ZERO}
-
-    def frac(v: int) -> Fraction:
-        q = built.get(v)
-        if q is None:
-            q = built[v] = Fraction(v, denominator)
-        return q
-
-    return frac
 
 
 class RelationRows(NamedTuple):
@@ -203,11 +189,9 @@ class BilinearExpr:
     held as ints over one positive ``denominator``: ``quad_num``,
     ``lin_x_num``, ``lin_y_num`` and ``rhs_num``.  The ints and the
     denominator share no common factor, so the denominator is the lcm of the
-    coefficients' denominators and equal expressions compare equal.  ``quad``,
-    ``lin_x``, ``lin_y`` and ``rhs`` are the coefficients as Fractions, built
-    on first read.  ``t_sets_disjoint`` is true unless some polyhedron row is
-    weighted at every scenario 0..m; it says nothing about whether the cut is
-    a facet.
+    coefficients' denominators and equal expressions compare equal.
+    ``t_sets_disjoint`` is true unless some polyhedron row is weighted at
+    every scenario 0..m; it says nothing about whether the cut is a facet.
     """
 
     denominator: int
@@ -216,23 +200,6 @@ class BilinearExpr:
     lin_y_num: tuple[int, ...]
     rhs_num: int
     t_sets_disjoint: bool
-
-    @cached_property
-    def quad(self) -> tuple[tuple[Fraction, ...], ...]:
-        frac = _over(self.denominator)
-        return tuple(tuple(map(frac, row)) for row in self.quad_num)
-
-    @cached_property
-    def lin_x(self) -> tuple[Fraction, ...]:
-        return tuple(map(_over(self.denominator), self.lin_x_num))
-
-    @cached_property
-    def lin_y(self) -> tuple[Fraction, ...]:
-        return tuple(map(_over(self.denominator), self.lin_y_num))
-
-    @cached_property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -273,8 +240,6 @@ class SubstitutionResult:
 
     Held as ints over the expression's ``denominator``: ``coefs_num``,
     ``rhs_num`` and ``moves_num``, each move (j, table row, weight).
-    ``coefs``, ``rhs`` and ``moves`` are the same values as Fractions, built
-    on first read.
     """
 
     denominator: int
@@ -284,30 +249,22 @@ class SubstitutionResult:
     t_sets_disjoint: bool
     z_slot: Optional[int]
 
-    @cached_property
-    def coefs(self) -> tuple[Fraction, ...]:
-        return tuple(map(_over(self.denominator), self.coefs_num))
-
-    @cached_property
-    def rhs(self) -> Fraction:
-        return Fraction(self.rhs_num, self.denominator)
-
-    @cached_property
-    def moves(self) -> tuple[tuple[int, int, Fraction], ...]:
-        return tuple((j, k, Fraction(w, self.denominator)) for j, k, w in self.moves_num)
-
     def mixing_cut(self) -> LinearCut:
         """Interpret the x-block as (z, x) and emit a mixing-set cut."""
         if self.z_slot is None:
             raise ValidationError("this bilinear set has no designated z slot")
-        return _x_block_cut(self.z_slot, self.coefs, self.rhs)
+        return _x_block_cut(self.z_slot, self.coefs_num, self.rhs_num, self.denominator)
 
 
-def _x_block_cut(z_slot: Optional[int], coefs: Sequence[Fraction], rhs: Fraction) -> LinearCut:
-    """The cut ``coefs . x >= rhs``, with z read from slot `z_slot` (zero if None)."""
+def _x_block_cut(
+    z_slot: Optional[int], coefs: Sequence[int], rhs: int, denominator: int
+) -> LinearCut:
+    """The cut ``coefs . x >= rhs``, each int over `denominator`, with z read
+    from slot `z_slot` (zero if None): the engine's only Fractions."""
+    x = tuple(Fraction(v, denominator) for v in coefs)
     if z_slot is None:
-        return LinearCut(Fraction(0), tuple(coefs), rhs)
-    return LinearCut(coefs[z_slot], tuple(c for i, c in enumerate(coefs) if i != z_slot), rhs)
+        return LinearCut(_ZERO, x, Fraction(rhs, denominator))
+    return LinearCut(x[z_slot], x[:z_slot] + x[z_slot + 1:], Fraction(rhs, denominator))
 
 
 def _validate_assignment(S: BilinearSet, a: BlpAssignment) -> None:
@@ -562,12 +519,13 @@ class ConeDual(NamedTuple):
     ``rows[j, k]`` weights row k of :attr:`BilinearSet.restrictions` at y =
     e_j (polyhedron row t is k = kappa + t); ``gamma[j, i]`` and ``theta[j]``
     are scenario j's slacks on x_i and on the right-hand side.  Every value
-    is read as value / ``denominator``, a positive int (1 when left out).
+    is a plain int, read as value / ``denominator``, a positive int (1 when
+    left out).
     """
 
-    rows: Mapping[tuple[int, int], RationalLike]
-    gamma: Mapping[tuple[int, int], RationalLike]
-    theta: Mapping[int, RationalLike]
+    rows: Mapping[tuple[int, int], int]
+    gamma: Mapping[tuple[int, int], int]
+    theta: Mapping[int, int]
     denominator: int = 1
 
 
@@ -625,15 +583,13 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
     """Is the sparse dual in the projection cone; if so, its projected cut.
 
     A key that indexes nothing (j outside 0..m, a table row, or an x index,
-    out of range), a value :func:`~mixcut.core.rat` refuses or a
-    ``denominator`` that is not a positive int raises
-    :class:`ValidationError`; a negative value is outside the cone.  Each
-    map's keys are checked at once (:func:`_keys_fit`); only a map that
-    fails that check is read key by key, which accepts int subclasses and
-    names a key it refuses.  Maps whose values are all plain ints are read
-    as they are (L = 1); otherwise every value goes through ``rat`` and is
-    scaled by the lcm L of their denominators.  The rows are summed once by
-    :func:`_weighted_sum`, on ints times ``denominator`` * L * T.
+    out of range), a value that is not a plain int or a ``denominator`` that
+    is not a positive int raises :class:`ValidationError`, which names the
+    map and the key; a negative value is outside the cone.  Each map's keys
+    are checked at once (:func:`_keys_fit`); only a map that fails that
+    check is read key by key, which accepts int subclasses and names a key
+    it refuses.  The rows are summed once by :func:`_weighted_sum`, on ints
+    times ``denominator`` * T.
     The dual is in the cone iff ``gamma_j = gamma_0 - quad[j - 1]`` and
     ``theta_j = theta_0 - lin_y[j - 1]`` for every j >= 1; its cut is
     ``(gamma_0 + lin_x) . x >= rhs - theta_0``.
@@ -652,14 +608,10 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
                     raise ValidationError(f"{what} key {key!r} must be {len(sizes)} indices")
                 for i, size in zip(index, sizes):
                     as_index(i, f"{what} key {key!r}: index", size)
-    maps = dual[:3]
-    L = 1
-    if not all({*map(type, entries.values())} <= {int} for entries in maps):
-        maps = [{key: rat(v) for key, v in entries.items()} for entries in maps]
-        L = math.lcm(*(v.denominator for entries in maps for v in entries.values()))
-        maps = [{key: v.numerator * (L // v.denominator) for key, v in entries.items()}
-                for entries in maps]
-    rows, gamma, theta = maps
+        if not {*map(type, entries.values())} <= {int}:
+            key, v = next((key, v) for key, v in entries.items() if type(v) is not int)
+            raise ValidationError(f"{what} value at key {key!r} must be an int, got {v!r}")
+    rows, gamma, theta = dual[:3]
     if min(chain(rows.values(), gamma.values(), theta.values()), default=0) < 0:
         return False, None
     T = S.denominator
@@ -671,9 +623,8 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
     if any(theta.get(j, 0) * T != theta0 - v for j, v in enumerate(lin_y, 1)) or any(
             slack[j] != [g - v for g, v in zip(gamma0, row)] for j, row in enumerate(quad, 1)):
         return False, None
-    frac = _over(D * L * T)
-    return True, _x_block_cut(S.z_slot, tuple(frac(g + v) for g, v in zip(gamma0, lin_x)),
-                              frac(rhs - theta0))
+    return True, _x_block_cut(S.z_slot, [g + v for g, v in zip(gamma0, lin_x)],
+                              rhs - theta0, D * T)
 
 
 # ---------------------------------------------------------------------------

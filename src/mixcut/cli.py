@@ -29,6 +29,7 @@ from .core import (
     json_object,
     json_rats,
     rat_str,
+    ratio_str,
 )
 
 EXIT_OK = 0
@@ -222,8 +223,8 @@ def cmd_blp_aggregate(args) -> int:
     expr = blp.aggregate(S, assignment)
     result = blp.substitute(S, expr)
     document = {
-        "coefs": [rat_str(c) for c in result.coefs],
-        "rhs": rat_str(result.rhs),
+        "coefs": [ratio_str(c, result.denominator) for c in result.coefs_num],
+        "rhs": ratio_str(result.rhs_num, result.denominator),
         "t_sets_disjoint": result.t_sets_disjoint,
     }
     if S.z_slot is not None:

@@ -8,7 +8,7 @@ requires the total to vanish.  The scenario-0 blocks then give the projected
 cut.
 
 `dense_dual(S, dual)` lays a sparse `blp.ConeDual` out as that dense vector,
-each value divided by the dual's denominator: alpha blocks j = 0..m (each
+each int value divided by the dual's denominator: alpha blocks j = 0..m (each
 kappa long), beta blocks j = 0..m (each tau long), gamma blocks j = 0..m
 (each n long), then theta_0..m, zeros included.  `blp.cone_membership`
 reads the sparse dual through the weighted row sum behind `blp.aggregate`,
@@ -21,8 +21,12 @@ constraints and the polyhedron, not from the set's integer restriction table.
 
 `fraction_substitute(S, expr)` is `blp.substitute` moving and collapsing
 the expression's Fractions entry by entry, without scaling them to ints; it
-returns a `FractionSubstitution`, which the tests compare with the Fraction
-views of `blp.SubstitutionResult`.
+returns a `FractionSubstitution`, which the tests compare with the ints of
+`blp.SubstitutionResult` read as Fractions.
+
+`fractions_over(denominator, value)` reads the engine's ints over their
+denominator as Fractions: the one route from `blp.BilinearExpr` and
+`blp.SubstitutionResult` to the Fraction oracles here.
 """
 
 from __future__ import annotations
@@ -34,12 +38,20 @@ from mixcut.blp import BilinearExpr, BilinearSet, ConeDual
 from mixcut.core import LinearCut, RationalLike, ValidationError, rat
 
 
-def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
-    """The dense vector of a sparse dual, each value read by `rat` and
-    divided by the dual's denominator; absent entries are 0.
+def fractions_over(denominator: int, value: int | Sequence):
+    """`value` / `denominator` as a Fraction, or a tuple of them for a
+    (nested) sequence of ints."""
+    if isinstance(value, int):
+        return Fraction(value, denominator)
+    return tuple(fractions_over(denominator, v) for v in value)
 
-    A key with no slot in the layout, a value `rat` refuses or a denominator
-    that is not a positive int raises :class:`ValidationError`.
+
+def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
+    """The dense vector of a sparse dual, each value divided by the dual's
+    denominator; absent entries are 0.
+
+    A key with no slot in the layout, a value that is not a plain int or a
+    denominator that is not a positive int raises :class:`ValidationError`.
     """
     n, m, kappa, tau = S.n, S.m, S.kappa, S.tau
     D = dual.denominator
@@ -47,8 +59,10 @@ def dense_dual(S: BilinearSet, dual: ConeDual) -> list[RationalLike]:
         raise ValidationError(f"the dense layout needs a positive int denominator, got {D!r}")
     vec: list[RationalLike] = [0] * ((m + 1) * (kappa + tau + n + 1))
 
-    def value(v: RationalLike) -> Fraction:
-        return rat(v) / D
+    def value(v: int) -> Fraction:
+        if type(v) is not int:
+            raise ValidationError(f"the dense layout reads int values, got {v!r}")
+        return Fraction(v, D)
 
     def slot(start: int, j, i, size: int) -> int:
         """Entry i of block j, blocks `size` long from `start`."""
@@ -195,9 +209,9 @@ def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> FractionSubstitut
     m = S.m
     backing = S.relation_rows
     zero = Fraction(0)
-    quad = [list(row) for row in expr.quad]
-    lin_y = list(expr.lin_y)
-    lin_x = list(expr.lin_x)
+    quad = [list(row) for row in fractions_over(expr.denominator, expr.quad_num)]
+    lin_y = list(fractions_over(expr.denominator, expr.lin_y_num))
+    lin_x = list(fractions_over(expr.denominator, expr.lin_x_num))
     moves: list[tuple[int, int, Fraction]] = []
 
     # x_i <= 1 moves a positive x_i y_j coefficient u onto y_j: row k at j, weight u
@@ -233,7 +247,7 @@ def fraction_substitute(S: BilinearSet, expr: BilinearExpr) -> FractionSubstitut
 
     return FractionSubstitution(
         coefs=tuple(lin_x),
-        rhs=expr.rhs - max(zero, *lin_y),
+        rhs=fractions_over(expr.denominator, expr.rhs_num) - max(zero, *lin_y),
         moves=tuple(moves),
         t_sets_disjoint=expr.t_sets_disjoint,
         z_slot=S.z_slot,

@@ -175,7 +175,7 @@ def projected_hull_facets(S: BilinearSet) -> list[LinearCut]:
     for a in dd.dual_rays(gens):
         body, a0 = a[:-1], a[-1]
         if any(body):
-            cut = _x_block_cut(S.z_slot, tuple(map(Fraction, body)), Fraction(-a0))
+            cut = _x_block_cut(S.z_slot, body, -a0, 1)
             facets.append(canonicalize(cut))
     return sorted(facets, key=LinearCut.sort_key)
 

@@ -59,6 +59,7 @@ from mixcut.core import (
 )
 import hull_oracles
 import projection_reference
+from cone_reference import fractions_over
 from uniform_closure import uniform_closure
 
 SEQ_K_PI = [Fraction(1, 8)] * 4 + [Fraction(1, 12)] * 6
@@ -556,13 +557,15 @@ def test_criterion_08_engine_soundness():
         for _ in range(40):
             a = _random_assignment_generic(rng, S)
             result = blp.substitute(S, blp.aggregate(S, a))
+            coefs = fractions_over(result.denominator, result.coefs_num)
+            rhs = fractions_over(result.denominator, result.rhs_num)
             checked_generic += 1
             for vertices, rays in pieces:
                 for v in vertices:
-                    if sum(c * x for c, x in zip(result.coefs, v)) < result.rhs:
+                    if sum(c * x for c, x in zip(coefs, v)) < rhs:
                         problems.append(("generic-vertex", S, a))
                 for r in rays:
-                    if sum(c * x for c, x in zip(result.coefs, r)) < 0:
+                    if sum(c * x for c, x in zip(coefs, r)) < 0:
                         problems.append(("generic-ray", S, a))
     _report(
         "8: aggregation soundness",

@@ -11,6 +11,7 @@ import pytest
 
 from mixcut import bench, cli, dd, families, hull
 from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
+from cone_reference import fractions_over
 from projection_reference import parse_report
 
 
@@ -695,9 +696,11 @@ class TestCli:
         doc = {"base": [12, 3], "k_weights": [[3, 9, "3/2"], [3, 11, "2/3"]],
                "t_weights": [[0, 3, "3/2"], [3, 2, "1/3"]]}
         expr = blp.aggregate(S, blp.assignment_from_json(json.dumps(doc)))
-        assert {v.denominator for row in expr.quad for v in row} | {
-            v.denominator for v in expr.lin_x} == {1, 2}
-        assert {v.denominator for v in expr.lin_y} == {1, 3}
+        quad, lin_x, lin_y = (fractions_over(expr.denominator, v)
+                              for v in (expr.quad_num, expr.lin_x_num, expr.lin_y_num))
+        assert {v.denominator for row in quad for v in row} | {
+            v.denominator for v in lin_x} == {1, 2}
+        assert {v.denominator for v in lin_y} == {1, 3}
         (tmp_path / "set.json").write_text(blp.bilinear_set_to_json(S))
         (tmp_path / "assignment.json").write_text(json.dumps(doc))
         argv = ["blp-aggregate", "--set", str(tmp_path / "set.json"),
@@ -705,3 +708,29 @@ class TestCli:
         assert cli.main(argv) == 0
         cut = json.loads(capsys.readouterr().out)["cut"]
         assert cut == {"z": "0", "x": ["-1/2", "-1/2", "-1/2"], "rhs": "-3/2"}
+
+    def test_blp_aggregate_document_pinned(self, tmp_path, capsys):
+        """The whole blp-aggregate document for L(3,2)'s mixed-denominator
+        assignment, byte for byte: on the lifted set, and on the same set with
+        its z slot deleted, whose document has no cut."""
+        from mixcut import blp
+
+        S = blp.build_sc(bench.benchmark_instance("L", 3, 2))
+        lifted = json.loads(blp.bilinear_set_to_json(S))
+        no_z = {key: v for key, v in lifted.items() if key != "z_slot"}
+        (tmp_path / "assignment.json").write_text(json.dumps(
+            {"base": [12, 3], "k_weights": [[3, 9, "3/2"], [3, 11, "2/3"]],
+             "t_weights": [[0, 3, "3/2"], [3, 2, "1/3"]]}))
+        expected = {
+            "lifted": '{"coefs": ["0", "-1/2", "-1/2", "-1/2"], "rhs": "-3/2", '
+                      '"t_sets_disjoint": true, '
+                      '"cut": {"z": "0", "x": ["-1/2", "-1/2", "-1/2"], "rhs": "-3/2"}}\n',
+            "no_z": '{"coefs": ["0", "-1/2", "-1/2", "-1/2"], "rhs": "-3/2", '
+                    '"t_sets_disjoint": true}\n',
+        }
+        for name, doc in (("lifted", lifted), ("no_z", no_z)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            argv = ["blp-aggregate", "--set", str(tmp_path / f"{name}.json"),
+                    "--assignment", str(tmp_path / "assignment.json")]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == expected[name]

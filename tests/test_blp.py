@@ -18,6 +18,7 @@ from cone_reference import (
     dense_dual,
     fraction_substitute,
     fraction_weighted_sum,
+    fractions_over,
 )
 from mixcut import blp, hull
 from mixcut.bench import benchmark_instance
@@ -179,7 +180,7 @@ class TestBuildSc:
             compl_complement_pairs=frozenset(),
         )
         expr = blp.aggregate(S, blp.BlpAssignment.build(0, 1))
-        assert expr.quad == ((Fraction(1),),)
+        assert fractions_over(expr.denominator, expr.quad_num) == ((Fraction(1),),)
         with pytest.raises(ValidationError, match=r"upper_bounded x_0 has no row"):
             blp.substitute(S, expr)
 
@@ -189,11 +190,12 @@ class TestAggregate:
         S = blp.build_sc(ex21)
         a = blp.BlpAssignment.build(_row(S, "zbound:2"), 2)
         expr = blp.aggregate(S, a)
-        assert expr.quad[1][0] == 1  # z y_2 coefficient
-        assert expr.lin_y[1] == -ex21.h_at(2)
-        assert expr.rhs == 0
+        quad = fractions_over(expr.denominator, expr.quad_num)
+        assert quad[1][0] == 1  # z y_2 coefficient
+        assert fractions_over(expr.denominator, expr.lin_y_num)[1] == -ex21.h_at(2)
+        assert fractions_over(expr.denominator, expr.rhs_num) == 0
         assert all(
-            expr.quad[j][i] == 0
+            quad[j][i] == 0
             for j in range(ex21.m)
             for i in range(S.n)
             if (j, i) != (1, 0)
@@ -208,15 +210,13 @@ class TestAggregate:
         a1 = blp.BlpAssignment.build(base, 1, [(0, k1, 2)], [(4, knap, 1)])
         a2 = blp.BlpAssignment.build(base, 1, [(0, k1, 1), (0, k2, 3)], [(4, knap, 2)])
         a12 = blp.BlpAssignment.build(base, 1, [(0, k1, 3), (0, k2, 3)], [(4, knap, 3)])
-        e1, e2, e12 = (blp.aggregate(S, a) for a in (a1, a2, a12))
-        base_expr = blp.aggregate(S, blp.BlpAssignment.build(base, 1))
+        exprs = [blp.aggregate(S, a) for a in (a1, a2, a12, blp.BlpAssignment.build(base, 1))]
+        q1, q2, q12, q_base = (fractions_over(e.denominator, e.quad_num) for e in exprs)
         for j in range(ex21.m):
             for i in range(S.n):
-                assert (
-                    e1.quad[j][i] + e2.quad[j][i] - base_expr.quad[j][i]
-                    == e12.quad[j][i]
-                )
-        assert e1.rhs + e2.rhs - base_expr.rhs == e12.rhs
+                assert q1[j][i] + q2[j][i] - q_base[j][i] == q12[j][i]
+        r1, r2, r12, r_base = (fractions_over(e.denominator, e.rhs_num) for e in exprs)
+        assert r1 + r2 - r_base == r12
 
     def test_worked_quad_entries(self, ex21):
         S = blp.build_sc(ex21)
@@ -234,10 +234,11 @@ class TestAggregate:
                 return phi[q.index(i)] - m * ex21.pi_at(i) * EX41_BETA[j - 1]
             return -m * ex21.pi_at(i) * EX41_BETA[j - 1]
 
+        quad = fractions_over(expr.denominator, expr.quad_num)
         for i in range(1, m + 1):
             for j in range(1, m + 1):
-                assert expr.quad[j - 1][i] == sigma(i, j)
-        assert all(expr.quad[j][0] == 1 for j in range(m))
+                assert quad[j - 1][i] == sigma(i, j)
+        assert all(quad[j][0] == 1 for j in range(m))
 
     def test_base_pair_reuse_rejected(self, ex21):
         S = blp.build_sc(ex21)
@@ -539,47 +540,39 @@ class TestConeMembershipOracle:
         result = blp.substitute(S, blp.aggregate(S, a))
         dual = blp.assemble_dual(S, a, result)
         assert blp.cone_membership(S, dual) == (True, result.mixing_cut())
+        # over 6 D, int steps of 2 and 3 are steps of 1/3 and 1/2 over D
+        dual = blp.ConeDual(*({key: 6 * v for key, v in getattr(dual, field).items()}
+                              for field in DUAL_MAPS), 6 * dual.denominator)
         # a nonzero entry half the time; most entries are zero
         support = _support(dual)
         field, key = data.draw(st.sampled_from(
             support if support and data.draw(st.booleans()) else _dual_keys(S)))
         old = getattr(dual, field).get(key, 0)
         changed = _with(dual, field, key, data.draw(st.sampled_from(
-            [v for v in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(3)) if v != old])))
-        negative = _with(dual, field, key,
-                         -data.draw(st.sampled_from((Fraction(1, 2), Fraction(2)))))
-        outside = _with(dual, *data.draw(st.sampled_from(_outside_keys(S))), Fraction(1))
+            [v for v in (0, 2, 6, 18) if v != old])))
+        negative = _with(dual, field, key, -data.draw(st.sampled_from((3, 12))))
+        outside = _with(dual, *data.draw(st.sampled_from(_outside_keys(S))), 6)
         assert _outcome(blp.cone_membership, S, outside) == "ValidationError"
         for vector in (dual, changed, negative, outside):
             assert _outcome(blp.cone_membership, S, vector) == _outcome(_dense_check, S, vector)
 
-    @given(S=lifted_sets(), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_int_and_string_entries(self, S, seed):
-        """Entries given as ints and "a/b" strings read as the same Fractions."""
-        rng = random.Random(seed)
-        a = _random_assignment(rng, S)
-        result = blp.substitute(S, blp.aggregate(S, a))
-        dual = blp.assemble_dual(S, a, result)
-
-        def given_as(v):
-            kind = rng.choice(("fraction", "int", "str"))
-            if kind == "int" and v.denominator == 1:
-                return int(v)
-            return f"{v.numerator}/{v.denominator}" if kind == "str" else v
-
-        mixed = blp.ConeDual(*({key: given_as(Fraction(v, dual.denominator))
-                                for key, v in entries.items()}
-                               for entries in (dual.rows, dual.gamma, dual.theta)))
-        assert blp.cone_membership(S, mixed) == (True, result.mixing_cut())
-        field, key = rng.choice(_dual_keys(S))
-        changed = _with(mixed, field, key,
-                        0 if getattr(dual, field).get(key) else rng.choice((1, "1/3", 3)))
-        negative = _with(mixed, field, key, rng.choice((-2, "-1/2")))
-        malformed = _with(mixed, field, key, rng.choice(("1.5", True, 0.5, "1/0")))
-        assert _outcome(blp.cone_membership, S, malformed) == "ValidationError"
-        for vector in (mixed, changed, negative, malformed):
-            assert _outcome(blp.cone_membership, S, vector) == _outcome(_dense_check, S, vector)
+    @pytest.mark.parametrize("field", DUAL_MAPS)
+    def test_non_int_values_refused(self, ex21, field):
+        """A value that is not a plain int is refused with a message naming
+        the map and the key, alone and among the entries of a valid dual."""
+        S = blp.build_sc(ex21)
+        dual = _worked_dual(ex21, S)
+        keys = list(getattr(dual, field))
+        key = keys[len(keys) // 2]  # int values come before it
+        weight = IntEnum("Weight", {"one": 1})
+        for value in (Fraction(1), "1/2", 1.0, True, weight.one):
+            message = f"{field} value at key {key!r} must be an int, got {value!r}"
+            for vector in (blp.ConeDual({}, {}, {})._replace(**{field: {key: value}}),
+                           _with(dual, field, key, value)):
+                with pytest.raises(ValidationError) as refused:
+                    blp.cone_membership(S, vector)
+                assert str(refused.value) == message
+                assert _outcome(_dense_check, S, vector) == "ValidationError"
 
 
 #: An exact rational as JSON reads it: "a/b", often with b > 1.
@@ -624,10 +617,11 @@ class TestAggregateOracle:
         rows = [(a.base_j, a.base_k, Fraction(1)), *a.k_weights]
         rows.extend((j, S.kappa + t, w) for j, t, w in a.t_weights)
         quad, lin_x, lin_y, rhs = fraction_weighted_sum(S, rows)
-        assert (expr.quad, expr.lin_x, expr.lin_y, expr.rhs) == (
+        ints = (expr.quad_num, expr.lin_x_num, expr.lin_y_num, expr.rhs_num)
+        assert fractions_over(expr.denominator, ints) == (
             tuple(map(tuple, quad)), tuple(lin_x), tuple(lin_y), rhs)
-        assert all(type(v) is Fraction
-                   for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs))
+        assert all(type(v) is int for v in (*sum(expr.quad_num, ()), *expr.lin_x_num,
+                                            *expr.lin_y_num, expr.rhs_num, expr.denominator))
 
     def test_equal_expressions_compare_equal(self):
         """An unused polyhedron row over 7 changes T, not the expression."""
@@ -642,8 +636,9 @@ class TestAggregateOracle:
         expr = blp.aggregate(S, a)
         assert blp.aggregate(unused, a) == expr
         assert blp.substitute(unused, blp.aggregate(unused, a)) == blp.substitute(S, expr)
+        values = (*sum(expr.quad_num, ()), *expr.lin_x_num, *expr.lin_y_num, expr.rhs_num)
         assert expr.denominator == math.lcm(
-            *(v.denominator for v in (*sum(expr.quad, ()), *expr.lin_x, *expr.lin_y, expr.rhs)))
+            *(v.denominator for v in fractions_over(expr.denominator, values)))
 
 
 def _any_index_assignment(rng, S):
@@ -713,16 +708,18 @@ class TestSubstituteOracle:
     @staticmethod
     def _assert_same(S, expr):
         result, reference = blp.substitute(S, expr), fraction_substitute(S, expr)
-        assert result.coefs == reference.coefs
-        assert result.rhs == reference.rhs
+        D = result.denominator
+        assert fractions_over(D, result.coefs_num) == reference.coefs
+        assert fractions_over(D, result.rhs_num) == reference.rhs
         # order, j, table row and weight of every move
-        assert result.moves == reference.moves
+        assert tuple((j, k, fractions_over(D, w)) for j, k, w in result.moves_num) == (
+            reference.moves)
         assert (result.t_sets_disjoint, result.z_slot) == (reference.t_sets_disjoint,
                                                            reference.z_slot)
-        assert result.denominator == expr.denominator
-        assert all(type(v) is Fraction
-                   for v in (*result.coefs, result.rhs, *(w for _, _, w in result.moves)))
-        return len(result.moves)
+        assert D == expr.denominator
+        assert all(type(v) is int
+                   for v in (*result.coefs_num, result.rhs_num, *sum(result.moves_num, ())))
+        return len(result.moves_num)
 
     def test_table_cells(self):
         rng = random.Random(20)
@@ -751,15 +748,10 @@ class TestConeRoundTripFractional:
         a = _any_index_assignment(random.Random(seed), S)
         result = blp.substitute(S, blp.aggregate(S, a))
         dual = blp.assemble_dual(S, a, result)
-        expected = (True, blp._x_block_cut(S.z_slot, result.coefs, result.rhs))
+        expected = (True, blp._x_block_cut(S.z_slot, result.coefs_num, result.rhs_num,
+                                           result.denominator))
         assert blp.cone_membership(S, dual) == expected
         assert _dense_check(S, dual) == expected
-
-
-def _as_fractions(dual):
-    """The same dual with every value a Fraction, over denominator 1."""
-    return blp.ConeDual(*({key: Fraction(v, dual.denominator)
-                           for key, v in getattr(dual, field).items()} for field in DUAL_MAPS))
 
 
 class TestIntDual:
@@ -778,11 +770,11 @@ class TestIntDual:
         values = [v for field in DUAL_MAPS for v in getattr(dual, field).values()]
         assert all(type(v) is int and v > 0 for v in values)
         assert type(dual.denominator) is int and dual.denominator % S.denominator == 0
-        expected = (True, blp._x_block_cut(S.z_slot, result.coefs, result.rhs))
+        expected = (True, blp._x_block_cut(S.z_slot, result.coefs_num, result.rhs_num,
+                                           result.denominator))
         if S.z_slot is not None:
             assert expected[1] == result.mixing_cut()
         assert blp.cone_membership(S, dual) == expected
-        assert blp.cone_membership(S, _as_fractions(dual)) == expected
         assert _dense_check(S, dual) == expected
         # one entry moved by +-1 over the denominator, a nonzero one half the time
         support = _support(dual)
@@ -790,10 +782,7 @@ class TestIntDual:
             support if support and data.draw(st.booleans()) else _dual_keys(S)))
         moved = _with(dual, field, key,
                       getattr(dual, field).get(key, 0) + data.draw(st.sampled_from((-1, 1))))
-        outcome = _outcome(blp.cone_membership, S, moved)
-        assert _outcome(blp.cone_membership, S, _as_fractions(moved)) == outcome
-        assert _outcome(_dense_check, S, moved) == outcome
-        assert _outcome(_dense_check, S, _as_fractions(moved)) == outcome
+        assert _outcome(_dense_check, S, moved) == _outcome(blp.cone_membership, S, moved)
 
     @pytest.mark.parametrize("denominator", [0, -3, True, 1.0, "2"])
     def test_denominator_refused(self, ex21, denominator):
@@ -919,9 +908,10 @@ class TestVerticalImplication:
                 ),
             )
             result = blp.substitute(S, expr)
-            cut_vec = result.coefs
+            cut_vec = fractions_over(result.denominator, result.coefs_num)
+            rhs = fractions_over(result.denominator, result.rhs_num)
             for point in vertices:
-                assert sum(c * v for c, v in zip(cut_vec, point)) >= result.rhs
+                assert sum(c * v for c, v in zip(cut_vec, point)) >= rhs
             for ray in rays:
                 assert sum(c * v for c, v in zip(cut_vec, ray)) >= 0
 
