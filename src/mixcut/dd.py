@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice
-from operator import itemgetter, mul, not_
+from itertools import compress, islice, repeat
+from operator import and_, itemgetter, mul, not_
 from typing import Optional, Sequence
 
 from .linalg import _reduce
@@ -124,6 +124,13 @@ def dual_rays(
     the third ray containing w (the pair's own two always do) or at the
     first ray with fewer zeros than w.
 
+    A rank bound settles a pair with no scan when w lacks at most one of
+    either ray's zeros up to bit t.  A ray alive at t is extreme in the
+    current cone, so its zeros there have rank d - 1; dropping one
+    generator lowers the rank by at most 1, so w has rank at least d - 2;
+    the two rays are linearly independent, so w has rank at most d - 2,
+    and the pair is adjacent.
+
     A budget is charged once per insertion with the number of pairs of a
     positive and a violating ray, so a completed run charges the candidate
     pairs of classic double description.
@@ -229,15 +236,20 @@ def dual_rays(
             if later:
                 for a in tight_t[i:j]:
                     za = a[1] | fbit
+                    # a w that lacks at most one of a's zeros up to bit t
+                    # has rank d - 2: the pair is adjacent with no scan
+                    na = (a[1] & low).bit_count() - 1
                     for b in later:
                         w = za & b[1]
                         # w above bit t: a later shared zero, or b tight at fa
                         if w >= below or (size := w.bit_count()) < min_bits:
                             continue
-                        # a and b hold w; a third holder blocks the pair
-                        holders = map(w.__and__, islice(
-                            reversed(scan), len(scan) - bisect_left(counts, size)))
-                        if not (w in holders and w in holders and w in holders):
-                            edges[fa] += b, a
+                        if size < na and size < (b[1] & low).bit_count() - 1:
+                            # a and b hold w; a third holder blocks the pair
+                            holders = map(and_, repeat(w), islice(
+                                reversed(scan), len(scan) - bisect_left(counts, size)))
+                            if w in holders and w in holders and w in holders:
+                                continue
+                        edges[fa] += b, a
             i = j
     return sorted(r[2] for r in dying[n])

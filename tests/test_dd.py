@@ -1,5 +1,6 @@
 """Double description against the hyperplane-search and wrapping oracles, and the DD budget."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcut import dd, hull, linalg
+from mixcut import cli, dd, hull, linalg
 from mixcut.core import build_instance, instance_from_json
 import hull_oracles
 import projection_reference
@@ -113,6 +114,49 @@ def test_dual_rays_match_wrapping_on_permuted_m7(general_m7_facets, rng):
     assert dd.dual_rays(gens) == general_m7_facets
 
 
+def _uniform_instance(m, h, p):
+    return build_instance(m, sorted(h, reverse=True), None, Fraction(p, m))
+
+
+@st.composite
+def uniform_instances(draw):
+    """Uniform-probability instances, m = 4..5, h with ties.
+
+    Their lifted vertices are 0/1 points, so most rays tight at an insertion
+    have more zeros than d - 1.  Many tested pairs share all but one zero of
+    one ray and are settled by the rank bound with no containment scan; the
+    rest are scanned.
+    """
+    m = draw(st.integers(4, 5))
+    h = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
+    return _uniform_instance(m, h, draw(st.integers(2, m)))
+
+
+@given(uniform_instances(), st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_dual_rays_match_wrapping_on_shuffled_uniform(inst, rng):
+    gens = hull.lifted_generators(inst)
+    rng.shuffle(gens)
+    assert dd.dual_rays(gens) == _wrapping(inst)
+
+
+#: m = 6 and 7; each wrapping takes a second or two, so it runs once
+@pytest.fixture(scope="module", params=[(6, [10, 5, 1, 0, 0, 0], 5),
+                                        (7, [12, 8, 7, 7, 5, 3, 3], 2)], ids=["m6", "m7"])
+def uniform_large(request):
+    inst = _uniform_instance(*request.param)
+    return inst, _wrapping(inst)
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_dual_rays_match_wrapping_on_shuffled_uniform_large(uniform_large, rng):
+    inst, facets = uniform_large
+    gens = hull.lifted_generators(inst)
+    rng.shuffle(gens)
+    assert dd.dual_rays(gens) == facets
+
+
 def test_dual_rays_two_dimensional():
     # d = 2: the only candidate pair has an empty common zero set and no third ray
     assert dd.dual_rays([(1, 0), (1, 2), (1, -1)]) == [(1, 1), (2, -1)]
@@ -140,6 +184,15 @@ EDGE_CASES = {
     # the pair is tested there, though iteration 4 made neither ray
     "last_shared_zero_between": [(1, 2, 1), (-1, 2, -1), (-1, 1, -2), (2, 1, 1), (-1, 0, -1),
                                  (0, 0, 1)],
+    # (1, 0, -2, 1) is in the span of the first three generators, so it is
+    # inserted at iteration 4, after the seed, and the seed ray
+    # (4, -4, 1, -2) is tight on it too: four zeros in R^4.  The rays
+    # (0, 1, 0, 0) and (0, 4, 1, 2) made there each share two of their three
+    # zeros with it, so the rank bound accepts both pairs with no scan,
+    # although the partner's zeros exceed the common ones by two
+    "rank_bound_degenerate_partner": [(2, 2, 0, 0), (1, 1, -2, -1), (1, 0, 0, 2),
+                                      (1, 0, -2, 1), (4, 0, 0, 0), (2, -1, 1, 1),
+                                      (2, 0, 0, 0)],
 }
 
 
@@ -151,6 +204,18 @@ def test_dual_rays_edge_cases(name):
 
 #: hull_m11 pool instances, read from the benchmark's stored results
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("key", sorted(json.loads(REFERENCE.read_text())["hull_m11"]["pool"]))
+def test_hull_m11_pool_facet_files_match_reference(key, tmp_path):
+    """`mixcut hull --out` writes each pool instance's facet file byte for byte
+    as stored: the benchmark's correctness gate, as its worker runs it."""
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
+    inst_file = tmp_path / f"{key}.json"
+    inst_file.write_text(json.dumps(entry["instance"]))
+    out_file = tmp_path / f"{key}.facets.json"
+    assert cli.main(["hull", "--instance", str(inst_file), "--out", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == entry["sha256"]
 
 
 @pytest.mark.parametrize("key", ["uniform1", "general1"])
