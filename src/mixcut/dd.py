@@ -2,11 +2,14 @@
 
 `dual_rays` takes integer generators of a pointed, full-dimensional cone
 and returns the primitive integer normals of its facets (equivalently, the
-extreme rays of the dual cone).  It schedules each edge ahead of time, so
-that an insertion tests adjacency only among the rays tight on the new
-generator.  The two independent oracles that cross-check `dual_rays` (ridge
-pivoting and a literal hyperplane search) live with the tests, in
-`tests/hull_oracles.py`; so does `polyhedron_generators`, which reads an
+extreme rays of the dual cone).  Its seed, the first d linearly
+independent generators and their simplicial cone's dual rays, comes from
+the package's one exact elimination (`linalg.dual_basis`).  It schedules
+each edge ahead of time, so that an insertion tests adjacency only among
+the rays tight on the new generator.  The two independent oracles that
+cross-check `dual_rays` (ridge pivoting and a literal hyperplane search)
+live with the tests, in `tests/hull_oracles.py`, with an elimination of
+their own; so does `polyhedron_generators`, which reads an
 H-polyhedron's vertices and extreme rays off the dual rays of its
 homogenization (`tests/projection_reference.py`).
 """
@@ -15,11 +18,11 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import and_, itemgetter, mul, not_
 from typing import Optional, Sequence
 
-from .linalg import _reduce
+from .linalg import _dot, _reduce, dual_basis
 
 
 class BudgetExceeded(RuntimeError):
@@ -47,61 +50,18 @@ class Budget:
             raise BudgetExceeded("time budget exhausted")
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(map(mul, a, b))
-
-
-def _simplicial_seed(
-    gens: Sequence[tuple[int, ...]], d: int
-) -> tuple[list[int], list[tuple[int, ...]]]:
-    """The first d linearly independent generators and their cone's dual rays.
-
-    Returns (seed, rays): the indices of the first generators that raise the
-    rank, in order, and for each of them the primitive ray that is zero on
-    the other seed generators and positive on it.  A generator raises the
-    rank iff it is nonzero on some vector of ``free``, a basis of the common
-    kernel of the seed so far, so a generator that does not costs only those
-    dot products.  One that does takes its first such vector as its ray, and
-    every other ray and free vector is moved into its kernel.
-    """
-    free = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    seed: list[int] = []
-    rays: list[tuple[int, ...]] = []
-    for idx, g in enumerate(gens):
-        dots = [_dot(v, g) for v in free]
-        piv = next((i for i, s in enumerate(dots) if s), None)
-        if piv is None:
-            continue
-        v = free.pop(piv)
-        s = dots.pop(piv)
-        if s < 0:
-            v = tuple(-x for x in v)
-            s = -s
-
-        def into_kernel(u: tuple[int, ...], su: int) -> tuple[int, ...]:
-            # s u - su v is zero on g and keeps u's sign on the seed so far
-            return _reduce([s * a - su * b for a, b in zip(u, v)]) if su else u
-
-        rays = [into_kernel(u, _dot(u, g)) for u in rays]
-        free = [into_kernel(u, su) for u, su in zip(free, dots)]
-        rays.append(v)
-        seed.append(idx)
-        if not free:
-            break
-    return seed, rays
-
-
 def dual_rays(
     generators: Sequence[Sequence[int]],
     budget: Optional[Budget] = None,
 ) -> list[tuple[int, ...]]:
     """Extreme rays of {a : a . g >= 0 for every generator g}.
 
-    The generators must span R^d so that the dual cone is pointed.  Double
-    description with pre-ordered edges (Fukuda & Prodon 1996): seed with the
-    first d linearly independent generators, whose halfspaces form a
-    simplicial cone, then insert the remaining halfspaces in the given
-    order, which makes the run fully deterministic.
+    The generators must span R^d so that the dual cone is pointed, and
+    their entries must be ints; otherwise `ValueError`.  Double description
+    with pre-ordered edges (Fukuda & Prodon 1996): seed with the first d
+    linearly independent generators, whose halfspaces form a simplicial
+    cone (`linalg.dual_basis` gives its rays), then insert the remaining
+    halfspaces in the given order, which makes the run fully deterministic.
 
     A ray is evaluated forward against the later generators when it is
     made, up to the first one it violates: the iteration of that generator
@@ -135,11 +95,13 @@ def dual_rays(
     positive and a violating ray, so a completed run charges the candidate
     pairs of classic double description.
     """
-    gens = [tuple(int(v) for v in g) for g in generators]
+    gens = [tuple(g) for g in generators]
     if not gens:
         raise ValueError("no generators")
+    if not all(map(isinstance, chain.from_iterable(gens), repeat(int))):
+        raise ValueError("generator entries must be ints")
     d = len(gens[0])
-    seed, seed_rays = _simplicial_seed(gens, d)
+    seed, seed_rays = dual_basis(gens)
     if len(seed) < d:
         raise ValueError("generators do not span the space; dual cone has lineality")
     seed_set = set(seed)

@@ -1,9 +1,13 @@
 """Small exact linear-algebra kit: ranks and affine ranks over Q, rank over GF(2).
 
-Ranks over Q read one fraction-free elimination, `_echelon`. It scales its
-input rows to primitive integer tuples (coordinates coprime) and keeps a
-reduced echelon basis in plain integers, so the hot loops never build
-Fraction objects.
+Ranks over Q and the seed of double description read one fraction-free
+elimination, `_sweep`.  It runs forward over integer rows and keeps a basis
+of the common kernel of the rows that raised the rank so far, in plain
+integers, so the hot loops never build Fraction objects.  `rank` scales its
+rows to primitive integer tuples (coordinates coprime) first; `dual_basis`
+adds a backward pass that turns the sweep's pivots into the dual basis DD
+seeds with (`dd.dual_rays`).  The test oracles keep their own elimination
+(`tests/hull_oracles.py`).
 
 `rank_mod2` is a lower bound for the rank of an integer matrix over Q: a
 minor that is nonzero mod 2 is an odd integer, so nonzero over Z.  When that
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -32,46 +37,75 @@ def primitive(vec: Sequence) -> tuple[int, ...]:
     return _reduce([v.numerator * (denom // v.denominator) for v in vec])
 
 
-def _echelon(rows: Iterable[Sequence]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Reduced echelon basis of the span of `rows`, inserting one row at a time.
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
-    Returns (basis, pivots, raised).  Each basis row is primitive, zero before
-    its pivot column, positive at it, and zero at every other pivot column;
-    such a basis depends only on the row space.  `raised` holds the indices
-    of the input rows that raised the rank, in input order.  Stops once the
-    rank reaches the row length.
+
+def _sweep(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Forward kernel sweep: the integer rows that raise the rank, and their pivots.
+
+    ``free`` is a primitive basis of the common kernel of the rows that
+    raised the rank so far.  A row raises the rank iff it is nonzero on some
+    free vector, so a row that does not costs only d - r dot products.  One
+    that does takes its first such vector, signed positive on it, as its
+    pivot, and every other free vector is moved into its kernel.  Returns
+    (raised, pivots): the indices of the rows that raised the rank, in input
+    order, and for each its pivot, which is zero on the raised rows before
+    it.  Stops once the rank reaches the row length.
     """
-    basis: list[tuple[int, ...]] = []
-    pivots: list[int] = []
+    d = len(rows[0]) if rows else 0
+    free = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     raised: list[int] = []
+    pivots: list[tuple[int, ...]] = []
     for idx, row in enumerate(rows):
-        vec = primitive(row)
-        for b, c in zip(basis, pivots):
-            f = vec[c]
-            if f:
-                pv = b[c]
-                vec = _reduce([pv * x - f * y for x, y in zip(vec, b)])
-        lead = next((c for c, v in enumerate(vec) if v), None)
-        if lead is None:
+        dots = [_dot(v, row) for v in free]
+        piv = next((i for i, s in enumerate(dots) if s), None)
+        if piv is None:
             continue
-        if vec[lead] < 0:
-            vec = tuple(-v for v in vec)
-        pv = vec[lead]
-        for i, b in enumerate(basis):
-            f = b[lead]
-            if f:
-                basis[i] = _reduce([pv * x - f * y for x, y in zip(b, vec)])
-        basis.append(vec)
-        pivots.append(lead)
+        v = free.pop(piv)
+        s = dots.pop(piv)
+        if s < 0:
+            v = tuple(-x for x in v)
+            s = -s
+        # s u - su v is zero on the row and keeps u's zeros on the rows before
+        free = [_reduce([s * a - su * b for a, b in zip(u, v)]) if su else u
+                for u, su in zip(free, dots)]
         raised.append(idx)
-        if len(raised) == len(vec):
+        pivots.append(v)
+        if not free:
             break
-    return basis, pivots, raised
+    return raised, pivots
+
+
+def dual_basis(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The first linearly independent integer rows and, at full rank, their duals.
+
+    Returns (raised, duals): the indices of the rows that raise the rank, in
+    input order, and for each of them the primitive vector that is zero on
+    the other raised rows and positive on it.  The duals are empty unless
+    the rows reach rank d, their length.  A backward pass builds them from
+    the sweep's pivots, the last first: a pivot is already zero on the
+    raised rows before it, and each later dual it is nonzero on is
+    subtracted out.
+    """
+    raised, pivots = _sweep(rows)
+    if not rows or len(raised) < len(rows[0]):
+        return raised, []
+    # (row, its dual, dual . row), the last raised row first
+    done: list[tuple[Sequence[int], tuple[int, ...], int]] = []
+    for idx, u in zip(reversed(raised), reversed(pivots)):
+        for g, v, s in done:
+            su = _dot(u, g)
+            if su:
+                u = _reduce([s * a - su * b for a, b in zip(u, v)])
+        g = rows[idx]
+        done.append((g, u, _dot(u, g)))
+    return raised, [v for _, v, _ in reversed(done)]
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a list of rational vectors."""
-    return len(_echelon(rows)[0])
+    return len(_sweep([primitive(r) for r in rows])[0])
 
 
 def rank_mod2(rows: Iterable[int]) -> int:

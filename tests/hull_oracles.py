@@ -10,9 +10,12 @@ share none of its machinery, so each checks it:
 
 `facets_by_wrapping` and `facets_by_hyperplane_search` run them on an
 instance's lifted generators and build the same `hull.FacetSet` as
-`hull.enumerate_facets`.  `nullspace` and `independent_prefix` read the
-package's one elimination, `linalg._echelon`.  This module never imports
-`mixcut.dd`.
+`hull.enumerate_facets`.  The oracles keep their own elimination,
+`_echelon`, a fraction-free reduced echelon form: `rank`, `nullspace` and
+`independent_prefix` read it, and nothing in the package does.  The
+package's one elimination (`linalg._sweep`, behind `linalg.rank` and DD's
+seed) is a different algorithm, so a fault in either shows up as a
+disagreement.  This module never imports `mixcut.dd`.
 
 `parse_mixing_form` is the rational inverse of `core.mixing_form`; the
 families decide membership on their own integer reading of a facet
@@ -29,16 +32,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
-from mixcut import hull, linalg
+from mixcut import hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import (
     DimensionError, LinearCut, MixingInstance, ValidationError, build_instance,
 )
-from mixcut.linalg import _echelon, _reduce
+from mixcut.linalg import _reduce, primitive
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -62,7 +65,49 @@ def instances(draw):
 
 
 # ---------------------------------------------------------------------------
-# Independent rows and nullspaces
+# Reference elimination: rank, independent rows and nullspaces
+
+
+def _echelon(rows: Iterable[Sequence]) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Reduced echelon basis of the span of `rows`, inserting one row at a time.
+
+    Returns (basis, pivots, raised).  Each basis row is primitive, zero before
+    its pivot column, positive at it, and zero at every other pivot column;
+    such a basis depends only on the row space.  `raised` holds the indices
+    of the input rows that raised the rank, in input order.  Stops once the
+    rank reaches the row length.
+    """
+    basis: list[tuple[int, ...]] = []
+    pivots: list[int] = []
+    raised: list[int] = []
+    for idx, row in enumerate(rows):
+        vec = primitive(row)
+        for b, c in zip(basis, pivots):
+            f = vec[c]
+            if f:
+                pv = b[c]
+                vec = _reduce([pv * x - f * y for x, y in zip(vec, b)])
+        lead = next((c for c, v in enumerate(vec) if v), None)
+        if lead is None:
+            continue
+        if vec[lead] < 0:
+            vec = tuple(-v for v in vec)
+        pv = vec[lead]
+        for i, b in enumerate(basis):
+            f = b[lead]
+            if f:
+                basis[i] = _reduce([pv * x - f * y for x, y in zip(b, vec)])
+        basis.append(vec)
+        pivots.append(lead)
+        raised.append(idx)
+        if len(raised) == len(vec):
+            break
+    return basis, pivots, raised
+
+
+def rank(rows: Iterable[Sequence]) -> int:
+    """Rank of a list of vectors of ints and Fractions."""
+    return len(_echelon(rows)[0])
 
 
 def independent_prefix(rows: Sequence[Sequence[int]], need: int) -> list[int]:
@@ -108,10 +153,10 @@ def _initial_facet(
     a = tuple(interior)
     while True:
         tight = [g for g in gens if _dot(a, g) == 0]
-        if linalg.rank(tight) == d - 1:
-            return linalg.primitive(a)
+        if rank(tight) == d - 1:
+            return primitive(a)
         kernel = nullspace(tight, d)
-        u = next(v for v in kernel if linalg.rank([v, a]) == 2)
+        u = next(v for v in kernel if rank([v, a]) == 2)
         withneg = [g for g in gens if _dot(u, g) < 0]
         if not withneg:
             u = tuple(-v for v in u)
@@ -144,7 +189,7 @@ def facet_normals_by_wrapping(
     a0 = tuple(int(v) for v in interior_dual)
     if any(_dot(a0, g) <= 0 for g in gens):
         raise ValueError("interior_dual is not strictly positive on the generators")
-    if linalg.rank(gens) < d:
+    if rank(gens) < d:
         raise ValueError("generators do not span the space")
 
     memo: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
@@ -211,7 +256,7 @@ def _tight_of(indices, proj, normal) -> frozenset[int]:
 def _ridge_direction(a, ridge_gens, rest_gens, dim) -> tuple[int, ...]:
     """Rotation vector vanishing on the ridge and valid on the facet's tight set."""
     kernel = nullspace(ridge_gens, dim)
-    w = next(v for v in kernel if linalg.rank([v, a]) == 2)
+    w = next(v for v in kernel if rank([v, a]) == 2)
     for g in rest_gens:
         s = _dot(w, g)
         if s < 0:
@@ -245,7 +290,7 @@ def _pivot(
         t_star.denominator * cv + t_star.numerator * av
         for cv, av in zip(c, a)
     ]
-    return linalg.primitive(vec)
+    return primitive(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Properties of the exact elimination kernel: rank, independent rows, nullspace."""
+"""The package's elimination (`linalg.rank`, `linalg.dual_basis`) against the
+oracles' reference elimination (`hull_oracles._echelon`): rank, independent
+rows, nullspace, dual basis."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,7 +8,8 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcut import linalg
+from mixcut import hull, linalg
+from mixcut.bench import benchmark_instance
 import hull_oracles
 
 # mostly zeros and small values, so that dependent rows and free columns are common
@@ -27,6 +30,20 @@ def matrices(draw):
         else:
             rows.append(tuple(draw(entry) for _ in range(dim)))
     return rows, dim
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows, some drawn as integer combinations of earlier rows."""
+    dim = draw(st.integers(1, 6))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 7))):
+        if rows and draw(st.booleans()):
+            coefs = [draw(INTEGERS) for _ in rows]
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(dim)))
+        else:
+            rows.append(tuple(draw(INTEGERS) for _ in range(dim)))
+    return rows
 
 
 def _dot(a, b):
@@ -119,6 +136,55 @@ class TestKernel:
         assert hull_oracles.nullspace(gens, 4) == []
 
 
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_reference_elimination(case):
+    rows, _ = case
+    assert linalg.rank(rows) == hull_oracles.rank(rows)
+
+
+def _check_dual_basis(rows, dim):
+    """`dual_basis` raises the reference's independent rows and, at rank
+    `dim`, returns primitive duals: each zero on the other raised rows and
+    positive on its own."""
+    raised, duals = linalg.dual_basis(rows)
+    assert raised == hull_oracles.independent_prefix(rows, dim)
+    if len(raised) < dim:
+        assert duals == []
+        return raised
+    assert len(duals) == dim
+    for k, v in zip(raised, duals):
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        for j in raised:
+            s = sum(x * y for x, y in zip(v, rows[j]))
+            assert s > 0 if j == k else s == 0
+    return raised
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_dual_basis_matches_reference(case):
+    rows, dim = case
+    _check_dual_basis([linalg.primitive(r) for r in rows], dim)
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_dual_basis_matches_reference_on_integer_rows(rows):
+    if rows:
+        _check_dual_basis(rows, len(rows[0]))
+    else:
+        assert linalg.dual_basis(rows) == ([], [])
+
+
+def test_dual_basis_on_l10_5_insertion_order():
+    # the seed of DD on L(10,5): its last generator is 383 of 639
+    gens = hull.insertion_order(benchmark_instance("L", 10, 5))
+    assert len(gens) == 639
+    assert _check_dual_basis(gens, len(gens[0]))[-1] == 383
+
+
 @given(st.lists(st.integers(0, 255), max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_rank_mod2_is_log2_of_the_xor_span(rows):
@@ -126,20 +192,6 @@ def test_rank_mod2_is_log2_of_the_xor_span(rows):
     for row in rows:
         span |= {s ^ row for s in span}
     assert 1 << linalg.rank_mod2(rows) == len(span)
-
-
-@st.composite
-def integer_matrices(draw):
-    """Integer rows, some drawn as integer combinations of earlier rows."""
-    dim = draw(st.integers(1, 6))
-    rows: list[tuple[int, ...]] = []
-    for _ in range(draw(st.integers(0, 7))):
-        if rows and draw(st.booleans()):
-            coefs = [draw(INTEGERS) for _ in rows]
-            rows.append(tuple(sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(dim)))
-        else:
-            rows.append(tuple(draw(INTEGERS) for _ in range(dim)))
-    return rows
 
 
 @given(integer_matrices())
