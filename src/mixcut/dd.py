@@ -6,10 +6,12 @@ extreme rays of the dual cone).  Its seed, the first d linearly
 independent generators and their simplicial cone's dual rays, comes from
 the package's one exact elimination (`linalg.dual_basis`).  It schedules
 each edge ahead of time, so that an insertion tests adjacency only among
-the rays tight on the new generator.  The two independent oracles that
-cross-check `dual_rays` (ridge pivoting and a literal hyperplane search)
-live with the tests, in `tests/hull_oracles.py`, with an elimination of
-their own; so does `polyhedron_generators`, which reads an
+the rays tight on the new generator, by one containment scan over blocks
+of their zero sets with a union per block (a flat bit-pattern tree, after
+Terzer & Stelling, Bioinformatics 24, 2008).  The two independent oracles
+that cross-check `dual_rays` (ridge pivoting and a literal hyperplane
+search) live with the tests, in `tests/hull_oracles.py`, with an
+elimination of their own; so does `polyhedron_generators`, which reads an
 H-polyhedron's vertices and extreme rays off the dual rays of its
 homogenization (`tests/projection_reference.py`).
 """
@@ -17,9 +19,10 @@ homogenization (`tests/projection_reference.py`).
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
-from itertools import chain, compress, islice, repeat
-from operator import and_, itemgetter, mul, not_
+from bisect import bisect_right
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, eq, itemgetter, mul, not_, or_
 from typing import Optional, Sequence
 
 from .linalg import _dot, _reduce, dual_basis
@@ -34,10 +37,13 @@ class Budget:
 
     DD charges one insertion's candidate pairs at once, so the deadline is
     read on every call.  Zero seconds or zero steps is a budget like any
-    other, not "no budget".
+    other, not "no budget".  A NaN limit would never trip, so it is refused
+    with `ValueError`.
     """
 
     def __init__(self, seconds: Optional[float] = None, steps: Optional[int] = None):
+        if seconds != seconds or steps != steps:
+            raise ValueError("a budget limit must not be NaN")
         self.deadline = time.monotonic() + seconds if seconds is not None else None
         self.steps_left = steps
 
@@ -80,16 +86,11 @@ def dual_rays(
     t, so only those rays can contain it: the pair is adjacent iff w has at
     least d - 2 bits and no third tight ray's zero set contains w.  The
     tight rays are sorted by ``fii``, so each ray meets only the rays that
-    die later, and by zero count for the containment scan, which stops at
-    the third ray containing w (the pair's own two always do) or at the
-    first ray with fewer zeros than w.
-
-    A rank bound settles a pair with no scan when w lacks at most one of
-    either ray's zeros up to bit t.  A ray alive at t is extreme in the
-    current cone, so its zeros there have rank d - 1; dropping one
-    generator lowers the rank by at most 1, so w has rank at least d - 2;
-    the two rays are linearly independent, so w has rank at most d - 2,
-    and the pair is adjacent.
+    die later.  The containment scan runs over blocks of 16 zero sets,
+    sorted by their bits up to t so that each block holds similar sets,
+    with each block's union beside it: a pair reads only the blocks whose
+    union contains w, and stops at the third zero set that does (the
+    pair's own two always do).
 
     A budget is charged once per insertion with the number of pairs of a
     positive and a violating ray, so a completed run charges the candidate
@@ -183,11 +184,8 @@ def dual_rays(
         fiis = list(map(itemgetter(0), tight_t))
         fiis.append(n)
         zs = list(map(itemgetter(1), tight_t))
-        # the containment scan reads the zero sets in reverse, the most zeros
-        # up to bit t first, and stops before the ones with fewer than w
-        low = below - 1
-        scan = sorted(zs, key=lambda z: (z & low).bit_count())
-        counts = [(z & low).bit_count() for z in scan]
+        # the containment scan's blocks, built for the first pair tested
+        blocks = None
         i = 0
         while fiis[i] < n:
             fa = fiis[i]
@@ -198,20 +196,21 @@ def dual_rays(
             if later:
                 for a in tight_t[i:j]:
                     za = a[1] | fbit
-                    # a w that lacks at most one of a's zeros up to bit t
-                    # has rank d - 2: the pair is adjacent with no scan
-                    na = (a[1] & low).bit_count() - 1
                     for b in later:
                         w = za & b[1]
                         # w above bit t: a later shared zero, or b tight at fa
-                        if w >= below or (size := w.bit_count()) < min_bits:
+                        if w >= below or w.bit_count() < min_bits:
                             continue
-                        if size < na and size < (b[1] & low).bit_count() - 1:
-                            # a and b hold w; a third holder blocks the pair
-                            holders = map(and_, repeat(w), islice(
-                                reversed(scan), len(scan) - bisect_left(counts, size)))
-                            if w in holders and w in holders and w in holders:
-                                continue
+                        if blocks is None:
+                            # 16 zero sets a block: 8 to 32 run alike
+                            scan = sorted(zs, key=(below - 1).__and__)
+                            blocks = [scan[k:k + 16] for k in range(0, len(scan), 16)]
+                            unions = [reduce(or_, block) for block in blocks]
+                        # a and b hold w; a third holder blocks the pair
+                        holders = map(and_, repeat(w), chain.from_iterable(
+                            compress(blocks, map(eq, repeat(w), map(and_, repeat(w), unions)))))
+                        if w in holders and w in holders and w in holders:
+                            continue
                         edges[fa] += b, a
             i = j
     return sorted(r[2] for r in dying[n])

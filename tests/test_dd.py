@@ -10,8 +10,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from mixcut import cli, dd, hull
+from mixcut import bench, cli, dd, hull
 from mixcut.core import build_instance, instance_from_json
+import draws
 import hull_oracles
 import projection_reference
 
@@ -128,9 +129,9 @@ def uniform_instances(draw):
     """Uniform-probability instances, m = 4..5, h with ties.
 
     Their lifted vertices are 0/1 points, so most rays tight at an insertion
-    have more zeros than d - 1.  Many tested pairs share all but one zero of
-    one ray and are settled by the rank bound with no containment scan; the
-    rest are scanned.
+    have more zeros than d - 1, and many tested pairs share all but one zero
+    of one ray: the containment scan meets zero sets that hold w with many
+    bits to spare.
     """
     m = draw(st.integers(4, 5))
     h = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
@@ -212,8 +213,9 @@ EDGE_CASES = {
     # inserted at iteration 4, after the seed, and the seed ray
     # (4, -4, 1, -2) is tight on it too: four zeros in R^4.  The rays
     # (0, 1, 0, 0) and (0, 4, 1, 2) made there each share two of their three
-    # zeros with it, so the rank bound accepts both pairs with no scan,
-    # although the partner's zeros exceed the common ones by two
+    # zeros with it, and both pairs are adjacent although the partner's
+    # zeros exceed the common ones by two: the containment scan finds no
+    # third holder
     "rank_bound_degenerate_partner": [(2, 2, 0, 0), (1, 1, -2, -1), (1, 0, 0, 2),
                                       (1, 0, -2, 1), (4, 0, 0, 0), (2, -1, 1, 1),
                                       (2, 0, 0, 0)],
@@ -262,6 +264,25 @@ def test_enumerate_facets_charges_insertion_order_pairs(key, pairs):
     budget = dd.Budget(steps=10 * pairs)
     hull.enumerate_facets(inst, budget)
     assert 10 * pairs - budget.steps_left == pairs
+
+
+@pytest.mark.parametrize("instance, nonvertical, vertical", [
+    # about 55 blocks of 16 zero sets per containment scan
+    (lambda: bench.benchmark_instance("K", 10, 7), 3_639, 21),
+    (lambda: draws.general(12, 2), 6_987, 562),
+], ids=["K(10,7)", "general:12:2"])
+def test_facet_counts_where_tight_lists_are_long(instance, nonvertical, vertical):
+    """Late insertions here have hundreds of tight rays, so a pruning slip in
+    the block-union scan adds or loses facets."""
+    fs = hull.enumerate_facets(instance())
+    assert (len(fs.normals), len(fs.vertical_normals)) == (nonvertical, vertical)
+
+
+@pytest.mark.parametrize("limit", ["seconds", "steps"])
+def test_budget_refuses_nan(limit):
+    """A NaN limit compares false with everything, so it would never trip."""
+    with pytest.raises(ValueError, match="NaN"):
+        dd.Budget(**{limit: float("nan")})
 
 
 def test_budget_deadline_checked_on_every_charge():
