@@ -14,12 +14,16 @@ whose search over q orders is `_match_lifts`.  Zhao's knapsack crossing
 rule is coded once, in `_zhao_derive_s`: the conditions fix each s_i, so a
 given s_list is checked by comparison with the derived one.
 
-Every membership decision and every certificate condition compares Python
+Generators, membership checks and certificate conditions all run on Python
 ints: each instance's integer view (`core._int_view`: pi and epsilon over
-their common denominator D, h over its own, H), and each facet scaled by
-one F, a multiple of H and of the facet's denominators (`_Form`).  The form
-is read off the facet's primitive integer normal (`_normal_form`): the one
-double description gives, or the one a cut scales to (`_facet_form`).
+their common denominator D, h over its own, H), and each cut scaled by one
+F, a multiple of H and of the cut's denominators (`_Form`).  A check reads
+the form off a facet's primitive integer normal, the one double description
+gives (`_normal_form`; `_facet_form` for a cut).  A generator builds it from
+its parameters (`_shifted_form`), tests each shift hypothesis with the
+function its check calls (`_uniform_shifts`, `_generic_shift_fits`) and
+returns `_Form.cut`.  Fractions appear only in parsed parameters, returned
+cuts and witnesses.
 
 The generic family's certificate search (`_search_rows`) takes, for each
 scenario, the smallest feasible prefix of the lifting positions in ratio
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, permutations, product
@@ -62,7 +66,6 @@ from .core import (
     _scale,
     as_index,
     canonicalize,
-    mixing_form,
     rat,
 )
 from .linalg import primitive
@@ -188,37 +191,21 @@ def _lifted_indices(
     return r, t, q
 
 
-def _check_delta(
-    inst: MixingInstance, t: tuple[int, ...], delta: Iterable, anchor: int
-) -> tuple[Fraction, ...]:
-    """The shifts as rationals, one per t entry, each at least its telescoping lower bound.
-
-    delta_i >= h_{t_{i+1}} - h_{t_i}, with the index after t's last entry
-    taken as ``anchor``.
-    """
-    delta = tuple(rat(d) for d in delta)
-    if len(delta) != len(t):
-        raise FamilyParamError("delta must match t_set in length")
-    tx = t + (anchor,)
-    for i, d in enumerate(delta):
-        if d < inst.h_at(tx[i + 1]) - inst.h_at(tx[i]):
-            raise FamilyParamError(f"delta_{i + 1} below its telescoping lower bound")
-    return delta
+def _rationals(values: Iterable, like: Sequence, what: str, of: str) -> tuple[Fraction, ...]:
+    """``values`` as rationals, one per entry of ``like`` (the list named ``of``)."""
+    out = tuple(rat(v) for v in values)
+    if len(out) != len(like):
+        raise FamilyParamError(f"{what} must match {of} in length")
+    return out
 
 
 def _telescope(h: Sequence, t: Sequence[int], anchor: int) -> tuple:
     """Coefficients h_{t_i} - h_{t_{i+1}} with the final index replaced by `anchor`.
 
-    ``h`` is indexed by scenario with h[m + 1] = 0: `_fraction_h` for the
-    generators, a scaled int tuple for the membership checks.
+    ``h`` is a form's F h, indexed by scenario with h[m + 1] = 0.
     """
     idx = list(t) + [anchor]
     return tuple(h[idx[i]] - h[idx[i + 1]] for i in range(len(t)))
-
-
-def _fraction_h(inst: MixingInstance) -> tuple[Fraction, ...]:
-    """h indexed by scenario, with h[0] unused and h[m + 1] = 0."""
-    return (Fraction(0),) + inst.h + (Fraction(0),)
 
 
 def _require_uniform(inst: MixingInstance, family: str) -> None:
@@ -234,7 +221,7 @@ class _Form:
     ``h`` (F h, indexed as in `_IntView`), ``coefs`` (on ``t``), ``phis``
     (on ``q``) and ``rhs_base`` are ints.  A form read from a facet
     (`_normal_form`) lists only its nonzero coefficients; one built from
-    generator parameters (`_params_form`) lists t and q as given.
+    generator parameters (`_shifted_form`) lists t and q as given.
     """
 
     view: _IntView
@@ -253,6 +240,17 @@ class _Form:
     def fractions(self, values: Iterable[int]) -> tuple[Fraction, ...]:
         """The rationals that `values` stand for (each divided by F)."""
         return tuple(Fraction(v, self.F) for v in values)
+
+    def cut(self) -> LinearCut:
+        """The canonical cut, z_coef = 1, with x coefficient -phi_q on q and
+        right-hand side rhs_base - sum(phi): the generators' one exit."""
+        x = [0] * self.view.m
+        for i, c in zip(self.t, self.coefs):
+            x[i - 1] = c
+        for i, v in self.q_phis:
+            x[i - 1] = -v
+        rhs = Fraction(self.rhs_base - sum(self.phis), self.F)
+        return LinearCut(Fraction(1), self.fractions(x), rhs)
 
 
 def _facet_form(inst: MixingInstance, cut: LinearCut) -> _Form:
@@ -283,6 +281,30 @@ def _normal_form(inst: MixingInstance, normal: Sequence[int]) -> _Form:
         view, F, view.h_times(F), t, tuple(x[i - 1] for i in t), q, phis,
         sum(phis) - normal[-1] * k,
     )
+
+
+def _shifted_form(
+    inst: MixingInstance, t: tuple[int, ...], anchor: int,
+    delta: Sequence[Fraction] = (), q: tuple[int, ...] = (), phi: Sequence[Fraction] = (),
+) -> _Form:
+    """The cut of checked generator parameters as a `_Form`, t and q as given.
+
+    The t_set coefficients telescope to h_anchor, each plus its delta, and q
+    carries the lifts phi; F = lcm(H, the denominators of delta and phi).
+    The telescoping lower bound delta_i >= h_{t_{i+1}} - h_{t_i} (the index
+    after t's last entry taken as ``anchor``) is that coefficient i is
+    non-negative.
+    """
+    view = _int_view(inst)
+    F = math.lcm(view.H, *(x.denominator for x in chain(delta, phi)))
+    h = view.h_times(F)
+    coefs = _telescope(h, t, anchor)
+    if delta:
+        coefs = tuple(c + _scale(d, F) for c, d in zip(coefs, delta))
+    for i, c in enumerate(coefs, start=1):
+        if c < 0:
+            raise FamilyParamError(f"delta_{i} below its telescoping lower bound")
+    return _Form(view, F, h, t, coefs, q, tuple(_scale(v, F) for v in phi), h[t[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +344,8 @@ def _lifts(h: Sequence, lift: _Lifting, q: Sequence[int], shift=0) -> list:
     phi_i = max(phi_{i-1}, h_anchor - h_{ends_i} - shift - sum of phi_k over
     the earlier k with q_k >= cutoffs_i).  Every lifted family is this one
     recursion; it differs only in its `_Lifting` and shift.  It is linear up
-    to a running max, so h and the shift scaled by F (ints, see `_Form`)
-    give F times the lifts.
+    to a running max, so a form's F h and F times the shift give F times
+    the lifts.
     """
     base = h[lift.anchor] - shift
     phis: list = []
@@ -334,33 +356,21 @@ def _lifts(h: Sequence, lift: _Lifting, q: Sequence[int], shift=0) -> list:
     return phis
 
 
-def _lifted_cut(
-    inst: MixingInstance,
-    t: tuple[int, ...],
-    q: tuple[int, ...],
-    lift: _Lifting,
-    delta: Optional[Sequence[Fraction]] = None,
-) -> LinearCut:
-    """The cut of checked t and q: t telescoped to h_anchor plus delta, q lifted.
+def _lifted_cut(form: _Form, q: tuple[int, ...], lift: _Lifting, shift: int = 0) -> LinearCut:
+    """The cut of `form`, built at ``lift.anchor``, with the checked q lifted.
 
-    The lifts are discounted by the total of delta.
+    ``shift`` is F times the total of delta, which discounts the lifts.
     """
     for i, (qi, lo) in enumerate(zip(q, lift.lower), start=1):
-        if not lo <= qi <= inst.m:
+        if not lo <= qi <= form.view.m:
             raise FamilyParamError(f"q_{i} = {qi} outside its admissible range {lo}..m")
-    h = _fraction_h(inst)
-    coefs = _telescope(h, t, lift.anchor)
-    shift = 0
-    if delta is not None:
-        coefs = tuple(c + d for c, d in zip(coefs, delta))
-        shift = sum(delta)
-    return mixing_form(inst.m, t, coefs, q, _lifts(h, lift, q, shift), inst.h_at(t[0]))
+    return replace(form, q=q, phis=tuple(_lifts(form.h, lift, q, shift))).cut()
 
 
 def _star_cut(inst: MixingInstance, params: StarParams, top: int) -> LinearCut:
     """Telescoping inequality over indices within 1..top, anchored at h_{top+1}."""
     t = _check_increasing(params.t_set, top, "t_set")
-    return _lifted_cut(inst, t, (), _consecutive(top + 1, 0))
+    return _shifted_form(inst, t, top + 1).cut()
 
 
 def gen_star(inst: MixingInstance, params: StarParams) -> LinearCut:
@@ -396,7 +406,8 @@ def gen_kucukyavuz(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     r, t, q = _lifted_indices(inst, params)
     if len(q) != inst.p - r:
         raise FamilyParamError(f"q_list must have exactly p - r = {inst.p - r} entries")
-    return _lifted_cut(inst, t, q, _consecutive(r + 1, len(q)))
+    lift = _consecutive(r + 1, len(q))
+    return _lifted_cut(_shifted_form(inst, t, lift.anchor), q, lift)
 
 
 def _zhao_w_tails(view: _IntView, q: Sequence[int]) -> list[int]:
@@ -465,7 +476,8 @@ def gen_zhao(inst: MixingInstance, params: LiftedParams) -> LinearCut:
     iota = next((i for i, (a, b) in enumerate(zip(given, s), start=1) if a != b), len(s) + 1)
     if iota <= v:
         raise FamilyParamError(f"knapsack crossing condition fails at iota={iota}")
-    return _lifted_cut(inst, t, q, _zhao_lifting(r, s, inst.p))
+    lift = _zhao_lifting(r, s, inst.p)
+    return _lifted_cut(_shifted_form(inst, t, lift.anchor), q, lift)
 
 
 def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut:
@@ -486,17 +498,29 @@ def gen_blp_uniform(inst: MixingInstance, params: BlpUniformParams) -> LinearCut
     if not 1 <= v <= inst.p - r:
         raise FamilyParamError(f"need 1 <= |q_list| <= p - r = {inst.p - r}")
     lift = _consecutive(inst.p - v + 1, v)
-    anchor = lift.anchor
-    delta = _check_delta(inst, t, params.delta, anchor)
-    # every prefix including the full sum must be non-negative: the proof's
-    # scenario cases rely on it, and a negative total genuinely produces
-    # invalid inequalities
+    form = _shifted_form(inst, t, lift.anchor, _rationals(params.delta, t, "delta", "t_set"))
+    delta, fault = _uniform_shifts(form, lift.anchor)
+    if fault is not None:
+        raise FamilyParamError(fault)
+    return _lifted_cut(form, q, lift, sum(delta))
+
+
+def _uniform_shifts(form: _Form, anchor: int) -> tuple[list[int], Optional[str]]:
+    """F delta (the coefficients less the telescope to h_anchor) and the
+    first shift hypothesis of blp_uniform it fails, or None.
+
+    Every prefix sum, the full one included, must be non-negative: the
+    proof's scenario cases rely on it, and a negative total genuinely
+    produces invalid inequalities.  The total must not exceed h_A - h_{A+1}.
+    """
+    h = form.h
+    delta = [c - d for c, d in zip(form.coefs, _telescope(h, form.t, anchor))]
     for k, total in enumerate(accumulate(delta), start=1):
         if total < 0:
-            raise FamilyParamError(f"partial delta sum through {k} is negative")
-    if sum(delta) > inst.h_at(anchor) - inst.h_at(anchor + 1):
-        raise FamilyParamError("total delta exceeds the first anchor gap")
-    return _lifted_cut(inst, t, q, lift, delta)
+            return delta, f"partial delta sum through {k} is negative"
+    if total > h[anchor] - h[anchor + 1]:
+        return delta, "total delta exceeds the first anchor gap"
+    return delta, None
 
 
 # ---------------------------------------------------------------------------
@@ -659,28 +683,10 @@ def _certificate_values(
     )
 
 
-def _generic_structure_check(
-    inst: MixingInstance, params: BlpGenericParams
-) -> tuple[tuple[int, ...], tuple[Fraction, ...], tuple[int, ...], tuple[Fraction, ...]]:
-    if inst.epsilon == 1:
-        raise FamilyParamError(
-            "the aggregation family needs epsilon < 1 (its multiplier construction"
-            " divides by 1 - epsilon); the star families cover the vacuous knapsack"
-        )
-    r, t, q = _lifted_indices(inst, params)
-    delta = _check_delta(inst, t, params.delta, r + 1)
-    if any(a >= b for a, b in zip(q, q[1:])) or (q and q[0] <= r):
-        raise FamilyParamError("q_list must be strictly increasing within r+1..m")
-    if len(q) > inst.p - r + len(t):
-        raise FamilyParamError(f"need |q_list| <= p - r + |t_set| = {inst.p - r + len(t)}")
-    phi = tuple(rat(v) for v in params.phi)
-    if len(phi) != len(q):
-        raise FamilyParamError("phi must match q_list in length")
-    if any(v < 0 for v in phi):
-        raise FamilyParamError("phi entries must be non-negative")
-    if sum(delta) > inst.h_at(r + 1):
-        raise FamilyParamError("total delta exceeds h_{r+1}")
-    return t, delta, q, phi
+def _generic_shift_fits(form: _Form) -> bool:
+    """Whether the total of delta is at most h_{r+1}: the coefficients sum to
+    h_{t_1} - h_{r+1} plus that total, and rhs_base is h_{t_1}."""
+    return sum(form.coefs) <= form.rhs_base
 
 
 def _a_values_to_positions(
@@ -717,24 +723,6 @@ def _given_certificate(
     return a_posed, beta
 
 
-def _params_form(
-    inst: MixingInstance,
-    r: int,
-    t: tuple[int, ...],
-    delta: tuple[Fraction, ...],
-    q: tuple[int, ...],
-    phi: tuple[Fraction, ...],
-) -> _Form:
-    """The generic cut of checked parameters as a `_Form`, t and q as given."""
-    view = _int_view(inst)
-    F = math.lcm(view.H, *(x.denominator for x in chain(delta, phi)))
-    h = view.h_times(F)
-    coefs = tuple(
-        c + _scale(d, F) for c, d in zip(_telescope(h, t, r + 1), delta)
-    )
-    return _Form(view, F, h, t, coefs, q, tuple(_scale(v, F) for v in phi), h[t[0]])
-
-
 def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCutResult:
     """Emit the generic aggregation cut when a multiplier certificate exists.
 
@@ -745,20 +733,34 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     beta_j is checked against its A_j.  On failure the first infeasible
     scenario is reported and no cut is emitted.
     """
-    t, delta, q, phi = _generic_structure_check(inst, params)
-    m = inst.m
+    if inst.epsilon == 1:
+        raise FamilyParamError(
+            "the aggregation family needs epsilon < 1 (its multiplier construction"
+            " divides by 1 - epsilon); the star families cover the vacuous knapsack"
+        )
+    r, t, q = _lifted_indices(inst, params)
+    delta = _rationals(params.delta, t, "delta", "t_set")
+    _shifted_form(inst, t, r + 1, delta)  # refuses a delta below its bound before q_list
+    if any(a >= b for a, b in zip(q, q[1:])) or (q and q[0] <= r):
+        raise FamilyParamError("q_list must be strictly increasing within r+1..m")
+    if len(q) > inst.p - r + len(t):
+        raise FamilyParamError(f"need |q_list| <= p - r + |t_set| = {inst.p - r + len(t)}")
+    phi = _rationals(params.phi, q, "phi", "q_list")
+    if any(v < 0 for v in phi):
+        raise FamilyParamError("phi entries must be non-negative")
+    form = _shifted_form(inst, t, r + 1, delta, q, phi)
+    if not _generic_shift_fits(form):
+        raise FamilyParamError("total delta exceeds h_{r+1}")
     a_posed = beta = None
     if params.a_sets is not None:
-        a_posed, beta = _given_certificate(m, q, params.a_sets, params.beta)
+        a_posed, beta = _given_certificate(inst.m, q, params.a_sets, params.beta)
     elif params.beta is not None:
         raise FamilyParamError("beta needs a_sets: a multiplier is checked against its A_j")
-    form = _params_form(inst, params.r, t, delta, q, phi)
     found, infeasible_j = _certify(form, a_posed, beta)
     if found is None:
         return GenericCutResult(False, None, None, infeasible_j=infeasible_j)
     cert = BlpGenericParams(params.r, t, delta, q, phi, *_certificate_values(form, found))
-    cut = mixing_form(m, t, form.fractions(form.coefs), q, phi, inst.h_at(t[0]))
-    return GenericCutResult(True, cut, cert)
+    return GenericCutResult(True, form.cut(), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -969,18 +971,15 @@ def _proper_blp_uniform(inst: MixingInstance, form: _Form) -> Optional[tuple]:
     the shift total becomes h_{A+extra} - h_{A+1} = 0, while the visible
     lifts, their cutoffs and their q bounds stay as they were.
     """
-    h, t, v = form.h, form.t, len(form.q)
+    t, v = form.t, len(form.q)
     r = inst.p - v
-    if not v or not t or r < 1 or t[-1] > r or form.rhs_base != h[t[0]]:
+    if not v or not t or r < 1 or t[-1] > r or form.rhs_base != form.h[t[0]]:
         return None
     lift = _consecutive(r + 1, v)
-    delta = [c - d for c, d in zip(form.coefs, _telescope(h, t, lift.anchor))]
-    if any(total < 0 for total in accumulate(delta)):
+    delta, fault = _uniform_shifts(form, lift.anchor)
+    if fault is not None:
         return None
-    delta_sum = sum(delta)
-    if delta_sum > h[lift.anchor] - h[lift.anchor + 1]:
-        return None
-    perm = _match_lifts(form, lift, delta_sum)
+    perm = _match_lifts(form, lift, sum(delta))
     if perm is None:
         return None
     return r, t, perm, delta
@@ -999,7 +998,7 @@ def _proper_blp_generic(inst: MixingInstance, form: _Form) -> Optional[tuple]:
     read the cut alone (`_row_heads`).  So the rows are certified once, for
     the first choice.
     """
-    if not form.t or sum(form.coefs) > form.rhs_base:
+    if not form.t or not _generic_shift_fits(form):
         return None
     choice = _first_generic_choice(inst, form)
     if choice is None:
@@ -1046,9 +1045,8 @@ def _witness(form: _Form, name: str, found: tuple) -> object:
     if name != "blp_generic":
         return (StarParams if name.endswith("star") else LiftedParams)(*found)
     r, t, certificate = found
-    h, tx = form.h, t + (r + 1,)
     coef_of = dict(zip(form.t, form.coefs))
-    delta = [coef_of.get(t[i], 0) - h[tx[i]] + h[tx[i + 1]] for i in range(len(t))]
+    delta = [coef_of.get(i, 0) - c for i, c in zip(t, _telescope(form.h, t, r + 1))]
     return BlpGenericParams(
         r, t, form.fractions(delta), form.q, form.fractions(form.phis),
         *_certificate_values(form, certificate),

@@ -4,8 +4,9 @@
 and covering ratios are compared by cross-multiplication.  This module keeps
 the plain rational statement of the same conditions, so the tests can check
 that the int kernel (`families.gen_blp_generic`) gives the same certificate,
-the same infeasible scenario or the same error text.  It is not used by the
-library.
+the same infeasible scenario or the same error text.  Its parameter checks
+and its cut are the Fraction ones of `generator_reference`.  It is not used
+by the library.
 
 `first_generic_choice` is the search that `families._first_generic_choice`
 replaces by its closed form: r upward, then phantom sets by size and in
@@ -31,9 +32,9 @@ from mixcut.families import (
     FamilyParamError,
     GenericCutResult,
     _Form,
-    _generic_structure_check,
     _given_certificate,
 )
+from generator_reference import generic_structure_check
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def certify(
 
 def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCutResult:
     """`families.gen_blp_generic` on the Fraction rows."""
-    t, delta, q, phi = _generic_structure_check(inst, params)
+    t, delta, q, phi = generic_structure_check(inst, params)
     m = inst.m
     a_posed = beta = None
     if params.a_sets is not None:
@@ -213,7 +214,7 @@ def facet_necessity_count(inst: MixingInstance, params: BlpGenericParams) -> int
     """
     if params.a_sets is None or params.beta is None:
         raise FamilyParamError("necessity counting requires a certificate (a_sets, beta)")
-    t, delta, q, phi = _generic_structure_check(inst, params)
+    t, delta, q, phi = generic_structure_check(inst, params)
     a_posed, beta = _given_certificate(inst.m, q, params.a_sets, params.beta)
     m = inst.m
     pq = set(t) | set(q)

@@ -235,46 +235,59 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 @pytest.mark.parametrize("key", sorted(json.loads(REFERENCE.read_text())["hull_m11"]["pool"]))
 def test_hull_m11_pool_facet_files_match_reference(key, tmp_path):
     """`mixcut hull --out` writes each pool instance's facet file byte for byte
-    as stored: the benchmark's correctness gate, as its worker runs it."""
+    as stored: the benchmark's correctness gate, as its worker runs it.  A
+    60 s budget (each takes under a second) makes a slow run exit 3.
+
+    DD reads that deadline only once per insertion, and a slip that makes
+    rays pile up can spend minutes in one insertion, so lex-order DD runs
+    first under the stored pool's charged pairs as a step budget: the
+    insertion after the pile-up trips it."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
+    inst = instance_from_json(json.dumps(entry["instance"]))
+    dd.dual_rays(hull.lifted_generators(inst), dd.Budget(steps=entry["dd_pairs"]))
     inst_file = tmp_path / f"{key}.json"
     inst_file.write_text(json.dumps(entry["instance"]))
     out_file = tmp_path / f"{key}.facets.json"
-    assert cli.main(["hull", "--instance", str(inst_file), "--out", str(out_file)]) == 0
+    argv = ["hull", "--instance", str(inst_file), "--out", str(out_file), "--budget", "60"]
+    assert cli.main(argv) == 0
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == entry["sha256"]
 
 
 @pytest.mark.parametrize("key", ["uniform1", "general1"])
 def test_charged_steps_match_reference_pairs(key):
-    """A completed run charges the candidate pairs the stored pool admitted it with."""
+    """A completed run charges the candidate pairs the stored pool admitted it
+    with, and a budget of exactly that many steps does not trip."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
     inst = instance_from_json(json.dumps(entry["instance"]))
-    limit = 10 * entry["dd_pairs"]
-    budget = dd.Budget(steps=limit)
+    budget = dd.Budget(steps=entry["dd_pairs"])
     dd.dual_rays(hull.lifted_generators(inst), budget)
-    assert limit - budget.steps_left == entry["dd_pairs"]
+    assert budget.steps_left == 0
 
 
 @pytest.mark.parametrize("key, pairs", [("uniform1", 815_038), ("general1", 205_961)])
 def test_enumerate_facets_charges_insertion_order_pairs(key, pairs):
     """`hull.enumerate_facets` inserts in `hull.insertion_order`: its charged
-    pairs on the stored pool entries (lex order: 821 711 and 282 794)."""
+    pairs on the stored pool entries (lex order: 821 711 and 282 794), under
+    a budget of exactly that many steps."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
     inst = instance_from_json(json.dumps(entry["instance"]))
-    budget = dd.Budget(steps=10 * pairs)
+    budget = dd.Budget(steps=pairs)
     hull.enumerate_facets(inst, budget)
-    assert 10 * pairs - budget.steps_left == pairs
+    assert budget.steps_left == 0
 
 
-@pytest.mark.parametrize("instance, nonvertical, vertical", [
+@pytest.mark.parametrize("instance, pairs, nonvertical, vertical", [
     # about 55 blocks of 16 zero sets per containment scan
-    (lambda: bench.benchmark_instance("K", 10, 7), 3_639, 21),
-    (lambda: draws.general(12, 2), 6_987, 562),
+    (lambda: bench.benchmark_instance("K", 10, 7), 1_586_544, 3_639, 21),
+    (lambda: draws.general(12, 2), 11_645_772, 6_987, 562),
 ], ids=["K(10,7)", "general:12:2"])
-def test_facet_counts_where_tight_lists_are_long(instance, nonvertical, vertical):
+def test_facet_counts_where_tight_lists_are_long(instance, pairs, nonvertical, vertical):
     """Late insertions here have hundreds of tight rays, so a pruning slip in
-    the block-union scan adds or loses facets."""
-    fs = hull.enumerate_facets(instance())
+    the block-union scan adds or loses facets.  The budget is exactly the
+    charged pairs, so a slip that makes rays pile up trips it."""
+    budget = dd.Budget(steps=pairs)
+    fs = hull.enumerate_facets(instance(), budget)
+    assert budget.steps_left == 0
     assert (len(fs.normals), len(fs.vertical_normals)) == (nonvertical, vertical)
 
 

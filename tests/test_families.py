@@ -16,6 +16,7 @@ from mixcut import hull
 from mixcut.bench import benchmark_instance
 from mixcut.core import build_instance, cut_is_valid, make_cut
 import certificate_reference as ref
+import generator_reference as gen_ref
 from hull_oracles import ParsedMixingForm
 from uniform_closure import uniform_closure
 
@@ -708,7 +709,7 @@ class TestRatioPrefixSearch:
         return chosen, None
 
     def agree(self, inst, r, t, delta, q, phi):
-        form = fam._params_form(inst, r, t, delta, q, phi)
+        form = fam._shifted_form(inst, t, r + 1, delta, q, phi)
         found, infeasible_j = fam._certify(form)
         chosen, want_j = self.reference(inst, r, t, delta, q, phi)
         assert infeasible_j == want_j
@@ -740,6 +741,119 @@ class TestRatioPrefixSearch:
         result = fam.gen_blp_generic(inst, fam.BlpGenericParams(*args))
         assert result.certificate.a_sets[4] == frozenset({6, 7})
         assert result.certificate.beta == (0, 0, 3, 3, 5, 3, Fraction(10, 3))
+
+
+#: L/K cells with m = 3..8, and the general-probability kernel instances,
+#: whose h is fractional (one has a vacuous knapsack, as the cells with p = m)
+GENERATOR_INSTANCES = [
+    benchmark_instance(example, m, p)
+    for example in "LK" for m in range(3, 9) for p in range(1, m + 1)
+] + KERNEL_INSTANCES[3:]
+#: those with p < m, where every family has room for its lifting
+OPEN_INSTANCES = [inst for inst in GENERATOR_INSTANCES if inst.p < inst.m]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 11)) == 0
+
+
+@st.composite
+def generator_params(draw):
+    """(instance, family, parameters) near each generator's hypotheses.
+
+    r, t_set and q_list mostly lie in the family's ranges (q_list in any
+    order where that is allowed), now and then outside them.  Each delta
+    sits at its telescoping lower bound or a fraction above it, or is a
+    small non-negative fraction, now and then below the bound; phi entries
+    are gaps of h or small fractions.  A delta or phi entry is now and then
+    a string, parsable or not.  One draw in 21 is a blp_generic facet
+    witness with one delta or phi entry moved.  About half the draws give a
+    cut.
+    """
+    if draw(st.integers(0, 20)) == 0:
+        inst, cert = draw(st.sampled_from(_kernel_certificates()))
+        field = draw(st.sampled_from(["delta", "phi"]))
+        values = list(getattr(cert, field))
+        if values:
+            j = draw(st.integers(0, len(values) - 1))
+            values[j] = max(Fraction(0), values[j] + draw(st.sampled_from(
+                [Fraction(1, 6), Fraction(-1, 6), Fraction(1, 7)])))
+        return inst, "blp_generic", replace(cert, a_sets=None, beta=None, **{field: tuple(values)})
+    family = draw(st.sampled_from(fam.FAMILIES))
+    inst = draw(st.sampled_from(GENERATOR_INSTANCES if _rarely(draw) else OPEN_INSTANCES))
+    m, p = inst.m, inst.p
+    r_hi = p - 1 if family == "blp_uniform" and p > 1 else p  # blp_uniform needs r < p
+    r = draw(st.sampled_from([0, p + 1]) if _rarely(draw) else st.integers(1, r_hi))
+    top = {"star": m, "strengthened_star": p}.get(family, r)
+    t = tuple(sorted(draw(st.sets(st.integers(1, max(top, 1)), min_size=1))))
+    if _rarely(draw):
+        t = tuple(draw(st.lists(st.integers(0, m + 1), min_size=1, max_size=3)))
+    if family.endswith("star"):
+        return inst, family, fam.StarParams(t)
+    v = {
+        "lifted": p - r,
+        "kucukyavuz": p - r,
+        "zhao": draw(st.integers(1, max(1, inst.theta - r))),
+        "blp_uniform": draw(st.integers(1, max(1, p - r))),
+        "blp_generic": draw(st.integers(0, max(0, p - r + len(t)))),
+    }[family] + (draw(st.sampled_from([-1, 1])) if _rarely(draw) else 0)
+    lo = {"lifted": p + 1, "kucukyavuz": r + 2, "blp_uniform": p - v + 2}.get(family, r + 1)
+    q = tuple(draw(st.permutations(range(min(lo, m), m + 1)))[:max(v, 0)])
+    if family in ("lifted", "blp_generic") and not _rarely(draw):
+        q = tuple(sorted(q))
+    if family in ("lifted", "kucukyavuz", "zhao"):
+        s_list = draw(st.lists(st.integers(1, 3), min_size=len(q), max_size=len(q)))
+        return inst, family, fam.LiftedParams(r, t, q, tuple(s_list) if _rarely(draw) else None)
+    h = lambda i: inst.h_at(i) if 1 <= i <= m + 1 else Fraction(0)
+    anchor = r + 1 if family == "blp_generic" else p - len(q) + 1
+    tx = t + (anchor,)
+    delta = [
+        draw(st.sampled_from([h(tx[i + 1]) - h(tx[i]), Fraction(0), Fraction(0)]))
+        + draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 4)]))
+        - (Fraction(1, 5) if _rarely(draw) else 0)
+        for i in range(len(t))
+    ]
+    if _rarely(draw):
+        delta = delta[:-1] if draw(st.booleans()) else delta + [Fraction(1, 3)]
+    gaps = st.sampled_from([h(a) - h(b) for a in range(1, m + 1) for b in range(a + 1, m + 2)])
+    phi = [draw(gaps | _SMALL | _SMALL.map(lambda v: v / 7)) for _ in q]
+    for values in (delta, phi):
+        if values and _rarely(draw):
+            values[-1] = draw(st.sampled_from([str(values[-1]), "1/0", "-2/3"]))
+    if family == "blp_uniform":
+        return inst, family, fam.BlpUniformParams(r, t, q, tuple(delta))
+    return inst, family, fam.BlpGenericParams(r, t, tuple(delta), q, tuple(phi))
+
+
+class TestGeneratorReference:
+    """Each generator, on the ints of `families._Form`, against its Fraction
+    copy in `generator_reference` (blp_generic: `certificate_reference`):
+    the same cut repr, or the same exception type and text."""
+
+    REFERENCE = {**gen_ref.GENERATORS, "blp_generic": ref.gen_blp_generic}
+    GENERATORS = {
+        "star": fam.gen_star,
+        "strengthened_star": fam.gen_strengthened_star,
+        "lifted": fam.gen_luedtke_lifted,
+        "kucukyavuz": fam.gen_kucukyavuz,
+        "zhao": fam.gen_zhao,
+        "blp_uniform": fam.gen_blp_uniform,
+        "blp_generic": fam.gen_blp_generic,
+    }
+
+    @staticmethod
+    def outcome(fn, inst, params):
+        try:
+            return repr(fn(inst, params))
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @given(generator_params())
+    @settings(max_examples=1500, deadline=None)
+    def test_random_parameters(self, drawn):
+        inst, family, params = drawn
+        assert self.outcome(self.GENERATORS[family], inst, params) == self.outcome(
+            self.REFERENCE[family], inst, params), (family, params)
 
 
 def _general_draw(s):
