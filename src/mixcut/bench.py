@@ -167,12 +167,12 @@ def coverage(
     (z bounded by the first uncovered right-hand side) counts as covered by
     every family.  Only the families in `family_names` are evaluated, each
     chain up to its first member; an unknown or repeated family name raises
-    `ValidationError`.  Without a budget the hull comes from
-    `hull.cached_facets`.  A `dd.Budget` bounds the whole run: DD charges it
-    with its candidate pairs, then coverage charges one step per facet
-    checked, so a step budget counts DD's pairs plus the facets.  A tripped
-    budget yields an "incomplete" report, with zero counts and totals and no
-    fabricated percentages.
+    `ValidationError`.  The hull comes from `hull.enumerate_facets`, uncached.
+    A `dd.Budget` bounds the whole run: DD charges it with its candidate
+    pairs, then coverage charges one step per facet checked, so a step budget
+    counts DD's pairs plus the facets.  A tripped budget yields an
+    "incomplete" report, with zero counts and totals and no fabricated
+    percentages.
     """
     for k, name in enumerate(family_names):
         if name not in families.FAMILIES:
@@ -181,8 +181,7 @@ def coverage(
             raise ValidationError(f"family {name!r} is listed more than once")
     counts = {name: 0 for name in family_names}
     try:
-        # a budgeted run stays uncached, so that its budget can still trip
-        fs = hull.cached_facets(inst) if budget is None else hull.enumerate_facets(inst, budget)
+        fs = hull.enumerate_facets(inst, budget)
         for normal in fs.normals:
             if budget is not None:
                 budget.charge()

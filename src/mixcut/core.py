@@ -16,9 +16,11 @@ vertex z values over their common denominator, each x column and a ones
 column are packed into ints, one fixed-width field per vertex
 (`_packing`, per instance and width), so a cut's slacks are one sum of
 m + 2 multiples of them, computed in C.  Validity is one AND with the
-fields' top bits and the tight vertices one zero-field test.  The vertex z
-values and parity masks are one integer table per instance
-(`_vertex_table`).
+fields' top bits and the tight vertices one zero-field test.  The vertices
+are enumerated once per instance, as ints, into one table (`_vertex_table`:
+D z over the z values' common denominator D, the binary x as bytes and the
+parity masks), which every layer reads; only the public `enumerate_vertices`
+builds `Vertex` objects, from the table, on each call.
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ def canonicalize(cut: LinearCut) -> LinearCut:
 class Vertex:
     """A minimal point of the mixing set: binary x with z forced as low as possible.
 
-    Slotted: the vertex cache holds one per vertex of up to 256 instances,
+    Slotted: :func:`enumerate_vertices` builds one per vertex on each call,
     and a slotted vertex takes about 56 bytes against 97 with an instance
     dict (Python 3.11).
     """
@@ -351,36 +353,11 @@ def enumerate_vertices(inst: MixingInstance) -> tuple[Vertex, ...]:
 
     One vertex per feasible binary ``x`` (knapsack ``pi . x <= epsilon``) with
     ``z = max{h_i : x_i = 0}`` (0 when x is the all-ones vector).  Together
-    with the recession ray (1, 0) these generate the convex hull.
+    with the recession ray (1, 0) these generate the convex hull.  Built from
+    the vertex table on each call; the package's own layers read the table.
     """
-    if inst.m > 20:
-        raise ValidationError("vertex enumeration is guarded at m <= 20")
-    return _vertices_cached(inst)
-
-
-@lru_cache(maxsize=256)
-def _vertices_cached(inst: MixingInstance) -> tuple[Vertex, ...]:
-    """The vertices, grown one coordinate at a time with x_i = 0 before x_i = 1,
-    so sorted by x.
-
-    The knapsack is decided on the integer view's ints, pi and epsilon over
-    their common denominator.  h is non-increasing, so the largest h_i with
-    x_i = 0 is h at the first zero of x (None until there is one).  No
-    closure holds the list, so it is freed with the cache entry rather than
-    by the collector.
-    """
-    view = _int_view(inst)
-    # (room left under epsilon, z so far, x so far) for each feasible prefix
-    level: list = [(view.eps, None, ())]
-    for hi, w in zip(inst.h, view.pi[1:]):
-        grown = []
-        for room, z, x in level:
-            grown.append((room, hi if z is None else z, x + (0,)))
-            if w <= room:
-                grown.append((room - w, z, x + (1,)))
-        level = grown
-    zero = Fraction(0)
-    return tuple(Vertex(zero if z is None else z, x) for _, z, x in level)
+    table = _vertex_table(inst)
+    return tuple(Vertex(Fraction(z, table.D), tuple(x)) for z, x in zip(table.zs, table.xs))
 
 
 class _VertexTable(NamedTuple):
@@ -388,25 +365,51 @@ class _VertexTable(NamedTuple):
 
     ``zs`` holds D z of each vertex, D the lcm of the vertex z denominators.
     The first vertex has x = 0, so z = h_1, and ``zs[0]`` is the largest.
-    ``masks`` holds each vertex's ints ``(D z,) + x`` mod 2 as one bit mask:
-    bit 0 the parity of D z and bit k the binary x_k, so XOR of two masks is
-    their difference mod 2.
+    ``xs`` holds each vertex's binary x as bytes, one byte per coordinate,
+    which iterate as the ints 0 and 1.  ``masks`` holds each vertex's ints
+    ``(D z,) + x`` mod 2 as one bit mask: bit 0 the parity of D z and bit k
+    the binary x_k, so XOR of two masks is their difference mod 2.
     """
 
     D: int
     zs: tuple[int, ...]
     masks: tuple[int, ...]
+    xs: tuple[bytes, ...]
 
 
 @lru_cache(maxsize=256)
 def _vertex_table(inst: MixingInstance) -> _VertexTable:
-    vertices = _vertices_cached(inst)
-    D = math.lcm(*(v.z.denominator for v in vertices))
-    zs = tuple(_scale(v.z, D) for v in vertices)
-    masks = tuple(
-        (z & 1) | sum(b << k for k, b in enumerate(v.x, 1)) for z, v in zip(zs, vertices)
-    )
-    return _VertexTable(D, zs, masks)
+    """The package's one vertex enumeration: feasible prefixes of x grown one
+    coordinate at a time, x_i = 0 before x_i = 1, so the vertices come out
+    sorted by x.
+
+    The knapsack is decided on the integer view's ints.  h is non-increasing,
+    so z = max{h_i : x_i = 0} is h at the first zero of x, index m + 1
+    (h = 0) when there is none.  A first zero at i occurs just when
+    scenarios 1 .. i - 1 fit under epsilon, i <= p + 1, so D, the lcm of the
+    denominators of h_1 .. h_{p+1}, is known before the walk, and D z is one
+    int per first zero, shared by its vertices.
+    """
+    if inst.m > 20:
+        raise ValidationError("vertex enumeration is guarded at m <= 20")
+    view = _int_view(inst)
+    H = view.H
+    D = math.lcm(*(H // math.gcd(h, H) for h in view.h[1:inst.p + 2]))
+    z_at = [h * D // H for h in view.h]
+    # (room left under epsilon, first zero so far, x so far, its bit mask)
+    # for each feasible prefix
+    level: list = [(view.eps, inst.m + 1, b"", 0)]
+    for i, w in enumerate(view.pi[1:], 1):
+        bit = 1 << i
+        grown = []
+        for room, first, x, bits in level:
+            grown.append((room, min(first, i), x + b"\0", bits))
+            if w <= room:
+                grown.append((room - w, first, x + b"\1", bits | bit))
+        level = grown
+    zs = tuple(z_at[first] for _, first, _, _ in level)
+    masks = tuple((z & 1) | bits for z, (_, _, _, bits) in zip(zs, level))
+    return _VertexTable(D, zs, masks, tuple(x for _, _, x, _ in level))
 
 
 class _Packing(NamedTuple):
@@ -461,8 +464,7 @@ def _packing(inst: MixingInstance, width: int) -> _Packing:
     z = None
     if table.zs[0] >> 8 * width == 0:
         z = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in table.zs), "little")
-    x = tuple(column(bytes((mask >> k) & 1 for mask in table.masks))
-              for k in range(1, inst.m + 1))
+    x = tuple(column(bytes(col)) for col in zip(*table.xs))
     return _Packing(width, n, z, x, column(b"\x01" * n))
 
 
@@ -482,7 +484,6 @@ def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
-    enumerate_vertices(inst)  # the m <= 20 guard
     table = _vertex_table(inst)
     zn, zd = cut.z_coef.as_integer_ratio()
     ratios = [c.as_integer_ratio() for c in (cut.rhs, *cut.x_coefs)]

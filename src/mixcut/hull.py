@@ -33,7 +33,6 @@ from .core import (
     json_int,
     json_object,
     packed_slacks,
-    rat_str,
     ratio_str,
     vertex_from_dict,
 )
@@ -104,13 +103,16 @@ def _cuts(normals: Iterable[tuple[int, ...]]) -> tuple[LinearCut, ...]:
 def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
     """Homogenized primitive generators: the ray first, then vertices in lex order.
 
-    A vertex with z = a/D (in lowest terms) lifts to (a, D x, D), which is
-    already primitive because gcd(a, D) = 1.
+    A vertex with z = a/b (in lowest terms) lifts to (a, b x, b), which is
+    already primitive because gcd(a, b) = 1.  The vertex table holds D z, so
+    a and b are D z and D over their gcd.
     """
+    table = _vertex_table(inst)
     gens: list[tuple[int, ...]] = [tuple([1] + [0] * (inst.m + 1))]
-    for v in enumerate_vertices(inst):
-        D = v.z.denominator
-        gens.append((v.z.numerator, *(D * b for b in v.x), D))
+    for z, x in zip(table.zs, table.xs):
+        g = math.gcd(z, table.D)
+        b = table.D // g
+        gens.append((z // g, *(b * c for c in x), b))
     return gens
 
 
@@ -179,12 +181,6 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
     return FacetSet(inst, tuple(normals[:n]), tuple(normals[n:]))
 
 
-@lru_cache(maxsize=256)
-def cached_facets(inst: MixingInstance) -> FacetSet:
-    """Unguarded, memoized hull; callers needing budgets use enumerate_facets."""
-    return enumerate_facets(inst)
-
-
 def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     """Rank test: does the cut's tight set span an m-dimensional face?
 
@@ -223,8 +219,7 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
             rows.append(1)
         if linalg.rank_mod2(rows) == inst.m:
             return True
-    tight = compress(zip(table.zs, enumerate_vertices(inst)), flags)
-    tight_points = [(z,) + v.x for z, v in tight]
+    tight_points = [(z, *x) for z, x in compress(zip(table.zs, table.xs), flags)]
     return linalg.affine_rank(tight_points, directions) == inst.m + 1
 
 
@@ -244,17 +239,19 @@ def facetset_pieces(fs: FacetSet) -> Iterator[str]:
     """The text of :func:`facetset_to_json`, in pieces: one per vertex and per facet.
 
     Each vertex and each facet is rendered from its ints with no dict in
-    between.  A facet's z, x and rhs are a_z, a and -a_0 over the normal's
-    divisor, each rendered by `core.ratio_str` (so z reads "1" or "0"), as
-    `core.cut_to_dict` renders its canonical cut, with no Fraction built.
+    between.  A vertex's z is D z over D, read from the instance's vertex
+    table.  A facet's z, x and rhs are a_z, a and -a_0 over the normal's
+    divisor.  Each is rendered by `core.ratio_str` (so z reads "1" or "0"),
+    as `core.cut_to_dict` renders its canonical cut, with no Fraction built.
     These strings hold only digits, ``-`` and ``/``, which JSON never
     escapes.  A writer that takes the pieces as they come holds one record
     at a time, never the document.
     """
     text = lru_cache(maxsize=None)(ratio_str)
+    table = _vertex_table(fs.instance)
 
-    def vertex(v: Vertex) -> str:
-        return f'{{"z": "{rat_str(v.z)}", "x": [{", ".join(map(str, v.x))}]}}'
+    def vertex(z: int, x: bytes) -> str:
+        return f'{{"z": "{text(z, table.D)}", "x": [{", ".join(map(str, x))}]}}'
 
     def facet(a: tuple[int, ...]) -> str:
         d = _divisor(a)
@@ -262,7 +259,7 @@ def facetset_pieces(fs: FacetSet) -> Iterator[str]:
         return f'{{"z": "{text(a[0], d)}", "x": ["{x}"], "rhs": "{text(-a[-1], d)}"}}'
 
     yield '{"vertices": ['
-    yield from _items(map(vertex, fs.vertices))
+    yield from _items(map(vertex, table.zs, table.xs))
     yield '], "facets": ['
     yield from _items(map(facet, chain(fs.normals, fs.vertical_normals)))
     yield f'], "vertical_count": {len(fs.vertical_normals)}}}'

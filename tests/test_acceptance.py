@@ -58,6 +58,7 @@ from mixcut.core import (
     make_cut,
 )
 import hull_oracles
+import hulls
 import projection_reference
 from cone_reference import fractions_over
 from uniform_closure import uniform_closure
@@ -110,7 +111,7 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
             problems.append(f"{cell} {name}: {report.pct(name)} vs {want}")
 
     inst = benchmark_instance(example, m, p)
-    fs = hull.cached_facets(inst)
+    fs = hulls.facets(inst)
     total = report.facet_total
     if len(fs.normals) != total:
         problems.append(f"{cell}: report counts {total} facets, the hull has {len(fs.normals)}")
@@ -413,7 +414,7 @@ def test_criterion_06_nesting():
         for m in range(1, 9):
             for p in range(1, m + 1):
                 inst = benchmark_instance(example, m, p)
-                for normal in hull.cached_facets(inst).normals:
+                for normal in hulls.facets(inst).normals:
                     flags = [bool(v) for v in
                              (fam._memberships(inst, normal)[f] for f in order)]
                     facets_checked += 1
@@ -583,7 +584,7 @@ def test_criterion_09_hull_oracle_equivalence():
             for p in range(1, m + 1):
                 inst = benchmark_instance(example, m, p)
                 cells += 1
-                exact = hull.cached_facets(inst).facets
+                exact = hulls.facets(inst).facets
                 if hull_oracles.facets_by_wrapping(inst).facets != exact:
                     mismatch.append(("wrapping", example, m, p))
                 if m <= 4 and hull_oracles.facets_by_hyperplane_search(inst).facets != exact:
@@ -607,7 +608,7 @@ def test_criterion_10_disjunctive_projection():
                     projection_reference.projected_hull_facets(S), key=lambda c: c.sort_key()
                 )
                 direct = sorted(
-                    hull.cached_facets(inst).facets, key=lambda c: c.sort_key()
+                    hulls.facets(inst).facets, key=lambda c: c.sort_key()
                 )
                 if projected != direct:
                     mismatch.append((example, m, p))

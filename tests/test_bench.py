@@ -12,6 +12,7 @@ import pytest
 from mixcut import bench, cli, dd, families, hull
 from mixcut.core import ValidationError, build_instance, cut_to_json, instance_to_json, make_cut
 from cone_reference import fractions_over
+import hulls
 from projection_reference import parse_report
 
 
@@ -165,7 +166,7 @@ class TestCoverage:
         """With h constant, the one nonvertical facet is the degenerate
         z >= h_{p+1}, which every family covers."""
         inst = build_instance(3, [5, 5, 5], None, Fraction(1, 3))
-        assert hull.cached_facets(inst).normals == ((1, 0, 0, 0, -5),)
+        assert hulls.facets(inst).normals == ((1, 0, 0, 0, -5),)
         report = bench.coverage(inst, families.FAMILIES)
         assert report.covered == tuple((name, 1) for name in families.FAMILIES)
 
@@ -610,7 +611,7 @@ class TestCli:
         """K(10,5) has 2 006 nonvertical facets; `mixcut hull` writes its file
         to a sink that only hashes while holding under a quarter of the text."""
         inst = bench.benchmark_instance("K", 10, 5)
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         assert len(fs.normals) >= 1000
         text = hull.facetset_to_json(fs) + "\n"
         inst_file = tmp_path / "inst.json"

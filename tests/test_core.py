@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mixcut import hull
 from mixcut.core import (
     DimensionError,
     LinearCut,
@@ -20,7 +19,6 @@ from mixcut.core import (
     _int_view,
     _packing,
     _vertex_table,
-    _vertices_cached,
     build_instance,
     canonicalize,
     cut_from_json,
@@ -35,6 +33,7 @@ from mixcut.core import (
     rat,
     rat_str,
 )
+import hulls
 from hull_oracles import instances, parse_mixing_form
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
@@ -293,15 +292,15 @@ class TestVertices:
         """After 257 distinct instances each per-instance vertex table, and
         the packed columns of one field width, holds 256 of them; a second
         pass, which misses on every instance, rebuilds equal tables."""
-        tables = ((_int_view, ()), (_vertices_cached, ()), (_vertex_table, ()), (_packing, (2,)))
+        tables = ((_int_view, ()), (_vertex_table, ()), (_packing, (2,)))
         insts = [build_instance(3, [k + 2, k + 1, k], None, Fraction(2, 3))
                  for k in range(1, 258)]
         first = [tuple(table(inst, *args) for table, args in tables) for inst in insts]
-        assert [table.cache_info().currsize for table, _ in tables] == [256] * 4
+        assert [table.cache_info().currsize for table, _ in tables] == [256] * 3
         misses = [table.cache_info().misses for table, _ in tables]
         assert [tuple(table(inst, *args) for table, args in tables) for inst in insts] == first
         assert [table.cache_info().misses - n
-                for (table, _), n in zip(tables, misses)] == [257] * 4
+                for (table, _), n in zip(tables, misses)] == [257] * 3
 
 
 class TestValidity:
@@ -376,7 +375,7 @@ class TestVertexSlacks:
     def test_slacks_are_the_scaled_rational_slacks(self, inst, data):
         kind = data.draw(st.sampled_from(("facet", "general", "vertical")))
         if kind == "facet":
-            cut = data.draw(st.sampled_from(hull.cached_facets(inst).facets))
+            cut = data.draw(st.sampled_from(hulls.facets(inst).facets))
         else:
             z = Fraction(0) if kind == "vertical" else data.draw(COEFS)
             xs = data.draw(st.lists(COEFS, min_size=inst.m, max_size=inst.m))

@@ -17,6 +17,7 @@ from mixcut.bench import benchmark_instance
 from mixcut.core import build_instance, cut_is_valid, make_cut
 import certificate_reference as ref
 import generator_reference as gen_ref
+import hulls
 from hull_oracles import ParsedMixingForm
 from uniform_closure import uniform_closure
 
@@ -349,7 +350,7 @@ class TestNecessityCount:
         # K(7,5) has facets outside the generic family, so the search both
         # succeeds and fails on this cell
         inst = benchmark_instance("K", 7, 5)
-        facets = hull.cached_facets(inst).nonvertical
+        facets = hulls.facets(inst).nonvertical
         certified = 0
         for facet in facets:
             result = fam.member_of(inst, facet, "blp_generic")
@@ -385,7 +386,7 @@ class TestNecessityCount:
     def _l53_certificate():
         """A searched certificate of an L(5,3) facet with a nonempty q_list."""
         inst = benchmark_instance("L", 5, 3)
-        for facet in hull.cached_facets(inst).nonvertical:
+        for facet in hulls.facets(inst).nonvertical:
             result = fam.member_of(inst, facet, "blp_generic")
             if result.via == "blp_generic" and result.certificate.q_list:
                 return inst, result.certificate
@@ -469,7 +470,7 @@ class TestMembership:
         """Every witness regenerates its facet; K(6,6) yields star witnesses
         and the general-probability instances zhao ones."""
         inst = _membership_instance(data, weights)
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         regen = {
             "star": fam.gen_star,
             "strengthened_star": fam.gen_strengthened_star,
@@ -498,7 +499,7 @@ class TestMembership:
         order = list(fam.FAMILIES)
         for example, m, p in [("L", 5, 3), ("L", 6, 4), ("K", 6, 3)]:
             inst = benchmark_instance(example, m, p)
-            for facet in hull.cached_facets(inst).nonvertical:
+            for facet in hulls.facets(inst).nonvertical:
                 flags = [bool(fam.member_of(inst, facet, f)) for f in order]
                 assert flags == sorted(flags), (example, m, p, facet)
 
@@ -529,7 +530,7 @@ class TestLazyMembership:
         verdicts are filled from the bottom and from the top of each chain.
         """
         inst = _membership_instance(data, weights)
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         for normal, facet in zip(fs.normals, fs.nonvertical):
             truth = {name: bool(fam.member_of(inst, facet, name)) for name in fam.FAMILIES}
             for size in range(len(fam.FAMILIES) + 1):
@@ -583,7 +584,7 @@ def _kernel_certificates():
     """(instance, blp_generic witness) for every such facet of KERNEL_INSTANCES."""
     out = []
     for inst in KERNEL_INSTANCES:
-        for facet in hull.cached_facets(inst).nonvertical:
+        for facet in hulls.facets(inst).nonvertical:
             cert = fam.member_of(inst, facet, "blp_generic").certificate
             if isinstance(cert, fam.BlpGenericParams):
                 out.append((inst, cert))
@@ -680,7 +681,7 @@ class TestIntKernel:
         """Each blp_generic witness on the hull is what the Fraction rows find,
         and they accept it with its A_j and beta."""
         inst = KERNEL_INSTANCES[k]
-        for facet in hull.cached_facets(inst).nonvertical:
+        for facet in hulls.facets(inst).nonvertical:
             cert = fam.member_of(inst, facet, "blp_generic").certificate
             if not isinstance(cert, fam.BlpGenericParams):
                 continue
@@ -883,7 +884,7 @@ class TestGenericChoice:
     def test_matches_search(self, name):
         key = self.INSTANCES[name]
         inst = benchmark_instance(*key) if isinstance(key, tuple) else _general_draw(key)
-        for facet in hull.cached_facets(inst).nonvertical:
+        for facet in hulls.facets(inst).nonvertical:
             form = fam._facet_form(inst, facet)
             if form.t:
                 assert fam._first_generic_choice(inst, form) == ref.first_generic_choice(
@@ -923,7 +924,7 @@ class TestNormalRoute:
     def test_normal_and_cut_agree(self, name):
         key = self.INSTANCES[name]
         inst = benchmark_instance(*key) if isinstance(key, tuple) else _general_draw(key)
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         assert len(fs.normals) == len(fs.nonvertical)
         for normal, cut in zip(fs.normals, fs.nonvertical):
             form = fam._normal_form(inst, normal)
@@ -934,7 +935,7 @@ class TestNormalRoute:
         """L(6,4) with h over den: H = den shares factors with the normals' z
         entries, so F = lcm(H, a_z) is not H a_z."""
         inst = build_instance(6, [Fraction(v, den) for v in SEQ_L[:6]], None, Fraction(4, 6))
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         for normal, cut in zip(fs.normals, fs.nonvertical):
             assert fam._normal_form(inst, normal) == _fraction_form(inst, cut), cut
             truth = {name: bool(fam.member_of(inst, cut, name)) for name in fam.FAMILIES}
@@ -951,7 +952,7 @@ class TestWitnesses:
         """Every blp_generic witness on the cell regenerates its facet, with
         the same certificate; `_memberships` gives `member_of`'s verdicts."""
         inst = benchmark_instance(example, m, p)
-        fs = hull.cached_facets(inst)
+        fs = hulls.facets(inst)
         for normal, facet in zip(fs.normals, fs.nonvertical):
             found = fam.member_of(inst, facet, "blp_generic")
             if found.via == "blp_generic":

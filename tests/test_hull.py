@@ -1,5 +1,6 @@
 """Facet enumeration: worked examples, cross-oracles, facet rank test."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import pairwise
@@ -24,8 +25,9 @@ from mixcut.core import (
     make_cut,
     vertex_to_dict,
 )
-from mixcut import dd, hull, linalg
+from mixcut import bench, cli, core, dd, hull, linalg
 import hull_oracles
+import hulls
 
 SEQ_L = [20, 18, 14, 11, 6, 5, 4, 3, 2, 1]
 
@@ -115,6 +117,64 @@ def test_lifted_generators_are_primitive_fraction_lifts(inst):
     assert hull.lifted_generators(inst) == expected
 
 
+@st.composite
+def _fractional_general(draw):
+    """General probabilities and h over denominators 1..6, m = 1..8."""
+    m = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    total = sum(weights)
+    h = draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.integers(1, 6)),
+                      min_size=m, max_size=m))
+    return build_instance(
+        m, sorted(h, reverse=True), [Fraction(w, total) for w in weights],
+        Fraction(draw(st.integers(max(weights), total)), total),
+    )
+
+
+@given(_fractional_general())
+@settings(max_examples=150, deadline=None)
+def test_vertex_table_readers_match_the_fraction_vertices(inst):
+    """The readers of the vertex table against the Fraction vertices of
+    `enumerate_vertices`: `lifted_generators` is the ray, then each vertex
+    with z = a/b in lowest terms lifted to (a, b x, b), and the facet file's
+    vertex records are the vertices' `vertex_to_dict` objects."""
+    vertices = enumerate_vertices(inst)
+    assert hull.lifted_generators(inst) == [(1,) + (0,) * (inst.m + 1)] + [
+        (v.z.numerator, *(v.z.denominator * b for b in v.x), v.z.denominator)
+        for v in vertices
+    ]
+    assert hull.facetset_to_json(hull.FacetSet(inst, (), ())) == json.dumps({
+        "vertices": [vertex_to_dict(v) for v in vertices], "facets": [], "vertical_count": 0,
+    })
+
+
+def test_package_paths_build_no_vertex(monkeypatch, tmp_path):
+    """`mixcut hull` on a pool instance, `bench.coverage` on a cell,
+    `cut_is_valid`, and `is_facet` down its exact fallback (the L(8,5) facet
+    whose tight set falls short of rank m mod 2) read the vertex table and
+    build no `Vertex`."""
+    def refuse(*args):
+        raise AssertionError(f"a Vertex built from {args}")
+
+    monkeypatch.setattr(core, "Vertex", refuse)
+    _vertex_table.cache_clear()
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"]["general1"]
+    inst_file = tmp_path / "general1.json"
+    inst_file.write_text(json.dumps(entry["instance"]))
+    out_file = tmp_path / "general1.facets.json"
+    assert cli.main(["hull", "--instance", str(inst_file), "--out", str(out_file)]) == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == entry["sha256"]
+    assert bench.benchmark_coverage("L", 6, 3).facet_total == 22
+    inst = build_instance(8, SEQ_L[:8], None, Fraction(5, 8))
+    facet = make_cut(1, [2, 0, 0, -4, 0, -6, -6, -6], -2)
+    assert cut_is_valid(inst, facet)
+    exact = []
+    affine_rank = linalg.affine_rank
+    monkeypatch.setattr(linalg, "affine_rank", lambda *args: exact.append(args) or affine_rank(*args))
+    assert hull.is_facet(inst, facet)
+    assert len(exact) == 1
+
+
 def _check_insertion_order(inst):
     """`insertion_order` permutes the lex generators: the ray first, then the
     first-zero positions of x non-decreasing, each block strictly decreasing
@@ -182,7 +242,7 @@ def test_slack_verdicts_match_evaluate(inst, data):
     """cut_is_valid and the is_facet tight set agree with LinearCut.evaluate."""
     kind = data.draw(st.sampled_from(("facet", "general", "vertical", "negative_z", "mismatch")))
     if kind == "facet":
-        facet = data.draw(st.sampled_from(hull.cached_facets(inst).facets))
+        facet = data.draw(st.sampled_from(hulls.facets(inst).facets))
         z, x = facet.z_coef, list(facet.x_coefs)
         if data.draw(st.booleans()):
             z = -z
@@ -257,7 +317,7 @@ def test_is_facet_matches_exact_rank_oracle(example, m, p):
     and the exact fallback decide cases here.
     """
     inst = benchmark_instance(example, m, p)
-    facets = hull.cached_facets(inst).facets
+    facets = hulls.facets(inst).facets
     sums = [LinearCut(a.z_coef + b.z_coef, tuple(map(sum, zip(a.x_coefs, b.x_coefs))), a.rhs + b.rhs)
             for a, b in zip(facets, facets[1:] + facets[:1])]
     # x_i >= 0 plus x_i <= 1 is the all-zero cut
@@ -294,7 +354,7 @@ def test_is_facet_falls_back_on_mod2_shortfall():
     """A facet of L(8,5) whose tight differences have rank m over Q but not mod 2."""
     inst = build_instance(8, SEQ_L[:8], None, Fraction(5, 8))
     facet = make_cut(1, [2, 0, 0, -4, 0, -6, -6, -6], -2)
-    assert facet in hull.cached_facets(inst).facets
+    assert facet in hulls.facets(inst).facets
     tight = [mask for mask, v in zip(_vertex_table(inst).masks, enumerate_vertices(inst))
              if facet.evaluate(v.z, v.x) == facet.rhs]
     assert linalg.rank_mod2([mask ^ tight[0] for mask in tight[1:]]) < inst.m
@@ -314,7 +374,7 @@ def test_every_facet_of_an_m11_pool_instance():
     refused as invalid."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"]["general1"]
     inst = instance_from_json(json.dumps(entry["instance"]))
-    facets = hull.cached_facets(inst).facets
+    facets = hulls.facets(inst).facets
     assert inst.m == 11 and len(facets) == 1091
     for cut in facets:
         assert hull.is_facet(inst, cut)
