@@ -17,7 +17,6 @@ from typing import Iterable
 from . import bench, blp, dd, families, hull
 from .core import (
     ValidationError,
-    canonicalize,
     cut_from_json,
     cut_is_valid,
     cut_to_dict,
@@ -205,7 +204,7 @@ def cmd_check(args) -> int:
     validity on the way, and an invalid cut raises `hull.InvalidCutError`.
     """
     inst = instance_from_json(_read(args.instance))
-    cut = canonicalize(cut_from_json(_read(args.cut)))
+    cut = cut_from_json(_read(args.cut))
     if not args.facet:
         result = {"valid": cut_is_valid(inst, cut)}
     else:

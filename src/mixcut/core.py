@@ -8,7 +8,10 @@ over a common denominator: the knapsack test of vertex enumeration, the
 vertex slacks here (`packed_slacks`), and every family membership check
 (`families`, with one scale per facet).  Each instance has one integer view
 (`_int_view`: pi and epsilon over their common denominator D, h over its
-own, H), which the knapsack test and `families` both read.
+own, H), which the knapsack test and `families` both read.  A cut enters the
+int paths one way, as its primitive integer normal (`_cut_normal`), the form
+in which double description gives a facet; that is also where a cut's
+length is checked against the instance.
 
 The vertex slacks behind `cut_is_valid` and `hull.is_facet` are evaluated at
 every vertex at once, SIMD within a register on Python's big ints: the
@@ -31,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
+
+from .linalg import primitive
 
 #: Exact scalar type used throughout the package.  ``Fraction`` already
 #: guarantees lowest terms and a positive denominator.
@@ -468,37 +473,48 @@ def _packing(inst: MixingInstance, width: int) -> _Packing:
     return _Packing(width, n, z, x, column(b"\x01" * n))
 
 
-def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
-    """Every vertex's slack ``cut.evaluate(v.z, v.x) - cut.rhs`` times L * D,
-    in one int, with the packing that lays it out.
+def _cut_normal(inst: MixingInstance, cut: LinearCut) -> tuple[int, ...]:
+    """The cut's primitive integer normal (a_z, a_1, ..., a_m, a_0) of
+    a_z z + a.x + a_0 >= 0: coprime ints, a positive multiple of
+    (z_coef, x_coefs, -rhs), as double description gives a facet.
 
-    L is the lcm of the cut's denominators and D that of the vertex z values,
-    so the signs, and which slacks are zero, are exactly those of the rational
-    slacks.  Field v of the word (in :func:`enumerate_vertices` order) holds
-    the slack plus the bias 2^(8 W - 1), so its top bit says slack >= 0 (see
-    `_Packing.nonnegative` and `_Packing.zero_flags`).  The word is
-    ``a_z Z + sum_k c_k X_k - b ONES + bias ONES`` over the packed columns,
-    exact because every field's value lies in 0 .. 2^(8 W) - 1: W is the
-    fewest bytes that hold the slack bound ``|a_z| D z_1 + D |b| + D sum
-    |c_k|`` (all over L) with a sign bit and one spare bit.
+    Every int path reads a cut through here, so this is where a cut whose
+    number of x coefficients is not m is refused (:class:`DimensionError`).
     """
     if cut.m != inst.m:
         raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
+    # rhs is negated as an int: a Fraction negation costs about a microsecond
+    *a, rhs = primitive((cut.z_coef, *cut.x_coefs, cut.rhs))
+    return (*a, -rhs)
+
+
+def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
+    """Every vertex's slack ``a_z z + a.x + a_0`` of the cut's normal
+    (:func:`_cut_normal`) times D, in one int, with the packing that lays it
+    out.
+
+    D is the lcm of the vertex z values' denominators, so each slack is an
+    int, a positive multiple of the rational ``cut.evaluate(v.z, v.x) -
+    cut.rhs``: its sign, and whether it is zero, are the same.  Field v of
+    the word (in :func:`enumerate_vertices` order) holds the slack plus the
+    bias 2^(8 W - 1), so its top bit says slack >= 0 (see
+    `_Packing.nonnegative` and `_Packing.zero_flags`).  The word is
+    ``a_z Z + D sum_k a_k X_k + (bias + D a_0) ONES`` over the packed
+    columns, exact because every field's value lies in 0 .. 2^(8 W) - 1: W
+    is the fewest bytes that hold the slack bound
+    ``|a_z| D z_1 + D |a_0| + D sum |a_k|`` with a sign bit and one spare bit.
+    """
+    a_z, *a, a_0 = _cut_normal(inst, cut)
     table = _vertex_table(inst)
-    zn, zd = cut.z_coef.as_integer_ratio()
-    ratios = [c.as_integer_ratio() for c in (cut.rhs, *cut.x_coefs)]
-    L = math.lcm(zd, *(d for _, d in ratios))
-    az = zn * (L // zd)
-    LD = L * table.D
-    b, *cs = [n * (LD // d) for n, d in ratios]
-    bound = abs(az) * table.zs[0] + abs(b) + sum(map(abs, cs))
+    D = table.D
+    bound = abs(a_z) * table.zs[0] + D * (abs(a_0) + sum(map(abs, a)))
     packing = _packing(inst, (bound.bit_length() + 9) // 8)
-    word = ((1 << 8 * packing.width - 1) - b) * packing.ones
-    if az:
-        word += az * packing.z
-    for c, column in zip(cs, packing.x):
+    word = ((1 << 8 * packing.width - 1) + D * a_0) * packing.ones
+    if a_z:
+        word += a_z * packing.z
+    for c, column in zip(a, packing.x):
         if c:
-            word += c * column
+            word += D * c * column
     return word, packing
 
 
@@ -646,9 +662,3 @@ def cut_from_json(text: str) -> LinearCut:
 
 def vertex_to_dict(v: Vertex) -> dict:
     return {"z": rat_str(v.z), "x": list(v.x)}
-
-
-def vertex_from_dict(payload) -> Vertex:
-    """Read a :func:`vertex_to_dict` object; any malformation raises :class:`ValidationError`."""
-    payload = json_object(payload, "vertex", ("z", "x"))
-    return Vertex(rat(payload["z"]), json_ints(payload["x"], "vertex", "x"))

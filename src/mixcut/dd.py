@@ -36,9 +36,11 @@ class Budget:
     """Wall-clock / step guard for double description.
 
     DD charges one insertion's candidate pairs at once, so the deadline is
-    read on every call.  Zero seconds or zero steps is a budget like any
-    other, not "no budget".  A NaN limit would never trip, so it is refused
-    with `ValueError`.
+    read on every call.  Its containment scan also charges 0 once per group
+    of tight rays that die at the same later generator, so that one long
+    insertion cannot run far past the deadline.  Zero seconds or zero steps
+    is a budget like any other, not "no budget".  A NaN limit would never
+    trip, so it is refused with `ValueError`.
     """
 
     def __init__(self, seconds: Optional[float] = None, steps: Optional[int] = None):
@@ -94,7 +96,8 @@ def dual_rays(
 
     A budget is charged once per insertion with the number of pairs of a
     positive and a violating ray, so a completed run charges the candidate
-    pairs of classic double description.
+    pairs of classic double description, and with 0 once per fii group of
+    the containment scan, which reads the deadline without a step.
     """
     gens = [tuple(g) for g in generators]
     if not gens:
@@ -188,6 +191,8 @@ def dual_rays(
         blocks = None
         i = 0
         while fiis[i] < n:
+            if budget is not None:
+                budget.charge(0)
             fa = fiis[i]
             j = bisect_right(fiis, fa, i)
             fbit = 1 << fa

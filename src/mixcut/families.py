@@ -19,11 +19,11 @@ ints: each instance's integer view (`core._int_view`: pi and epsilon over
 their common denominator D, h over its own, H), and each cut scaled by one
 F, a multiple of H and of the cut's denominators (`_Form`).  A check reads
 the form off a facet's primitive integer normal, the one double description
-gives (`_normal_form`; `_facet_form` for a cut).  A generator builds it from
-its parameters (`_shifted_form`), tests each shift hypothesis with the
-function its check calls (`_uniform_shifts`, `_generic_shift_fits`) and
-returns `_Form.cut`.  Fractions appear only in parsed parameters, returned
-cuts and witnesses.
+gives (`_normal_form`); `member_of` takes a cut's from `core._cut_normal`.
+A generator builds it from its parameters (`_shifted_form`), tests each
+shift hypothesis with the function its check calls (`_uniform_shifts`,
+`_generic_shift_fits`) and returns `_Form.cut`.  Fractions appear only in
+parsed parameters, returned cuts and witnesses.
 
 The generic family's certificate search (`_search_rows`) takes, for each
 scenario, the smallest feasible prefix of the lifting positions in ratio
@@ -57,18 +57,16 @@ from typing import (
 )
 
 from .core import (
-    DimensionError,
     LinearCut,
     MixingInstance,
     ValidationError,
     _int_view,
     _IntView,
+    _cut_normal,
     _scale,
     as_index,
-    canonicalize,
     rat,
 )
-from .linalg import primitive
 
 FAMILIES = (
     "star",
@@ -251,15 +249,6 @@ class _Form:
             x[i - 1] = -v
         rhs = Fraction(self.rhs_base - sum(self.phis), self.F)
         return LinearCut(Fraction(1), self.fractions(x), rhs)
-
-
-def _facet_form(inst: MixingInstance, cut: LinearCut) -> _Form:
-    """The mixing form of a canonical cut with z_coef = 1, over ints."""
-    if cut.m != inst.m:
-        raise DimensionError(f"cut has {cut.m} x coefficients, instance has m={inst.m}")
-    if cut.z_coef != 1:
-        raise ValidationError("mixing-form parsing requires a canonical cut with z_coef = 1")
-    return _normal_form(inst, primitive((cut.z_coef, *cut.x_coefs, -cut.rhs)))
 
 
 def _normal_form(inst: MixingInstance, normal: Sequence[int]) -> _Form:
@@ -770,18 +759,19 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
 def member_of(inst: MixingInstance, facet: LinearCut, family: str) -> Membership:
     """Does some parameterization of `family` reproduce this facet exactly?
 
-    The facet must be canonical with z coefficient 1 (vertical facets have
-    no family membership).  Memberships are inclusive along the family
-    hierarchy; on non-uniform instances the cardinality-only families are
-    simply empty.  The witness is the highest family on the chain from
+    The facet is read as its primitive normal (`core._cut_normal`), so any
+    positive scale of a cut gives the same answer; its z coefficient must be
+    positive (vertical facets have no family membership).  Memberships are
+    inclusive along the family hierarchy; on non-uniform instances the
+    cardinality-only families are simply empty.  The witness is the highest family on the chain from
     `family` down whose own check holds, built from that check's int result.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}")
-    facet = canonicalize(facet)
-    if facet.z_coef != 1:
+    normal = _cut_normal(inst, facet)
+    if normal[0] <= 0:
         raise ValidationError("family membership is defined for z_coef = 1 cuts only")
-    form = _facet_form(inst, facet)
+    form = _normal_form(inst, normal)
     degenerate = _degenerate(inst, form)
     if degenerate is not None:
         return Membership(degenerate, "degenerate" if degenerate else None)

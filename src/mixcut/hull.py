@@ -4,7 +4,9 @@ The hull is conv(minimal vertices) + cone{(1, 0)}.  Homogenizing lifts each
 vertex to (z, x, 1) and the ray to (1, 0, 0); the facets are then the extreme
 rays of the dual cone, which the double-description engine enumerates
 exactly.  Float hulls mis-merge near-parallel facet normals, which would
-corrupt the coverage counts, so everything here stays rational.
+corrupt the coverage counts, so everything here stays rational.  A facet
+file is read back by one comparison: the document must be the writer's text
+of the facet set that its own facets' primitive normals build.
 """
 
 from __future__ import annotations
@@ -20,21 +22,18 @@ import json
 
 from . import dd, linalg
 from .core import (
-    DimensionError,
     LinearCut,
     MixingInstance,
     ValidationError,
     Vertex,
+    _cut_normal,
     _vertex_table,
-    canonicalize,
     cut_from_dict,
     enumerate_vertices,
     json_array,
-    json_int,
     json_object,
     packed_slacks,
     ratio_str,
-    vertex_from_dict,
 )
 
 BudgetExceeded = dd.BudgetExceeded
@@ -184,11 +183,14 @@ def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
 def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     """Rank test: does the cut's tight set span an m-dimensional face?
 
-    One packed slack word (:func:`core.packed_slacks`, the word that also
-    decides :func:`core.cut_is_valid`) gives both the validity verdict, its
-    fields' top bits, and the tight set: the vertices whose field holds a
-    zero slack, one flag byte each, plus the recession ray when the z
-    coefficient is zero.  The hull is full dimensional, so a facet needs
+    A constant inequality, with no z and no x term, is refused with
+    :class:`ValidationError`.  One packed slack word
+    (:func:`core.packed_slacks`, on the cut's primitive normal, the word
+    that also decides :func:`core.cut_is_valid`) gives both the validity
+    verdict, its fields' top bits, and the tight set: the vertices whose
+    field holds a zero slack, one flag byte each, plus the recession ray
+    when the z coefficient is zero.  None of these depends on the cut's
+    positive scale.  The hull is full dimensional, so a facet needs
     affine rank m + 1: the differences of the tight points from the first
     one, with the ray, must have rank m.  The tight points are the ints
     ``(D z,) + x``, with D the common denominator of the vertex z values:
@@ -196,13 +198,14 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
 
     Those differences are checked mod 2 first (:func:`linalg.rank_mod2` on
     the vertices' parity masks, the ray's mask being 1).  Rank over GF(2)
-    never exceeds rank over Q, and a valid canonical cut is nonzero, so its
+    never exceeds rank over Q, and the cut has a z or an x term, so the
     tight differences and the ray lie in its hyperplane and have rank at
     most m over Q: a mod-2 rank of m proves a facet.  A shortfall, or an
     empty tight set, proves nothing, and :func:`linalg.affine_rank` decides
     exactly; it is the only path that answers False.
     """
-    cut = canonicalize(cut)
+    if not (cut.z_coef or any(cut.x_coefs)):
+        raise ValidationError("the facet test needs a cut with a z or an x term")
     word, packing = packed_slacks(inst, cut)
     if cut.z_coef < 0 or not packing.nonnegative(word):
         raise InvalidCutError("facet test requires a valid cut")
@@ -274,33 +277,21 @@ def facetset_to_json(fs: FacetSet) -> str:
 def facetset_from_json(inst: MixingInstance, text: str) -> FacetSet:
     """Read :func:`facetset_to_json` output back as the facet set of `inst`.
 
-    Any malformation raises :class:`ValidationError`: a missing field or one
-    of the wrong JSON type, a cut whose number of x coefficients is not
-    ``inst.m`` (as :class:`DimensionError`), a vertex list other than
-    ``enumerate_vertices(inst)``, and a ``vertical_count`` that does not
-    match the facet list.  The facets are read as the facet set that their
-    primitive normals (`linalg.primitive`) give, through the writer's own
-    canonical form and order, and that set's ``facets`` must be the parsed
-    cuts, with no repeat: so a cut out of canonical form, a repeated or
-    misplaced facet, or a constant one is refused.
+    The facets are parsed as cuts (a cut whose number of x coefficients is
+    not ``inst.m`` raises :class:`DimensionError`) and the facet set of their
+    distinct primitive normals is built.  The parsed document must then be
+    that set's :func:`facetset_to_json` text, or :class:`ValidationError` is
+    raised.  That one comparison checks the vertex list, each cut's canonical
+    form, the facet order, that no facet repeats or is constant, and
+    ``vertical_count``, and it refuses bools and floats.
     """
     doc = "facet set"
     payload = json_object(json.loads(text), doc, ("vertices", "facets", "vertical_count"))
-    facets = tuple(cut_from_dict(c) for c in json_array(payload["facets"], doc, "facets"))
-    for c in facets:
-        if c.m != inst.m:
-            raise DimensionError(f"cut has {c.m} x coefficients, instance has m={inst.m}")
-    vertices = tuple(vertex_from_dict(v) for v in json_array(payload["vertices"], doc, "vertices"))
-    if vertices != enumerate_vertices(inst):
-        raise ValidationError("the vertex list is not the instance's vertex list")
-    fs = _facetset_from_normals(
-        inst, [linalg.primitive((c.z_coef, *c.x_coefs, -c.rhs)) for c in facets]
-    )
-    if fs.facets != facets or len(set(facets)) != len(facets):
+    cuts = map(cut_from_dict, json_array(payload["facets"], doc, "facets"))
+    fs = _facetset_from_normals(inst, dict.fromkeys(_cut_normal(inst, c) for c in cuts))
+    if json.dumps(payload) != facetset_to_json(fs):
         raise ValidationError(
-            "the facets must be distinct canonical cuts, nonvertical ones first, "
-            "each kind strictly increasing by LinearCut.sort_key"
+            "the document is not the facet file of its own facets: the vertex list, "
+            "a facet's canonical form, the facet order, a repeat or vertical_count differs"
         )
-    if len(fs.vertical_normals) != json_int(payload["vertical_count"], doc, "vertical_count"):
-        raise ValidationError("vertical_count does not match the facet list")
     return fs

@@ -33,8 +33,9 @@ def _reduce(vec: Sequence[int]) -> tuple[int, ...]:
 
 def primitive(vec: Sequence) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to coprime integers, preserving direction."""
-    denom = lcm(*(v.denominator for v in vec))
-    return _reduce([v.numerator * (denom // v.denominator) for v in vec])
+    ratios = [v.as_integer_ratio() for v in vec]
+    denom = lcm(*[d for _, d in ratios])
+    return _reduce([n * (denom // d) for n, d in ratios])
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:

@@ -18,8 +18,8 @@ seed) is a different algorithm, so a fault in either shows up as a
 disagreement.  This module never imports `mixcut.dd`.
 
 `parse_mixing_form` is the rational inverse of `core.mixing_form`; the
-families decide membership on their own integer reading of a facet
-(`families._facet_form`).
+families decide membership on their own integer reading of a facet, its
+primitive normal (`families._normal_form`).
 
 `instances` is the hypothesis strategy of the instances these oracles and
 the slack tests run on.

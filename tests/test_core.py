@@ -325,18 +325,21 @@ COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 
 
 def _oracle_slacks(inst, cut):
-    """(evaluate - rhs) * L * D at every vertex, from the Fraction cut, and
-    the slack bound |a_z| D z_1 + D |b| + D sum |c_k|, all over L.
+    """(evaluate - rhs) * S * D at every vertex, from the Fraction cut, and
+    the slack bound |a_z| D z_1 + D |b| + D sum |c_k|, all over S.
 
-    L is the lcm of the cut's denominators and D that of the vertex z values.
+    S is the scale of the cut's primitive normal, the lcm L of its
+    denominators over the gcd of its coefficients times L (L for the zero
+    cut), and D is the lcm of the vertex z denominators.
     """
     vertices = enumerate_vertices(inst)
     D = math.lcm(*(v.z.denominator for v in vertices))
-    L = math.lcm(cut.z_coef.denominator, cut.rhs.denominator,
-                 *(c.denominator for c in cut.x_coefs))
-    slacks = [(cut.evaluate(v.z, v.x) - cut.rhs) * L * D for v in vertices]
+    coefs = (cut.z_coef, *cut.x_coefs, cut.rhs)
+    L = math.lcm(*(c.denominator for c in coefs))
+    S = Fraction(L, math.gcd(*(int(c * L) for c in coefs)) or 1)
+    slacks = [(cut.evaluate(v.z, v.x) - cut.rhs) * S * D for v in vertices]
     bound = (abs(cut.z_coef) * max(v.z for v in vertices) + abs(cut.rhs)
-             + sum(map(abs, cut.x_coefs))) * L * D
+             + sum(map(abs, cut.x_coefs))) * S * D
     assert all(q.denominator == 1 for q in slacks + [bound])
     return [q.numerator for q in slacks], bound.numerator
 
@@ -411,18 +414,20 @@ class TestVertexSlacks:
     def test_slack_bound_at_a_byte_boundary(self, inst, data):
         """An integer cut whose right-hand side puts the slack bound just
         below 2^(8 k - 2), the most that k bytes hold with a sign and a spare
-        bit, or just above it, for k = 1 .. 11."""
+        bit, or just above it, for k = 1 .. 11.  z and x are coprime, so the
+        cut is its own primitive normal whatever its right-hand side."""
         k = data.draw(st.integers(1, 11))
         z = data.draw(st.integers(0, 3))
         xs = data.draw(st.lists(st.integers(-3, 3), min_size=inst.m, max_size=inst.m))
-        base = LinearCut(Fraction(z), tuple(map(Fraction, xs)), Fraction(0))
-        _, rest = _oracle_slacks(inst, base)
-        D = math.lcm(*(v.z.denominator for v in enumerate_vertices(inst)))
+        assume(math.gcd(z, *xs) == 1)
+        vertices = enumerate_vertices(inst)
+        D = math.lcm(*(v.z.denominator for v in vertices))
+        rest = z * max(v.z for v in vertices) * D + D * sum(map(abs, xs))
         room = ((1 << 8 * k - 2) - 1 - rest) // D
         assume(room >= 0)
         above = data.draw(st.booleans())
         sign = data.draw(st.sampled_from((1, -1)))
-        cut = LinearCut(base.z_coef, base.x_coefs, Fraction(sign * (room + above)))
+        cut = LinearCut(Fraction(z), tuple(map(Fraction, xs)), Fraction(sign * (room + above)))
         _, bound = _oracle_slacks(inst, cut)
         assert (bound >> 8 * k - 2 > 0) == above
         _assert_exact_slacks(inst, cut)

@@ -238,10 +238,11 @@ def test_hull_m11_pool_facet_files_match_reference(key, tmp_path):
     as stored: the benchmark's correctness gate, as its worker runs it.  A
     60 s budget (each takes under a second) makes a slow run exit 3.
 
-    DD reads that deadline only once per insertion, and a slip that makes
-    rays pile up can spend minutes in one insertion, so lex-order DD runs
-    first under the stored pool's charged pairs as a step budget: the
-    insertion after the pile-up trips it."""
+    DD reads that deadline at each insertion and once per fii group of its
+    containment scan; a slip that makes rays pile up slows every group, so
+    lex-order DD also runs first under the stored pool's charged pairs as a
+    step budget, which the insertion after the pile-up trips on any
+    machine."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
     inst = instance_from_json(json.dumps(entry["instance"]))
     dd.dual_rays(hull.lifted_generators(inst), dd.Budget(steps=entry["dd_pairs"]))
@@ -303,3 +304,25 @@ def test_budget_deadline_checked_on_every_charge():
     time.sleep(0.01)
     with pytest.raises(dd.BudgetExceeded):
         budget.charge()
+
+
+def test_deadline_read_within_an_insertion(monkeypatch):
+    """The clock passes the deadline just after the tenth insertion's charge
+    on L(7,4): DD reads it again in that insertion's containment scan (a
+    step-free `charge(0)` per fii group) and raises there, before any later
+    insertion charges its pairs."""
+    now = [0.0]
+    monkeypatch.setattr(dd.time, "monotonic", lambda: now[0])
+    charges = []
+
+    class Recording(dd.Budget):
+        def charge(self, amount=1):
+            charges.append(amount)
+            super().charge(amount)
+            if sum(map(bool, charges)) == 10:
+                now[0] = 2.0
+
+    gens = hull.insertion_order(bench.benchmark_instance("L", 7, 4))
+    with pytest.raises(dd.BudgetExceeded, match="time"):
+        dd.dual_rays(gens, Recording(seconds=1.0))
+    assert charges[-1] == 0 and sum(map(bool, charges)) == 10

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mixcut import families as fam
 from mixcut import hull
 from mixcut.bench import benchmark_instance
-from mixcut.core import build_instance, cut_is_valid, make_cut
+from mixcut.core import _cut_normal, build_instance, cut_is_valid, make_cut
 import certificate_reference as ref
 import generator_reference as gen_ref
 import hulls
@@ -885,7 +885,7 @@ class TestGenericChoice:
         key = self.INSTANCES[name]
         inst = benchmark_instance(*key) if isinstance(key, tuple) else _general_draw(key)
         for facet in hulls.facets(inst).nonvertical:
-            form = fam._facet_form(inst, facet)
+            form = fam._normal_form(inst, _cut_normal(inst, facet))
             if form.t:
                 assert fam._first_generic_choice(inst, form) == ref.first_generic_choice(
                     inst, form), facet
@@ -894,7 +894,8 @@ class TestGenericChoice:
         """L(7,4): z + 3x_1 + 2x_4 - 3(x_5 + x_6 + x_7) >= 11 needs one phantom,
         the first pool entry 2."""
         inst = benchmark_instance("L", 7, 4)
-        form = fam._facet_form(inst, make_cut(1, [3, 0, 0, 2, -3, -3, -3], 11))
+        cut = make_cut(1, [3, 0, 0, 2, -3, -3, -3], 11)
+        form = fam._normal_form(inst, _cut_normal(inst, cut))
         assert fam._first_generic_choice(inst, form) == (4, (1, 2, 4))
         assert ref.first_generic_choice(inst, form) == (4, (1, 2, 4))
 
@@ -928,7 +929,7 @@ class TestNormalRoute:
         assert len(fs.normals) == len(fs.nonvertical)
         for normal, cut in zip(fs.normals, fs.nonvertical):
             form = fam._normal_form(inst, normal)
-            assert form == fam._facet_form(inst, cut) == _fraction_form(inst, cut), cut
+            assert form == fam._normal_form(inst, _cut_normal(inst, cut)) == _fraction_form(inst, cut), cut
 
     @pytest.mark.parametrize("den", [2, 4, 6])
     def test_fractional_h(self, den):

@@ -1,7 +1,10 @@
 """Facet enumeration: worked examples, cross-oracles, facet rank test."""
 
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import pairwise
 from pathlib import Path
@@ -25,7 +28,7 @@ from mixcut.core import (
     make_cut,
     vertex_to_dict,
 )
-from mixcut import bench, cli, core, dd, hull, linalg
+from mixcut import bench, cli, core, dd, families, hull, linalg
 import hull_oracles
 import hulls
 
@@ -297,6 +300,78 @@ def test_slack_verdicts_match_evaluate(inst, data):
     assert verdict == (affine_rank(rational, ray) == inst.m + 1)
 
 
+def _check_output(inst, cut, *flags):
+    """`mixcut check` on the cut: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        files = {"instance": core.instance_to_json(inst), "cut": core.cut_to_json(cut)}
+        argv = ["check"]
+        for name, text in files.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(text)
+            argv += [f"--{name}", str(path)]
+        code = cli.main(argv + list(flags))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _answers(inst, cut):
+    """What every int path answers on the cut, a refusal as its type and text:
+    cut_is_valid, is_facet, `mixcut check --facet`, and for z_coef > 0 the
+    membership form of its normal and member_of's repr, witness included,
+    for each family."""
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except ValidationError as exc:
+            return type(exc), str(exc)
+
+    answers = [outcome(cut_is_valid, inst, cut), outcome(hull.is_facet, inst, cut),
+               _check_output(inst, cut, "--facet")]
+    if cut.z_coef > 0:
+        answers.append(families._normal_form(inst, core._cut_normal(inst, cut)))
+        answers += [repr(families.member_of(inst, cut, name)) for name in families.FAMILIES]
+    return answers
+
+
+@given(inst=hull_oracles.instances(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_scaling_a_cut_changes_nothing(inst, data):
+    """Every int path reads a cut as its primitive normal, so scaling it by a
+    positive rational changes no answer (see `_answers`), on facets and on
+    cuts through the lowest vertex, shifted, of table cells and of general
+    probabilities with fractional h."""
+    if data.draw(st.booleans()):
+        cut = data.draw(st.sampled_from(hulls.facets(inst).facets))
+    else:
+        z = data.draw(st.just(Fraction(0)) | POSITIVE)
+        x = data.draw(st.lists(COEFS, min_size=inst.m, max_size=inst.m))
+        values = [z * v.z + sum(c for c, b in zip(x, v.x) if b) for v in enumerate_vertices(inst)]
+        cut = LinearCut(z, tuple(x), min(values) + data.draw(SHIFTS))
+    factor = data.draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)))
+    assert _answers(inst, cut.scaled(factor)) == _answers(inst, cut)
+
+
+@pytest.mark.parametrize("rhs", [Fraction(-3), Fraction(0), Fraction(1, 2)])
+def test_constant_cuts(rhs):
+    """A cut with no z and no x term, 0 >= rhs: cut_is_valid answers whether
+    rhs <= 0; is_facet and member_of refuse it with ValidationError (it is no
+    facet candidate, valid or not); `mixcut check` prints its validity and
+    `mixcut check --facet` exits 2."""
+    inst = benchmark_instance("L", 4, 2)
+    cut = LinearCut(Fraction(0), (Fraction(0),) * 4, rhs)
+    assert cut_is_valid(inst, cut) == (rhs <= 0)
+    with pytest.raises(ValidationError) as refused:
+        hull.is_facet(inst, cut)
+    assert not isinstance(refused.value, hull.InvalidCutError)
+    with pytest.raises(ValidationError):
+        families.member_of(inst, cut, "star")
+    valid = "true" if rhs <= 0 else "false"
+    assert _check_output(inst, cut) == (cli.EXIT_OK, f'{{"valid": {valid}}}\n', "")
+    code, out, err = _check_output(inst, cut, "--facet")
+    assert (code, out) == (cli.EXIT_VALIDATION, "")
+    assert err == "invalid input: the facet test needs a cut with a z or an x term\n"
+
+
 def _parity(point):
     return sum((c & 1) << k for k, c in enumerate(point))
 
@@ -546,6 +621,17 @@ def _vertex_dropped(doc):
     return doc
 
 
+def _vertex_bool(doc):
+    """A vertex's x entry 1 as the JSON true."""
+    doc["vertices"][-1]["x"][0] = True
+    return doc
+
+
+def _vertical_count_float(doc):
+    doc["vertical_count"] = float(doc["vertical_count"])
+    return doc
+
+
 def _first_facet_appended(doc):
     """A nonvertical cut after the vertical ones, counted twice."""
     doc["facets"].append(doc["facets"][0])
@@ -583,6 +669,8 @@ def _last_two_swapped(doc):
     (lambda doc: [doc], ValidationError),
     (_short_cut, DimensionError),
     (_vertex_dropped, ValidationError),
+    (_vertex_bool, ValidationError),
+    (_vertical_count_float, ValidationError),
     (_first_facet_appended, ValidationError),
     (_first_facet_repeated, ValidationError),
     (_last_facet_doubled, ValidationError),
