@@ -9,9 +9,9 @@ percentages from the source tables are embedded for the acceptance checks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import dd, families, hull
 from .core import MixingInstance, ValidationError, build_instance
@@ -92,20 +92,18 @@ PAPER_TABLE_K = {
     (10, 4): ("37.23", "62.77", "100.0"),
 }
 
-
-def paper_table(example: str) -> dict:
-    return PAPER_TABLE_L if example.upper() == "L" else PAPER_TABLE_K
+#: The reference examples, by upper-case label: (sequence, reference table).
+_EXAMPLES = {"L": (SEQ_L, PAPER_TABLE_L), "K": (SEQ_K, PAPER_TABLE_K)}
 
 
 def benchmark_instance(example: str, m: int, p: int) -> MixingInstance:
     """Uniform instance over the first m sequence entries with epsilon = p/m."""
-    example = example.upper()
-    if example not in ("L", "K"):
+    entry = _EXAMPLES.get(example.upper())
+    if entry is None:
         raise ValidationError("example must be 'L' or 'K'")
     if not 1 <= p <= m <= 10:
         raise ValidationError("need 1 <= p <= m <= 10")
-    seq = SEQ_L if example == "L" else SEQ_K
-    return build_instance(m, seq[:m], None, Fraction(p, m))
+    return build_instance(m, entry[0][:m], None, Fraction(p, m))
 
 
 def _hundredths_of_pct(value: Fraction) -> int:
@@ -216,14 +214,18 @@ def benchmark_coverage(
 def check_against_paper(report: CoverageReport) -> list[str]:
     """Mismatch descriptions vs the embedded reference table (empty if clean).
 
-    A family mismatches when its percentage, rounded half-up to hundredths,
+    The table is the one of the report's example, read case-blind; a report
+    of any other example gets one "no reference table" problem.  A family
+    mismatches when its percentage, rounded half-up to hundredths,
     is more than one hundredth from the reference; both are compared exactly,
     in hundredths.
     """
     if report.example is None or report.incomplete:
         return ["report has no reference row"]
-    table = paper_table(report.example)
-    row = table.get((report.m, report.p))
+    entry = _EXAMPLES.get(report.example.upper())
+    if entry is None:
+        return [f"no reference table for example {report.example!r}"]
+    row = entry[1].get((report.m, report.p))
     if row is None:
         return [] if report.trivial else [f"no reference row for (m={report.m}, p={report.p})"]
     problems = []
@@ -269,24 +271,15 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
 
     Markdown and csv render the source tables' three family columns, so
     every report must cover `DEFAULT_FAMILIES`; any other family list needs
-    the json form, which holds every field of each report.
+    the json form, which holds every field of each report, in field order,
+    with ``covered`` as an object.
     """
     reports = sorted(reports, key=lambda r: (r.example or "", r.m, r.p))
     if fmt == "json":
-        payload = []
-        for r in reports:
-            payload.append(
-                {
-                    "example": r.example,
-                    "m": r.m,
-                    "p": r.p,
-                    "facet_total": r.facet_total,
-                    "vertical_count": r.vertical_count,
-                    "covered": {k: v for k, v in r.covered},
-                    "trivial": r.trivial,
-                    "incomplete": r.incomplete,
-                }
-            )
+        payload = [
+            {f.name: getattr(r, f.name) for f in fields(r)} | {"covered": dict(r.covered)}
+            for r in reports
+        ]
         return json.dumps(payload, indent=2)
     if fmt not in ("csv", "markdown", "md"):
         raise ValidationError(f"unknown report format {fmt!r}")

@@ -19,6 +19,7 @@ tests, in `tests/projection_reference.py`.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -632,8 +633,6 @@ def cone_membership(S: BilinearSet, dual: ConeDual) -> tuple[bool, Optional[Line
 
 
 def bilinear_set_to_json(S: BilinearSet) -> str:
-    import json
-
     payload = {
         "n": S.n,
         "m": S.m,
@@ -671,8 +670,6 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
     complementarity pair with no row behind it
     (:attr:`BilinearSet.relation_rows`).
     """
-    import json
-
     payload = json_object(json.loads(text), _DOC, ("n", "m", "constraints", "E", "f"))
     n = json_int(payload["n"], _DOC, "n")
     m = json_int(payload["m"], _DOC, "m", 1)
@@ -730,8 +727,6 @@ def bilinear_set_from_json(text: str) -> BilinearSet:
 
 
 def assignment_to_json(a: BlpAssignment) -> str:
-    import json
-
     payload = {
         "base": [a.base_k, a.base_j],
         "k_weights": [[j, k, rat_str(w)] for j, k, w in a.k_weights],
@@ -746,8 +741,6 @@ def assignment_from_json(text: str) -> BlpAssignment:
     ``base`` must be an array of two integers and each weight an array
     [j, index, weight]; any other malformation raises :class:`ValidationError`.
     """
-    import json
-
     payload = json.loads(text)
     if not isinstance(payload, dict) or "base" not in payload:
         raise json_malformed(_DOC, "the assignment must be an object with a base", payload)

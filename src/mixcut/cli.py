@@ -42,10 +42,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    _write_pieces((text,), out)
-
-
 def _write_pieces(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces of one document, then a newline, to the file `out`,
     or to stdout when `out` is not given, one piece at a time."""
@@ -99,7 +95,7 @@ def cmd_coverage(args) -> int:
     if report.incomplete:
         print("incomplete: budget exhausted", file=sys.stderr)
         return EXIT_BUDGET
-    _write_or_print(bench.emit_report([report], args.format), args.out)
+    _write_pieces((bench.emit_report([report], args.format),), args.out)
     if args.check_paper:
         problems = bench.check_against_paper(report)
         for line in problems:
@@ -169,8 +165,8 @@ def cmd_generate(args) -> int:
         result = families.gen_blp_generic(inst, params)
         if not result.accepted:
             # a refusal is an answer, like `check`'s {"valid": false}
-            _write_or_print(
-                json.dumps({"accepted": False, "infeasible_j": result.infeasible_j}), args.out
+            _write_pieces(
+                (json.dumps({"accepted": False, "infeasible_j": result.infeasible_j}),), args.out
             )
             return EXIT_OK
         cert = result.certificate
@@ -190,10 +186,10 @@ def cmd_generate(args) -> int:
                 "beta": [rat_str(b) for b in cert.beta],
             },
         }
-        _write_or_print(json.dumps(document), args.out)
+        _write_pieces((json.dumps(document),), args.out)
         return EXIT_OK
     cut = GENERATORS[args.family](inst, params)
-    _write_or_print(cut_to_json(cut), args.out)
+    _write_pieces((cut_to_json(cut),), args.out)
     return EXIT_OK
 
 
@@ -228,7 +224,7 @@ def cmd_blp_aggregate(args) -> int:
     }
     if S.z_slot is not None:
         document["cut"] = cut_to_dict(result.mixing_cut())
-    _write_or_print(json.dumps(document), args.out)
+    _write_pieces((json.dumps(document),), args.out)
     return EXIT_OK
 
 
@@ -283,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except hull.BudgetExceeded as exc:
+    except dd.BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValidationError as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,10 +53,17 @@ class DimensionError(ValidationError):
     """A cut and an instance disagree on the number of scenarios."""
 
 
+#: The string form of an exact rational, after outer whitespace is stripped.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?")
+
+
 def rat(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, Fraction or ``"a/b"`` string.
 
-    Floats, booleans, decimal strings and zero denominators are rejected.
+    A string, outer whitespace stripped, must be ASCII digits with an
+    optional sign, then optionally ``/`` and a signed nonzero denominator.
+    Floats, booleans, decimal strings, digit separators (``"2_0"``),
+    non-ASCII digits and inner whitespace are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -64,10 +72,10 @@ def rat(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         text = value.strip()
         try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
+            if not _RATIONAL.fullmatch(text):
+                raise ValueError(text)
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(
                 f"not an exact rational: {value!r} (need an integer or a/b, b != 0)"

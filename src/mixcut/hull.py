@@ -11,14 +11,13 @@ of the facet set that its own facets' primitive normals build.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from typing import Iterable, Iterator, Optional
-
-import json
 
 from . import dd, linalg
 from .core import (
@@ -35,8 +34,6 @@ from .core import (
     packed_slacks,
     ratio_str,
 )
-
-BudgetExceeded = dd.BudgetExceeded
 
 
 class InvalidCutError(ValidationError):
@@ -115,15 +112,6 @@ def lifted_generators(inst: MixingInstance) -> list[tuple[int, ...]]:
     return gens
 
 
-def _first_zero(g: tuple[int, ...]) -> int:
-    """Position of the first zero among a lifted vertex's x entries g[1:-1]
-    (len(g) - 1 for the all-ones vertex)."""
-    try:
-        return g.index(0, 1, len(g) - 1)
-    except ValueError:
-        return len(g) - 1
-
-
 def insertion_order(inst: MixingInstance) -> list[tuple[int, ...]]:
     """The generators of :func:`lifted_generators` in the order DD inserts them.
 
@@ -137,9 +125,10 @@ def insertion_order(inst: MixingInstance) -> list[tuple[int, ...]]:
     with no sort key.
     """
     gens = lifted_generators(inst)
+    xs = _vertex_table(inst).xs  # gens[i] lifts the vertex xs[i - 1]
     start = 1
     for i in range(2, len(gens) + 1):
-        if i == len(gens) or _first_zero(gens[i]) != _first_zero(gens[start]):
+        if i == len(gens) or xs[i - 1].find(0) != xs[start - 1].find(0):
             gens[start:i] = gens[i - 1:start - 1:-1]
             start = i
     return gens
@@ -148,7 +137,7 @@ def insertion_order(inst: MixingInstance) -> list[tuple[int, ...]]:
 def enumerate_facets(inst: MixingInstance, budget: Optional[dd.Budget] = None) -> FacetSet:
     """The complete, irredundant, canonical facet list of the hull.
 
-    Raises :class:`BudgetExceeded` when `budget` trips; a partial list is
+    Raises :class:`dd.BudgetExceeded` when `budget` trips; a partial list is
     never returned.  The budget's steps count DD's candidate pairs in
     :func:`insertion_order`.
     """

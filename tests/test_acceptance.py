@@ -43,12 +43,10 @@ import pytest
 from mixcut import blp, dd, families as fam, hull
 from mixcut.bench import (
     DEFAULT_FAMILIES,
-    PAPER_TABLE_K,
-    PAPER_TABLE_L,
+    _EXAMPLES,
     _hundredths_of_pct,
     benchmark_coverage,
     benchmark_instance,
-    paper_table,
     render_pct,
 )
 from mixcut.core import (
@@ -104,7 +102,7 @@ def _check_cell(example: str, m: int, p: int, report) -> tuple[list[str], list[s
     both numerators, not failed.
     """
     cell = f"({example},{m},{p})"
-    want_row = paper_table(example)[(m, p)]
+    want_row = _EXAMPLES[example][1][(m, p)]
     problems = []
     for name, want in zip(DEFAULT_FAMILIES, want_row):
         if name != "blp_uniform" and not _within_a_hundredth(report.fraction(name), want):
@@ -160,7 +158,7 @@ def _table_check(example: str, max_m: int) -> tuple[bool, str]:
     regenerated = 0
     problems: list[str] = []
     deviations: list[str] = []
-    for m, p in sorted(paper_table(example)):
+    for m, p in sorted(_EXAMPLES[example][1]):
         if m > max_m or p in (1, m):
             continue
         cell_problems, cell_deviations, cell_regenerated = _check_cell(

@@ -98,6 +98,29 @@ class TestCoverage:
         assert problems == ([f"(m=5, p=3) zhao: computed {report.pct('zhao')} vs reference 84.62"]
                             if flagged else [])
 
+    L75 = ["(m=7, p=5) blp_uniform: computed 74.0 vs reference 75.0"]
+    K75 = [
+        "(m=7, p=5) zhao: computed 63.0 vs reference 70.87",
+        "(m=7, p=5) blp_uniform: computed 74.0 vs reference 80.58",
+        "(m=7, p=5) blp_generic: computed 100.0 vs reference 97.09",
+    ]
+
+    @pytest.mark.parametrize("label, incomplete, problems", [
+        ("L", False, L75), ("l", False, L75), ("K", False, K75), ("k", False, K75),
+        ("X", False, ["no reference table for example 'X'"]),
+        (None, False, ["report has no reference row"]),
+        ("L", True, ["report has no reference row"]),
+        ("X", True, ["report has no reference row"]),
+    ], ids=["L", "l", "K", "k", "X", "None", "L-incomplete", "X-incomplete"])
+    def test_paper_check_reads_the_report_example(self, label, incomplete, problems):
+        """L(7,5)'s counts (63, 74 and 100 of 100) against the table of the
+        report's example, read case-blind: L misses only in blp_uniform, K
+        in every family, and an example with no table gets that one problem,
+        not K's numbers.  An unlabelled or incomplete report has no row."""
+        covered = (("zhao", 63), ("blp_uniform", 74), ("blp_generic", 100))
+        report = bench.CoverageReport(label, 7, 5, 100, 0, covered, False, incomplete)
+        assert bench.check_against_paper(report) == problems
+
     def test_deterministic(self):
         a = bench.benchmark_coverage("L", 6, 3)
         b = bench.benchmark_coverage("L", 6, 3)
@@ -196,6 +219,37 @@ class TestEmit:
         ]
         back = parse_report(bench.emit_report(rows, "json"))
         assert back == sorted(rows, key=lambda r: (r.example, r.m, r.p))
+
+    def test_json_bytes(self):
+        """A json row is the report's fields in declaration order, covered
+        as an object, indented by two: on a complete report and on a
+        budget-tripped one with other families."""
+        complete = bench.benchmark_coverage("L", 5, 3)
+        assert bench.emit_report([complete], "json") == "\n".join([
+            "[",
+            "  {",
+            '    "example": "L",',
+            '    "m": 5,',
+            '    "p": 3,',
+            '    "facet_total": 13,',
+            '    "vertical_count": 11,',
+            '    "covered": {',
+            '      "zhao": 11,',
+            '      "blp_uniform": 12,',
+            '      "blp_generic": 13',
+            "    },",
+            '    "trivial": false,',
+            '    "incomplete": false',
+            "  }",
+            "]",
+        ])
+        tripped = bench.coverage(bench.benchmark_instance("K", 6, 4), ("star", "zhao"),
+                                 dd.Budget(steps=0), example="K")
+        assert bench.emit_report([tripped], "json") == (
+            '[\n  {\n    "example": "K",\n    "m": 6,\n    "p": 4,\n    "facet_total": 0,\n'
+            '    "vertical_count": 0,\n    "covered": {\n      "star": 0,\n      "zhao": 0\n    },\n'
+            '    "trivial": false,\n    "incomplete": true\n  }\n]'
+        )
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
@@ -458,6 +512,17 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         cut_file.write_text('{"z": "1", "x": ["1", "2"], "rhs": "0"}')
         assert cli.main(argv) == cli.EXIT_OK
+
+    def test_check_refuses_a_digit_separator(self, tmp_path, capsys):
+        """An h entry "2_0" is no rational (Python's int() would read 20):
+        check exits 2 and names the value."""
+        (tmp_path / "inst.json").write_text('{"m": 3, "h": ["2_0", "18", "14"], "epsilon": "2/3"}')
+        (tmp_path / "cut.json").write_text('{"z": "1", "x": ["0", "0", "0"], "rhs": "14"}')
+        argv = ["check", "--instance", str(tmp_path / "inst.json"), "--cut", str(tmp_path / "cut.json")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an exact rational: '2_0'" in captured.err
 
     L32 = '{"m": 3, "h": ["20", "18", "14"], "epsilon": "2/3"}'
 

@@ -120,6 +120,24 @@ class TestRationalIO:
         with pytest.raises(ValidationError):
             rat(0.5)
 
+    @pytest.mark.parametrize("text", [
+        "2_0", "1_000/3", "\u0662/3", "3/\u0663", "\uff11", " 1 / 2 ", "1 /2", "1/ 2", "- 1",
+        "1.5", "1e3", "0x10", "", "/", "1/", "/2", "1/2/3", "1/0", "1/-0",
+    ])
+    def test_rat_refuses_all_but_ascii_digits(self, text):
+        """A string holds ASCII digits, a sign and one slash only: digit
+        separators, non-ASCII digits and inner whitespace, which int() would
+        accept, are refused, and so is a zero denominator."""
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            rat(text)
+
+    @pytest.mark.parametrize("text, value", [
+        (" 3/4 ", Fraction(3, 4)), ("\n-5\t", Fraction(-5)), ("+1/-2", Fraction(-1, 2)),
+        ("007", Fraction(7)), ("-6/4", Fraction(-3, 2)),
+    ])
+    def test_rat_strips_outer_whitespace(self, text, value):
+        assert rat(text) == value
+
     def test_instance_json_round_trip(self, ex42):
         inst = ex42
         assert instance_from_json(instance_to_json(inst)) == inst

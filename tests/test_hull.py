@@ -462,14 +462,14 @@ def test_every_facet_of_an_m11_pool_instance():
 
 def test_budget_guard_is_all_or_nothing():
     inst = benchmark_instance("L", 8, 5)
-    with pytest.raises(hull.BudgetExceeded):
+    with pytest.raises(dd.BudgetExceeded):
         hull.enumerate_facets(inst, dd.Budget(steps=50))
 
 
 @pytest.mark.parametrize("budget", [{"steps": 0}, {"seconds": 0}])
 def test_zero_budget_trips(budget):
     # a zero budget is a budget, not "no budget"
-    with pytest.raises(hull.BudgetExceeded):
+    with pytest.raises(dd.BudgetExceeded):
         hull.enumerate_facets(benchmark_instance("L", 6, 3), dd.Budget(**budget))
 
 
@@ -479,7 +479,7 @@ def test_budget_steps_are_candidate_pairs():
     inst = benchmark_instance("L", 7, 4)
     facets = hull.enumerate_facets(inst, dd.Budget(steps=1535)).facets
     assert facets == hull.enumerate_facets(inst).facets
-    with pytest.raises(hull.BudgetExceeded):
+    with pytest.raises(dd.BudgetExceeded):
         hull.enumerate_facets(inst, dd.Budget(steps=1534))
 
 
