@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import dd, families, hull
 from .core import MixingInstance, ValidationError, build_instance
@@ -100,7 +100,7 @@ def benchmark_instance(example: str, m: int, p: int) -> MixingInstance:
     """Uniform instance over the first m sequence entries with epsilon = p/m."""
     entry = _EXAMPLES.get(example.upper())
     if entry is None:
-        raise ValidationError("example must be 'L' or 'K'")
+        raise ValidationError(f"example must be {' or '.join(map(repr, sorted(_EXAMPLES)))}")
     if not 1 <= p <= m <= 10:
         raise ValidationError("need 1 <= p <= m <= 10")
     return build_instance(m, entry[0][:m], None, Fraction(p, m))
@@ -250,6 +250,20 @@ def _imp_str(value: Fraction) -> str:
 
 _COLUMNS = ("example", "m", "p", "zhao", "blp_uniform", "imp_mid", "blp_generic", "imp_top", "total_imp")
 
+#: The report formats: json holds every field of a report; the others (md is
+#: markdown) render the source tables' columns.
+_FORMATS = ("csv", "md", "markdown", "json")
+
+
+def _require_table_families(fmt: str, family_names: Collection[str]) -> None:
+    """Refuse a markdown or csv table for a report without every table family."""
+    missing = [k for k in DEFAULT_FAMILIES if k not in family_names]
+    if fmt != "json" and missing:
+        raise ValidationError(
+            f"the {fmt} table has the columns {', '.join(DEFAULT_FAMILIES)}; "
+            f"a report lacks {', '.join(missing)} (use --format json for other families)"
+        )
+
 
 def _report_row(r: CoverageReport) -> list[str]:
     imp_mid, imp_top, total = r.improvements()
@@ -274,6 +288,8 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
     the json form, which holds every field of each report, in field order,
     with ``covered`` as an object.
     """
+    if fmt not in _FORMATS:
+        raise ValidationError(f"unknown report format {fmt!r}")
     reports = sorted(reports, key=lambda r: (r.example or "", r.m, r.p))
     if fmt == "json":
         payload = [
@@ -281,15 +297,8 @@ def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str
             for r in reports
         ]
         return json.dumps(payload, indent=2)
-    if fmt not in ("csv", "markdown", "md"):
-        raise ValidationError(f"unknown report format {fmt!r}")
     for r in reports:
-        missing = [k for k in DEFAULT_FAMILIES if k not in dict(r.covered)]
-        if missing:
-            raise ValidationError(
-                f"the {fmt} table has the columns {', '.join(DEFAULT_FAMILIES)}; "
-                f"a report lacks {', '.join(missing)} (use --format json for other families)"
-            )
+        _require_table_families(fmt, dict(r.covered))
     rows = [list(_COLUMNS)] + [_report_row(r) for r in reports]
     if fmt == "csv":
         return "\n".join(",".join(row) for row in rows)

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
+from dataclasses import fields
 from typing import Iterable
 
 from . import bench, blp, dd, families, hull
@@ -91,6 +91,7 @@ def cmd_coverage(args) -> int:
             f"--check-paper compares {', '.join(bench.DEFAULT_FAMILIES)} with the"
             " reference table; --families lists none of them"
         )
+    bench._require_table_families(args.format, family_names)
     report = bench.benchmark_coverage(args.example, args.m, args.p, family_names, budget)
     if report.incomplete:
         print("incomplete: budget exhausted", file=sys.stderr)
@@ -106,75 +107,49 @@ def cmd_coverage(args) -> int:
 
 
 def _params_from_payload(payload: dict, family: str):
-    """Family parameters; a missing field reads as `default` (None: required).
+    """The family's parameter record, its fields read in order from the
+    payload (``a_sets`` as ``A_sets``).
 
-    A missing or null ``s_list`` leaves zhao's s to be derived; any other
-    value, the empty array included, is checked against ``q_list``.
+    A field whose default is empty reads a missing key as []; one whose
+    default is None reads a missing or null key as None, which leaves zhao's
+    s to be derived.  Any other value, the empty array included, is checked.
     """
 
-    def ints(key: str, default=None) -> tuple[int, ...]:
-        return json_ints(payload.get(key, default), "parameter", key)
-
-    def rats(key: str, default=None) -> tuple[Fraction, ...]:
-        return json_rats(payload.get(key, default), "parameter", key)
-
-    if family in ("star", "strengthened_star"):
-        return families.StarParams(ints("t_set"))
-    r = json_int(payload.get("r"), "parameter", "r")
-    if family in ("lifted", "kucukyavuz", "zhao"):
-        return families.LiftedParams(
-            r=r, t_set=ints("t_set"), q_list=ints("q_list", []),
-            s_list=None if payload.get("s_list") is None else ints("s_list"),
-        )
-    if family == "blp_uniform":
-        return families.BlpUniformParams(
-            r=r, t_set=ints("t_set"), q_list=ints("q_list"), delta=rats("delta")
-        )
-    if family == "blp_generic":
-        a_sets = payload.get("A_sets")
-        return families.BlpGenericParams(
-            r=r,
-            t_set=ints("t_set"),
-            delta=rats("delta"),
-            q_list=ints("q_list", []),
-            phi=rats("phi", []),
-            a_sets=None if a_sets is None else tuple(
+    def read(field):
+        key = "A_sets" if field.name == "a_sets" else field.name
+        value = payload.get(key, [] if field.default == () else None)
+        if value is None and field.default is None:
+            return None
+        if key == "r":
+            return json_int(value, "parameter", key)
+        if key == "A_sets":
+            return tuple(
                 frozenset(json_ints(a, "parameter", f"A_{j}"))
-                for j, a in enumerate(json_array(a_sets, "parameter", "A_sets"), 1)
-            ),
-            beta=None if payload.get("beta") is None else rats("beta"),
-        )
-    raise ValidationError(f"unknown family {family!r}")
+                for j, a in enumerate(json_array(value, "parameter", key), 1)
+            )
+        rationals = key in ("delta", "phi", "beta")
+        return (json_rats if rationals else json_ints)(value, "parameter", key)
 
-
-GENERATORS = {
-    "star": families.gen_star,
-    "strengthened_star": families.gen_strengthened_star,
-    "lifted": families.gen_luedtke_lifted,
-    "kucukyavuz": families.gen_kucukyavuz,
-    "zhao": families.gen_zhao,
-    "blp_uniform": families.gen_blp_uniform,
-}
+    record = families.GENERATORS[family][0]
+    return record(*map(read, fields(record)))
 
 
 def cmd_generate(args) -> int:
     payload = json_object(json.loads(_read(args.params)), "parameter", ("instance",))
     inst = instance_from_json(json.dumps(payload["instance"]))
-    params = _params_from_payload(payload, args.family)
-    if args.family == "blp_generic":
-        result = families.gen_blp_generic(inst, params)
-        if not result.accepted:
-            # a refusal is an answer, like `check`'s {"valid": false}
-            _write_pieces(
-                (json.dumps({"accepted": False, "infeasible_j": result.infeasible_j}),), args.out
-            )
-            return EXIT_OK
+    result = families.GENERATORS[args.family][1](inst, _params_from_payload(payload, args.family))
+    if not isinstance(result, families.GenericCutResult):
+        text = cut_to_json(result)
+    elif not result.accepted:
+        # a refusal is an answer, like `check`'s {"valid": false}
+        text = json.dumps({"accepted": False, "infeasible_j": result.infeasible_j})
+    else:
         cert = result.certificate
-        document = {
+        text = json.dumps({
             "accepted": True,
             "cut": cut_to_dict(result.cut),
             "certificate": {
-                "family": "blp_generic",
+                "family": args.family,
                 "params": {
                     "r": cert.r,
                     "t_set": list(cert.t_set),
@@ -185,11 +160,8 @@ def cmd_generate(args) -> int:
                 "A_sets": [sorted(a) for a in cert.a_sets],
                 "beta": [rat_str(b) for b in cert.beta],
             },
-        }
-        _write_pieces((json.dumps(document),), args.out)
-        return EXIT_OK
-    cut = GENERATORS[args.family](inst, params)
-    _write_pieces((cut_to_json(cut),), args.out)
+        })
+    _write_pieces((text,), args.out)
     return EXIT_OK
 
 
@@ -242,11 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull.set_defaults(func=cmd_hull)
 
     p_cov = sub.add_parser("coverage", help="facet coverage of the inequality families")
-    p_cov.add_argument("--example", required=True, choices=["L", "K", "l", "k"])
+    p_cov.add_argument("--example", required=True, type=str.upper, choices=sorted(bench._EXAMPLES))
     p_cov.add_argument("--m", type=int, required=True)
     p_cov.add_argument("--p", type=int, required=True)
     p_cov.add_argument("--families", help="comma-separated family names")
-    p_cov.add_argument("--format", default="markdown", choices=["csv", "md", "markdown", "json"])
+    p_cov.add_argument("--format", default="markdown", choices=bench._FORMATS)
     p_cov.add_argument("--budget", type=float, default=3600.0)
     p_cov.add_argument("--check-paper", action="store_true",
                        help="compare against the embedded reference table (exit 4 on mismatch)")

@@ -5,6 +5,8 @@ to the generic aggregation family with its per-scenario certificate search.
 Generators validate their parameter preconditions exactly and emit canonical
 cuts; `member_of` answers whether a given hull facet can be reproduced by
 some parameterization of a family, returning the witnessing parameters.
+`GENERATORS` registers each family, in hierarchy order, with its parameter
+record and generator; `FAMILIES` is its list of names.
 
 Each lifted family's closed form has one home: a `_Lifting` (anchor, ends,
 cutoffs and the lower bound on each q_i), built by `_consecutive` for the
@@ -67,17 +69,6 @@ from .core import (
     as_index,
     rat,
 )
-
-FAMILIES = (
-    "star",
-    "strengthened_star",
-    "lifted",
-    "kucukyavuz",
-    "zhao",
-    "blp_uniform",
-    "blp_generic",
-)
-
 
 class FamilyParamError(ValidationError):
     """Family parameters violate the theorem's hypotheses."""
@@ -752,6 +743,22 @@ def gen_blp_generic(inst: MixingInstance, params: BlpGenericParams) -> GenericCu
     return GenericCutResult(True, form.cut(), cert)
 
 
+#: The one registry of the families, in hierarchy order: each family's
+#: parameter record and generator.  `mixcut generate`, `member_of`'s witnesses
+#: and `bench.coverage` read it; a new family is registered here, and its
+#: membership check and parent in `_family_table`.
+GENERATORS = {
+    "star": (StarParams, gen_star),
+    "strengthened_star": (StarParams, gen_strengthened_star),
+    "lifted": (LiftedParams, gen_luedtke_lifted),
+    "kucukyavuz": (LiftedParams, gen_kucukyavuz),
+    "zhao": (LiftedParams, gen_zhao),
+    "blp_uniform": (BlpUniformParams, gen_blp_uniform),
+    "blp_generic": (BlpGenericParams, gen_blp_generic),
+}
+FAMILIES = tuple(GENERATORS)
+
+
 # ---------------------------------------------------------------------------
 # Membership
 
@@ -1030,14 +1037,15 @@ def _first_generic_choice(
 
 def _witness(form: _Form, name: str, found: tuple) -> object:
     """The parameters record of family `name` from its own check's int result."""
+    record = GENERATORS[name][0]
     if name == "blp_uniform":
-        return BlpUniformParams(*found[:3], form.fractions(found[3]))
+        return record(*found[:3], form.fractions(found[3]))
     if name != "blp_generic":
-        return (StarParams if name.endswith("star") else LiftedParams)(*found)
+        return record(*found)
     r, t, certificate = found
     coef_of = dict(zip(form.t, form.coefs))
     delta = [coef_of.get(i, 0) - c for i, c in zip(t, _telescope(form.h, t, r + 1))]
-    return BlpGenericParams(
+    return record(
         r, t, form.fractions(delta), form.q, form.fractions(form.phis),
         *_certificate_values(form, certificate),
     )

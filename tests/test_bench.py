@@ -57,6 +57,12 @@ class TestCatalog:
         with pytest.raises(ValidationError):
             bench.benchmark_instance("L", m, p)
 
+    def test_unknown_example_names_every_catalog_label(self, monkeypatch):
+        monkeypatch.setitem(bench._EXAMPLES, "Q", bench._EXAMPLES["L"])
+        with pytest.raises(ValidationError) as exc:
+            bench.benchmark_instance("X", 5, 3)
+        assert str(exc.value) == "example must be 'K' or 'L' or 'Q'"
+
 
 class TestRendering:
     @pytest.mark.parametrize(
@@ -311,6 +317,8 @@ class TestCli:
     GENERATE_CASES = {
         "star": ("star", (3, [20, 18, 14], None, 1), {"t_set": [1, 2, 3]},
                  families.StarParams((1, 2, 3))),
+        "strengthened_star": ("strengthened_star", (5, [20, 18, 14, 11, 6], None, Fraction(3, 5)),
+                              {"t_set": [1, 2, 3]}, families.StarParams((1, 2, 3))),
         "lifted": ("lifted", (5, [20, 18, 14, 11, 6], None, Fraction(3, 5)),
                    {"r": 2, "t_set": [1, 2], "q_list": [4]},
                    families.LiftedParams(2, (1, 2), (4,))),
@@ -336,7 +344,7 @@ class TestCli:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(dict(fields, instance=json.loads(instance_to_json(inst)))))
         assert cli.main(["generate", "--family", family, "--params", str(params)]) == 0
-        want = cli.GENERATORS[family](inst, lib_params)
+        want = families.GENERATORS[family][1](inst, lib_params)
         assert json.loads(capsys.readouterr().out) == json.loads(cut_to_json(want))
 
     def test_generate_generic_certificate(self, tmp_path, capsys):
@@ -491,6 +499,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "lacks blp_generic (use --format json" in captured.err
+
+    def test_coverage_table_format_is_refused_before_the_hull(self, monkeypatch, capsys):
+        """A markdown table without every table family is refused before any
+        hull is computed, so a small budget does not turn the refusal into
+        exit 3; the message is the one `bench.emit_report` gives."""
+        calls, enumerate_facets = [], hull.enumerate_facets
+        monkeypatch.setattr(
+            hull, "enumerate_facets", lambda *a: calls.append(a) or enumerate_facets(*a)
+        )
+        argv = ["coverage", "--example", "L", "--m", "8", "--p", "4", "--families", "zhao",
+                "--budget", "0.000001"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        report = bench.CoverageReport("L", 8, 4, 0, 0, (("zhao", 0),), False)
+        with pytest.raises(ValidationError) as exc:
+            bench.emit_report([report], "markdown")
+        assert captured.err == f"invalid input: {exc.value}\n"
+        assert "lacks blp_uniform, blp_generic" in captured.err
+
+    def test_coverage_example_is_read_from_the_catalog(self, monkeypatch):
+        """`--example` is case-blind and takes exactly the catalog's labels."""
+        monkeypatch.setitem(bench._EXAMPLES, "Q", bench._EXAMPLES["L"])
+        argv = ["coverage", "--m", "5", "--p", "3", "--example"]
+        for label in ("l", "K", "q"):
+            assert cli.build_parser().parse_args(argv + [label]).example == label.upper()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv + ["X"])
 
     def test_coverage_md_prints_the_markdown_table(self, capsys):
         """`--format md` is passed to `bench.emit_report` as it is and prints

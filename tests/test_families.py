@@ -826,21 +826,31 @@ def generator_params(draw):
     return inst, family, fam.BlpGenericParams(r, t, tuple(delta), q, tuple(phi))
 
 
+class TestRegistry:
+    """Every family is registered once: in `GENERATORS`, whose keys are
+    `FAMILIES`, and with a check in `_family_table` on every kind of
+    instance."""
+
+    def test_families_are_the_registry(self):
+        assert fam.FAMILIES == tuple(fam.GENERATORS)
+
+    @pytest.mark.parametrize("inst", [
+        benchmark_instance("L", 6, 4),
+        build_instance(4, [40, 31, 16, 8], [Fraction(1, 8), Fraction(1, 8), Fraction(1, 4),
+                                            Fraction(1, 2)], Fraction(1, 2)),
+        build_instance(4, [20, 18, 14, 11], None, 1),
+    ], ids=["uniform", "general", "epsilon1"])
+    def test_family_table_has_every_family(self, inst):
+        assert fam._family_table(inst).keys() == set(fam.FAMILIES)
+
+
 class TestGeneratorReference:
     """Each generator, on the ints of `families._Form`, against its Fraction
     copy in `generator_reference` (blp_generic: `certificate_reference`):
     the same cut repr, or the same exception type and text."""
 
     REFERENCE = {**gen_ref.GENERATORS, "blp_generic": ref.gen_blp_generic}
-    GENERATORS = {
-        "star": fam.gen_star,
-        "strengthened_star": fam.gen_strengthened_star,
-        "lifted": fam.gen_luedtke_lifted,
-        "kucukyavuz": fam.gen_kucukyavuz,
-        "zhao": fam.gen_zhao,
-        "blp_uniform": fam.gen_blp_uniform,
-        "blp_generic": fam.gen_blp_generic,
-    }
+    GENERATORS = {name: generate for name, (_, generate) in fam.GENERATORS.items()}
 
     @staticmethod
     def outcome(fn, inst, params):
