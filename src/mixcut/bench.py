@@ -146,10 +146,9 @@ class CoverageReport:
         return render_pct(self.fraction(family))
 
     def improvements(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(mid - base, top - mid, top - base) over the three table families."""
-        base = self.fraction("zhao")
-        mid = self.fraction("blp_uniform")
-        top = self.fraction("blp_generic")
+        """(mid - base, top - mid, top - base) over the three table families,
+        `DEFAULT_FAMILIES` in order."""
+        base, mid, top = map(self.fraction, DEFAULT_FAMILIES)
         return (mid - base, top - mid, top - base)
 
 
@@ -248,7 +247,9 @@ def _imp_str(value: Fraction) -> str:
     return "-" if value == 0 else render_pct(value)
 
 
-_COLUMNS = ("example", "m", "p", "zhao", "blp_uniform", "imp_mid", "blp_generic", "imp_top", "total_imp")
+#: The table columns: each improvement follows the family it improves to.
+_COLUMNS = ("example", "m", "p", *DEFAULT_FAMILIES[:2], "imp_mid", DEFAULT_FAMILIES[2], "imp_top",
+            "total_imp")
 
 #: The report formats: json holds every field of a report; the others (md is
 #: markdown) render the source tables' columns.
@@ -266,18 +267,9 @@ def _require_table_families(fmt: str, family_names: Collection[str]) -> None:
 
 
 def _report_row(r: CoverageReport) -> list[str]:
-    imp_mid, imp_top, total = r.improvements()
-    return [
-        r.example or "-",
-        str(r.m),
-        str(r.p),
-        r.pct("zhao"),
-        r.pct("blp_uniform"),
-        _imp_str(imp_mid),
-        r.pct("blp_generic"),
-        _imp_str(imp_top),
-        _imp_str(total),
-    ]
+    imp_mid, imp_top, total = map(_imp_str, r.improvements())
+    base, mid, top = map(r.pct, DEFAULT_FAMILIES)
+    return [r.example or "-", str(r.m), str(r.p), base, mid, imp_mid, top, imp_top, total]
 
 
 def emit_report(reports: Sequence[CoverageReport], fmt: str = "markdown") -> str:

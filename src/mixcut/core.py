@@ -497,13 +497,19 @@ def _cut_normal(inst: MixingInstance, cut: LinearCut) -> tuple[int, ...]:
 
 
 def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
-    """Every vertex's slack ``a_z z + a.x + a_0`` of the cut's normal
-    (:func:`_cut_normal`) times D, in one int, with the packing that lays it
-    out.
+    """The :func:`_normal_slacks` of the cut's normal (:func:`_cut_normal`)."""
+    return _normal_slacks(inst, _cut_normal(inst, cut))
+
+
+def _normal_slacks(inst: MixingInstance, normal: Sequence[int]) -> tuple[int, _Packing]:
+    """Every vertex's slack ``a_z z + a.x + a_0`` of the int normal
+    (a_z, a_1, ..., a_m, a_0) times D, in one int, with the packing that lays
+    it out.
 
     D is the lcm of the vertex z values' denominators, so each slack is an
-    int, a positive multiple of the rational ``cut.evaluate(v.z, v.x) -
-    cut.rhs``: its sign, and whether it is zero, are the same.  Field v of
+    int, D times the slack of the normal at the vertex (a positive multiple
+    of ``cut.evaluate(v.z, v.x) - cut.rhs`` for a cut of that normal): its
+    sign, and whether it is zero, are the same.  Field v of
     the word (in :func:`enumerate_vertices` order) holds the slack plus the
     bias 2^(8 W - 1), so its top bit says slack >= 0 (see
     `_Packing.nonnegative` and `_Packing.zero_flags`).  The word is
@@ -512,7 +518,7 @@ def packed_slacks(inst: MixingInstance, cut: LinearCut) -> tuple[int, _Packing]:
     is the fewest bytes that hold the slack bound
     ``|a_z| D z_1 + D |a_0| + D sum |a_k|`` with a sign bit and one spare bit.
     """
-    a_z, *a, a_0 = _cut_normal(inst, cut)
+    a_z, *a, a_0 = normal
     table = _vertex_table(inst)
     D = table.D
     bound = abs(a_z) * table.zs[0] + D * (abs(a_0) + sum(map(abs, a)))

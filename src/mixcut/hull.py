@@ -3,7 +3,8 @@
 The hull is conv(minimal vertices) + cone{(1, 0)}.  Homogenizing lifts each
 vertex to (z, x, 1) and the ray to (1, 0, 0); the facets are then the extreme
 rays of the dual cone, which the double-description engine enumerates
-exactly.  Float hulls mis-merge near-parallel facet normals, which would
+exactly, one per orbit of the scenarios that can be interchanged, whose
+orbits are then expanded.  Float hulls mis-merge near-parallel facet normals, which would
 corrupt the coverage counts, so everything here stays rational.  A facet
 file is read back by one comparison: the document must be the writer's text
 of the facet set that its own facets' primitive normals build.
@@ -15,8 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
 from . import dd, linalg
@@ -26,6 +28,7 @@ from .core import (
     ValidationError,
     Vertex,
     _cut_normal,
+    _normal_slacks,
     _vertex_table,
     cut_from_dict,
     enumerate_vertices,
@@ -134,15 +137,109 @@ def insertion_order(inst: MixingInstance) -> list[tuple[int, ...]]:
     return gens
 
 
+def _blocks(inst: MixingInstance) -> list[tuple[int, ...]]:
+    """The blocks of interchangeable scenarios: the indices i > p + 1 grouped
+    by pi_i, each group of two or more, in index order.
+
+    The first zero of a vertex's x is at or before p + 1, where the
+    knapsack first binds, so z does not read x_i for i > p + 1, and two such
+    scenarios of equal probability weigh the same in the knapsack.  Swapping
+    x_i and x_j within a block so maps the vertex set onto itself, and the
+    facet set too, with a_i and a_j swapped in each normal.
+    """
+    groups: dict[Fraction, list[int]] = {}
+    for i in range(inst.p + 2, inst.m + 1):
+        groups.setdefault(inst.pi_at(i), []).append(i)
+    return [tuple(g) for g in groups.values() if len(g) > 1]
+
+
+def _next_arrangement(b: list[int], block: tuple[int, ...]) -> bool:
+    """Step the entries of `b` at the indices `block` to their next ordering
+    in lex order, in place (next permutation, so a run of equal entries is
+    never reordered).  After the last ordering they go back to the first,
+    sorted, and False is returned."""
+    k = len(block) - 2
+    while k >= 0 and b[block[k]] >= b[block[k + 1]]:
+        k -= 1
+    if k >= 0:
+        j = len(block) - 1
+        while b[block[j]] <= b[block[k]]:
+            j -= 1
+        b[block[k]], b[block[j]] = b[block[j]], b[block[k]]
+    lo, hi = k + 1, len(block) - 1
+    while lo < hi:
+        b[block[lo]], b[block[hi]] = b[block[hi]], b[block[lo]]
+        lo, hi = lo + 1, hi - 1
+    return k >= 0
+
+
 def enumerate_facets(inst: MixingInstance, budget: Optional[dd.Budget] = None) -> FacetSet:
-    """The complete, irredundant, canonical facet list of the hull.
+    """The complete, irredundant, canonical facet list of the hull, found up
+    to the symmetry of each block of interchangeable scenarios (:func:`_blocks`).
+
+    Double description runs on the chamber of normals sorted within each
+    block: one wall generator e_j - e_i (a_i <= a_j) per consecutive pair
+    i < j of a block, put before :func:`insertion_order`.  A ray of the
+    chamber that lies on no wall is extreme in the full dual cone.  A ray
+    with a tie inside a block may be an edge that only the walls make, so
+    it is kept only if it is a facet (it is valid, being in the dual cone):
+    after two exact refutations on its tight set, the facet test of
+    :func:`is_facet` on its normal decides.  A facet sorted within its
+    blocks is extreme in the chamber, and each facet's orbit meets the
+    chamber once, so the kept rays are one facet per orbit.  Each orbit, the
+    distinct orderings of each block's entries, is streamed into the facet
+    set.  An instance with no block has no walls and runs plain double
+    description.  This is the orbit reduction of Bremner, Dutour Sikiric
+    and Schuermann (2009) for a group of coordinate permutations.
 
     Raises :class:`dd.BudgetExceeded` when `budget` trips; a partial list is
-    never returned.  The budget's steps count DD's candidate pairs in
-    :func:`insertion_order`.
+    never returned.  The budget's steps count DD's candidate pairs in the
+    chamber run: the walls, then :func:`insertion_order`.
     """
-    normals = dd.dual_rays(insertion_order(inst), budget)
-    return _facetset_from_normals(inst, normals)
+    blocks = _blocks(inst)
+    pairs = [(i, j) for block in blocks for i, j in zip(block, block[1:])]
+    walls = []
+    for i, j in pairs:
+        wall = [0] * (inst.m + 2)
+        wall[i], wall[j] = -1, 1
+        walls.append(tuple(wall))
+    rays = dd.dual_rays(walls + insertion_order(inst), budget)
+    table = _vertex_table(inst)
+
+    x_bits = (1 << inst.m + 1) - 2  # bit k of a parity mask is x_k
+
+    def kept(a: tuple[int, ...]) -> bool:
+        if all(a[i] != a[j] for i, j in pairs):
+            return True
+        word, packing = _normal_slacks(inst, a)
+        flags = packing.zero_flags(word)
+        masks = list(compress(table.masks, flags))
+        # two exact refutations before the facet test, which would take most
+        # tied non-facets down its exact elimination: a facet has m + 1 tight
+        # points, the ray counting as one, and no x_k constant on them unless
+        # it is a bound on x_k
+        if len(masks) + (not a[0]) <= inst.m:
+            return False
+        fixed = ~(reduce(and_, masks) ^ reduce(or_, masks)) & x_bits
+        support = [k for k in range(1, inst.m + 1) if a[k]]
+        if not a[0] and len(support) == 1:
+            fixed &= ~(1 << support[0])
+        return not fixed and _spans_facet(inst, not a[0], flags)
+
+    def orbit(a: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # an odometer over the blocks: the first block that has a next
+        # ordering steps, and the blocks before it go back to sorted
+        yield a
+        b = list(a)
+        while True:
+            for block in blocks:
+                if _next_arrangement(b, block):
+                    yield tuple(b)
+                    break
+            else:
+                return
+
+    return _facetset_from_normals(inst, chain.from_iterable(map(orbit, filter(kept, rays))))
 
 
 def _facetset_from_normals(inst: MixingInstance, normals) -> FacetSet:
@@ -198,11 +295,16 @@ def is_facet(inst: MixingInstance, cut: LinearCut) -> bool:
     word, packing = packed_slacks(inst, cut)
     if cut.z_coef < 0 or not packing.nonnegative(word):
         raise InvalidCutError("facet test requires a valid cut")
-    directions = []
-    if cut.z_coef == 0:
-        directions.append(tuple([1] + [0] * inst.m))
+    return _spans_facet(inst, cut.z_coef == 0, packing.zero_flags(word))
+
+
+def _spans_facet(inst: MixingInstance, vertical: bool, flags: bytes) -> bool:
+    """The facet test of :func:`is_facet` and :func:`enumerate_facets` on a
+    valid normal with a z or an x term: do the vertices flagged in `flags`,
+    with the ray if the normal is `vertical`, have affine rank m + 1?  Mod 2
+    first, exact only on a shortfall."""
     table = _vertex_table(inst)
-    flags = packing.zero_flags(word)
+    directions = [tuple([1] + [0] * inst.m)] if vertical else []
     masks = list(compress(table.masks, flags))
     if masks:
         base = masks[0]

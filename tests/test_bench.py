@@ -181,13 +181,14 @@ class TestCoverage:
 
     def test_step_budget_counts_dd_pairs_and_facets(self):
         """A step budget is charged DD's candidate pairs, then one step per
-        facet: L(6,3) takes 302 pairs and has 22 facets, so 324 steps give
-        the unbudgeted report and 323 an incomplete one."""
+        facet: L(6,3) takes 230 pairs on the chamber of its block {5, 6}
+        (302 with no chamber walls) and has 22 facets, so 252 steps give the
+        unbudgeted report and 251 an incomplete one."""
         inst = bench.benchmark_instance("L", 6, 3)
         full = bench.coverage(inst)
         assert full.facet_total == 22
-        assert bench.coverage(inst, budget=dd.Budget(steps=324)) == full
-        short = bench.coverage(inst, budget=dd.Budget(steps=323))
+        assert bench.coverage(inst, budget=dd.Budget(steps=252)) == full
+        short = bench.coverage(inst, budget=dd.Budget(steps=251))
         assert short.incomplete and short.facet_total == short.vertical_count == 0
         assert short.covered == tuple((name, 0) for name in bench.DEFAULT_FAMILIES)
 

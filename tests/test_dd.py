@@ -265,11 +265,12 @@ def test_charged_steps_match_reference_pairs(key):
     assert budget.steps_left == 0
 
 
-@pytest.mark.parametrize("key, pairs", [("uniform1", 815_038), ("general1", 205_961)])
+@pytest.mark.parametrize("key, pairs", [("uniform1", 12_872), ("general1", 55_324)])
 def test_enumerate_facets_charges_insertion_order_pairs(key, pairs):
-    """`hull.enumerate_facets` inserts in `hull.insertion_order`: its charged
-    pairs on the stored pool entries (lex order: 821 711 and 282 794), under
-    a budget of exactly that many steps."""
+    """`hull.enumerate_facets` inserts the chamber walls of its blocks, then
+    `hull.insertion_order`: its charged pairs on the stored pool entries
+    (815 038 and 205 961 in insertion order with no wall, 821 711 and
+    282 794 in lex order), under a budget of exactly that many steps."""
     entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"][key]
     inst = instance_from_json(json.dumps(entry["instance"]))
     budget = dd.Budget(steps=pairs)
@@ -277,17 +278,36 @@ def test_enumerate_facets_charges_insertion_order_pairs(key, pairs):
     assert budget.steps_left == 0
 
 
-@pytest.mark.parametrize("instance, pairs, nonvertical, vertical", [
-    # about 55 blocks of 16 zero sets per containment scan
-    (lambda: bench.benchmark_instance("K", 10, 7), 1_586_544, 3_639, 21),
-    (lambda: draws.general(12, 2), 11_645_772, 6_987, 562),
+#: Instances whose late insertions have hundreds of tight rays: K(10,7)
+#: (about 55 blocks of 16 zero sets per containment scan with no chamber
+#: wall) and general:12:2.  Each with its charged pairs on the chamber and
+#: with no wall, and its nonvertical and vertical facet counts.
+LONG_TIGHT_LISTS = pytest.mark.parametrize("instance, pairs, plain_pairs, nonvertical, vertical", [
+    (lambda: bench.benchmark_instance("K", 10, 7), 734_727, 1_586_544, 3_639, 21),
+    (lambda: draws.general(12, 2), 566_650, 11_645_772, 6_987, 562),
 ], ids=["K(10,7)", "general:12:2"])
-def test_facet_counts_where_tight_lists_are_long(instance, pairs, nonvertical, vertical):
+
+
+@LONG_TIGHT_LISTS
+def test_facet_counts_where_tight_lists_are_long(instance, pairs, plain_pairs, nonvertical, vertical):
     """Late insertions here have hundreds of tight rays, so a pruning slip in
     the block-union scan adds or loses facets.  The budget is exactly the
-    charged pairs, so a slip that makes rays pile up trips it."""
+    charged pairs of the chamber run, so a slip that makes rays pile up
+    trips it."""
     budget = dd.Budget(steps=pairs)
     fs = hull.enumerate_facets(instance(), budget)
+    assert budget.steps_left == 0
+    assert (len(fs.normals), len(fs.vertical_normals)) == (nonvertical, vertical)
+
+
+@LONG_TIGHT_LISTS
+def test_block_union_stress_with_no_chamber_wall(instance, pairs, plain_pairs, nonvertical, vertical):
+    """The same instances through plain double description on
+    `hull.insertion_order`, where the tight lists are longest: the facet
+    counts under a budget of exactly its charged pairs."""
+    inst = instance()
+    budget = dd.Budget(steps=plain_pairs)
+    fs = hull._facetset_from_normals(inst, dd.dual_rays(hull.insertion_order(inst), budget))
     assert budget.steps_left == 0
     assert (len(fs.normals), len(fs.vertical_normals)) == (nonvertical, vertical)
 

@@ -6,7 +6,7 @@ import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import pairwise
+from itertools import combinations, pairwise
 from pathlib import Path
 
 import pytest
@@ -29,6 +29,7 @@ from mixcut.core import (
     vertex_to_dict,
 )
 from mixcut import bench, cli, core, dd, families, hull, linalg
+import draws
 import hull_oracles
 import hulls
 
@@ -232,6 +233,108 @@ def test_insertion_order_keeps_the_lex_facets_on_table_cells(example):
 @settings(max_examples=60, deadline=None)
 def test_insertion_order_keeps_the_lex_facets(inst):
     assert hull.enumerate_facets(inst) == _facets_in_lex_order(inst)
+
+
+def _plain_facets(inst):
+    """The facet set of double description on `insertion_order` with no
+    chamber wall, orbits unreduced."""
+    return hull._facetset_from_normals(inst, dd.dual_rays(hull.insertion_order(inst)))
+
+
+@st.composite
+def _uniform_with_ties(draw):
+    """Uniform probabilities, m = 3..9, h with ties."""
+    m = draw(st.integers(3, 9))
+    h = draw(st.lists(st.integers(0, 12), min_size=m, max_size=m))
+    return build_instance(m, sorted(h, reverse=True), None, Fraction(draw(st.integers(1, m)), m))
+
+
+@given(st.one_of(_uniform_with_ties(), st.builds(draws.general, st.integers(4, 12),
+                                                 st.integers(0, 99))))
+@settings(max_examples=100, deadline=None)
+def test_block_transpositions_map_the_vertices_onto_themselves(inst):
+    """Each block holds scenarios after p + 1 of one probability, and
+    swapping x_i and x_j for any two of a block maps the vertex table's
+    (D z, x) set onto itself."""
+    table = _vertex_table(inst)
+    points = set(zip(table.zs, table.xs))
+    for block in hull._blocks(inst):
+        assert len(block) > 1 and min(block) > inst.p + 1
+        assert len({inst.pi_at(i) for i in block}) == 1
+        for i, j in combinations(block, 2):
+            swapped = set()
+            for z, x in points:
+                y = bytearray(x)
+                y[i - 1], y[j - 1] = x[j - 1], x[i - 1]
+                swapped.add((z, bytes(y)))
+            assert swapped == points
+
+
+@pytest.mark.parametrize("example", "LK")
+def test_orbit_reduction_keeps_the_facets_on_table_cells(example):
+    for m in range(1, 9):
+        for p in range(1, m + 1):
+            inst = benchmark_instance(example, m, p)
+            assert hull.enumerate_facets(inst) == _plain_facets(inst)
+
+
+@pytest.mark.parametrize("m", range(6, 11))
+def test_orbit_reduction_keeps_the_facets_on_general_draws(m):
+    instances = [draws.general(m, s) for s in range(3)]
+    assert any(map(hull._blocks, instances))
+    for inst in instances:
+        assert hull.enumerate_facets(inst) == _plain_facets(inst)
+
+
+#: Two blocks after p + 1 = 3: weights 1 at {4, 6, 8} and 2 at {5, 7}
+TWO_BLOCKS = build_instance(8, [30, 25, 19, 14, 10, 7, 3, 1],
+                            [Fraction(w, 13) for w in (2, 2, 2, 1, 2, 1, 2, 1)], Fraction(5, 13))
+
+
+def test_orbit_reduction_with_two_blocks():
+    """The chamber run takes 388 candidate pairs, where plain double
+    description takes 1 280, and expands to the same 9 + 21 facets."""
+    assert hull._blocks(TWO_BLOCKS) == [(4, 6, 8), (5, 7)]
+    budget = dd.Budget(steps=388)
+    fs = hull.enumerate_facets(TWO_BLOCKS, budget)
+    assert budget.steps_left == 0
+    assert fs == _plain_facets(TWO_BLOCKS)
+    assert (len(fs.normals), len(fs.vertical_normals)) == (9, 21)
+
+
+@pytest.mark.parametrize("inst, pairs", [
+    # p + 1 = 6: scenario 7 alone follows it
+    (benchmark_instance("L", 7, 5), 2_256),
+    # p + 1 = 3: scenarios 4-7 all have distinct probabilities
+    (GENERAL0, 539),
+], ids=["L(7,5)", "general:0"])
+def test_no_block_runs_plain_double_description(inst, pairs):
+    """An instance with no block has no chamber wall: `enumerate_facets`
+    charges exactly the pairs of plain double description on
+    `insertion_order`, and gives its facets."""
+    assert hull._blocks(inst) == []
+    budget, plain = dd.Budget(steps=pairs), dd.Budget(steps=pairs)
+    fs = hull.enumerate_facets(inst, budget)
+    rays = dd.dual_rays(hull.insertion_order(inst), plain)
+    assert budget.steps_left == plain.steps_left == 0
+    assert fs == hull._facetset_from_normals(inst, rays)
+
+
+def test_tied_chamber_rays_are_kept_only_if_facets():
+    """On the pool's uniform1 (one block of five) the chamber has rays with
+    a tie inside the block that are no facet of the full cone, and symmetric
+    facets (a tie that is a facet); the facet test tells them apart."""
+    entry = json.loads(REFERENCE.read_text())["hull_m11"]["pool"]["uniform1"]
+    inst = instance_from_json(json.dumps(entry["instance"]))
+    (block,) = hull._blocks(inst)
+    pairs = list(pairwise(block))
+    walls = [tuple(-(k == i) + (k == j) for k in range(inst.m + 2)) for i, j in pairs]
+    tied = [a for a in dd.dual_rays(walls + hull.insertion_order(inst))
+            if any(a[i] == a[j] for i, j in pairs)]
+    facets = set(hulls.facets(inst).normals + hulls.facets(inst).vertical_normals)
+    assert {a in facets for a in tied} == {True, False}
+    for a in tied:
+        assert hull.is_facet(inst, hull._cuts([a])[0]) == (a in facets)
 
 
 COEFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -474,13 +577,14 @@ def test_zero_budget_trips(budget):
 
 
 def test_budget_steps_are_candidate_pairs():
-    # DD on L(7,4), in `insertion_order`, examines 1 535 candidate pairs over
-    # all its insertions (1 489 in lex order)
+    # DD on L(7,4), on the chamber of its block {6, 7} and then in
+    # `insertion_order`, examines 1 144 candidate pairs over all its
+    # insertions (1 535 with no chamber wall, 1 489 in lex order)
     inst = benchmark_instance("L", 7, 4)
-    facets = hull.enumerate_facets(inst, dd.Budget(steps=1535)).facets
+    facets = hull.enumerate_facets(inst, dd.Budget(steps=1144)).facets
     assert facets == hull.enumerate_facets(inst).facets
     with pytest.raises(dd.BudgetExceeded):
-        hull.enumerate_facets(inst, dd.Budget(steps=1534))
+        hull.enumerate_facets(inst, dd.Budget(steps=1143))
 
 
 def test_facetset_json_round_trip(ex42):
